@@ -259,8 +259,13 @@ def jacobian_dominance_rank(
         by_first.setdefault(j, []).append((k, l, v))
         by_second.setdefault(k, []).append((j, l, v))
 
+    # a column E_ab is empty unless some pyramid position has coordinate a
+    # in the factor it acts on
+    firsts = sorted({j for j, _, _ in in_p})
+    seconds = sorted({k for _, k, _ in in_p})
+
     def columns():
-        for a in range(1, n1 + 1):
+        for a in firsts:
             for b in range(a, n1 + 1):
                 slice_b = by_first.get(b)
                 if not slice_b:
@@ -272,7 +277,7 @@ def jacobian_dominance_rank(
                         col[row_index[pos]] = v
                 if col:
                     yield col
-        for a in range(1, n2 + 1):
+        for a in seconds:
             for b in range(a, n2 + 1):
                 slice_b = by_second.get(b)
                 if not slice_b:
@@ -327,8 +332,14 @@ def default_rank(n: int) -> int:
 
 
 def restriction_agrees(t_tilde: Tensor, s_tensor: Tensor, pattern: PyramidPattern) -> bool:
-    """Whether the two tensors agree on every pyramid position."""
-    return all(t_tilde.get(pos) == s_tensor.get(pos) for pos in pattern.positions)
+    """Whether the two tensors agree on every pyramid position.
+
+    Tensors store no zeros, so this compares their nonzeros inside the pyramid.
+    """
+    in_p = pattern.positions
+    return {pos: v for pos, v in t_tilde.support() if pos in in_p} == {
+        pos: v for pos, v in s_tensor.support() if pos in in_p
+    }
 
 
 def certify_lower_bound(
@@ -381,32 +392,15 @@ def certify_lower_bound(
         attempts += [(PrimeField(random_prime(prime_bits, rng)), False) for _ in range(max_prime_retries)]
     attempts += [(field, True)] * max_block_retries
 
-    last = None
     for current_field, random_blocks in attempts:
-        out = attempt(current_field, random_blocks)
-        t_tilde, s_tensor, placements, restriction, limit_ok, unit, rank = out
-        ok = restriction and limit_ok and unit == r and rank == size
-        last = (current_field, out)
-        if ok:
-            return DegenerationCertificate(
-                n=n,
-                r=r,
-                profile=profile,
-                s_tensor=s_tensor,
-                t_tilde=t_tilde,
-                placements=tuple(placements),
-                limit_check=limit_ok,
-                restriction_check=restriction,
-                unit_size=unit,
-                jacobian_rank=rank,
-                pyramid_size=size,
-                prime=current_field.p if isinstance(current_field, PrimeField) else None,
-                verdict=VERDICT_CERTIFIED,
-            )
-    current_field, out = last
-    t_tilde, s_tensor, placements, restriction, limit_ok, unit, rank = out
-    # over a prime field a rank deficit does not refute the rational claim
-    verdict = VERDICT_REFUTED if current_field == QQ else VERDICT_INCONCLUSIVE
+        t_tilde, s_tensor, placements, restriction, limit_ok, unit, rank = attempt(current_field, random_blocks)
+        if restriction and limit_ok and unit == r and rank == size:
+            verdict = VERDICT_CERTIFIED
+            break
+    else:
+        # the last attempt stands; over a prime field a rank deficit does not
+        # refute the rational claim
+        verdict = VERDICT_REFUTED if current_field == QQ else VERDICT_INCONCLUSIVE
     return DegenerationCertificate(
         n=n,
         r=r,
@@ -427,12 +421,14 @@ def certify_lower_bound(
 def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Random] = None):
     """Re-derive every checkable claim of a stored certificate from scratch.
 
-    Returns an ordered list of ``(clause, ok, detail)`` triples; the
-    Jacobian rank is recomputed over a fresh random prime (independence of
-    the stored one).
+    Returns an ordered list of ``(clause, ok, detail)`` triples.  The
+    Jacobian rank is recomputed over a fresh random prime drawn from
+    ``rng``, redrawn while it equals the stored prime.  ``rng`` should be a
+    stream of its own, not the one the certificate was made with; the
+    default is the verify stream of seed 0, ``random.Random("verify:0")``.
     """
     if rng is None:
-        rng = random.Random(0)
+        rng = random.Random("verify:0")
     results = []
 
     expected_profile = pyramid_weight_profile(cert.n, cert.r)
@@ -459,7 +455,10 @@ def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Rand
         ("unit-tensor", recognize_unit_tensor(cert.s_tensor) == cert.r, "S is a diagonal unit tensor of size r")
     )
 
-    fresh = PrimeField(random_prime(62, rng))
+    prime = random_prime(62, rng)
+    while prime == cert.prime:
+        prime = random_prime(62, rng)
+    fresh = PrimeField(prime)
     coerced = _coerce_tensor(cert.t_tilde, fresh)
     if coerced is None:
         results.append(("jacobian-rank", False, "tensor entries not integral; cannot recheck over a fresh prime"))
@@ -473,16 +472,15 @@ def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Rand
 
 def _coerce_tensor(t: Tensor, field: FieldContext) -> Optional[Tensor]:
     """Map an integral tensor into another field; None if entries are not integers."""
-    data = []
-    for v in t.data:
-        if isinstance(v, int):
-            data.append(field.from_int(v))
-            continue
-        num, den = getattr(v, "numerator", None), getattr(v, "denominator", None)
-        if num is None or den != 1:
-            return None
-        data.append(field.from_int(num))
-    return Tensor(field, t.dims, data)
+    entries = {}
+    for pos, v in t.support():
+        if not isinstance(v, int):
+            num, den = getattr(v, "numerator", None), getattr(v, "denominator", None)
+            if num is None or den != 1:
+                return None
+            v = num
+        entries[pos] = field.from_int(v)
+    return Tensor(field, t.dims, entries)
 
 
 # ---------------------------------------------------------------------------

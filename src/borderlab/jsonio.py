@@ -80,7 +80,7 @@ def scalar_matrix_from_obj(field: FieldContext, obj) -> list:
 
 def tensor_to_obj(t: Tensor) -> dict:
     entries = [
-        {"idx": list(pos), "value": t.field.format(v)} for pos, v in sorted(t.support())
+        {"idx": list(pos), "value": t.field.format(v)} for pos, v in t.support()
     ]
     return {"field": field_to_obj(t.field), "dims": list(t.dims), "entries": entries}
 

@@ -36,10 +36,6 @@ def mat_mul(field: FieldContext, a: Sequence[Sequence], b: Sequence[Sequence]) -
     return out
 
 
-def mat_vec(field: FieldContext, a: Sequence[Sequence], v: Sequence) -> list:
-    return [c[0] for c in mat_mul(field, a, [[x] for x in v])]
-
-
 def mat_inv(field: FieldContext, a: Sequence[Sequence]) -> list:
     """Gauss-Jordan inverse; raises SingularError on singular input."""
     n = len(a)
@@ -78,20 +74,6 @@ def is_invertible(field: FieldContext, a: Sequence[Sequence]) -> bool:
         return True
     except SingularError:
         return False
-
-
-def dense_rank(field: FieldContext, a: Sequence[Sequence]) -> int:
-    """Exact rank of a dense matrix."""
-    if not a:
-        return 0
-    cols = []
-    for j in range(len(a[0])):
-        col = {}
-        for i, row in enumerate(a):
-            if not field.is_zero(row[j]):
-                col[i] = row[j]
-        cols.append(col)
-    return sparse_rank(field, cols)
 
 
 def sparse_rank(

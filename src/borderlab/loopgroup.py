@@ -15,7 +15,7 @@ triple passes verification.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 from . import linalg
 from .errors import PrecisionError, ShapeError, SingularError
@@ -171,9 +171,3 @@ def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResu
         return VerificationResult(False, f"insufficient precision for the residual check: {exc}", residual)
     return VerificationResult(False, "nonzero residual", residual)
 
-
-def cartan_decompose_tuple(
-    gs: Sequence[SeriesMatrix], n: int = DEFAULT_TRUNCATION
-) -> list:
-    """Factor-wise decomposition for an element of a product of GLs."""
-    return [cartan_decompose(g, n) for g in gs]

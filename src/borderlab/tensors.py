@@ -1,5 +1,9 @@
-"""Dense order-d tensors over exact scalars or series, group actions, and
+"""Sparse order-d tensors over exact scalars or series, group actions, and
 one-parameter-subgroup limits.
+
+A tensor stores only its nonzero entries, as a map from position to value
+kept in row-major (lexicographic) order, so every operation costs time in
+the number of nonzeros, never in the product of the dimensions.
 
 Positions are 1-based index tuples ``(j1, ..., jd)`` throughout, matching
 the combinatorial conventions of the weight and pyramid machinery; constant
@@ -13,90 +17,99 @@ with ``j`` up to the ambient dimension).
 
 from __future__ import annotations
 
-import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, Iterable, Optional, Sequence
+from typing import Iterable, Mapping, Optional, Sequence
 
 from . import linalg
 from .errors import NoLimitError, ShapeError
 from .fields import FieldContext
 from .series import LaurentSeries, SeriesMatrix
 
+_POSITION = operator.itemgetter(0)
 
-def _strides(dims: Sequence[int]) -> tuple:
-    out = [1] * len(dims)
-    for i in range(len(dims) - 2, -1, -1):
-        out[i] = out[i + 1] * dims[i + 1]
-    return tuple(out)
+
+def _check_dims(dims: Sequence[int]) -> tuple:
+    dims = tuple(int(n) for n in dims)
+    if len(dims) < 1 or any(n < 0 for n in dims):
+        raise ShapeError(f"bad tensor dims {dims}")
+    return dims
+
+
+def _check_position(pos: tuple, dims: tuple) -> None:
+    if len(pos) != len(dims):
+        raise ShapeError(f"position {pos} has wrong arity for dims {dims}")
+    for p, n in zip(pos, dims):
+        if not 1 <= p <= n:
+            raise ShapeError(f"position {pos} out of range for dims {dims}")
+
+
+def _row_major(dims: tuple, entries: Mapping, keep) -> dict:
+    """Check every position against ``dims``; keep the values ``keep`` accepts, sorted."""
+    for pos in entries:
+        _check_position(pos, dims)
+    return dict(sorted(((pos, v) for pos, v in entries.items() if keep(v)), key=_POSITION))
 
 
 class Tensor:
-    """Dense tensor with exact scalar entries and 1-based positions."""
+    """Sparse tensor with exact scalar entries and 1-based positions.
 
-    __slots__ = ("field", "dims", "data", "_strides")
+    ``entries`` maps positions to values; zero values are dropped, so two
+    tensors are equal exactly when their stored entries are.
+    """
 
-    def __init__(self, field: FieldContext, dims: Sequence[int], data: Sequence):
-        dims = tuple(int(n) for n in dims)
-        if len(dims) < 1 or any(n < 0 for n in dims):
-            raise ShapeError(f"bad tensor dims {dims}")
-        size = math.prod(dims)
-        data = tuple(data)
-        if len(data) != size:
-            raise ShapeError(f"expected {size} entries for dims {dims}, got {len(data)}")
+    __slots__ = ("field", "dims", "_entries")
+
+    def __init__(self, field: FieldContext, dims: Sequence[int], entries: Mapping[tuple, object]):
+        dims = _check_dims(dims)
+        is_zero = field.is_zero
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", data)
-        object.__setattr__(self, "_strides", _strides(dims))
+        object.__setattr__(self, "_entries", _row_major(dims, entries, lambda v: not is_zero(v)))
 
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
     @classmethod
     def zeros(cls, field: FieldContext, dims: Sequence[int]) -> "Tensor":
-        return cls(field, dims, [field.zero()] * math.prod(tuple(dims)))
+        return cls(field, dims, {})
 
     @classmethod
-    def from_entries(cls, field: FieldContext, dims: Sequence[int], entries: Dict[tuple, object]) -> "Tensor":
-        dims = tuple(dims)
-        data = [field.zero()] * math.prod(dims)
-        strides = _strides(dims)
-        for pos, value in entries.items():
-            data[_flat(pos, dims, strides)] = value
-        return cls(field, dims, data)
+    def from_entries(cls, field: FieldContext, dims: Sequence[int], entries: Mapping[tuple, object]) -> "Tensor":
+        return cls(field, dims, entries)
 
     @property
     def order(self) -> int:
         return len(self.dims)
 
-    def _flat(self, pos: Sequence[int]) -> int:
-        return _flat(pos, self.dims, self._strides)
-
     def get(self, pos: Sequence[int]):
-        return self.data[self._flat(pos)]
+        pos = tuple(pos)
+        _check_position(pos, self.dims)
+        return self._entries.get(pos, self.field.zero())
 
     def support(self) -> Iterable[tuple]:
-        """Yield ``(position, value)`` for the nonzero entries."""
-        field = self.field
-        for flat, v in enumerate(self.data):
-            if not field.is_zero(v):
-                yield _unflat(flat, self.dims, self._strides), v
+        """Yield ``(position, value)`` for the nonzero entries, in row-major order."""
+        return iter(self._entries.items())
 
     def is_zero(self) -> bool:
-        return all(self.field.is_zero(v) for v in self.data)
+        return not self._entries
+
+    def _combine(self, other: "Tensor", op) -> "Tensor":
+        self._check_compatible(other)
+        zero = self.field.zero()
+        a, b = self._entries, other._entries
+        entries = {pos: op(a.get(pos, zero), b.get(pos, zero)) for pos in a.keys() | b.keys()}
+        return Tensor(self.field, self.dims, entries)
 
     def __add__(self, other: "Tensor") -> "Tensor":
-        self._check_compatible(other)
-        f = self.field
-        return Tensor(f, self.dims, [f.add(a, b) for a, b in zip(self.data, other.data)])
+        return self._combine(other, self.field.add)
 
     def __sub__(self, other: "Tensor") -> "Tensor":
-        self._check_compatible(other)
-        f = self.field
-        return Tensor(f, self.dims, [f.sub(a, b) for a, b in zip(self.data, other.data)])
+        return self._combine(other, self.field.sub)
 
     def scale(self, c) -> "Tensor":
         f = self.field
-        return Tensor(f, self.dims, [f.mul(c, v) for v in self.data])
+        return Tensor(f, self.dims, {pos: f.mul(c, v) for pos, v in self._entries.items()})
 
     def _check_compatible(self, other: "Tensor") -> None:
         if not isinstance(other, Tensor):
@@ -110,94 +123,102 @@ class Tensor:
             isinstance(other, Tensor)
             and self.field == other.field
             and self.dims == other.dims
-            and self.data == other.data
+            and self._entries == other._entries
         )
 
     def __hash__(self):
-        return hash((self.dims, self.data))
+        return hash((self.dims, tuple(self._entries.items())))
 
     def __repr__(self) -> str:
-        nnz = sum(1 for _ in self.support())
-        return f"Tensor(dims={self.dims}, nnz={nnz})"
-
-
-def _flat(pos: Sequence[int], dims: Sequence[int], strides: Sequence[int]) -> int:
-    if len(pos) != len(dims):
-        raise ShapeError(f"position {tuple(pos)} has wrong arity for dims {tuple(dims)}")
-    flat = 0
-    for p, n, s in zip(pos, dims, strides):
-        if not 1 <= p <= n:
-            raise ShapeError(f"position {tuple(pos)} out of range for dims {tuple(dims)}")
-        flat += (p - 1) * s
-    return flat
-
-
-def _unflat(flat: int, dims: Sequence[int], strides: Sequence[int]) -> tuple:
-    pos = []
-    for s in strides:
-        pos.append(flat // s + 1)
-        flat %= s
-    return tuple(pos)
+        return f"Tensor(dims={self.dims}, nnz={len(self._entries)})"
 
 
 class SeriesTensor:
-    """Dense tensor whose entries are Laurent series (uniformly truncated)."""
+    """Sparse tensor of Laurent series, uniformly truncated at ``trunc``.
 
-    __slots__ = ("field", "dims", "data", "_strides")
+    Every entry is cut to the smallest truncation order among the entries
+    it was built from (``None`` when all are exact).  Only entries with
+    known nonzero terms are stored; any other position holds the zero
+    series known to ``t^trunc``.
+    """
 
-    def __init__(self, field: FieldContext, dims: Sequence[int], data: Sequence[LaurentSeries]):
-        dims = tuple(int(n) for n in dims)
-        data = list(data)
-        if len(data) != math.prod(dims):
-            raise ShapeError("entry count does not match dims")
+    __slots__ = ("field", "dims", "trunc", "_entries")
+
+    def __init__(self, field: FieldContext, dims: Sequence[int], entries: Mapping[tuple, LaurentSeries]):
+        dims = _check_dims(dims)
         trunc = None
-        for e in data:
+        for e in entries.values():
             field.ensure_same(e.field)
             if e.trunc is not None and (trunc is None or e.trunc < trunc):
                 trunc = e.trunc
         if trunc is not None:
-            data = [e.truncate(trunc) for e in data]
+            entries = {pos: e.truncate(trunc) for pos, e in entries.items()}
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "data", tuple(data))
-        object.__setattr__(self, "_strides", _strides(dims))
+        object.__setattr__(self, "trunc", trunc)
+        object.__setattr__(self, "_entries", _row_major(dims, entries, lambda e: e.coeffs))
 
     def __setattr__(self, name, value):
         raise AttributeError("SeriesTensor is immutable")
 
     @classmethod
     def from_tensor(cls, t: Tensor) -> "SeriesTensor":
-        return cls(t.field, t.dims, [LaurentSeries.constant(t.field, v) for v in t.data])
+        return cls(t.field, t.dims, {pos: LaurentSeries.constant(t.field, v) for pos, v in t.support()})
+
+    def _unstored(self) -> LaurentSeries:
+        """The value of every position that is not stored."""
+        if self.trunc is None:
+            return LaurentSeries.zero(self.field)
+        return LaurentSeries.zero_mod(self.field, self.trunc)
 
     def get(self, pos: Sequence[int]) -> LaurentSeries:
-        return self.data[_flat(pos, self.dims, self._strides)]
+        pos = tuple(pos)
+        _check_position(pos, self.dims)
+        got = self._entries.get(pos)
+        return self._unstored() if got is None else got
 
     def support(self) -> Iterable[tuple]:
-        for flat, e in enumerate(self.data):
-            if e.coeffs:
-                yield _unflat(flat, self.dims, self._strides), e
+        """Yield ``(position, series)`` for the entries with known nonzero terms."""
+        return iter(self._entries.items())
 
     def negative_valuation_entry(self) -> Optional[tuple]:
         """First entry (row-major) with certified negative valuation, or None.
 
-        Raises PrecisionError via ``valuation_lower_bound`` semantics only
-        implicitly: entries that are zero to nonnegative precision are fine.
+        The valuation reported for an entry without known terms is its
+        truncation order.
         """
-        for flat, e in enumerate(self.data):
-            v = e.valuation_lower_bound()
-            if v is not None and v < 0:
-                if e.coeffs:
-                    return _unflat(flat, self.dims, self._strides), e.val
-                return _unflat(flat, self.dims, self._strides), v
+        if not all(self.dims):
+            return None
+        if self.trunc is not None and self.trunc < 0:
+            # every entry is known only below t^trunc, so the first position
+            # already has a negative valuation bound
+            first = (1,) * len(self.dims)
+            got = self._entries.get(first)
+            return first, self.trunc if got is None else got.val
+        for pos, e in self._entries.items():
+            if e.val < 0:
+                return pos, e.val
         return None
 
     def constant_terms(self) -> Tensor:
-        return Tensor(self.field, self.dims, [e.coefficient(0) for e in self.data])
+        if all(self.dims):
+            # raises PrecisionError when t^0 lies beyond the common truncation
+            self._unstored().coefficient(0)
+        return Tensor(self.field, self.dims, {pos: e.coefficient(0) for pos, e in self._entries.items()})
 
     def equals_mod(self, other: "SeriesTensor", n: int) -> bool:
         if self.dims != other.dims:
             raise ShapeError("tensor dims differ")
-        return all(a.equals_mod(b, n) for a, b in zip(self.data, other.data))
+        if not all(self.dims):
+            return True
+        truncs = [s.trunc for s in (self, other) if s.trunc is not None]
+        if truncs and min(truncs) < n:
+            # no entry of the difference is known through t^n: the first
+            # position either differs or raises PrecisionError
+            first = (1,) * len(self.dims)
+            return self.get(first).equals_mod(other.get(first), n)
+        stored = self._entries.keys() | other._entries.keys()
+        return all(self.get(pos).equals_mod(other.get(pos), n) for pos in stored)
 
     def __repr__(self) -> str:
         return f"SeriesTensor(dims={self.dims})"
@@ -207,30 +228,28 @@ class SeriesTensor:
 # multilinear action
 # ---------------------------------------------------------------------------
 
-def _mode_apply(dims, data, axis, mat, zero, add, mul, is_zero):
-    """Apply ``mat`` (m x dims[axis]) along ``axis`` (0-based) of flat data."""
+def _mode_product(dims: tuple, entries: Mapping, axis: int, mat, add, mul, is_zero):
+    """Apply ``mat`` (m x dims[axis]) along ``axis`` (0-based) of a position map.
+
+    Zero inputs and zero matrix entries are skipped.  Sums that cancel stay
+    in the returned map; the tensor constructors drop them.
+    """
     n = dims[axis]
-    m = len(mat)
     if any(len(row) != n for row in mat):
         raise ShapeError(f"matrix for axis {axis} must have {n} columns")
-    inner = math.prod(dims[axis + 1 :]) if axis + 1 < len(dims) else 1
-    new_dims = dims[:axis] + (m,) + dims[axis + 1 :]
-    out = [zero] * math.prod(new_dims)
-    src_block = n * inner
-    dst_block = m * inner
-    for flat, v in enumerate(data):
+    # column b of ``mat`` as its nonzero (1-based row, value) pairs
+    columns = [[(a, row[b]) for a, row in enumerate(mat, start=1) if not is_zero(row[b])] for b in range(n)]
+    out: dict = {}
+    for pos, v in entries.items():
         if is_zero(v):
             continue
-        outer, rem = divmod(flat, src_block)
-        b, off = divmod(rem, inner)
-        base = outer * dst_block + off
-        for a in range(m):
-            c = mat[a][b]
-            if is_zero(c):
-                continue
-            idx = base + a * inner
-            out[idx] = add(out[idx], mul(c, v))
-    return new_dims, out
+        head, tail = pos[:axis], pos[axis + 1 :]
+        for a, c in columns[pos[axis] - 1]:
+            key = head + (a,) + tail
+            prod = mul(c, v)
+            prev = out.get(key)
+            out[key] = prod if prev is None else add(prev, prod)
+    return dims[:axis] + (len(mat),) + dims[axis + 1 :], out
 
 
 def act(mats: Sequence[Sequence[Sequence]], t: Tensor) -> Tensor:
@@ -242,12 +261,10 @@ def act(mats: Sequence[Sequence[Sequence]], t: Tensor) -> Tensor:
     if len(mats) != t.order:
         raise ShapeError(f"expected {t.order} matrices, got {len(mats)}")
     field = t.field
-    dims, data = t.dims, list(t.data)
+    dims, entries = t.dims, t._entries
     for axis, mat in enumerate(mats):
-        dims, data = _mode_apply(
-            dims, data, axis, mat, field.zero(), field.add, field.mul, field.is_zero
-        )
-    return Tensor(field, dims, data)
+        dims, entries = _mode_product(dims, entries, axis, mat, field.add, field.mul, field.is_zero)
+    return Tensor(field, dims, entries)
 
 
 def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> SeriesTensor:
@@ -255,22 +272,14 @@ def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> SeriesTensor:
     if len(mats) != t.order:
         raise ShapeError(f"expected {t.order} matrices, got {len(mats)}")
     field = t.field
-    zero = LaurentSeries.zero(field)
     dims = t.dims
-    data = [LaurentSeries.constant(field, v) for v in t.data]
+    entries = {pos: LaurentSeries.constant(field, v) for pos, v in t._entries.items()}
     for axis, mat in enumerate(mats):
         field.ensure_same(mat.field)
-        dims, data = _mode_apply(
-            dims,
-            data,
-            axis,
-            mat.entries,
-            zero,
-            lambda a, b: a + b,
-            lambda a, b: a * b,
-            lambda e: e.is_exactly_zero(),
+        dims, entries = _mode_product(
+            dims, entries, axis, mat.entries, operator.add, operator.mul, LaurentSeries.is_exactly_zero
         )
-    return SeriesTensor(field, dims, data)
+    return SeriesTensor(field, dims, entries)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+import re
 
 import pytest
 
@@ -252,6 +254,16 @@ def test_verify_under_fresh_prime_seed(tmp_path):
     assert run(["verify", str(cert_path), "--seed", "123456"]) == 0
 
 
+def test_verify_draws_a_prime_apart_from_certify(tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", "--n", "9", "--out", str(cert_path)]) == 0
+    stored = read_json(cert_path)["prime"]
+    assert run(["verify", str(cert_path)]) == 0
+    out = capsys.readouterr().out
+    fresh = re.search(r"fresh prime (\d+)", out).group(1)
+    assert fresh != stored
+
+
 def test_verify_tampered_certificate_names_clause(tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
     assert run(["certify", "--n", "9", "--out", str(cert_path)]) == 0
@@ -291,3 +303,24 @@ def test_byte_identical_outputs(tmp_path):
     for out in (a, b):
         assert run(["certify", "--n", "9", "--seed", "7", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# SHA-256 of outputs as the dense tensor storage wrote them; the sparse
+# storage must write the same bytes
+PINNED_DIGESTS = {
+    "certify": "738ea703626a44533ee75fe52a07c6853a92bee4b431638a0fd28cd1ded3eb7e",
+    "witness-data": "5abe9e5d7c37e600b58773c1d18c4b1ccb3ccb79bf6f2a5f6516d9089277d549",
+    "gen": "cc27539098a1e18df7a1b83a518335c222ade94429c4079e99e8497e4cd1bc7e",
+    "witness-gen": "774ed96f9773badec4ef756b6565fc403173756e5571adff367e4129d598ecb2",
+}
+
+
+def test_outputs_match_pinned_digests(tmp_path, witness_file):
+    paths = {name: tmp_path / f"{name}.json" for name in PINNED_DIGESTS}
+    assert run(["certify", "--n", "64", "--seed", "7", "--out", str(paths["certify"])]) == 0
+    assert run(["witness", witness_file, "--out", str(paths["witness-data"])]) == 0
+    gen = ["gen", "--kind", "witness", "--field", "fp", "--dims", "3,3,3", "--seed", "1"]
+    assert run(gen + ["--out", str(paths["gen"])]) == 0
+    assert run(["witness", str(paths["gen"]), "--out", str(paths["witness-gen"])]) == 0
+    digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
+    assert digests == PINNED_DIGESTS

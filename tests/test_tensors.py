@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -96,7 +97,7 @@ def test_weight_decompose_trivial():
 
 def test_weight_decompose_all_ones_cube():
     lam = OneParamSubgroup.from_weights(QQ, [[1, 2], [1, 2], [-2, -2]])
-    t = Tensor(QQ, (2, 2, 2), [QQ.one()] * 8)
+    t = Tensor.from_entries(QQ, (2, 2, 2), {pos: QQ.one() for pos in itertools.product((1, 2), repeat=3)})
     dec = weight_decompose(t, lam)
     assert dec.weights() == [0, 1, 2]
     comp0 = {pos for pos, _ in dec.component(0).support()}
