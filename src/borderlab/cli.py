@@ -36,7 +36,7 @@ from .errors import (
 )
 from .fields import FieldContext, PrimeField, QQ, random_prime
 from .instances import random_invertible_laurent_matrix, random_witness_instance
-from .loopgroup import cartan_decompose, verify_cartan
+from .loopgroup import cartan_decompose, check_cartan, verify_cartan
 from .tensors import limit_at_infinity, limit_at_zero
 from .witness import build_witness, specialize
 from . import linalg
@@ -115,23 +115,29 @@ def _load_json(path: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _decompose_with_retry(g, cfg: RunConfig):
-    """Decompose at cfg.precision, doubling on precision failures."""
+def _at_doubling_precision(cfg: RunConfig, gs, attempt):
+    """``attempt(precision)`` from ``cfg.precision``, doubling it on PrecisionError.
+
+    A precision above what an input matrix of ``gs`` is known to cannot be
+    verified, so reaching one raises PrecisionError at once.
+    """
+    known = min((g.trunc for g in gs if g.trunc is not None), default=None)
     precision = cfg.precision
     last_exc = None
     for _ in range(cfg.max_doublings + 1):
+        if known is not None and known < precision:
+            raise PrecisionError(f"input known only to t^{known}, below precision {precision}") from last_exc
         try:
-            dec = cartan_decompose(g, precision)
-            verdict = verify_cartan(g, dec)
-            if verdict.passed:
-                return dec, verdict
-            if "precision" in verdict.reason:
-                raise PrecisionError(verdict.reason)
-            return dec, verdict
+            return attempt(precision)
         except PrecisionError as exc:
             last_exc = exc
             precision *= 2
     raise PrecisionError(f"precision retries exhausted: {last_exc}")
+
+
+def _decompose(g, precision: int):
+    dec = cartan_decompose(g, precision)
+    return dec, check_cartan(g, dec)
 
 
 def cmd_cim(args) -> int:
@@ -144,7 +150,7 @@ def cmd_cim(args) -> int:
     results = []
     all_ok = True
     for g in matrices:
-        dec, verdict = _decompose_with_retry(g, cfg)
+        dec, verdict = _at_doubling_precision(cfg, [g], lambda n: _decompose(g, n))
         all_ok = all_ok and verdict.passed
         results.append(
             {
@@ -178,18 +184,7 @@ def cmd_witness(args) -> int:
     fld = gs[0].field
     p = jsonio.tensor_from_obj(p_obj, fld)
 
-    precision = cfg.precision
-    last_exc = None
-    witness = None
-    for _ in range(cfg.max_doublings + 1):
-        try:
-            witness = build_witness(gs, p, precision, lift=lift)
-            break
-        except PrecisionError as exc:
-            last_exc = exc
-            precision *= 2
-    if witness is None:
-        raise PrecisionError(f"precision retries exhausted: {last_exc}")
+    witness = _at_doubling_precision(cfg, gs, lambda n: build_witness(gs, p, n, lift=lift))
     out_obj = jsonio.witness_to_obj(witness)
     out_obj["g"] = [jsonio.matrix_to_obj(g) for g in gs]
     out_obj["p"] = jsonio.tensor_to_obj(p)

@@ -107,15 +107,22 @@ def build_pyramid(profile: WeightProfile) -> PyramidPattern:
     a1, a2, a3 = profile.weights
     positions = set()
     zeros = set()
+    # the weights increase weakly, so once a k leaves no j every larger k
+    # leaves none, and once a layer l is empty every later layer is too
     for l0, w3 in enumerate(a3, start=1):
+        before = len(positions)
         for k0, w2 in enumerate(a2, start=1):
             budget = -(w3 + w2)
             jmax = bisect_right(a1, budget)
+            if jmax == 0:
+                break
             for j0 in range(1, jmax + 1):
                 pos = (j0, k0, l0)
                 positions.add(pos)
                 if a1[j0 - 1] == budget:
                     zeros.add(pos)
+        if len(positions) == before:
+            break
     pattern = PyramidPattern(
         dims=profile.dims, positions=frozenset(positions), zero_set=frozenset(zeros)
     )

@@ -83,9 +83,6 @@ class FieldContext:
     def inv(self, a):
         raise NotImplementedError
 
-    def div(self, a, b):
-        return self.mul(a, self.inv(b))
-
     # -- constants and conversions ---------------------------------------
     def zero(self):
         raise NotImplementedError

@@ -114,11 +114,3 @@ def sparse_rank(
             break
     return rank
 
-
-def permutation_matrix(field: FieldContext, perm: Sequence[int]) -> list:
-    """Matrix sending basis vector ``j`` to basis vector ``perm[j]`` (0-based)."""
-    n = len(perm)
-    out = [[field.zero()] * n for _ in range(n)]
-    for j, i in enumerate(perm):
-        out[i][j] = field.one()
-    return out

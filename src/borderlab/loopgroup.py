@@ -43,7 +43,7 @@ class CartanDecomposition:
 
 @dataclass(frozen=True)
 class VerificationResult:
-    """Outcome of a residual check; ``residual`` is kept on failure."""
+    """Outcome of a residual check; ``residual`` is kept when it is nonzero."""
 
     passed: bool
     reason: str = ""
@@ -142,12 +142,14 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
     return CartanDecomposition(h1=u, weights=weights, h2=h2, precision=n)
 
 
-def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
+def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
     """Residual check of a claimed decomposition at its stated precision.
 
     Passes iff ``g - h1 · diag(t^w) · h2^{-1}`` vanishes mod ``t^precision``
     and both constant terms ``h1(0)``, ``h2(0)`` are invertible.  Accepts
-    any valid triple, not only the canonical one.
+    any valid triple, not only the canonical one.  Raises PrecisionError
+    when the available precision cannot decide the check, so that a caller
+    can retry at a higher one.
     """
     if (g.rows, g.cols) != (dec.h1.rows, dec.h1.cols) or len(dec.weights) != g.rows:
         raise ShapeError("decomposition shape does not match the matrix")
@@ -157,10 +159,12 @@ def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResu
             if not linalg.is_invertible(field, h.constant_matrix()):
                 return VerificationResult(False, f"{name}(0) is not invertible")
     except PrecisionError as exc:
-        return VerificationResult(False, f"constant terms not determined: {exc}")
+        raise PrecisionError(f"constant terms not determined: {exc}") from exc
     try:
         h2inv = dec.h2.inverse(dec.h2.trunc if dec.h2.trunc is not None else dec.precision)
-    except (PrecisionError, SingularError) as exc:
+    except PrecisionError as exc:
+        raise PrecisionError(f"h2 not invertible at precision: {exc}") from exc
+    except SingularError as exc:
         return VerificationResult(False, f"h2 not invertible at precision: {exc}")
     product = dec.h1 @ SeriesMatrix.diag_powers(field, list(dec.weights)) @ h2inv
     residual = g - product
@@ -168,6 +172,13 @@ def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResu
         if residual.is_zero_mod(dec.precision):
             return VerificationResult(True)
     except PrecisionError as exc:
-        return VerificationResult(False, f"insufficient precision for the residual check: {exc}", residual)
+        raise PrecisionError(f"insufficient precision for the residual check: {exc}") from exc
     return VerificationResult(False, "nonzero residual", residual)
 
+
+def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
+    """:func:`check_cartan` as a verdict: a check the precision cannot decide fails."""
+    try:
+        return check_cartan(g, dec)
+    except PrecisionError as exc:
+        return VerificationResult(False, str(exc))

@@ -1,4 +1,5 @@
-"""Truncated Laurent series over an exact field, and matrices of them.
+"""Truncated Laurent series over an exact field, matrices of them, and the
+coefficient context of exact Laurent polynomials that series tensors use.
 
 A series is stored as a coefficient window starting at its valuation plus a
 truncation order ``trunc``: coefficients of ``t^k`` for ``k < trunc`` are
@@ -15,10 +16,9 @@ output (except for monomials, which invert exactly).
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Optional, Sequence
 
-from .errors import PrecisionError, ShapeError, SingularError
+from .errors import FieldMismatchError, PrecisionError, ShapeError, SingularError
 from .fields import FieldContext
 
 #: Default truncation order for decompositions when the caller gives none.
@@ -307,6 +307,52 @@ class LaurentSeries:
         return f"<{body}{tail}>"
 
 
+class LaurentPolynomials:
+    """Coefficient context of exact Laurent polynomials over ``field``.
+
+    It gives a :class:`~borderlab.tensors.Tensor` series entries: an
+    unstored position of such a tensor is exactly zero, so a series with an
+    unknown tail has no place in one and :meth:`is_zero` rejects it.
+    """
+
+    __slots__ = ("field",)
+
+    def __init__(self, field: FieldContext):
+        self.field = field
+
+    def zero(self) -> LaurentSeries:
+        return LaurentSeries.zero(self.field)
+
+    def add(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+        return a + b
+
+    def sub(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+        return a - b
+
+    def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
+        return a * b
+
+    def is_zero(self, a: LaurentSeries) -> bool:
+        if not a.is_exact:
+            raise PrecisionError(
+                f"series known only to t^{a.trunc} where an exact Laurent polynomial is needed"
+            )
+        return not a.coeffs
+
+    def ensure_same(self, other) -> None:
+        if self != other:
+            raise FieldMismatchError(f"mixed coefficient contexts: {self} vs {other}")
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, LaurentPolynomials) and self.field == other.field
+
+    def __hash__(self):
+        return hash(("LaurentPolynomials", self.field))
+
+    def __repr__(self) -> str:
+        return f"LaurentPolynomials({self.field!r})"
+
+
 # ---------------------------------------------------------------------------
 # pivot certification shared by Smith reduction and matrix inversion
 # ---------------------------------------------------------------------------
@@ -456,9 +502,6 @@ class SeriesMatrix:
     def scale(self, c) -> "SeriesMatrix":
         return SeriesMatrix(self.field, [[e.scale(c) for e in row] for row in self.entries])
 
-    def truncate(self, n: int) -> "SeriesMatrix":
-        return SeriesMatrix(self.field, [[e.truncate(n) for e in row] for row in self.entries])
-
     def inverse(self, n: Optional[int] = None) -> "SeriesMatrix":
         """Gauss-Jordan inverse with minimal-valuation pivoting.
 
@@ -495,26 +538,6 @@ class SeriesMatrix:
                 a[r] = [x - f * y for x, y in zip(a[r], a[k])]
                 b[r] = [x - f * y for x, y in zip(b[r], b[k])]
         return SeriesMatrix(self.field, b)
-
-    def determinant(self) -> LaurentSeries:
-        """Leibniz-expansion determinant (test oracle; guarded to n <= 6)."""
-        if self.rows != self.cols:
-            raise ShapeError("determinant of a non-square matrix")
-        if self.rows > 6:
-            raise ShapeError("Leibniz determinant guarded to size 6")
-        acc = LaurentSeries.zero(self.field)
-        for perm in itertools.permutations(range(self.rows)):
-            sign = 1
-            seen = list(perm)
-            for i in range(len(seen)):  # count inversions
-                for j in range(i + 1, len(seen)):
-                    if seen[i] > seen[j]:
-                        sign = -sign
-            term = LaurentSeries.constant(self.field, self.field.from_int(sign))
-            for i, j in enumerate(perm):
-                term = term * self.entries[i][j]
-            acc = acc + term
-        return acc
 
     def constant_matrix(self) -> list:
         """The matrix of constant terms (exact scalars)."""

@@ -1,5 +1,5 @@
-"""Sparse order-d tensors over exact scalars or series, group actions, and
-one-parameter-subgroup limits.
+"""Sparse order-d tensors over exact scalars or exact Laurent polynomials,
+group actions, and one-parameter-subgroup limits.
 
 A tensor stores only its nonzero entries, as a map from position to value
 kept in row-major (lexicographic) order, so every operation costs time in
@@ -24,7 +24,7 @@ from typing import Iterable, Mapping, Optional, Sequence
 from . import linalg
 from .errors import NoLimitError, ShapeError
 from .fields import FieldContext
-from .series import LaurentSeries, SeriesMatrix
+from .series import LaurentPolynomials, LaurentSeries, SeriesMatrix
 
 _POSITION = operator.itemgetter(0)
 
@@ -52,15 +52,19 @@ def _row_major(dims: tuple, entries: Mapping, keep) -> dict:
 
 
 class Tensor:
-    """Sparse tensor with exact scalar entries and 1-based positions.
+    """Sparse tensor with exact entries and 1-based positions.
 
-    ``entries`` maps positions to values; zero values are dropped, so two
-    tensors are equal exactly when their stored entries are.
+    ``field`` is the coefficient context of the entries: a
+    :class:`FieldContext` for scalars, or :class:`LaurentPolynomials` for
+    exact series.  ``entries`` maps positions to values; zero values are
+    dropped, so two tensors are equal exactly when their stored entries are.
     """
 
     __slots__ = ("field", "dims", "_entries")
 
-    def __init__(self, field: FieldContext, dims: Sequence[int], entries: Mapping[tuple, object]):
+    def __init__(
+        self, field: FieldContext | LaurentPolynomials, dims: Sequence[int], entries: Mapping[tuple, object]
+    ):
         dims = _check_dims(dims)
         is_zero = field.is_zero
         object.__setattr__(self, "field", field)
@@ -133,110 +137,20 @@ class Tensor:
         return f"Tensor(dims={self.dims}, nnz={len(self._entries)})"
 
 
-class SeriesTensor:
-    """Sparse tensor of Laurent series, uniformly truncated at ``trunc``.
-
-    Every entry is cut to the smallest truncation order among the entries
-    it was built from (``None`` when all are exact).  Only entries with
-    known nonzero terms are stored; any other position holds the zero
-    series known to ``t^trunc``.
-    """
-
-    __slots__ = ("field", "dims", "trunc", "_entries")
-
-    def __init__(self, field: FieldContext, dims: Sequence[int], entries: Mapping[tuple, LaurentSeries]):
-        dims = _check_dims(dims)
-        trunc = None
-        for e in entries.values():
-            field.ensure_same(e.field)
-            if e.trunc is not None and (trunc is None or e.trunc < trunc):
-                trunc = e.trunc
-        if trunc is not None:
-            entries = {pos: e.truncate(trunc) for pos, e in entries.items()}
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "trunc", trunc)
-        object.__setattr__(self, "_entries", _row_major(dims, entries, lambda e: e.coeffs))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SeriesTensor is immutable")
-
-    @classmethod
-    def from_tensor(cls, t: Tensor) -> "SeriesTensor":
-        return cls(t.field, t.dims, {pos: LaurentSeries.constant(t.field, v) for pos, v in t.support()})
-
-    def _unstored(self) -> LaurentSeries:
-        """The value of every position that is not stored."""
-        if self.trunc is None:
-            return LaurentSeries.zero(self.field)
-        return LaurentSeries.zero_mod(self.field, self.trunc)
-
-    def get(self, pos: Sequence[int]) -> LaurentSeries:
-        pos = tuple(pos)
-        _check_position(pos, self.dims)
-        got = self._entries.get(pos)
-        return self._unstored() if got is None else got
-
-    def support(self) -> Iterable[tuple]:
-        """Yield ``(position, series)`` for the entries with known nonzero terms."""
-        return iter(self._entries.items())
-
-    def negative_valuation_entry(self) -> Optional[tuple]:
-        """First entry (row-major) with certified negative valuation, or None.
-
-        The valuation reported for an entry without known terms is its
-        truncation order.
-        """
-        if not all(self.dims):
-            return None
-        if self.trunc is not None and self.trunc < 0:
-            # every entry is known only below t^trunc, so the first position
-            # already has a negative valuation bound
-            first = (1,) * len(self.dims)
-            got = self._entries.get(first)
-            return first, self.trunc if got is None else got.val
-        for pos, e in self._entries.items():
-            if e.val < 0:
-                return pos, e.val
-        return None
-
-    def constant_terms(self) -> Tensor:
-        if all(self.dims):
-            # raises PrecisionError when t^0 lies beyond the common truncation
-            self._unstored().coefficient(0)
-        return Tensor(self.field, self.dims, {pos: e.coefficient(0) for pos, e in self._entries.items()})
-
-    def equals_mod(self, other: "SeriesTensor", n: int) -> bool:
-        if self.dims != other.dims:
-            raise ShapeError("tensor dims differ")
-        if not all(self.dims):
-            return True
-        truncs = [s.trunc for s in (self, other) if s.trunc is not None]
-        if truncs and min(truncs) < n:
-            # no entry of the difference is known through t^n: the first
-            # position either differs or raises PrecisionError
-            first = (1,) * len(self.dims)
-            return self.get(first).equals_mod(other.get(first), n)
-        stored = self._entries.keys() | other._entries.keys()
-        return all(self.get(pos).equals_mod(other.get(pos), n) for pos in stored)
-
-    def __repr__(self) -> str:
-        return f"SeriesTensor(dims={self.dims})"
-
-
 # ---------------------------------------------------------------------------
 # multilinear action
 # ---------------------------------------------------------------------------
 
-def _mode_product(dims: tuple, entries: Mapping, axis: int, mat, add, mul, is_zero):
+def _mode_product(dims: tuple, entries: Mapping, axis: int, mat, field):
     """Apply ``mat`` (m x dims[axis]) along ``axis`` (0-based) of a position map.
 
     Zero inputs and zero matrix entries are skipped.  Sums that cancel stay
-    in the returned map; the tensor constructors drop them.
+    in the returned map; the tensor constructor drops them.
     """
     n = dims[axis]
     if any(len(row) != n for row in mat):
         raise ShapeError(f"matrix for axis {axis} must have {n} columns")
+    add, mul, is_zero = field.add, field.mul, field.is_zero
     # column b of ``mat`` as its nonzero (1-based row, value) pairs
     columns = [[(a, row[b]) for a, row in enumerate(mat, start=1) if not is_zero(row[b])] for b in range(n)]
     out: dict = {}
@@ -263,23 +177,21 @@ def act(mats: Sequence[Sequence[Sequence]], t: Tensor) -> Tensor:
     field = t.field
     dims, entries = t.dims, t._entries
     for axis, mat in enumerate(mats):
-        dims, entries = _mode_product(dims, entries, axis, mat, field.add, field.mul, field.is_zero)
+        dims, entries = _mode_product(dims, entries, axis, mat, field)
     return Tensor(field, dims, entries)
 
 
-def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> SeriesTensor:
-    """Apply series matrices factor-by-factor to a constant tensor."""
-    if len(mats) != t.order:
-        raise ShapeError(f"expected {t.order} matrices, got {len(mats)}")
-    field = t.field
-    dims = t.dims
-    entries = {pos: LaurentSeries.constant(field, v) for pos, v in t._entries.items()}
-    for axis, mat in enumerate(mats):
-        field.ensure_same(mat.field)
-        dims, entries = _mode_product(
-            dims, entries, axis, mat.entries, operator.add, operator.mul, LaurentSeries.is_exactly_zero
-        )
-    return SeriesTensor(field, dims, entries)
+def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> Tensor:
+    """Apply series matrices factor-by-factor to a constant tensor.
+
+    The result is a tensor over :class:`LaurentPolynomials`.  Every matrix
+    entry must be exact; a truncated one raises PrecisionError.
+    """
+    for mat in mats:
+        t.field.ensure_same(mat.field)
+    ring = LaurentPolynomials(t.field)
+    lifted = Tensor(ring, t.dims, {pos: LaurentSeries.constant(t.field, v) for pos, v in t._entries.items()})
+    return act([mat.entries for mat in mats], lifted)
 
 
 # ---------------------------------------------------------------------------

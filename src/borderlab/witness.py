@@ -21,8 +21,8 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import linalg
-from .errors import NoLimitError, PrecisionError, ShapeError, WitnessVerificationFailure
-from .loopgroup import cartan_decompose, verify_cartan
+from .errors import NoLimitError, ShapeError, WitnessVerificationFailure
+from .loopgroup import cartan_decompose, check_cartan
 from .series import DEFAULT_TRUNCATION, LaurentSeries, SeriesMatrix
 from .tensors import (
     OneParamSubgroup,
@@ -86,21 +86,19 @@ def specialize(gs: Sequence[SeriesMatrix], p: Tensor) -> Tensor:
     """The tensor ``q = lim_{t->0} g(t) · p`` along an exact curve.
 
     Requires every matrix entry to be an exact Laurent polynomial so that
-    valuations are certain.  Raises :class:`NoLimitError` with the
-    offending position and its negative valuation when the limit does not
-    exist.
+    valuations are certain.  Raises :class:`NoLimitError` with the first
+    (row-major) offending position and its negative valuation when the
+    limit does not exist.
     """
-    for g in gs:
-        if g.trunc is not None:
-            raise PrecisionError("specialization needs exact Laurent-polynomial curve matrices")
     moved = act_series(list(gs), p)
-    bad = moved.negative_valuation_entry()
-    if bad is not None:
-        pos, v = bad
-        raise NoLimitError(
-            f"curve does not specialize: entry {pos} has valuation {v}", position=pos, weight=v
-        )
-    return moved.constant_terms()
+    constant_terms = {}
+    for pos, e in moved.support():
+        if e.val < 0:
+            raise NoLimitError(
+                f"curve does not specialize: entry {pos} has valuation {e.val}", position=pos, weight=e.val
+            )
+        constant_terms[pos] = e.coefficient(0)
+    return Tensor(p.field, moved.dims, constant_terms)
 
 
 @dataclass(frozen=True)
@@ -137,7 +135,9 @@ def build_witness(
     ``lift="sym3"`` treats ``gs`` as a single 2x2 curve acting on the
     4-dimensional space of binary cubics through :func:`sym3_lift`; the
     Cartan decomposition then runs on the 2x2 matrix and the subgroup and
-    translation are lifted.
+    translation are lifted.  Raises PrecisionError when precision ``n``
+    cannot decide a Cartan check, so that a caller can retry at a higher
+    one.
     """
     fld = p.field
     if lift not in (None, "sym3"):
@@ -157,7 +157,7 @@ def build_witness(
     translations = []
     for g in gs:
         dec = cartan_decompose(g, n)
-        check = verify_cartan(g, dec)
+        check = check_cartan(g, dec)
         if not check:
             raise WitnessVerificationFailure(f"Cartan decomposition failed to verify: {check.reason}")
         decs.append(dec)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -28,3 +29,17 @@ def series(field, terms):
 
 def tpow(field, k):
     return LaurentSeries.t_power(field, k)
+
+
+def leibniz_determinant(m):
+    """Determinant of a square series matrix by Leibniz expansion (test oracle)."""
+    if m.rows != m.cols or m.rows > 6:
+        raise ValueError("the Leibniz oracle takes square matrices up to size 6")
+    acc = LaurentSeries.zero(m.field)
+    for perm in itertools.permutations(range(m.rows)):
+        inversions = sum(perm[i] > perm[j] for i in range(len(perm)) for j in range(i + 1, len(perm)))
+        term = LaurentSeries.constant(m.field, m.field.from_int((-1) ** inversions))
+        for i, j in enumerate(perm):
+            term = term * m.entries[i][j]
+        acc = acc + term
+    return acc

@@ -91,6 +91,29 @@ def test_cim_uncertifiable_pivot_exits_2(tmp_path, capsys):
     assert "inconclusive" in capsys.readouterr().err
 
 
+def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monkeypatch, capsys):
+    # the input is known to t^5: it verifies at precision 4, and a higher
+    # precision is refused at once instead of being doubled toward 256
+    from borderlab import QQ, LaurentSeries, SeriesMatrix
+    from borderlab import cli
+
+    def known_to_t5(*coeffs):
+        return LaurentSeries(QQ, 0, [QQ.from_int(c) for c in coeffs], 5)
+
+    g = SeriesMatrix(QQ, [[known_to_t5(1, 2), known_to_t5(0, 1)], [known_to_t5(3, 0, 1), known_to_t5(1, 1)]])
+    path = tmp_path / "t5.json"
+    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    tried = []
+    decompose = cli.cartan_decompose
+    monkeypatch.setattr(cli, "cartan_decompose", lambda g, n: tried.append(n) or decompose(g, n))
+    assert run(["cim", str(path), "--precision", "4", "--out", str(tmp_path / "dec.json")]) == 0
+    assert tried == [4]
+    tried.clear()
+    assert run(["cim", str(path)]) == 2
+    assert tried == []
+    assert "known only to t^5" in capsys.readouterr().err
+
+
 def test_cim_factor_tuple_input(curve_file, tmp_path):
     from borderlab import QQ, SeriesMatrix
 
@@ -150,6 +173,29 @@ def test_witness_no_limit_exits_1(tmp_path, capsys):
     inp.write_text(json.dumps({"g": [jsonio.matrix_to_obj(bad)], "p": jsonio.tensor_to_obj(p)}))
     assert run(["witness", str(inp)]) == 1
     assert "specialize" in capsys.readouterr().err
+
+
+def test_witness_retries_a_precision_failure(witness_file, tmp_path, monkeypatch):
+    # the first decomposition's h1 is known only to t^1, so its Cartan check
+    # cannot be decided at precision 32: that is retried, not refuted
+    import dataclasses
+
+    from borderlab import SeriesMatrix, witness
+
+    tried = []
+    decompose = witness.cartan_decompose
+
+    def cut_first(g, n):
+        tried.append(n)
+        dec = decompose(g, n)
+        if len(tried) > 1:
+            return dec
+        h1 = SeriesMatrix(dec.h1.field, [[e.truncate(1) for e in row] for row in dec.h1.entries])
+        return dataclasses.replace(dec, h1=h1)
+
+    monkeypatch.setattr(witness, "cartan_decompose", cut_first)
+    assert run(["witness", witness_file, "--out", str(tmp_path / "w.json")]) == 0
+    assert tried == [32, 64]
 
 
 def test_witness_split_input_files(witness_file, tmp_path):

@@ -91,6 +91,26 @@ def test_pyramid_closed_form_grid():
         build_pyramid(pyramid_weight_profile(n, r))
 
 
+def test_pyramid_matches_brute_force_on_random_profiles():
+    # profiles that are not the doubling one get no closed-form cross-check,
+    # so the early stops are compared with a scan over every (j, k, l)
+    rng = random.Random(61)
+    for _ in range(400):
+        dims = tuple(rng.randint(0, 6) for _ in range(3))
+        weights = tuple(tuple(sorted(rng.randint(-6, 6) for _ in range(n))) for n in dims)
+        pattern = build_pyramid(WeightProfile(dims=dims, weights=weights))
+        a1, a2, a3 = weights
+        grid = [
+            (j, k, l)
+            for j in range(1, dims[0] + 1)
+            for k in range(1, dims[1] + 1)
+            for l in range(1, dims[2] + 1)
+        ]
+        total = lambda pos: a1[pos[0] - 1] + a2[pos[1] - 1] + a3[pos[2] - 1]
+        assert pattern.positions == {pos for pos in grid if total(pos) <= 0}
+        assert pattern.zero_set == {pos for pos in grid if total(pos) == 0}
+
+
 def test_pyramid_downward_closed():
     pattern = build_pyramid(pyramid_weight_profile(9, 3))
     assert is_downward_closed(pattern.positions, 3)

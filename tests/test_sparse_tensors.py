@@ -3,13 +3,12 @@
 The reference below stores every slot of a tensor in a row-major list,
 zeros included, and applies matrices one mode at a time over that list.
 Every sparse operation must agree with it entry for entry, in support
-order, in truncation orders and in the errors it raises.
+order and in the errors it raises.
 """
 
 import itertools
 import math
 import random
-import re
 
 import pytest
 
@@ -18,10 +17,10 @@ from borderlab import (
     PrecisionError,
     PrimeField,
     QQ,
+    LaurentPolynomials,
     LaurentSeries,
     OneParamSubgroup,
     SeriesMatrix,
-    SeriesTensor,
     ShapeError,
     SubgroupFactor,
     Tensor,
@@ -32,6 +31,7 @@ from borderlab import (
     limit_at_zero,
     pyramid_weight_profile,
     recognize_unit_tensor,
+    specialize,
     weight_decompose,
 )
 from borderlab import linalg
@@ -92,13 +92,6 @@ def dense_act(field, mats, dims, data):
     return dims, data
 
 
-def dense_uniform_trunc(data):
-    truncs = [e.trunc for e in data if e.trunc is not None]
-    if not truncs:
-        return data
-    return [e.truncate(min(truncs)) for e in data]
-
-
 def dense_act_series(field, mats, dims, data):
     data = [LaurentSeries.constant(field, v) for v in data]
     for axis, mat in enumerate(mats):
@@ -112,15 +105,15 @@ def dense_act_series(field, mats, dims, data):
             lambda a, b: a * b,
             lambda e: e.is_exactly_zero(),
         )
-    return dims, dense_uniform_trunc(data)
+    return dims, data
 
 
-def dense_negative_valuation_entry(dims, data):
+def dense_specialize(dims, data):
+    """Constant terms of exact series slots, or the first negative valuation."""
     for pos, e in zip(positions(dims), data):
-        v = e.valuation_lower_bound()
-        if v is not None and v < 0:
-            return pos, (e.val if e.coeffs else v)
-    return None
+        if e.coeffs and e.val < 0:
+            return ("no limit", pos, e.val)
+    return [e.coefficient(0) for e in data]
 
 
 def dense_limit_at_zero(field, subgroup, dims, data):
@@ -150,13 +143,6 @@ def assert_matches(field, t, dims, data):
     assert list(t.support()) == dense_support(dims, data, lambda v: not field.is_zero(v))
     for pos, v in zip(positions(dims), data):
         assert t.get(pos) == v
-
-
-def assert_series_matches(st, dims, data):
-    assert st.dims == tuple(dims)
-    assert list(st.support()) == dense_support(dims, data, lambda e: bool(e.coeffs))
-    for pos, e in zip(positions(dims), data):
-        assert st.get(pos) == e
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +265,7 @@ def test_position_checks():
         with pytest.raises(ShapeError):
             Tensor.from_entries(QQ, (2, 3), {bad: QQ.zero()})
     with pytest.raises(ShapeError):
-        SeriesTensor(QQ, (2, 3), {(3, 3): LaurentSeries.one(QQ)})
+        Tensor(LaurentPolynomials(QQ), (2, 3), {(3, 3): LaurentSeries.one(QQ)})
 
 
 # ---------------------------------------------------------------------------
@@ -300,10 +286,19 @@ def test_act_series_matches_dense():
         entries = random_entries(field, dims, rng)
         t = Tensor.from_entries(field, dims, entries)
         mats = [random_series_matrix(field, rng.randint(1, 3), n, rng) for n in dims]
+        if any(m.trunc is not None for m in mats):
+            # entries of a series tensor are exact: truncated matrices are refused
+            with pytest.raises(PrecisionError):
+                act_series(mats, t)
+            continue
         new_dims, data = dense_act_series(field, mats, dims, dense(dims, entries, field.zero()))
-        st = act_series(mats, t)
-        assert_series_matches(st, new_dims, data)
-        assert st.negative_valuation_entry() == dense_negative_valuation_entry(new_dims, data)
+        assert_matches(LaurentPolynomials(field), act_series(mats, t), new_dims, data)
+        expected = dense_specialize(new_dims, data)
+        got = _limit_or_error(lambda: specialize(mats, t))
+        if isinstance(expected, tuple):
+            assert got == expected
+        else:
+            assert_matches(field, got, new_dims, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -348,13 +343,16 @@ def test_weight_decompose_reconstructs():
 
 
 # ---------------------------------------------------------------------------
-# truncated series tensors
+# series entries
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("trunc", [None, -2, 0, 1, 3])
 def test_truncated_partly_zero_series_tensor(trunc):
+    # a series tensor holds exact Laurent polynomials only: partly truncated
+    # entries are refused, and the exact ones store as the dense reference
     rng = random.Random(8 if trunc is None else 100 + trunc)
     for field in (QQ, PrimeField(7)):
+        ring = LaurentPolynomials(field)
         for dims in [(2, 3), (3, 3, 3), (2, 2, 2, 2), (3, 0)]:
             entries = {}
             for pos in positions(dims):
@@ -363,34 +361,19 @@ def test_truncated_partly_zero_series_tensor(trunc):
                     entries[pos] = random_series(field, rng)
                 elif roll < 0.4:
                     entries[pos] = LaurentSeries.zero_mod(field, rng.randint(0, 4))
-            if trunc is not None and entries:
-                pos = rng.choice(sorted(entries))
+            exact = {pos: e for pos, e in entries.items() if e.is_exact}
+            if trunc is not None and exact:
+                pos = rng.choice(sorted(exact))
                 entries[pos] = entries[pos].truncate(trunc)
-            data = dense_uniform_trunc(dense(dims, entries, LaurentSeries.zero(field)))
-            st = SeriesTensor(field, dims, entries)
-            assert_series_matches(st, dims, data)
-            assert st.negative_valuation_entry() == dense_negative_valuation_entry(dims, data)
-            try:
-                expected = [e.coefficient(0) for e in data]
-            except PrecisionError as exc:
-                with pytest.raises(PrecisionError, match=re.escape(str(exc))):
-                    st.constant_terms()
-            else:
-                assert_matches(field, st.constant_terms(), dims, expected)
-            other_entries = dict(entries)
-            if other_entries:
-                pos = rng.choice(sorted(other_entries))
-                other_entries[pos] = other_entries[pos] + LaurentSeries.monomial(field, field.one(), 1)
-            other = SeriesTensor(field, dims, other_entries)
-            other_data = dense_uniform_trunc(dense(dims, other_entries, LaurentSeries.zero(field)))
-            for n in (0, 1, 2, 5):
-                try:
-                    expected = all(a.equals_mod(b, n) for a, b in zip(data, other_data))
-                except PrecisionError:
-                    with pytest.raises(PrecisionError):
-                        st.equals_mod(other, n)
-                else:
-                    assert st.equals_mod(other, n) == expected
+            if any(not e.is_exact for e in entries.values()):
+                with pytest.raises(PrecisionError):
+                    Tensor(ring, dims, entries)
+            t = Tensor(ring, dims, exact)
+            assert_matches(ring, t, dims, dense(dims, exact, ring.zero()))
+            shuffled = list(exact.items())
+            rng.shuffle(shuffled)
+            same = Tensor(ring, dims, dict(shuffled))
+            assert t == same and hash(t) == hash(same)
 
 
 # ---------------------------------------------------------------------------
