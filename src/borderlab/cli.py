@@ -4,7 +4,7 @@ Exit codes are a stable contract:
   0  success / certified
   1  refuted or failed verification
   2  inconclusive (precision or prime retries exhausted)
-  3  malformed input or bad parameters
+  3  malformed input, bad parameters or a usage error
 
 All outputs are JSON with sorted keys (identical inputs and seed give
 byte-identical files); files are written atomically.
@@ -20,7 +20,6 @@ import os
 import random
 import sys
 import tempfile
-from dataclasses import dataclass
 from typing import Optional
 
 from . import bounds as bounds_mod
@@ -48,40 +47,17 @@ EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
 
 
-@dataclass
-class RunConfig:
-    field: Optional[FieldContext]
-    precision: int
-    seed: int
-    out: Optional[str]
-    fmt: str
-    max_doublings: int
-    prime_retries: int
-
-    def rng(self) -> random.Random:
-        return random.Random(self.seed)
+#: precision doublings ``cim`` and ``witness`` try after their first attempt
+MAX_DOUBLINGS = 3
 
 
-def _config(args) -> RunConfig:
-    field = None
+def _field(args) -> Optional[FieldContext]:
+    """ℚ for ``--field q``, F_P for ``--prime P``, else None (no field fixed)."""
     if args.field == "q":
-        field = QQ
-    elif args.field == "fp":
-        if args.prime is not None:
-            field = PrimeField(int(args.prime))
-        else:
-            field = PrimeField(random_prime(62, random.Random(args.seed)))
-    elif args.prime is not None:
-        field = PrimeField(int(args.prime))
-    return RunConfig(
-        field=field,
-        precision=args.precision,
-        seed=args.seed,
-        out=args.out,
-        fmt=args.format,
-        max_doublings=args.max_doublings,
-        prime_retries=args.prime_retries,
-    )
+        return QQ
+    if args.prime is not None:
+        return PrimeField(args.prime)
+    return None
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -115,16 +91,15 @@ def _load_json(path: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _at_doubling_precision(cfg: RunConfig, gs, attempt):
-    """``attempt(precision)`` from ``cfg.precision``, doubling it on PrecisionError.
+def _at_doubling_precision(precision: int, gs, attempt):
+    """``attempt(precision)``, doubling the precision on PrecisionError.
 
     A precision above what an input matrix of ``gs`` is known to cannot be
     verified, so reaching one raises PrecisionError at once.
     """
     known = min((g.trunc for g in gs if g.trunc is not None), default=None)
-    precision = cfg.precision
     last_exc = None
-    for _ in range(cfg.max_doublings + 1):
+    for _ in range(MAX_DOUBLINGS + 1):
         if known is not None and known < precision:
             raise PrecisionError(f"input known only to t^{known}, below precision {precision}") from last_exc
         try:
@@ -141,16 +116,12 @@ def _decompose(g, precision: int):
 
 
 def cmd_cim(args) -> int:
-    cfg = _config(args)
     obj = _load_json(args.input)
-    if "factors" in obj:
-        matrices = [jsonio.matrix_from_obj(o, cfg.field) for o in obj["factors"]]
-    else:
-        matrices = [jsonio.matrix_from_obj(obj, cfg.field)]
+    matrices = [jsonio.matrix_from_obj(o) for o in (obj["factors"] if "factors" in obj else [obj])]
     results = []
     all_ok = True
     for g in matrices:
-        dec, verdict = _at_doubling_precision(cfg, [g], lambda n: _decompose(g, n))
+        dec, verdict = _at_doubling_precision(args.precision, [g], lambda n: _decompose(g, n))
         all_ok = all_ok and verdict.passed
         results.append(
             {
@@ -163,45 +134,29 @@ def cmd_cim(args) -> int:
     out_obj = {"kind": "cartan", "version": jsonio.TOOL_VERSION, "factors": results}
     if len(results) == 1:
         out_obj.update(results[0])
-    _write_json(cfg.out, out_obj)
+    _write_json(args.out, out_obj)
     return EXIT_OK if all_ok else EXIT_FAIL
 
 
 def cmd_witness(args) -> int:
-    cfg = _config(args)
-    if args.input is not None:
-        obj = _load_json(args.input)
-        g_objs, p_obj, lift = obj["g"], obj["p"], obj.get("lift")
-    else:
-        if args.g is None or args.p is None:
-            raise ValueError("witness needs either a combined input file or --g and --p")
-        g_objs = _load_json(args.g)
-        if isinstance(g_objs, dict) and "g" in g_objs:
-            g_objs = g_objs["g"]
-        p_obj = _load_json(args.p)
-        lift = args.lift
-    gs = [jsonio.matrix_from_obj(o, cfg.field) for o in g_objs]
-    fld = gs[0].field
-    p = jsonio.tensor_from_obj(p_obj, fld)
+    obj = _load_json(args.input)
+    gs = [jsonio.matrix_from_obj(o) for o in obj["g"]]
+    p = jsonio.tensor_from_obj(obj["p"], gs[0].field)
+    lift = obj.get("lift")
 
-    witness = _at_doubling_precision(cfg, gs, lambda n: build_witness(gs, p, n, lift=lift))
+    witness = _at_doubling_precision(args.precision, gs, lambda n: build_witness(gs, p, n, lift=lift))
     out_obj = jsonio.witness_to_obj(witness)
     out_obj["g"] = [jsonio.matrix_to_obj(g) for g in gs]
     out_obj["p"] = jsonio.tensor_to_obj(p)
-    _write_json(cfg.out, out_obj)
+    _write_json(args.out, out_obj)
     return EXIT_OK
 
 
 def cmd_certify(args) -> int:
-    cfg = _config(args)
-    cert = certify_lower_bound(
-        args.n,
-        r=args.r,
-        field=cfg.field,
-        rng=cfg.rng(),
-        max_prime_retries=cfg.prime_retries,
-    )
-    _write_json(cfg.out, jsonio.certificate_to_obj(cert))
+    # without a named prime, certify draws its first prime and its retry
+    # primes from the one stream
+    cert = certify_lower_bound(args.n, r=args.r, field=_field(args), rng=random.Random(args.seed))
+    _write_json(args.out, jsonio.certificate_to_obj(cert))
     if cert.verdict == "Certified":
         return EXIT_OK
     if cert.verdict == "Refuted":
@@ -210,20 +165,19 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    cfg = _config(args)
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
     rows = bounds_mod.scan_table(args.d, args.n_max) if args.n_max >= 1 else []
     header = ["n", "d3_lower", "generic_subrank", "dmz_lo", "border_upper", "excess_flag"]
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
         for row in rows:
             writer.writerow([_csv_cell(row[h]) for h in header])
-        _write_text(cfg.out, buf.getvalue())
+        _write_text(args.out, buf.getvalue())
     else:
-        _write_json(cfg.out, {"kind": "bounds", "d": args.d, "rows": rows})
+        _write_json(args.out, {"kind": "bounds", "d": args.d, "rows": rows})
     return EXIT_OK
 
 
@@ -236,15 +190,14 @@ def _csv_cell(v):
 
 
 def cmd_verify(args) -> int:
-    cfg = _config(args)
     obj = _load_json(args.input)
     kind = obj.get("kind")
     if kind == "degeneration":
         cert = jsonio.certificate_from_obj(obj)
         # the fresh prime comes from a stream of its own, apart from certify's
-        results = recheck_certificate(cert, rng=random.Random(f"verify:{cfg.seed}"))
+        results = recheck_certificate(cert, rng=random.Random(f"verify:{args.seed}"))
     elif kind == "cartan":
-        results = _recheck_cartan(obj, cfg)
+        results = _recheck_cartan(obj)
     elif kind == "witness":
         results = _recheck_witness(obj)
     else:
@@ -257,11 +210,11 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
-def _recheck_cartan(obj, cfg: RunConfig):
+def _recheck_cartan(obj):
     factors = obj["factors"] if "factors" in obj else [obj]
     results = []
     for i, fac in enumerate(factors):
-        g = jsonio.matrix_from_obj(fac["input"], cfg.field)
+        g = jsonio.matrix_from_obj(fac["input"])
         dec = jsonio.cartan_from_obj(fac["decomposition"], g.field)
         verdict = verify_cartan(g, dec)
         label = f"residual[{i}]" if len(factors) > 1 else "residual"
@@ -308,9 +261,10 @@ def _recheck_witness(obj):
 
 
 def cmd_gen(args) -> int:
-    cfg = _config(args)
-    rng = cfg.rng()
-    field = cfg.field if cfg.field is not None else QQ
+    field = _field(args)
+    if field is None:
+        field = PrimeField(random_prime(62, random.Random(args.seed))) if args.field == "fp" else QQ
+    rng = random.Random(args.seed)
     if args.kind == "witness":
         dims = tuple(int(x) for x in args.dims.split(","))
         gs, p = random_witness_instance(field, dims, rng)
@@ -319,12 +273,10 @@ def cmd_gen(args) -> int:
             "g": [jsonio.matrix_to_obj(g) for g in gs],
             "p": jsonio.tensor_to_obj(p),
         }
-    elif args.kind == "cim":
+    else:  # "cim"
         g = random_invertible_laurent_matrix(field, args.size, rng)
         out_obj = jsonio.matrix_to_obj(g)
-    else:
-        raise ValueError(f"unknown generator kind {args.kind!r}")
-    _write_json(cfg.out, out_obj)
+    _write_json(args.out, out_obj)
     return EXIT_OK
 
 
@@ -332,60 +284,74 @@ def cmd_gen(args) -> int:
 # parser and entry point
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--field", choices=["q", "fp"], default=None, help="coefficient field")
-    common.add_argument("--prime", type=int, default=None, help="prime for --field fp")
-    common.add_argument("--precision", type=int, default=32, help="series truncation order")
-    common.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
-    common.add_argument("--out", default=None, help="output path (default: stdout)")
-    common.add_argument("--format", choices=["json", "csv"], default="json")
-    common.add_argument("--max-doublings", type=int, default=3, help="precision retry cap")
-    common.add_argument("--prime-retries", type=int, default=3, help="fresh-prime retry cap")
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error with the bad-input exit code, not argparse's 2."""
 
-    parser = argparse.ArgumentParser(
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
+
+
+#: the flags more than one subcommand takes
+_FLAGS = {
+    "--field": dict(choices=["q", "fp"], default=None, help="coefficient field"),
+    "--prime": dict(type=int, default=None, help="prime for --field fp (default: a random 62-bit prime)"),
+    "--precision": dict(type=int, default=32, help="series truncation order of the first attempt"),
+    "--seed": dict(type=int, default=0, help="seed for all randomized choices"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = _Parser(
         prog="borderlab",
         description="Exact loop-group decompositions, limit witnesses, and border-subrank certificates",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_cim = sub.add_parser("cim", parents=[common], help="decompose a loop-group element")
+    def command(name, func, help, *flags):
+        p = sub.add_parser(name, help=help, allow_abbrev=False)
+        p.set_defaults(func=func)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
+        return p
+
+    p_cim = command("cim", cmd_cim, "decompose a loop-group element", "--precision", "--out")
     p_cim.add_argument("input", help="matrix JSON (or {factors: [...]})")
-    p_cim.set_defaults(func=cmd_cim)
 
-    p_wit = sub.add_parser("witness", parents=[common], help="build and verify a limit witness")
-    p_wit.add_argument("input", nargs="?", default=None, help='combined {"g": [...], "p": ...} file')
-    p_wit.add_argument("--g", default=None, help="curve matrices JSON file")
-    p_wit.add_argument("--p", default=None, help="tensor JSON file")
-    p_wit.add_argument("--lift", choices=["sym3"], default=None, help="act through the cubic lift")
-    p_wit.set_defaults(func=cmd_witness)
+    p_wit = command("witness", cmd_witness, "build and verify a limit witness", "--precision", "--out")
+    p_wit.add_argument("input", help='{"g": [...], "p": ..., "lift": optional "sym3"} file')
 
-    p_cert = sub.add_parser("certify", parents=[common], help="produce a degeneration certificate")
+    p_cert = command(
+        "certify", cmd_certify, "produce a degeneration certificate", "--field", "--prime", "--seed", "--out"
+    )
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--r", type=int, default=None)
-    p_cert.set_defaults(func=cmd_certify)
 
-    p_bounds = sub.add_parser("bounds", parents=[common], help="emit the bound table")
+    p_bounds = command("bounds", cmd_bounds, "emit the bound table", "--out")
     p_bounds.add_argument("--d", type=int, default=3)
     p_bounds.add_argument("--n-max", type=int, required=True)
-    p_bounds.set_defaults(func=cmd_bounds)
+    p_bounds.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_verify = sub.add_parser("verify", parents=[common], help="re-derive a stored certificate from scratch")
+    p_verify = command("verify", cmd_verify, "re-derive a stored certificate from scratch", "--seed")
     p_verify.add_argument("input")
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_gen = sub.add_parser("gen", parents=[common], help="generate test instances with known ground truth")
+    p_gen = command(
+        "gen", cmd_gen, "generate test instances with known ground truth", "--field", "--prime", "--seed", "--out"
+    )
     p_gen.add_argument("--kind", choices=["witness", "cim"], required=True)
     p_gen.add_argument("--dims", default="3,3", help="comma-separated factor dimensions (witness)")
     p_gen.add_argument("--size", type=int, default=3, help="matrix size (cim)")
-    p_gen.set_defaults(func=cmd_gen)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # --help (0) or a usage error (EXIT_INPUT)
+        return exc.code
     try:
         return args.func(args)
     except (NoLimitError, WitnessVerificationFailure) as exc:

@@ -242,17 +242,14 @@ def _block_matrix(field: FieldContext, size: int, rng, random_blocks: bool):
             return cand
 
 
-def jacobian_dominance_rank(
-    t_tilde: Tensor, pattern: PyramidPattern, field: FieldContext, stop_early: bool = True
-) -> int:
+def jacobian_dominance_rank(t_tilde: Tensor, pattern: PyramidPattern, field: FieldContext) -> int:
     """Exact rank of the translation derivative restricted to the pyramid.
 
     Rows are indexed by the pyramid positions; columns by upper-triangular
     matrix units ``E_ab`` acting on factor 1 or factor 2 (the entry at row
     ``(j,k,l)`` for a factor-1 column is ``T~[b,k,l]`` if ``j = a``, and
-    symmetrically for factor 2).  With ``stop_early`` the elimination stops
-    once the rank reaches the row count (the exact answer is already
-    known then).
+    symmetrically for factor 2).  The elimination stops once the rank
+    reaches the row count (the exact answer is already known then).
     """
     field.ensure_same(t_tilde.field)
     positions = sorted(pattern.positions)
@@ -297,8 +294,7 @@ def jacobian_dominance_rank(
                 if col:
                     yield col
 
-    stop = len(positions) if stop_early else None
-    return linalg.sparse_rank(field, columns(), stop_at=stop)
+    return linalg.sparse_rank(field, columns(), stop_at=len(positions))
 
 
 # ---------------------------------------------------------------------------
@@ -308,6 +304,13 @@ def jacobian_dominance_rank(
 VERDICT_CERTIFIED = "Certified"
 VERDICT_REFUTED = "Refuted"
 VERDICT_INCONCLUSIVE = "Inconclusive"
+
+#: bit size of the random primes a rank is certified and rechecked over
+PRIME_BITS = 62
+#: fresh primes tried after a rank deficit over the first one
+MAX_PRIME_RETRIES = 3
+#: attempts with random invertible blocks after the primes
+MAX_BLOCK_RETRIES = 2
 
 
 @dataclass(frozen=True)
@@ -354,15 +357,12 @@ def certify_lower_bound(
     r: Optional[int] = None,
     field: Optional[FieldContext] = None,
     rng: Optional[random.Random] = None,
-    prime_bits: int = 62,
-    max_prime_retries: int = 3,
-    max_block_retries: int = 2,
 ) -> DegenerationCertificate:
     """Run the full pipeline and return a self-contained certificate.
 
     ``r`` defaults to ``isqrt(4n) - 3`` and must end up >= 1.  The rank is
     certified over ``field``; when none is given, a random prime field with
-    ``prime_bits``-bit modulus is drawn from ``rng``.  Because the default
+    ``PRIME_BITS``-bit modulus is drawn from ``rng``.  Because the default
     tensor is 0/1, full rank modulo one prime certifies the rational
     statement; a sub-full rank over a prime is inconclusive and triggers
     fresh primes, then random invertible blocks, before giving up.
@@ -374,7 +374,7 @@ def certify_lower_bound(
     if r < 1:
         raise ValueError(f"certified rank must be >= 1 (n={n} gives default {r}); pass r explicitly")
     if field is None:
-        field = PrimeField(random_prime(prime_bits, rng))
+        field = PrimeField(random_prime(PRIME_BITS, rng))
 
     profile = pyramid_weight_profile(n, r)
     pattern = build_pyramid(profile)
@@ -396,8 +396,8 @@ def certify_lower_bound(
 
     attempts = [(field, False)]
     if isinstance(field, PrimeField):
-        attempts += [(PrimeField(random_prime(prime_bits, rng)), False) for _ in range(max_prime_retries)]
-    attempts += [(field, True)] * max_block_retries
+        attempts += [(PrimeField(random_prime(PRIME_BITS, rng)), False) for _ in range(MAX_PRIME_RETRIES)]
+    attempts += [(field, True)] * MAX_BLOCK_RETRIES
 
     for current_field, random_blocks in attempts:
         t_tilde, s_tensor, placements, restriction, limit_ok, unit, rank = attempt(current_field, random_blocks)
@@ -462,9 +462,9 @@ def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Rand
         ("unit-tensor", recognize_unit_tensor(cert.s_tensor) == cert.r, "S is a diagonal unit tensor of size r")
     )
 
-    prime = random_prime(62, rng)
+    prime = random_prime(PRIME_BITS, rng)
     while prime == cert.prime:
-        prime = random_prime(62, rng)
+        prime = random_prime(PRIME_BITS, rng)
     fresh = PrimeField(prime)
     coerced = _coerce_tensor(cert.t_tilde, fresh)
     if coerced is None:

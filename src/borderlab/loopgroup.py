@@ -119,10 +119,16 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
     Clears denominators with a global shift ``t^a``, Smith-reduces the
     resulting power-series matrix at a padded working precision, and
     un-shifts the middle factor.  Deterministic for fixed input and
-    precision.
+    precision.  Raises ValueError for ``n < 1`` and PrecisionError when
+    ``g`` is known only below ``t^n``: no decomposition is claimed to more
+    precision than its input has.
     """
     if g.rows != g.cols:
         raise ShapeError("Cartan decomposition expects a square matrix")
+    if n < 1:
+        raise ValueError(f"precision must be >= 1, got {n}")
+    if g.trunc is not None and g.trunc < n:
+        raise PrecisionError(f"input known only to t^{g.trunc}, below precision {n}")
     bound = g.min_valuation_lower_bound()
     if bound is None:
         raise SingularError("matrix is exactly zero")

@@ -72,11 +72,6 @@ class LaurentSeries:
         return cls(field, 0, ())
 
     @classmethod
-    def zero_mod(cls, field: FieldContext, trunc: int) -> "LaurentSeries":
-        """The series known to vanish below ``t^trunc`` with unknown tail."""
-        return cls(field, 0, (), trunc)
-
-    @classmethod
     def constant(cls, field: FieldContext, c) -> "LaurentSeries":
         return cls(field, 0, (c,))
 
@@ -271,9 +266,6 @@ class LaurentSeries:
         if not self.known_through(n):
             raise PrecisionError(f"zero test mod t^{n} needs precision {n}, have t^{self.trunc}")
         return True
-
-    def equals_mod(self, other: "LaurentSeries", n: int) -> bool:
-        return (self - other).is_zero_mod(n)
 
     def __eq__(self, other) -> bool:
         return (
@@ -545,9 +537,6 @@ class SeriesMatrix:
 
     def is_zero_mod(self, n: int) -> bool:
         return all(e.is_zero_mod(n) for row in self.entries for e in row)
-
-    def equals_mod(self, other: "SeriesMatrix", n: int) -> bool:
-        return (self - other).is_zero_mod(n)
 
     def min_valuation_lower_bound(self) -> Optional[int]:
         """Min of the entries' certified valuation lower bounds (None = +inf)."""

@@ -114,6 +114,14 @@ def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monke
     assert "known only to t^5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("precision", ["0", "-3"])
+def test_cim_precision_below_one_exits_3(curve_file, tmp_path, capsys, precision):
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--precision", precision, "--out", str(out)]) == 3
+    assert "precision must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cim_factor_tuple_input(curve_file, tmp_path):
     from borderlab import QQ, SeriesMatrix
 
@@ -198,18 +206,6 @@ def test_witness_retries_a_precision_failure(witness_file, tmp_path, monkeypatch
     assert tried == [32, 64]
 
 
-def test_witness_split_input_files(witness_file, tmp_path):
-    combined = read_json(witness_file)
-    g_path = tmp_path / "g.json"
-    p_path = tmp_path / "p.json"
-    g_path.write_text(json.dumps(combined["g"]))
-    p_path.write_text(json.dumps(combined["p"]))
-    out = tmp_path / "w.json"
-    assert run(["witness", "--g", str(g_path), "--p", str(p_path), "--lift", "sym3",
-                "--out", str(out)]) == 0
-    assert read_json(out)["qTilde"]["entries"] == [{"idx": [4], "value": "1"}]
-
-
 def test_gen_witness_round_trip(tmp_path):
     inp = tmp_path / "instance.json"
     assert run(["gen", "--kind", "witness", "--dims", "3,2", "--seed", "5", "--out", str(inp)]) == 0
@@ -246,6 +242,30 @@ def test_certify_4(tmp_path):
     assert run(["certify", "--n", "4", "--out", str(out)]) == 0
     obj = read_json(out)
     assert obj["r"] == 1 and obj["verdict"] == "Certified"
+
+
+def test_certify_retries_over_a_fresh_prime(tmp_path, monkeypatch):
+    # the rank over the first prime falls one short, so certify retries over
+    # a fresh prime: the next one drawn, not the first one again
+    import random
+
+    from borderlab import degeneration
+    from borderlab.fields import random_prime
+
+    primes = []
+    rank = degeneration.jacobian_dominance_rank
+
+    def short_once(t_tilde, pattern, field):
+        primes.append(field.p)
+        full = rank(t_tilde, pattern, field)
+        return full - 1 if len(primes) == 1 else full
+
+    monkeypatch.setattr(degeneration, "jacobian_dominance_rank", short_once)
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--n", "9", "--field", "fp", "--out", str(out)]) == 0
+    first = random_prime(62, random.Random(0))
+    assert primes[0] == first and len(primes) == 2
+    assert int(read_json(out)["prime"]) == primes[1] != first
 
 
 def test_certify_exact_rational_rank(tmp_path):
@@ -338,6 +358,58 @@ def test_verify_unknown_kind_exits_3(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"kind": "mystery"}))
     assert run(["verify", str(path)]) == 3
+
+
+# ---------------------------------------------------------------------------
+# the parser
+# ---------------------------------------------------------------------------
+
+def test_each_subcommand_parses_only_the_flags_it_reads():
+    import argparse
+
+    from borderlab.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    dests = {
+        name: {a.dest for a in p._actions if not isinstance(a, argparse._HelpAction)}
+        for name, p in sub.choices.items()
+    }
+    assert dests == {
+        "cim": {"input", "precision", "out"},
+        "witness": {"input", "precision", "out"},
+        "certify": {"n", "r", "field", "prime", "seed", "out"},
+        "bounds": {"d", "n_max", "format", "out"},
+        "verify": {"input", "seed"},
+        "gen": {"kind", "dims", "size", "field", "prime", "seed", "out"},
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        [],
+        ["certify"],
+        ["certify", "--n", "x"],
+        ["bounds", "--n-max", "x"],
+        ["bounds", "--n-max", "5", "--seed", "1"],
+        ["bounds", "--n", "5"],
+        ["verify", "cert.json", "--field", "fp"],
+        ["cim", "curve.json", "--field", "fp"],
+        ["cim", "curve.json", "--max-doublings", "5"],
+        ["witness", "--g", "g.json", "--p", "p.json"],
+        ["certify", "--n", "9", "--prime-retries", "1"],
+        ["gen", "--kind", "tensor"],
+    ],
+)
+def test_usage_errors_exit_3(argv, capsys):
+    assert run(argv) == 3
+    assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["verify", "--help"]])
+def test_help_exits_0(argv, capsys):
+    assert run(argv) == 0
+    assert "usage:" in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------

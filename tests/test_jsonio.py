@@ -37,7 +37,7 @@ def test_series_round_trip_truncated():
 
 def test_series_zero_forms():
     exact = LaurentSeries.zero(QQ)
-    fuzzy = LaurentSeries.zero_mod(QQ, 9)
+    fuzzy = LaurentSeries(QQ, 0, (), 9)
     for s in (exact, fuzzy):
         assert jsonio.series_from_obj(QQ, jsonio.series_to_obj(s)) == s
 

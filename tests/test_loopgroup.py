@@ -51,7 +51,7 @@ def test_smith_antidiagonal_swap():
         for row in mat.entries:
             for e in row:
                 assert len(e.coeffs) <= 1 and (not e.coeffs or e.val == 0)
-    assert (u @ SeriesMatrix.diag_powers(QQ, exps) @ v).equals_mod(m, 16)
+    assert (u @ SeriesMatrix.diag_powers(QQ, exps) @ v - m).is_zero_mod(16)
 
 
 def test_smith_unit_pivot():
@@ -59,7 +59,7 @@ def test_smith_unit_pivot():
                           [series(QQ, {0: -1}), tpow(QQ, 3)]])
     u, exps, v = smith_form(m, 16)
     assert exps == [0, 4]
-    assert (u @ SeriesMatrix.diag_powers(QQ, exps) @ v).equals_mod(m, 16)
+    assert (u @ SeriesMatrix.diag_powers(QQ, exps) @ v - m).is_zero_mod(16)
     # exponent sum equals the determinant valuation (Leibniz oracle)
     assert sum(exps) == leibniz_determinant(m).valuation()
 
@@ -78,7 +78,7 @@ def test_smith_singular():
 
 
 def test_smith_ambiguous_pivot_precision():
-    fuzzy = LaurentSeries.zero_mod(QQ, 0)  # nothing known at all
+    fuzzy = LaurentSeries(QQ, 0, (), 0)  # nothing known at all
     m = SeriesMatrix(QQ, [[fuzzy, tpow(QQ, 1)], [tpow(QQ, 2), LaurentSeries.zero(QQ)]])
     with pytest.raises(PrecisionError):
         smith_form(m, 8)
@@ -113,6 +113,24 @@ def test_cartan_diagonal_unshift():
     dec = cartan_decompose(g, 8)
     assert dec.weights == (-1, 3)
     assert verify_cartan(g, dec).passed
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_cartan_refuses_a_precision_below_one(n):
+    with pytest.raises(ValueError):
+        cartan_decompose(sl2_example_matrix(), n)
+
+
+def test_cartan_refuses_a_precision_beyond_its_input():
+    # known to t^5: decomposed and verified at precision 4, refused at 6 and 32
+    def known_to_t5(*coeffs):
+        return LaurentSeries(QQ, 0, [QQ.from_int(c) for c in coeffs], 5)
+
+    g = SeriesMatrix(QQ, [[known_to_t5(1, 2), known_to_t5(0, 1)], [known_to_t5(3, 0, 1), known_to_t5(1, 1)]])
+    assert verify_cartan(g, cartan_decompose(g, 4)).passed
+    for n in (6, 32):
+        with pytest.raises(PrecisionError, match="known only to t\\^5"):
+            cartan_decompose(g, n)
 
 
 def test_verify_accepts_the_classical_factor_triple():

@@ -360,7 +360,7 @@ def test_truncated_partly_zero_series_tensor(trunc):
                 if roll < 0.3:
                     entries[pos] = random_series(field, rng)
                 elif roll < 0.4:
-                    entries[pos] = LaurentSeries.zero_mod(field, rng.randint(0, 4))
+                    entries[pos] = LaurentSeries(field, 0, (), rng.randint(0, 4))
             exact = {pos: e for pos, e in entries.items() if e.is_exact}
             if trunc is not None and exact:
                 pos = rng.choice(sorted(exact))
