@@ -52,7 +52,10 @@ MAX_DOUBLINGS = 3
 
 
 def _field(args) -> Optional[FieldContext]:
-    """ℚ for ``--field q``, F_P for ``--prime P``, else None (no field fixed)."""
+    """ℚ for ``--field q``, F_P for ``--prime P``, else None (no field fixed).
+
+    The parser refuses ``--field q`` with ``--prime``.
+    """
     if args.field == "q":
         return QQ
     if args.prime is not None:
@@ -116,8 +119,7 @@ def _decompose(g, precision: int):
 
 
 def cmd_cim(args) -> int:
-    obj = _load_json(args.input)
-    matrices = [jsonio.matrix_from_obj(o) for o in (obj["factors"] if "factors" in obj else [obj])]
+    matrices = jsonio.cim_input_from_obj(_load_json(args.input))
     results = []
     all_ok = True
     for g in matrices:
@@ -139,11 +141,7 @@ def cmd_cim(args) -> int:
 
 
 def cmd_witness(args) -> int:
-    obj = _load_json(args.input)
-    gs = [jsonio.matrix_from_obj(o) for o in obj["g"]]
-    p = jsonio.tensor_from_obj(obj["p"], gs[0].field)
-    lift = obj.get("lift")
-
+    gs, p, lift = jsonio.witness_input_from_obj(_load_json(args.input))
     witness = _at_doubling_precision(args.precision, gs, lambda n: build_witness(gs, p, n, lift=lift))
     out_obj = jsonio.witness_to_obj(witness)
     out_obj["g"] = [jsonio.matrix_to_obj(g) for g in gs]
@@ -191,7 +189,7 @@ def _csv_cell(v):
 
 def cmd_verify(args) -> int:
     obj = _load_json(args.input)
-    kind = obj.get("kind")
+    kind = jsonio.document_kind(obj)
     if kind == "degeneration":
         cert = jsonio.certificate_from_obj(obj)
         # the fresh prime comes from a stream of its own, apart from certify's
@@ -211,13 +209,11 @@ def cmd_verify(args) -> int:
 
 
 def _recheck_cartan(obj):
-    factors = obj["factors"] if "factors" in obj else [obj]
+    pairs = jsonio.cartan_results_from_obj(obj)
     results = []
-    for i, fac in enumerate(factors):
-        g = jsonio.matrix_from_obj(fac["input"])
-        dec = jsonio.cartan_from_obj(fac["decomposition"], g.field)
+    for i, (g, dec) in enumerate(pairs):
         verdict = verify_cartan(g, dec)
-        label = f"residual[{i}]" if len(factors) > 1 else "residual"
+        label = f"residual[{i}]" if len(pairs) > 1 else "residual"
         results.append((label, verdict.passed, verdict.reason or "g = h1 diag(t^w) h2^-1 mod t^N"))
     return results
 
@@ -226,8 +222,7 @@ def _recheck_witness(obj):
     witness = jsonio.witness_from_obj(obj)
     fld = witness.subgroup.field
     results = []
-    gs = [jsonio.matrix_from_obj(o, fld) for o in obj["g"]]
-    p = jsonio.tensor_from_obj(obj["p"], fld)
+    gs, p, _ = jsonio.witness_input_from_obj(obj, fld)
     for i, (g, dec) in enumerate(zip(gs, witness.decompositions)):
         verdict = verify_cartan(g, dec)
         results.append((f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"))
@@ -286,6 +281,12 @@ def cmd_gen(args) -> int:
 
 class _Parser(argparse.ArgumentParser):
     """Reports a usage error with the bad-input exit code, not argparse's 2."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if getattr(namespace, "field", None) == "q" and getattr(namespace, "prime", None) is not None:
+            self.error("argument --prime: not allowed with --field q")
+        return namespace, extras
 
     def error(self, message):
         self.print_usage(sys.stderr)

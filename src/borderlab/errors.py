@@ -32,6 +32,10 @@ class ShapeError(BorderlabError):
     """Dimension mismatch between operands."""
 
 
+class SchemaError(BorderlabError):
+    """An input document does not have the shape its schema requires."""
+
+
 class NoLimitError(BorderlabError):
     """A one-parameter-subgroup limit does not exist.
 

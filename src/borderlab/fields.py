@@ -10,6 +10,7 @@ computation; combining values from different contexts raises
 
 from __future__ import annotations
 
+import math
 import random
 from fractions import Fraction
 
@@ -58,6 +59,35 @@ def random_prime(bits: int, rng: random.Random) -> int:
             return cand
 
 
+def _int_convolve(xs, ys, length: int, bound: int, signed: bool) -> list:
+    """The first ``length`` coefficients of the product of two integer vectors.
+
+    Kronecker substitution: both vectors are packed into one integer each,
+    with slots wide enough that no product coefficient overflows its slot,
+    the two integers are multiplied once, and the low ``length`` slots are
+    read back.  Every product coefficient must be below ``2^bound`` in
+    absolute value; with ``signed`` the slots are read as balanced residues.
+    """
+    width = (bound + signed + 7) // 8  # bytes per slot
+    # balanced slots: a slot stores v + half, which lies in [0, 256^width)
+    # when |v| < half, so slots never carry into each other; spread(n) is
+    # half in each of n slots and is taken off again as a whole
+    half = 1 << (8 * width - 1) if signed else 0
+    half_slot = half.to_bytes(width, "little")
+
+    def spread(n):
+        return int.from_bytes(half_slot * n, "little")
+
+    def pack(vs):
+        slots = b"".join([(v + half).to_bytes(width, "little") for v in vs])
+        return int.from_bytes(slots, "little") - spread(len(vs))
+
+    size = width * length
+    product = pack(xs) * pack(ys) + spread(length)
+    data = (product & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
+    return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
+
+
 class FieldContext:
     """Common interface of the two coefficient fields.
 
@@ -81,6 +111,15 @@ class FieldContext:
         raise NotImplementedError
 
     def inv(self, a):
+        raise NotImplementedError
+
+    def convolve(self, xs, ys, length: int) -> list:
+        """The first ``length`` coefficients of the product of two coefficient vectors.
+
+        ``xs`` and ``ys`` hold the coefficients of ``t^0, t^1, ...`` of two
+        polynomials; the result is in canonical form, zero-padded when
+        ``length`` exceeds the product's length.
+        """
         raise NotImplementedError
 
     # -- constants and conversions ---------------------------------------
@@ -145,6 +184,24 @@ class Rationals(FieldContext):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
+
+    def convolve(self, xs, ys, length):
+        # integer numerators over each operand's common denominator, one
+        # signed Kronecker product, one Fraction per output coefficient
+        xs, ys = xs[:length], ys[:length]
+        if not xs or not ys:
+            return [Fraction(0)] * max(length, 0)
+        dx = math.lcm(*(x.denominator for x in xs))
+        dy = math.lcm(*(y.denominator for y in ys))
+        nx = [x.numerator * (dx // x.denominator) for x in xs]
+        ny = [y.numerator * (dy // y.denominator) for y in ys]
+        bound = (
+            max(map(abs, nx)).bit_length()
+            + max(map(abs, ny)).bit_length()
+            + min(len(nx), len(ny)).bit_length()
+        )
+        d = dx * dy
+        return [Fraction(c, d) for c in _int_convolve(nx, ny, length, bound, True)]
 
     def zero(self):
         return Fraction(0)
@@ -212,6 +269,15 @@ class PrimeField(FieldContext):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
+
+    def convolve(self, xs, ys, length):
+        # residues are nonnegative, so the slots need no sign
+        xs, ys = xs[:length], ys[:length]
+        if not xs or not ys:
+            return [0] * max(length, 0)
+        p = self.p
+        bound = 2 * (p - 1).bit_length() + min(len(xs), len(ys)).bit_length()
+        return [c % p for c in _int_convolve(xs, ys, length, bound, False)]
 
     def zero(self):
         return 0

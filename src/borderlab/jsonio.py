@@ -3,6 +3,9 @@
 Scalars are decimal strings ("a/b" for rationals, "k" for prime-field
 residues); big integers (weights) are also strings.  Maps are emitted with
 sorted keys by the CLI so identical inputs yield byte-identical files.
+
+Decoders check the shape of what they read: a value of the wrong JSON type
+raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from .degeneration import (
     DegenerationCertificate,
     WeightProfile,
 )
-from .errors import ShapeError
+from .errors import SchemaError
 from .fields import FieldContext
 from .loopgroup import CartanDecomposition
 from .series import LaurentSeries, SeriesMatrix
@@ -24,6 +27,37 @@ from .witness import LimitWitness
 TOOL_VERSION = "borderlab-0.1.0"
 
 
+# -- shape checks ------------------------------------------------------------
+
+def _dict(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise SchemaError(f"{what}: expected an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise SchemaError(f"{what}: expected an array, got {type(value).__name__}")
+    return value
+
+
+def _int(value, what: str) -> int:
+    """An integer written as a JSON number or a decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise SchemaError(f"{what}: expected an integer, got {type(value).__name__}")
+    return int(value)
+
+
+def _opt_int(value, what: str) -> Optional[int]:
+    return None if value is None else _int(value, what)
+
+
+def _scalar(field: FieldContext, value, what: str):
+    if not isinstance(value, str):
+        raise SchemaError(f"{what}: expected a scalar string, got {type(value).__name__}")
+    return field.parse(value)
+
+
 # -- fields ------------------------------------------------------------------
 
 def field_to_obj(field: FieldContext) -> dict:
@@ -31,6 +65,8 @@ def field_to_obj(field: FieldContext) -> dict:
 
 
 def field_from_obj(obj: dict) -> FieldContext:
+    if "p" in _dict(obj, "field"):
+        _int(obj["p"], "field prime")
     return FieldContext.from_obj(obj)
 
 
@@ -50,9 +86,13 @@ def series_to_obj(s: LaurentSeries) -> dict:
 
 
 def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
-    coeffs = [field.parse(c) for c in obj["coeffs"]]
-    trunc = None if obj.get("exact", False) else int(obj["trunc"])
-    return LaurentSeries(field, int(obj["val"]), coeffs, trunc)
+    _dict(obj, "series")
+    coeffs = [_scalar(field, c, "series coefficient") for c in _list(obj["coeffs"], "series coeffs")]
+    exact = obj.get("exact", False)
+    if not isinstance(exact, bool):
+        raise SchemaError(f"series exact: expected true or false, got {type(exact).__name__}")
+    trunc = None if exact else _int(obj["trunc"], "series trunc")
+    return LaurentSeries(field, _int(obj["val"], "series val"), coeffs, trunc)
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict:
@@ -63,9 +103,10 @@ def matrix_to_obj(m: SeriesMatrix) -> dict:
 
 
 def matrix_from_obj(obj: dict, field: Optional[FieldContext] = None) -> SeriesMatrix:
+    _dict(obj, "matrix")
     fld = field if field is not None else field_from_obj(obj["field"])
-    entries = [[series_from_obj(fld, e) for e in row] for row in obj["entries"]]
-    return SeriesMatrix(fld, entries)
+    rows = _list(obj["entries"], "matrix entries")
+    return SeriesMatrix(fld, [[series_from_obj(fld, e) for e in _list(row, "matrix row")] for row in rows])
 
 
 def scalar_matrix_to_obj(field: FieldContext, mat) -> list:
@@ -73,7 +114,8 @@ def scalar_matrix_to_obj(field: FieldContext, mat) -> list:
 
 
 def scalar_matrix_from_obj(field: FieldContext, obj) -> list:
-    return [[field.parse(v) for v in row] for row in obj]
+    rows = _list(obj, "scalar matrix")
+    return [[_scalar(field, v, "matrix entry") for v in _list(row, "scalar matrix row")] for row in rows]
 
 
 # -- tensors ---------------------------------------------------------------
@@ -86,12 +128,14 @@ def tensor_to_obj(t: Tensor) -> dict:
 
 
 def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
+    _dict(obj, "tensor")
     fld = field if field is not None else field_from_obj(obj["field"])
-    dims = tuple(int(n) for n in obj["dims"])
+    dims = tuple(_int(n, "tensor dim") for n in _list(obj["dims"], "tensor dims"))
     entries = {}
-    for item in obj.get("entries", ()):
-        pos = tuple(int(i) for i in item["idx"])
-        entries[pos] = fld.parse(item["value"])
+    for item in _list(obj.get("entries", []), "tensor entries"):
+        _dict(item, "tensor entry")
+        pos = tuple(_int(i, "tensor index") for i in _list(item["idx"], "tensor idx"))
+        entries[pos] = _scalar(fld, item["value"], "tensor value")
     return Tensor.from_entries(fld, dims, entries)
 
 
@@ -106,10 +150,12 @@ def subgroup_to_obj(s: OneParamSubgroup) -> dict:
 
 
 def subgroup_from_obj(obj: dict, field: Optional[FieldContext] = None) -> OneParamSubgroup:
+    _dict(obj, "subgroup")
     fld = field if field is not None else field_from_obj(obj["field"])
     factors = []
-    for fac in obj["factors"]:
-        weights = tuple(int(w) for w in fac["weights"])
+    for fac in _list(obj["factors"], "subgroup factors"):
+        _dict(fac, "subgroup factor")
+        weights = tuple(_int(w, "subgroup weight") for w in _list(fac["weights"], "subgroup weights"))
         basis = fac.get("basis", "standard")
         if basis == "standard":
             factors.append(SubgroupFactor(weights=weights))
@@ -131,11 +177,11 @@ def cartan_to_obj(dec: CartanDecomposition) -> dict:
 
 
 def cartan_from_obj(obj: dict, field: Optional[FieldContext] = None) -> CartanDecomposition:
+    _dict(obj, "decomposition")
     h1 = matrix_from_obj(obj["h1"], field)
     h2 = matrix_from_obj(obj["h2"], field)
-    return CartanDecomposition(
-        h1=h1, weights=tuple(int(w) for w in obj["weights"]), h2=h2, precision=int(obj["precision"])
-    )
+    weights = tuple(_int(w, "Cartan weight") for w in _list(obj["weights"], "Cartan weights"))
+    return CartanDecomposition(h1=h1, weights=weights, h2=h2, precision=_int(obj["precision"], "precision"))
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -156,15 +202,16 @@ def witness_to_obj(w: LimitWitness) -> dict:
 
 
 def witness_from_obj(obj: dict) -> LimitWitness:
-    subgroup = subgroup_from_obj(obj["lambda"])
+    subgroup = subgroup_from_obj(_dict(obj, "witness")["lambda"])
     fld = subgroup.field
     q = tensor_from_obj(obj["q"], fld)
     q_tilde = tensor_from_obj(obj["qTilde"], fld)
     shared = tensor_from_obj(obj["sharedLimit"], fld)
     translations = tuple(
-        tuple(tuple(r) for r in scalar_matrix_from_obj(fld, m)) for m in obj["translations"]
+        tuple(tuple(r) for r in scalar_matrix_from_obj(fld, m))
+        for m in _list(obj["translations"], "translations")
     )
-    decs = tuple(cartan_from_obj(o, fld) for o in obj["cim"])
+    decs = tuple(cartan_from_obj(o, fld) for o in _list(obj["cim"], "witness decompositions"))
     return LimitWitness(
         subgroup=subgroup,
         q=q,
@@ -187,10 +234,14 @@ def profile_to_obj(p: WeightProfile) -> dict:
 
 
 def profile_from_obj(obj: dict) -> WeightProfile:
+    _dict(obj, "profile")
     return WeightProfile(
-        dims=tuple(int(n) for n in obj["dims"]),
-        weights=tuple(tuple(int(w) for w in ws) for ws in obj["weights"]),
-        pyramid_rank=obj.get("pyramidRank"),
+        dims=tuple(_int(n, "profile dim") for n in _list(obj["dims"], "profile dims")),
+        weights=tuple(
+            tuple(_int(w, "profile weight") for w in _list(ws, "profile weights"))
+            for ws in _list(obj["weights"], "profile weights")
+        ),
+        pyramid_rank=_opt_int(obj.get("pyramidRank"), "pyramidRank"),
     )
 
 
@@ -199,8 +250,12 @@ def placement_to_obj(p: BlockPlacement) -> dict:
 
 
 def placement_from_obj(obj: dict) -> BlockPlacement:
+    _dict(obj, "placement")
     return BlockPlacement(
-        s=int(obj["s"]), layer=int(obj["layer"]), axis=obj["axis"], start=int(obj["start"])
+        s=_int(obj["s"], "placement s"),
+        layer=_int(obj["layer"], "placement layer"),
+        axis=obj["axis"],
+        start=_int(obj["start"], "placement start"),
     )
 
 
@@ -225,23 +280,53 @@ def certificate_to_obj(c: DegenerationCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> DegenerationCertificate:
-    if obj.get("kind") != "degeneration":
-        raise ShapeError("not a degeneration certificate")
+    if document_kind(obj) != "degeneration":
+        raise SchemaError("not a degeneration certificate")
     s_tensor = tensor_from_obj(obj["S"])
     t_tilde = tensor_from_obj(obj["TTilde"])
-    prime = obj.get("prime")
     return DegenerationCertificate(
-        n=int(obj["n"]),
-        r=int(obj["r"]),
+        n=_int(obj["n"], "n"),
+        r=_int(obj["r"], "r"),
         profile=profile_from_obj(obj["profile"]),
         s_tensor=s_tensor,
         t_tilde=t_tilde,
-        placements=tuple(placement_from_obj(p) for p in obj["placements"]),
+        placements=tuple(placement_from_obj(p) for p in _list(obj["placements"], "placements")),
         limit_check=obj["limitCheck"] == "Pass",
         restriction_check=obj.get("restrictionCheck", "Pass") == "Pass",
-        unit_size=obj.get("unitSize"),
-        jacobian_rank=int(obj["jacobianRank"]),
-        pyramid_size=int(obj["pyramidSize"]),
-        prime=None if prime is None else int(prime),
+        unit_size=_opt_int(obj.get("unitSize"), "unitSize"),
+        jacobian_rank=_int(obj["jacobianRank"], "jacobianRank"),
+        pyramid_size=_int(obj["pyramidSize"], "pyramidSize"),
+        prime=_opt_int(obj.get("prime"), "prime"),
         verdict=obj["verdict"],
     )
+
+
+# -- command-line documents ------------------------------------------------------
+
+def document_kind(obj) -> Optional[str]:
+    """The ``"kind"`` a top-level document names, if any."""
+    return _dict(obj, "document").get("kind")
+
+
+def cim_input_from_obj(obj) -> list:
+    """The matrices of a ``cim`` input: one matrix, or ``{"factors": [...]}``."""
+    factors = _list(obj["factors"], "factors") if "factors" in _dict(obj, "cim input") else [obj]
+    return [matrix_from_obj(o) for o in factors]
+
+
+def witness_input_from_obj(obj, field: Optional[FieldContext] = None):
+    """``(gs, p, lift)`` of a witness input; ``p`` is read over the field of ``gs``."""
+    gs = [matrix_from_obj(o, field) for o in _list(_dict(obj, "witness input")["g"], "g")]
+    if not gs:
+        raise SchemaError("g: expected at least one matrix")
+    return gs, tensor_from_obj(obj["p"], gs[0].field), obj.get("lift")
+
+
+def cartan_results_from_obj(obj) -> list:
+    """``(g, decomposition)`` per factor of a ``cim`` output."""
+    factors = _list(obj["factors"], "factors") if "factors" in _dict(obj, "cim output") else [obj]
+    pairs = []
+    for fac in factors:
+        g = matrix_from_obj(_dict(fac, "cim result")["input"])
+        pairs.append((g, cartan_from_obj(fac["decomposition"], g.field)))
+    return pairs

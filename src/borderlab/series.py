@@ -8,6 +8,9 @@ series is an exact Laurent polynomial (no unknown tail).  Values are
 immutable after construction and all operations are pure, so everything
 here is safe for unrestricted concurrent use.
 
+A product is computed by the field's :meth:`~borderlab.fields.FieldContext.convolve`
+kernel, a sum by adding the aligned coefficient slices.
+
 Truncation orders propagate through arithmetic automatically:
 ``add`` takes the minimum, ``mul`` uses ``min(Na + v(b), Nb + v(a))``, and
 unit inversion is the only operation that turns exact input into truncated
@@ -159,21 +162,21 @@ class LaurentSeries:
             trunc = self.trunc
         else:
             trunc = min(self.trunc, other.trunc)
-        if not self.coeffs and not other.coeffs:
-            return LaurentSeries(field, 0, (), trunc)
-        starts = [s.val for s in (self, other) if s.coeffs]
-        ends = [s.val + len(s.coeffs) for s in (self, other) if s.coeffs]
-        lo, hi = min(starts), max(ends)
-        if trunc is not None:
-            hi = min(hi, trunc)
-        out = [field.add(self.coefficient_known(k), other.coefficient_known(k)) for k in range(lo, hi)]
-        return LaurentSeries(field, lo, out, trunc)
-
-    def coefficient_known(self, k: int):
-        """Coefficient of ``t^k`` assuming it is inside the known range."""
-        if self.val <= k < self.val + len(self.coeffs):
-            return self.coeffs[k - self.val]
-        return self.field.zero()
+        if not self.coeffs or not other.coeffs:
+            s = self if self.coeffs else other
+            return LaurentSeries(field, s.val, s.coeffs, trunc)
+        first, second = (self, other) if self.val <= other.val else (other, self)
+        # the coefficients of ``first`` below ``second``'s start are copied,
+        # the overlap is added slot by slot, and whichever tail is left over
+        # is copied; the constructor cuts the sum at trunc
+        xs, ys = first.coeffs, second.coeffs
+        off = second.val - first.val
+        if off >= len(xs):
+            out = [*xs, *[field.zero()] * (off - len(xs)), *ys]
+        else:
+            both = min(len(xs) - off, len(ys))
+            out = [*xs[:off], *map(field.add, xs[off : off + both], ys), *xs[off + both :], *ys[both:]]
+        return LaurentSeries(field, first.val, out, trunc)
 
     def __neg__(self) -> "LaurentSeries":
         return LaurentSeries(self.field, self.val, [self.field.neg(c) for c in self.coeffs], self.trunc)
@@ -199,17 +202,7 @@ class LaurentSeries:
         hi = self.val + len(self.coeffs) + other.val + len(other.coeffs) - 1
         if trunc is not None:
             hi = min(hi, trunc)
-        out = [field.zero()] * max(hi - lo, 0)
-        for i, a in enumerate(self.coeffs):
-            if field.is_zero(a):
-                continue
-            base = self.val + i + other.val - lo
-            for j, b in enumerate(other.coeffs):
-                k = base + j
-                if k >= len(out):
-                    break
-                out[k] = field.add(out[k], field.mul(a, b))
-        return LaurentSeries(field, lo, out, trunc)
+        return LaurentSeries(field, lo, field.convolve(self.coeffs, other.coeffs, hi - lo), trunc)
 
     def scale(self, c) -> "LaurentSeries":
         if self.field.is_zero(c):

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import os
@@ -7,6 +8,8 @@ import pytest
 
 from borderlab.cli import main
 from borderlab import jsonio
+
+from conftest import series
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -67,6 +70,59 @@ def test_cim_malformed_input_exits_3(tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{not json")
     assert run(["cim", str(path)]) == 3
+
+
+@pytest.mark.parametrize(
+    "command, doc",
+    [("cim", [1]), ("verify", [1]), ("witness", {"g": [], "p": {}})],
+    ids=["cim-array", "verify-array", "witness-empty-g"],
+)
+def test_wrongly_shaped_json_exits_3(command, doc, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
+def json_paths(node, path=()):
+    """Every path into a JSON document, the root excluded."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from json_paths(child, path + (key,))
+
+
+def read_at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    read_at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+def test_every_wrongly_typed_node_exits_3_or_is_ignored(tmp_path):
+    # each node of a cim input and of the cim output verify reads, replaced
+    # by a value of every other JSON type: the decoders refuse it (exit 3) or
+    # the key is one they do not read (exit 0); nothing escapes as a crash
+    from borderlab import QQ, SeriesMatrix
+
+    g = tmp_path / "g.json"
+    g.write_text(json.dumps(jsonio.matrix_to_obj(SeriesMatrix(QQ, [[series(QQ, {-1: 2})]]))))
+    dec = tmp_path / "dec.json"
+    assert run(["cim", str(g), "--out", str(dec)]) == 0
+    bad = tmp_path / "bad.json"
+    for command, doc in (("cim", read_json(g)), ("verify", read_json(dec))):
+        for path in json_paths(doc):
+            original = read_at(doc, path)
+            for value in (None, 1.5, "x", [], {}):
+                if type(value) is type(original):
+                    continue
+                bad.write_text(json.dumps(replaced(doc, path, value)))
+                assert run([command, str(bad)]) in (0, 3), (command, path, value)
 
 
 def test_cim_uncertifiable_pivot_exits_2(tmp_path, capsys):
@@ -399,6 +455,8 @@ def test_each_subcommand_parses_only_the_flags_it_reads():
         ["witness", "--g", "g.json", "--p", "p.json"],
         ["certify", "--n", "9", "--prime-retries", "1"],
         ["gen", "--kind", "tensor"],
+        ["certify", "--n", "9", "--field", "q", "--prime", "7"],
+        ["gen", "--kind", "cim", "--field", "q", "--prime", "7"],
     ],
 )
 def test_usage_errors_exit_3(argv, capsys):
@@ -423,13 +481,16 @@ def test_byte_identical_outputs(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-# SHA-256 of outputs as the dense tensor storage wrote them; the sparse
-# storage must write the same bytes
+# SHA-256 of outputs as the dense tensor storage and the schoolbook series
+# product wrote them; the sparse storage and the Kronecker product must
+# write the same bytes
 PINNED_DIGESTS = {
     "certify": "738ea703626a44533ee75fe52a07c6853a92bee4b431638a0fd28cd1ded3eb7e",
     "witness-data": "5abe9e5d7c37e600b58773c1d18c4b1ccb3ccb79bf6f2a5f6516d9089277d549",
     "gen": "cc27539098a1e18df7a1b83a518335c222ade94429c4079e99e8497e4cd1bc7e",
     "witness-gen": "774ed96f9773badec4ef756b6565fc403173756e5571adff367e4129d598ecb2",
+    "cim-q": "0ff38255bdbd751ff264ea6328e01c77602097d4832167e66d52dcb1bc100f06",
+    "cim-fp": "09536de2e7ecf560426c4ff70e8338f9807262af73ae590c21ee19fa640b55ef",
 }
 
 
@@ -440,5 +501,10 @@ def test_outputs_match_pinned_digests(tmp_path, witness_file):
     gen = ["gen", "--kind", "witness", "--field", "fp", "--dims", "3,3,3", "--seed", "1"]
     assert run(gen + ["--out", str(paths["gen"])]) == 0
     assert run(["witness", str(paths["gen"]), "--out", str(paths["witness-gen"])]) == 0
+    for field in ("q", "fp"):
+        matrix = tmp_path / f"gen-cim-{field}.json"
+        assert run(["gen", "--kind", "cim", "--field", field, "--size", "6", "--seed", "1", "--out", str(matrix)]) == 0
+        assert run(["cim", str(matrix), "--out", str(paths[f"cim-{field}"])]) == 0
+        assert run(["verify", str(paths[f"cim-{field}"])]) == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == PINNED_DIGESTS

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -10,6 +11,7 @@ from borderlab import (
     SeriesMatrix,
     SingularError,
 )
+from borderlab.fields import is_prime
 from borderlab.instances import random_laurent_polynomial, random_series_unit_matrix
 
 from conftest import leibniz_determinant, series, tpow
@@ -72,6 +74,144 @@ def test_zero_to_precision_is_distinct_from_exact_zero():
     assert fuzzy.has_no_known_terms()
     with pytest.raises(PrecisionError):
         fuzzy.valuation()
+
+
+# ---------------------------------------------------------------------------
+# the product and sum kernels against a schoolbook oracle
+# ---------------------------------------------------------------------------
+
+def schoolbook_mul(a, b):
+    """``a * b`` by the double loop over coefficient pairs (test oracle)."""
+    field = a.field
+    if a.is_exactly_zero() or b.is_exactly_zero():
+        return LaurentSeries.zero(field)
+    bounds = []
+    if a.trunc is not None:
+        bounds.append(a.trunc + b.valuation_lower_bound())
+    if b.trunc is not None:
+        bounds.append(b.trunc + a.valuation_lower_bound())
+    trunc = min(bounds) if bounds else None
+    terms = {}
+    for i, x in a.support():
+        for j, y in b.support():
+            if trunc is None or i + j < trunc:
+                terms[i + j] = field.add(terms.get(i + j, field.zero()), field.mul(x, y))
+    return with_terms(field, terms, trunc)
+
+
+def schoolbook_add(a, b):
+    """``a + b`` exponent by exponent (test oracle)."""
+    field = a.field
+    truncs = [s.trunc for s in (a, b) if s.trunc is not None]
+    trunc = min(truncs) if truncs else None
+    terms = {}
+    for s in (a, b):
+        for k, c in s.support():
+            if trunc is None or k < trunc:
+                terms[k] = field.add(terms.get(k, field.zero()), c)
+    return with_terms(field, terms, trunc)
+
+
+def with_terms(field, terms, trunc):
+    lo = min(terms, default=0)
+    hi = max(terms, default=-1) + 1
+    return LaurentSeries(field, lo, [terms.get(k, field.zero()) for k in range(lo, hi)], trunc)
+
+
+def canonical(field, c):
+    if field == QQ:
+        return type(c) is Fraction
+    return type(c) is int and 0 <= c < field.p
+
+
+P62 = next(p for p in range(2**62 - 57, 2**62) if is_prime(p))
+KERNEL_FIELDS = [QQ, PrimeField(P62), PrimeField(2), PrimeField(3)]
+
+
+def kernel_scalar(field, rng, style):
+    """A coefficient: small, of large height, or of the largest size the field has."""
+    if field == QQ:
+        sign = rng.choice((-1, 1))
+        if style == "small":
+            return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+        if style == "extreme":  # one sign and one denominator: numerators add up
+            return Fraction(2**150 - 1, 3)
+        return Fraction(sign * rng.getrandbits(rng.randint(1, 200)), rng.getrandbits(rng.randint(1, 120)) | 1)
+    if style == "extreme":
+        return field.p - 1
+    return rng.randrange(field.p)
+
+
+def kernel_operand(field, rng):
+    """An exact or truncated series with a negative, zero or positive valuation."""
+    style = rng.choice(("small", "large", "extreme"))
+    length = rng.choice((0, 1, 1, 2, rng.randint(3, 8), rng.randint(9, 40)))
+    val = rng.randint(-6, 6)
+    coeffs = [kernel_scalar(field, rng, style) for _ in range(length)]
+    if style == "extreme" and rng.random() < 0.5:
+        coeffs = [field.neg(c) for c in coeffs]
+    elif length > 2 and rng.random() < 0.3:
+        coeffs[rng.randrange(1, length - 1)] = field.zero()
+    trunc = None
+    if rng.random() < 0.5:
+        # at, inside or beyond the stored window; a cut inside drops terms
+        trunc = val + rng.randint(-2, length + 4)
+    return LaurentSeries(field, val, coeffs, trunc)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_mul_and_add_match_the_schoolbook_oracle(field):
+    rng = random.Random(f"kernel:{field!r}")
+    for _ in range(400):
+        a, b = kernel_operand(field, rng), kernel_operand(field, rng)
+        for got, want in ((a * b, schoolbook_mul(a, b)), (a + b, schoolbook_add(a, b))):
+            assert got == want
+            assert all(canonical(field, c) for c in got.coeffs)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_sums_that_cancel(field):
+    rng = random.Random(f"cancel:{field!r}")
+    for _ in range(200):
+        a = kernel_operand(field, rng)
+        c = kernel_operand(field, rng)
+        # a + (-a) cancels everywhere; a + (c - a) cancels down to c
+        for got, want in ((a + (-a), schoolbook_add(a, -a)), (a + (c - a), schoolbook_add(a, c - a))):
+            assert got == want
+        assert (a + (-a)).has_no_known_terms()
+        assert (a + (-a)).trunc == a.trunc
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_convolve_fills_every_slot_width(field):
+    # m equal coefficients of the largest size and one sign: the middle
+    # product coefficient m·x·y reaches the top of its slot for some m at
+    # every slot width, and its sign is that of x·y
+    if field == QQ:
+        cases = [(Fraction(2**b - 1, 3), sign * Fraction(2**b - 1, 3), 41) for b in range(1, 41) for sign in (1, -1)]
+    else:
+        cases = [(field.p - 1, field.p - 1, 300 if field.p < 4 else 80)]
+    for x, y, top in cases:
+        for m in range(1, top):
+            want = [
+                field.mul(field.from_int(min(k, m - 1) - max(0, k - m + 1) + 1), field.mul(x, y))
+                for k in range(2 * m - 1)
+            ]
+            assert field.convolve([x] * m, [y] * m, 2 * m + 1) == want + [field.zero()] * 2
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_convolve_pads_and_cuts(field):
+    rng = random.Random(f"convolve:{field!r}")
+    for _ in range(200):
+        xs = [kernel_scalar(field, rng, "large") for _ in range(rng.randint(0, 6))]
+        ys = [kernel_scalar(field, rng, "extreme") for _ in range(rng.randint(0, 6))]
+        length = rng.randint(0, 13)
+        full = [field.zero()] * 13
+        for i, x in enumerate(xs):
+            for j, y in enumerate(ys):
+                full[i + j] = field.add(full[i + j], field.mul(x, y))
+        assert field.convolve(xs, ys, length) == full[:length]
 
 
 # ---------------------------------------------------------------------------

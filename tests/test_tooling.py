@@ -51,3 +51,19 @@ def test_tracer_installs_spans_and_uninstalls(tmp_path):
     for key, bindings in before.items():
         assert after[key].keys() == bindings.keys()
         assert all(after[key][attr] is value for attr, value in bindings.items())
+
+
+def test_tracer_counts_the_series_kernels_under_cim(tmp_path):
+    # the traced benchmark counts products and coefficient pairs at
+    # LaurentSeries.__mul__ and __add__, so the kernels must be reached there
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        curve_file = os.path.join(ROOT, "data", "binary_cubics_curve.json")
+        assert main(["cim", curve_file, "--out", str(tmp_path / "dec.json")]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["series.mul_calls"] > 0
+    assert tracer.counts["series.coeff_mults"] > 0
+    assert tracer.counts["series.add_calls"] > 0
+    assert "loopgroup.smith_form" in {span[0] for span in tracer.spans}
