@@ -118,8 +118,22 @@ class FieldContext:
 
         ``xs`` and ``ys`` hold the coefficients of ``t^0, t^1, ...`` of two
         polynomials; the result is in canonical form, zero-padded when
-        ``length`` exceeds the product's length.
+        ``length`` exceeds the product's length.  A length-1 operand is
+        multiplied into the other directly, since packing would cost more
+        than the products; longer ones go to :meth:`_kronecker`.
         """
+        xs, ys = xs[:length], ys[:length]
+        if not xs or not ys:
+            return [self.zero()] * max(length, 0)
+        if len(ys) == 1:
+            xs, ys = ys, xs
+        if len(xs) == 1:
+            c = xs[0]
+            return [self.mul(c, y) for y in ys] + [self.zero()] * (length - len(ys))
+        return self._kronecker(xs, ys, length)
+
+    def _kronecker(self, xs, ys, length: int) -> list:
+        """:meth:`convolve` of two nonempty vectors cut to ``length``, by :func:`_int_convolve`."""
         raise NotImplementedError
 
     # -- constants and conversions ---------------------------------------
@@ -185,12 +199,9 @@ class Rationals(FieldContext):
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def convolve(self, xs, ys, length):
+    def _kronecker(self, xs, ys, length):
         # integer numerators over each operand's common denominator, one
         # signed Kronecker product, one Fraction per output coefficient
-        xs, ys = xs[:length], ys[:length]
-        if not xs or not ys:
-            return [Fraction(0)] * max(length, 0)
         dx = math.lcm(*(x.denominator for x in xs))
         dy = math.lcm(*(y.denominator for y in ys))
         nx = [x.numerator * (dx // x.denominator) for x in xs]
@@ -270,11 +281,8 @@ class PrimeField(FieldContext):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def convolve(self, xs, ys, length):
+    def _kronecker(self, xs, ys, length):
         # residues are nonnegative, so the slots need no sign
-        xs, ys = xs[:length], ys[:length]
-        if not xs or not ys:
-            return [0] * max(length, 0)
         p = self.p
         bound = 2 * (p - 1).bit_length() + min(len(xs), len(ys)).bit_length()
         return [c % p for c in _int_convolve(xs, ys, length, bound, False)]

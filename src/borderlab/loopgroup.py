@@ -133,12 +133,21 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
     if bound is None:
         raise SingularError("matrix is exactly zero")
     shift = max(0, -bound)
-    # the factors lose precision proportional to the largest exponent, which
-    # is only known after a first reduction; the exponents are intrinsic
-    # (elementary divisors), so one corrected re-run suffices
+    cleared = g.shift(shift)
+    # the factors lose precision proportional to the largest exponent; the
+    # exponents are intrinsic (elementary divisors), so a reduction at
+    # precision 1 learns them and the full pass starts where it must.  When
+    # that probe cannot certify its pivots, a first full pass learns them
+    # and one corrected re-run suffices
     work = n + 2 * shift
+    try:
+        _, exponents, _ = smith_form(cleared, 1)
+    except PrecisionError:
+        pass
+    else:
+        work = max(work, n + shift + max(exponents, default=0))
     while True:
-        u, exponents, v = smith_form(g.shift(shift), work)
+        u, exponents, v = smith_form(cleared, work)
         need = n + shift + max(exponents, default=0)
         if work >= need:
             break
@@ -151,29 +160,33 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
 def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
     """Residual check of a claimed decomposition at its stated precision.
 
-    Passes iff ``g - h1 · diag(t^w) · h2^{-1}`` vanishes mod ``t^precision``
-    and both constant terms ``h1(0)``, ``h2(0)`` are invertible.  Accepts
-    any valid triple, not only the canonical one.  Raises PrecisionError
-    when the available precision cannot decide the check, so that a caller
-    can retry at a higher one.
+    Passes iff ``h1`` and ``h2`` have no entry of certified negative
+    valuation (they lie in K[[t]]), their constant terms ``h1(0)``,
+    ``h2(0)`` are invertible, and ``g · h2 - h1 · diag(t^w)`` vanishes mod
+    ``t^precision``.  Given the first two conditions ``h2`` is invertible
+    over K[[t]], so the last is equivalent to ``g - h1 · diag(t^w) · h2^{-1}
+    ≡ 0`` and no inverse is formed; a failed ``residual`` holds
+    ``g · h2 - h1 · diag(t^w)``.  Accepts any valid triple, not only the
+    canonical one.  Raises PrecisionError when the available precision
+    cannot decide the check, so that a caller can retry at a higher one.
     """
-    if (g.rows, g.cols) != (dec.h1.rows, dec.h1.cols) or len(dec.weights) != g.rows:
+    shape = (g.rows, g.cols)
+    if shape != (dec.h1.rows, dec.h1.cols) or shape != (dec.h2.rows, dec.h2.cols) or len(dec.weights) != g.rows:
         raise ShapeError("decomposition shape does not match the matrix")
     field = g.field
+    for name, h in (("h1", dec.h1), ("h2", dec.h2)):
+        low = min((e.val for row in h.entries for e in row if e.coeffs), default=0)
+        if low < 0:
+            return VerificationResult(False, f"{name} has an entry of valuation {low}, outside K[[t]]")
     try:
         for name, h in (("h1", dec.h1), ("h2", dec.h2)):
             if not linalg.is_invertible(field, h.constant_matrix()):
                 return VerificationResult(False, f"{name}(0) is not invertible")
     except PrecisionError as exc:
         raise PrecisionError(f"constant terms not determined: {exc}") from exc
-    try:
-        h2inv = dec.h2.inverse(dec.h2.trunc if dec.h2.trunc is not None else dec.precision)
-    except PrecisionError as exc:
-        raise PrecisionError(f"h2 not invertible at precision: {exc}") from exc
-    except SingularError as exc:
-        return VerificationResult(False, f"h2 not invertible at precision: {exc}")
-    product = dec.h1 @ SeriesMatrix.diag_powers(field, list(dec.weights)) @ h2inv
-    residual = g - product
+    # h1 · diag(t^w) shifts column j of h1 by w_j
+    h1d = SeriesMatrix(field, [[e.shift(w) for e, w in zip(row, dec.weights)] for row in dec.h1.entries])
+    residual = g @ dec.h2 - h1d
     try:
         if residual.is_zero_mod(dec.precision):
             return VerificationResult(True)

@@ -410,6 +410,29 @@ def test_verify_cartan_output(curve_file, tmp_path):
     assert run(["verify", str(out)]) == 0
 
 
+def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
+    # g = diag(t^-1 + 1, 1) has weights (-1, 0); the forged triple
+    # h1 = g, weights (0, 0), h2 = I multiplies out to g but h1 is not in K[[t]]
+    from borderlab import QQ, LaurentSeries, SeriesMatrix
+
+    g = SeriesMatrix(QQ, [[series(QQ, {-1: 1, 0: 1}), LaurentSeries.zero(QQ)],
+                          [LaurentSeries.zero(QQ), series(QQ, {0: 1})]])
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    out = tmp_path / "dec.json"
+    assert run(["cim", str(path), "--out", str(out)]) == 0
+    obj = read_json(out)
+    (factor,) = obj["factors"]
+    assert factor["decomposition"]["weights"] == [-1, 0]
+    factor["decomposition"].update(
+        h1=jsonio.matrix_to_obj(g), weights=[0, 0], h2=jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2))
+    )
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "residual: FAILED (h1 has an entry of valuation -1" in capsys.readouterr().out
+
+
 def test_verify_unknown_kind_exits_3(tmp_path):
     path = tmp_path / "odd.json"
     path.write_text(json.dumps({"kind": "mystery"}))

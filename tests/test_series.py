@@ -159,12 +159,24 @@ def kernel_operand(field, rng):
     return LaurentSeries(field, val, coeffs, trunc)
 
 
+def one_term_operand(field, rng):
+    """A single stored term, exact or cut at or above the next exponent."""
+    val = rng.randint(-6, 6)
+    c = kernel_scalar(field, rng, rng.choice(("small", "large", "extreme")))
+    return LaurentSeries(field, val, [c], rng.choice((None, val + 1, val + rng.randint(2, 9))))
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_mul_and_add_match_the_schoolbook_oracle(field):
     rng = random.Random(f"kernel:{field!r}")
+    ones = random.Random(f"one-term:{field!r}")
     for _ in range(400):
         a, b = kernel_operand(field, rng), kernel_operand(field, rng)
-        for got, want in ((a * b, schoolbook_mul(a, b)), (a + b, schoolbook_add(a, b))):
+        one = one_term_operand(field, ones)
+        # a one-term operand, on either side, is multiplied in without packing
+        cases = ((a * b, schoolbook_mul(a, b)), (a + b, schoolbook_add(a, b)),
+                 (one * a, schoolbook_mul(one, a)), (a * one, schoolbook_mul(a, one)))
+        for got, want in cases:
             assert got == want
             assert all(canonical(field, c) for c in got.coeffs)
 
