@@ -9,9 +9,8 @@ exceeds its smallest factor dimension).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 
 def dimension_upper_bound(d: int, dims: Sequence[int], r: int) -> int:
@@ -90,8 +89,7 @@ def generic_subrank(n: int) -> int:
     return math.isqrt(3 * n - 2)
 
 
-@dataclass(frozen=True)
-class CrossoverRow:
+class CrossoverRow(NamedTuple):
     n: int
     lower_3d: int
     generic: int

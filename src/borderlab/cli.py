@@ -13,18 +13,16 @@ byte-identical files); files are written atomically.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import os
 import random
 import sys
 import tempfile
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from . import bounds as bounds_mod
-from . import jsonio
-from .degeneration import certify_lower_bound, recheck_certificate
+# Only light modules are imported here: each subcommand imports the
+# modules it runs, so a job loads nothing it does not use.
 from .errors import (
     BorderlabError,
     NoLimitError,
@@ -33,13 +31,9 @@ from .errors import (
     SingularError,
     WitnessVerificationFailure,
 )
-from .fields import FieldContext, PrimeField, QQ, random_prime
-from .instances import random_invertible_laurent_matrix, random_witness_instance
-from .loopgroup import cartan_decompose, check_cartan, verify_cartan
-from .tensors import limit_at_infinity, limit_at_zero
-from .witness import build_witness, specialize
-from . import linalg
-from .tensors import act
+
+if TYPE_CHECKING:
+    from .fields import FieldContext
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -56,6 +50,8 @@ def _field(args) -> Optional[FieldContext]:
 
     The parser refuses ``--field q`` with ``--prime``.
     """
+    from .fields import PrimeField, QQ
+
     if args.field == "q":
         return QQ
     if args.prime is not None:
@@ -114,11 +110,15 @@ def _at_doubling_precision(precision: int, gs, attempt):
 
 
 def _decompose(g, precision: int):
+    from .loopgroup import cartan_decompose, check_cartan
+
     dec = cartan_decompose(g, precision)
     return dec, check_cartan(g, dec)
 
 
 def cmd_cim(args) -> int:
+    from . import jsonio
+
     matrices = jsonio.cim_input_from_obj(_load_json(args.input))
     results = []
     all_ok = True
@@ -141,6 +141,9 @@ def cmd_cim(args) -> int:
 
 
 def cmd_witness(args) -> int:
+    from . import jsonio
+    from .witness import build_witness
+
     gs, p, lift = jsonio.witness_input_from_obj(_load_json(args.input))
     witness = _at_doubling_precision(args.precision, gs, lambda n: build_witness(gs, p, n, lift=lift))
     out_obj = jsonio.witness_to_obj(witness)
@@ -151,6 +154,9 @@ def cmd_witness(args) -> int:
 
 
 def cmd_certify(args) -> int:
+    from . import jsonio
+    from .degeneration import certify_lower_bound
+
     # without a named prime, certify draws its first prime and its retry
     # primes from the one stream
     cert = certify_lower_bound(args.n, r=args.r, field=_field(args), rng=random.Random(args.seed))
@@ -163,11 +169,15 @@ def cmd_certify(args) -> int:
 
 
 def cmd_bounds(args) -> int:
+    from . import bounds
+
     if args.n_max < 0:
         raise ValueError("--n-max must be nonnegative")
-    rows = bounds_mod.scan_table(args.d, args.n_max) if args.n_max >= 1 else []
+    rows = bounds.scan_table(args.d, args.n_max) if args.n_max >= 1 else []
     header = ["n", "d3_lower", "generic_subrank", "dmz_lo", "border_upper", "excess_flag"]
     if args.format == "csv":
+        import csv
+
         buf = io.StringIO()
         writer = csv.writer(buf)
         writer.writerow(header)
@@ -188,9 +198,13 @@ def _csv_cell(v):
 
 
 def cmd_verify(args) -> int:
+    from . import jsonio
+
     obj = _load_json(args.input)
     kind = jsonio.document_kind(obj)
     if kind == "degeneration":
+        from .degeneration import recheck_certificate
+
         cert = jsonio.certificate_from_obj(obj)
         # the fresh prime comes from a stream of its own, apart from certify's
         results = recheck_certificate(cert, rng=random.Random(f"verify:{args.seed}"))
@@ -209,6 +223,9 @@ def cmd_verify(args) -> int:
 
 
 def _recheck_cartan(obj):
+    from . import jsonio
+    from .loopgroup import verify_cartan
+
     pairs = jsonio.cartan_results_from_obj(obj)
     results = []
     for i, (g, dec) in enumerate(pairs):
@@ -219,6 +236,11 @@ def _recheck_cartan(obj):
 
 
 def _recheck_witness(obj):
+    from . import jsonio, linalg
+    from .loopgroup import verify_cartan
+    from .tensors import act, limit_at_infinity, limit_at_zero
+    from .witness import specialize, sym3_lift
+
     witness = jsonio.witness_from_obj(obj)
     fld = witness.subgroup.field
     results = []
@@ -228,8 +250,6 @@ def _recheck_witness(obj):
         results.append((f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"))
     action = gs
     if witness.lift == "sym3":
-        from .witness import sym3_lift
-
         action = [sym3_lift(gs[0])]
     try:
         q = specialize(action, p)
@@ -256,6 +276,10 @@ def _recheck_witness(obj):
 
 
 def cmd_gen(args) -> int:
+    from . import jsonio
+    from .fields import PrimeField, QQ, random_prime
+    from .instances import random_invertible_laurent_matrix, random_witness_instance
+
     field = _field(args)
     if field is None:
         field = PrimeField(random_prime(62, random.Random(args.seed))) if args.field == "fp" else QQ

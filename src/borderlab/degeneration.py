@@ -25,8 +25,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import NoLimitError, PlacementError, ShapeError, SizeGuardError
@@ -38,8 +37,13 @@ def pyramid_size(r: int) -> int:
     return r * (r + 1) * (2 * r + 1) // 6
 
 
-@dataclass(frozen=True)
-class WeightProfile:
+class _WeightProfileFields(NamedTuple):
+    dims: tuple
+    weights: tuple  # tuple per factor, weakly increasing
+    pyramid_rank: Optional[int] = None
+
+
+class WeightProfile(_WeightProfileFields):
     """Weakly increasing integer weights per tensor factor.
 
     ``pyramid_rank`` marks profiles produced by
@@ -47,18 +51,22 @@ class WeightProfile:
     cross-checked against its closed form.
     """
 
-    dims: tuple
-    weights: tuple  # tuple per factor, weakly increasing
-    pyramid_rank: Optional[int] = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.weights) != len(self.dims):
+    def __new__(cls, dims: tuple, weights: tuple, pyramid_rank: Optional[int] = None):
+        if len(weights) != len(dims):
             raise ShapeError("one weight list per factor required")
-        for n, ws in zip(self.dims, self.weights):
+        for n, ws in zip(dims, weights):
             if len(ws) != n:
                 raise ShapeError("weight list length must match the factor dimension")
             if any(ws[i] > ws[i + 1] for i in range(len(ws) - 1)):
                 raise ValueError("weights must be weakly increasing within each factor")
+        return super().__new__(cls, dims, weights, pyramid_rank)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds its copy here, so a copy is validated too
+        return cls(*iterable)
 
     @property
     def order(self) -> int:
@@ -78,8 +86,7 @@ def pyramid_weight_profile(n: int, r: int) -> WeightProfile:
     return WeightProfile(dims=(n, n, n), weights=(ab, ab, third), pyramid_rank=r)
 
 
-@dataclass(frozen=True)
-class PyramidPattern:
+class PyramidPattern(NamedTuple):
     """Nonpositive-weight positions of a three-factor profile.
 
     ``positions`` is downward closed because the weights increase weakly;
@@ -143,8 +150,7 @@ def build_pyramid(profile: WeightProfile) -> PyramidPattern:
     return pattern
 
 
-@dataclass(frozen=True)
-class BlockPlacement:
+class BlockPlacement(NamedTuple):
     """One planted full-rank block: size ``s+1`` at layer ``l = r - s``.
 
     Even ``s`` places the block on rows ``[start, start+s]`` x columns
@@ -313,8 +319,7 @@ MAX_PRIME_RETRIES = 3
 MAX_BLOCK_RETRIES = 2
 
 
-@dataclass(frozen=True)
-class DegenerationCertificate:
+class DegenerationCertificate(NamedTuple):
     """Everything needed to re-derive the dominance certificate from scratch."""
 
     n: int
@@ -507,8 +512,7 @@ def is_downward_closed(positions, d: int) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class DichotomyResult:
+class DichotomyResult(NamedTuple):
     """Either a hypercube inside the set or an explicit small slice cover."""
 
     kind: str  # "hypercube" | "cover"

@@ -6,23 +6,25 @@ sorted keys by the CLI so identical inputs yield byte-identical files.
 
 Decoders check the shape of what they read: a value of the wrong JSON type
 raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
+
+A decoder imports the module of the type it builds when it runs, so reading
+a ``cim`` document loads no tensor code and reading a witness loads no
+degeneration code.
 """
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .degeneration import (
-    BlockPlacement,
-    DegenerationCertificate,
-    WeightProfile,
-)
 from .errors import SchemaError
 from .fields import FieldContext
-from .loopgroup import CartanDecomposition
 from .series import LaurentSeries, SeriesMatrix
-from .tensors import OneParamSubgroup, SubgroupFactor, Tensor
-from .witness import LimitWitness
+
+if TYPE_CHECKING:
+    from .degeneration import BlockPlacement, DegenerationCertificate, WeightProfile
+    from .loopgroup import CartanDecomposition
+    from .tensors import OneParamSubgroup, Tensor
+    from .witness import LimitWitness
 
 TOOL_VERSION = "borderlab-0.1.0"
 
@@ -128,6 +130,8 @@ def tensor_to_obj(t: Tensor) -> dict:
 
 
 def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
+    from .tensors import Tensor
+
     _dict(obj, "tensor")
     fld = field if field is not None else field_from_obj(obj["field"])
     dims = tuple(_int(n, "tensor dim") for n in _list(obj["dims"], "tensor dims"))
@@ -150,6 +154,8 @@ def subgroup_to_obj(s: OneParamSubgroup) -> dict:
 
 
 def subgroup_from_obj(obj: dict, field: Optional[FieldContext] = None) -> OneParamSubgroup:
+    from .tensors import OneParamSubgroup, SubgroupFactor
+
     _dict(obj, "subgroup")
     fld = field if field is not None else field_from_obj(obj["field"])
     factors = []
@@ -177,6 +183,8 @@ def cartan_to_obj(dec: CartanDecomposition) -> dict:
 
 
 def cartan_from_obj(obj: dict, field: Optional[FieldContext] = None) -> CartanDecomposition:
+    from .loopgroup import CartanDecomposition
+
     _dict(obj, "decomposition")
     h1 = matrix_from_obj(obj["h1"], field)
     h2 = matrix_from_obj(obj["h2"], field)
@@ -202,6 +210,8 @@ def witness_to_obj(w: LimitWitness) -> dict:
 
 
 def witness_from_obj(obj: dict) -> LimitWitness:
+    from .witness import LimitWitness
+
     subgroup = subgroup_from_obj(_dict(obj, "witness")["lambda"])
     fld = subgroup.field
     q = tensor_from_obj(obj["q"], fld)
@@ -234,6 +244,8 @@ def profile_to_obj(p: WeightProfile) -> dict:
 
 
 def profile_from_obj(obj: dict) -> WeightProfile:
+    from .degeneration import WeightProfile
+
     _dict(obj, "profile")
     return WeightProfile(
         dims=tuple(_int(n, "profile dim") for n in _list(obj["dims"], "profile dims")),
@@ -250,6 +262,8 @@ def placement_to_obj(p: BlockPlacement) -> dict:
 
 
 def placement_from_obj(obj: dict) -> BlockPlacement:
+    from .degeneration import BlockPlacement
+
     _dict(obj, "placement")
     return BlockPlacement(
         s=_int(obj["s"], "placement s"),
@@ -280,6 +294,8 @@ def certificate_to_obj(c: DegenerationCertificate) -> dict:
 
 
 def certificate_from_obj(obj: dict) -> DegenerationCertificate:
+    from .degeneration import DegenerationCertificate
+
     if document_kind(obj) != "degeneration":
         raise SchemaError("not a degeneration certificate")
     s_tensor = tensor_from_obj(obj["S"])
@@ -322,9 +338,27 @@ def witness_input_from_obj(obj, field: Optional[FieldContext] = None):
     return gs, tensor_from_obj(obj["p"], gs[0].field), obj.get("lift")
 
 
+#: the keys ``cim`` writes per factor; a one-factor output repeats them at the top level
+_CIM_RESULT_KEYS = ("input", "decomposition", "verified", "reason")
+
+
 def cartan_results_from_obj(obj) -> list:
-    """``(g, decomposition)`` per factor of a ``cim`` output."""
-    factors = _list(obj["factors"], "factors") if "factors" in _dict(obj, "cim output") else [obj]
+    """``(g, decomposition)`` per factor of a ``cim`` output.
+
+    The top-level copy of a one-factor output must equal ``factors[0]``:
+    a copy that differs, or one beside several factors, is refused rather
+    than left unchecked.
+    """
+    if "factors" not in _dict(obj, "cim output"):
+        factors = [obj]
+    else:
+        factors = _list(obj["factors"], "factors")
+        copied = [key for key in _CIM_RESULT_KEYS if key in obj]
+        if copied and len(factors) != 1:
+            raise SchemaError(f"top-level {copied[0]} beside {len(factors)} factors")
+        for key in copied:
+            if obj[key] != _dict(factors[0], "cim result").get(key):
+                raise SchemaError(f"top-level {key} differs from factors[0].{key}")
     pairs = []
     for fac in factors:
         g = matrix_from_obj(_dict(fac, "cim result")["input"])

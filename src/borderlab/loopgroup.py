@@ -14,16 +14,14 @@ triple passes verification.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import PrecisionError, ShapeError, SingularError
 from .series import DEFAULT_TRUNCATION, SeriesMatrix, certify_min_valuation
 
 
-@dataclass(frozen=True)
-class CartanDecomposition:
+class CartanDecomposition(NamedTuple):
     """The verified triple ``g ≡ h1 · diag(t^weights) · h2^{-1} mod t^precision``.
 
     ``h1(0)`` and ``h2(0)`` are invertible constant matrices, and the
@@ -41,8 +39,7 @@ class CartanDecomposition:
         return len(self.weights)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(NamedTuple):
     """Outcome of a residual check; ``residual`` is kept when it is nonzero."""
 
     passed: bool

@@ -18,8 +18,7 @@ with ``j`` up to the ambient dimension).
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import NoLimitError, ShapeError
@@ -198,8 +197,7 @@ def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> Tensor:
 # one-parameter subgroups and limits
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class SubgroupFactor:
+class SubgroupFactor(NamedTuple):
     """One tensor factor of a subgroup: optional basis matrix plus weights.
 
     ``basis is None`` means the standard basis; otherwise it is an
@@ -319,8 +317,7 @@ class SingularBasisError(ShapeError):
     """Raised when a subgroup basis matrix is not invertible."""
 
 
-@dataclass(frozen=True)
-class WeightDecomposition:
+class WeightDecomposition(NamedTuple):
     """Split of a tensor into weight components of a one-parameter subgroup.
 
     ``components`` maps each realized weight to the component tensor in the

@@ -17,8 +17,7 @@ the fixed cubic symmetric-power lift of 2x2 matrices.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import NoLimitError, ShapeError, WitnessVerificationFailure
@@ -101,8 +100,7 @@ def specialize(gs: Sequence[SeriesMatrix], p: Tensor) -> Tensor:
     return Tensor(p.field, moved.dims, constant_terms)
 
 
-@dataclass(frozen=True)
-class LimitWitness:
+class LimitWitness(NamedTuple):
     """A verified two-sided-limit witness.
 
     ``limit_at_zero(subgroup, p)`` and ``limit_at_infinity(subgroup,

@@ -150,8 +150,7 @@ def test_cim_uncertifiable_pivot_exits_2(tmp_path, capsys):
 def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monkeypatch, capsys):
     # the input is known to t^5: it verifies at precision 4, and a higher
     # precision is refused at once instead of being doubled toward 256
-    from borderlab import QQ, LaurentSeries, SeriesMatrix
-    from borderlab import cli
+    from borderlab import QQ, LaurentSeries, SeriesMatrix, loopgroup
 
     def known_to_t5(*coeffs):
         return LaurentSeries(QQ, 0, [QQ.from_int(c) for c in coeffs], 5)
@@ -160,8 +159,8 @@ def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monke
     path = tmp_path / "t5.json"
     path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
     tried = []
-    decompose = cli.cartan_decompose
-    monkeypatch.setattr(cli, "cartan_decompose", lambda g, n: tried.append(n) or decompose(g, n))
+    decompose = loopgroup.cartan_decompose
+    monkeypatch.setattr(loopgroup, "cartan_decompose", lambda g, n: tried.append(n) or decompose(g, n))
     assert run(["cim", str(path), "--precision", "4", "--out", str(tmp_path / "dec.json")]) == 0
     assert tried == [4]
     tried.clear()
@@ -242,8 +241,6 @@ def test_witness_no_limit_exits_1(tmp_path, capsys):
 def test_witness_retries_a_precision_failure(witness_file, tmp_path, monkeypatch):
     # the first decomposition's h1 is known only to t^1, so its Cartan check
     # cannot be decided at precision 32: that is retried, not refuted
-    import dataclasses
-
     from borderlab import SeriesMatrix, witness
 
     tried = []
@@ -255,7 +252,7 @@ def test_witness_retries_a_precision_failure(witness_file, tmp_path, monkeypatch
         if len(tried) > 1:
             return dec
         h1 = SeriesMatrix(dec.h1.field, [[e.truncate(1) for e in row] for row in dec.h1.entries])
-        return dataclasses.replace(dec, h1=h1)
+        return dec._replace(h1=h1)
 
     monkeypatch.setattr(witness, "cartan_decompose", cut_first)
     assert run(["witness", witness_file, "--out", str(tmp_path / "w.json")]) == 0
@@ -404,10 +401,44 @@ def test_verify_witness_output(witness_file, tmp_path):
     assert run(["verify", str(out)]) == 0
 
 
-def test_verify_cartan_output(curve_file, tmp_path):
+def test_verify_cartan_output(curve_file, tmp_path, capsys):
     out = tmp_path / "dec.json"
     assert run(["cim", curve_file, "--out", str(out)]) == 0
     assert run(["verify", str(out)]) == 0
+    assert capsys.readouterr().out == "residual: ok (g = h1 diag(t^w) h2^-1 mod t^N)\n"
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("decomposition", "weights"), [5, 7]),
+        (("factors", 0, "decomposition", "weights"), [5, 7]),
+        (("verified",), False),
+        (("input", "entries", 0, 0, "val"), 1),
+    ],
+    ids=["top-weights", "factor-weights", "top-verified", "top-input"],
+)
+def test_verify_refuses_a_cartan_copy_that_differs(curve_file, tmp_path, capsys, path, value):
+    # a one-factor cim output carries its factor twice, in factors[0] and at
+    # the top level; verify checks factors[0], so the copies must agree
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--out", str(out)]) == 0
+    out.write_text(json.dumps(replaced(read_json(out), path, value)))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "differs from factors[0]" in captured.err
+
+
+def test_verify_refuses_a_top_level_copy_beside_several_factors(curve_file, tmp_path, capsys):
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--out", str(out)]) == 0
+    doc = read_json(out)
+    doc["factors"].append(copy.deepcopy(doc["factors"][0]))
+    out.write_text(json.dumps(doc))
+    assert run(["verify", str(out)]) == 3
+    assert "beside 2 factors" in capsys.readouterr().err
 
 
 def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
@@ -424,9 +455,9 @@ def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
     obj = read_json(out)
     (factor,) = obj["factors"]
     assert factor["decomposition"]["weights"] == [-1, 0]
-    factor["decomposition"].update(
-        h1=jsonio.matrix_to_obj(g), weights=[0, 0], h2=jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2))
-    )
+    # forge both copies alike, so that the residual check is what refuses it
+    for dec in (factor["decomposition"], obj["decomposition"]):
+        dec.update(h1=jsonio.matrix_to_obj(g), weights=[0, 0], h2=jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2)))
     out.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1

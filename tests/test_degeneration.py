@@ -261,12 +261,10 @@ def test_recheck_round_trip_and_tamper():
     assert all(ok for _, ok, _ in results)
 
     # tamper inside the pyramid: the restriction clause must fail
-    import dataclasses
-
     entries = dict(cert.t_tilde.support())
     entries[(1, 1, 1)] = cert.t_tilde.field.one()  # (1,1,1) is in P but not in S
-    tampered = dataclasses.replace(
-        cert, t_tilde=Tensor.from_entries(cert.t_tilde.field, cert.t_tilde.dims, entries)
+    tampered = cert._replace(
+        t_tilde=Tensor.from_entries(cert.t_tilde.field, cert.t_tilde.dims, entries)
     )
     results = recheck_certificate(tampered, rng=random.Random(99))
     by_clause = {clause: ok for clause, ok, _ in results}

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import random
@@ -171,7 +170,7 @@ def test_verify_accepts_alternative_valid_triples():
 def test_verify_rejects_permuted_weights():
     g = sl2_example_matrix()
     dec = cartan_decompose(g, 16)
-    tampered = dataclasses.replace(dec, weights=(2, -2))
+    tampered = dec._replace(weights=(2, -2))
     verdict = verify_cartan(g, tampered)
     assert not verdict.passed
     assert verdict.residual is not None
@@ -295,10 +294,10 @@ def tampered(dec, rng):
     bumped = list(dec.weights)
     bumped[j] += rng.choice((-1, 1))
     return [
-        dataclasses.replace(dec, h1=with_entry(dec.h1, i, j, plus_term(dec.h1.entries[i][j], c, k))),
-        dataclasses.replace(dec, h2=with_entry(dec.h2, i, j, plus_term(dec.h2.entries[i][j], c, k))),
-        dataclasses.replace(dec, h2=with_entry(dec.h2, i, j, plus_term(dec.h2.entries[i][j], field.one(), -1))),
-        dataclasses.replace(dec, weights=tuple(bumped)),
+        dec._replace(h1=with_entry(dec.h1, i, j, plus_term(dec.h1.entries[i][j], c, k))),
+        dec._replace(h2=with_entry(dec.h2, i, j, plus_term(dec.h2.entries[i][j], c, k))),
+        dec._replace(h2=with_entry(dec.h2, i, j, plus_term(dec.h2.entries[i][j], field.one(), -1))),
+        dec._replace(weights=tuple(bumped)),
     ]
 
 

@@ -1,18 +1,28 @@
-"""The names that outside tooling reaches into the package by.
+"""The names that outside tooling reaches into the package by, and what
+each subcommand imports.
 
 ``perfbench/spans.py`` wraps borderlab functions and methods by module and
 attribute name, so a renamed or deleted one would only show when a traced
 benchmark run fails.  These tests make it fail here instead.
+
+Start-up is most of a small job, so each subcommand must import only the
+modules it runs; fresh ``python -S`` children record what a run loaded.
 """
 
 import importlib.util
+import json
 import os
+import subprocess
 import sys
+
+import pytest
 
 import borderlab
 from borderlab.cli import main
 
 ROOT = os.path.join(os.path.dirname(__file__), os.pardir)
+SRC = os.path.abspath(os.path.join(ROOT, "src"))
+DATA = os.path.abspath(os.path.join(ROOT, "data"))
 
 
 def load_spans():
@@ -67,3 +77,108 @@ def test_tracer_counts_the_series_kernels_under_cim(tmp_path):
     assert tracer.counts["series.coeff_mults"] > 0
     assert tracer.counts["series.add_calls"] > 0
     assert "loopgroup.smith_form" in {span[0] for span in tracer.spans}
+
+
+# ---------------------------------------------------------------------------
+# lazy package exports
+# ---------------------------------------------------------------------------
+
+def test_exported_names_are_their_home_modules_objects():
+    for name in borderlab.__all__:
+        home = importlib.import_module(f"borderlab.{borderlab._HOMES[name]}")
+        expected = home if home.__name__ == f"borderlab.{name}" else getattr(home, name)
+        assert getattr(borderlab, name) is expected, name
+    assert borderlab.Tensor is borderlab.tensors.Tensor
+
+
+def test_dir_and_star_import_cover_all():
+    assert set(borderlab.__all__) <= set(dir(borderlab))
+    namespace = {}
+    exec("from borderlab import *", namespace)
+    assert set(borderlab.__all__) <= set(namespace)
+
+
+def test_unknown_name_raises_attribute_error():
+    with pytest.raises(AttributeError, match="no_such_name"):
+        borderlab.no_such_name
+    with pytest.raises(ImportError):
+        exec("from borderlab import no_such_name", {})
+
+
+# ---------------------------------------------------------------------------
+# what each subcommand imports
+# ---------------------------------------------------------------------------
+
+# argv None: only ``import borderlab``
+CHILD = """
+import contextlib, io, json, sys
+argv = json.loads(sys.argv[1])
+rc = 0
+if argv is None:
+    import borderlab
+else:
+    from borderlab.cli import main
+    with contextlib.redirect_stdout(io.StringIO()):
+        rc = main(argv)
+print(json.dumps({"rc": rc, "modules": sorted(sys.modules)}))
+"""
+
+SUBMODULES = {
+    "bounds", "cli", "degeneration", "errors", "fields", "instances",
+    "jsonio", "linalg", "loopgroup", "series", "tensors", "witness",
+}
+CIM_FREE = {"tensors", "witness", "degeneration", "bounds", "instances"}
+WITNESS_FREE = {"degeneration", "bounds", "instances"}
+CERTIFY_FREE = {"loopgroup", "witness", "bounds"}
+
+# (case, argv, submodules it must not load); the verify cases read the
+# outputs of the cases before them
+PRODUCERS = [
+    ("import", None, SUBMODULES),
+    ("help", ["--help"], SUBMODULES - {"cli", "errors"}),
+    ("bounds", ["bounds", "--n-max", "5"], {"series", "loopgroup", "tensors", "degeneration"}),
+    ("certify", ["certify", "--n", "9", "--out", "cert.json"], CERTIFY_FREE),
+    ("cim", ["cim", os.path.join(DATA, "binary_cubics_curve.json"), "--out", "cim.json"], CIM_FREE),
+    ("witness", ["witness", os.path.join(DATA, "binary_cubics_witness.json"), "--out", "wit.json"], WITNESS_FREE),
+    ("gen-cim", ["gen", "--kind", "cim"], set()),
+]
+VERIFIERS = [
+    ("verify-certificate", ["verify", "cert.json"], CERTIFY_FREE),
+    ("verify-cim", ["verify", "cim.json"], CIM_FREE),
+    ("verify-witness", ["verify", "wit.json"], WITNESS_FREE),
+]
+
+
+def run_children(cases, cwd):
+    """Run the cases' children side by side; ``{case: (rc, modules)}``."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    procs = [
+        (case, subprocess.Popen(
+            [sys.executable, "-S", "-c", CHILD, json.dumps(argv)],
+            cwd=cwd, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        ))
+        for case, argv, _ in cases
+    ]
+    loaded = {}
+    for case, proc in procs:
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, (case, err)
+        reply = json.loads(out)
+        loaded[case] = (reply["rc"], set(reply["modules"]))
+    return loaded
+
+
+@pytest.fixture(scope="module")
+def loaded(tmp_path_factory):
+    cwd = tmp_path_factory.mktemp("imports")
+    found = run_children(PRODUCERS, cwd)
+    found.update(run_children(VERIFIERS, cwd))
+    return found
+
+
+@pytest.mark.parametrize("case, argv, absent", PRODUCERS + VERIFIERS, ids=[c[0] for c in PRODUCERS + VERIFIERS])
+def test_subcommand_imports_only_what_it_runs(loaded, case, argv, absent):
+    rc, modules = loaded[case]
+    assert rc == 0
+    assert not modules & {"dataclasses", "inspect"}
+    assert not modules & {f"borderlab.{name}" for name in absent}
