@@ -6,6 +6,13 @@ residues in ``[0, p)`` for a prime field -- and all arithmetic goes through
 a :class:`FieldContext`.  One context is shared by every scalar of a
 computation; combining values from different contexts raises
 :class:`~borderlab.errors.FieldMismatchError`.
+
+A context also owns the coefficient vectors that Laurent series store: a
+vector is a pair ``(nums, den)`` of integers standing for the scalars
+``num / den``.  Over the rationals ``den`` is positive and
+``gcd(den, *nums) == 1``, as FLINT's ``fmpq_poly`` keeps it; over F_p the
+numerators are residues in ``[0, p)`` and ``den`` is 1.  The ``vec_*``
+kernels take vectors in that form and return one in that form.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ from __future__ import annotations
 import math
 import random
 from fractions import Fraction
+from operator import add, mul
 
 from .errors import FieldMismatchError
 
@@ -88,6 +96,21 @@ def _int_convolve(xs, ys, length: int, bound: int, signed: bool) -> list:
     return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
 
 
+def _aligned_sum(xs, ys, off: int, p=None) -> list:
+    """Slot-wise sum of two integer vectors, ``ys`` starting ``off >= 0`` slots into ``xs``.
+
+    With a modulus ``p`` the slots where both vectors have entries are
+    reduced mod ``p``; the others keep the operands' own int objects.
+    """
+    if off >= len(xs):
+        return [*xs, *[0] * (off - len(xs)), *ys]
+    both = min(len(xs) - off, len(ys))
+    overlap = map(add, xs[off : off + both], ys)
+    if p is not None:
+        overlap = [v % p for v in overlap]
+    return [*xs[:off], *overlap, *xs[off + both :], *ys[both:]]
+
+
 class FieldContext:
     """Common interface of the two coefficient fields.
 
@@ -114,26 +137,63 @@ class FieldContext:
         raise NotImplementedError
 
     def convolve(self, xs, ys, length: int) -> list:
-        """The first ``length`` coefficients of the product of two coefficient vectors.
+        """The first ``length`` coefficients of the product of two scalar lists.
 
-        ``xs`` and ``ys`` hold the coefficients of ``t^0, t^1, ...`` of two
-        polynomials; the result is in canonical form, zero-padded when
-        ``length`` exceeds the product's length.  A length-1 operand is
-        multiplied into the other directly, since packing would cost more
-        than the products; longer ones go to :meth:`_kronecker`.
+        ``xs`` and ``ys`` hold the scalar coefficients of ``t^0, t^1, ...``
+        of two polynomials; the result is in canonical form, zero-padded
+        when ``length`` exceeds the product's length.  It is
+        :meth:`vec_mul` on the lists' vectors.
         """
         xs, ys = xs[:length], ys[:length]
         if not xs or not ys:
             return [self.zero()] * max(length, 0)
-        if len(ys) == 1:
-            xs, ys = ys, xs
-        if len(xs) == 1:
-            c = xs[0]
-            return [self.mul(c, y) for y in ys] + [self.zero()] * (length - len(ys))
-        return self._kronecker(xs, ys, length)
+        out = self.scalars(*self.vec_mul(*self.vector(xs), *self.vector(ys), length))
+        return [*out, *[self.zero()] * (length - len(out))]
 
-    def _kronecker(self, xs, ys, length: int) -> list:
-        """:meth:`convolve` of two nonempty vectors cut to ``length``, by :func:`_int_convolve`."""
+    # -- coefficient vectors ----------------------------------------------
+    def vector(self, coeffs):
+        """The vector ``(nums, den)`` of the canonical scalars ``coeffs``."""
+        raise NotImplementedError
+
+    def scalars(self, nums, den) -> tuple:
+        """The canonical scalars of a vector."""
+        raise NotImplementedError
+
+    def scalar(self, num: int, den: int):
+        """The canonical scalar ``num / den`` of one slot of a vector."""
+        raise NotImplementedError
+
+    def format_vector(self, nums, den) -> list:
+        """:meth:`format` of every scalar of a vector."""
+        raise NotImplementedError
+
+    def vec_reduce(self, nums, den):
+        """Canonical form of a vector whose numerators may share a factor with ``den``."""
+        return nums, den
+
+    def vec_add(self, xs, dx, ys, dy, off: int):
+        """Sum of two vectors, ``ys`` starting ``off >= 0`` slots into ``xs``."""
+        raise NotImplementedError
+
+    def vec_neg(self, nums, den):
+        """The negated vector."""
+        raise NotImplementedError
+
+    def vec_scale(self, nums, den, c):
+        """A vector times the nonzero scalar ``c``."""
+        raise NotImplementedError
+
+    def vec_mul(self, xs, dx, ys, dy, length: int):
+        """The first ``length`` slots of the product of two nonempty vectors.
+
+        A length-1 operand is multiplied into the other directly, since
+        packing would cost more than the products; longer ones go to
+        :func:`_int_convolve`.  The result may stop short of ``length``.
+        """
+        raise NotImplementedError
+
+    def vec_inverse(self, nums, den, m: int):
+        """The first ``m`` slots of the inverse of a unit vector (``nums[0] != 0``)."""
         raise NotImplementedError
 
     # -- constants and conversions ---------------------------------------
@@ -199,20 +259,94 @@ class Rationals(FieldContext):
             raise ZeroDivisionError("inverse of zero")
         return 1 / Fraction(a)
 
-    def _kronecker(self, xs, ys, length):
-        # integer numerators over each operand's common denominator, one
-        # signed Kronecker product, one Fraction per output coefficient
-        dx = math.lcm(*(x.denominator for x in xs))
-        dy = math.lcm(*(y.denominator for y in ys))
-        nx = [x.numerator * (dx // x.denominator) for x in xs]
-        ny = [y.numerator * (dy // y.denominator) for y in ys]
-        bound = (
-            max(map(abs, nx)).bit_length()
-            + max(map(abs, ny)).bit_length()
-            + min(len(nx), len(ny)).bit_length()
-        )
-        d = dx * dy
-        return [Fraction(c, d) for c in _int_convolve(nx, ny, length, bound, True)]
+    def vector(self, coeffs):
+        # lowest-terms scalars over the lcm of their denominators have no
+        # common factor left with it
+        coeffs = list(coeffs)
+        dens = [c.denominator for c in coeffs]
+        den = math.lcm(*dens)
+        if den == 1:
+            return [c.numerator for c in coeffs], 1
+        return [c.numerator * (den // d) for c, d in zip(coeffs, dens)], den
+
+    def scalars(self, nums, den):
+        if den == 1:
+            return tuple(map(Fraction, nums))
+        return tuple([Fraction(n, den) for n in nums])
+
+    def scalar(self, num, den):
+        return Fraction(num, den)
+
+    def format_vector(self, nums, den):
+        if den == 1:
+            return [str(n) for n in nums]
+        out = []
+        for n in nums:
+            g = math.gcd(n, den)
+            out.append(str(n // g) if g == den else f"{n // g}/{den // g}")
+        return out
+
+    def vec_reduce(self, nums, den):
+        g = math.gcd(den, *nums) if den != 1 else 1
+        if g == 1:
+            return nums, den
+        return [n // g for n in nums], den // g
+
+    def vec_add(self, xs, dx, ys, dy, off):
+        if dx != dy:
+            g = math.gcd(dx, dy)
+            fx, fy = dy // g, dx // g
+            xs = [x * fx for x in xs]
+            ys = [y * fy for y in ys]
+            dx *= fx
+        return self.vec_reduce(_aligned_sum(xs, ys, off), dx)
+
+    def vec_neg(self, nums, den):
+        return [-n for n in nums], den
+
+    def vec_scale(self, nums, den, c):
+        cn = c.numerator
+        return self.vec_reduce([n * cn for n in nums], den * c.denominator)
+
+    def vec_mul(self, xs, dx, ys, dy, length):
+        xs, ys = xs[:length], ys[:length]
+        if len(ys) == 1:
+            xs, ys = ys, xs
+        if len(xs) == 1:
+            c = xs[0]
+            out = [c * y for y in ys]
+        else:
+            # one signed Kronecker product of the numerators
+            bound = (
+                max(map(abs, xs)).bit_length()
+                + max(map(abs, ys)).bit_length()
+                + min(len(xs), len(ys)).bit_length()
+            )
+            out = _int_convolve(xs, ys, length, bound, True)
+        return self.vec_reduce(out, dx * dy)
+
+    def vec_inverse(self, nums, den, m):
+        # with A = sum a_i t^i the unit is A / den, so its inverse is
+        # den / A.  The coefficients y_k of 1/A have denominator a0^(k+1):
+        # y_k = z_k / a0^(k+1) with z_0 = 1 and
+        # z_k = -sum_{i>=1} a_i a0^(i-1) z_(k-i), a recurrence over the
+        # integers; the result is put over a0^m and reduced once
+        a0 = nums[0]
+        b, power = [], 1
+        for a in nums[1:m]:
+            b.append(a * power)
+            power *= a0
+        z, stop = [1], -len(b) - 1
+        for _ in range(1, m):
+            z.append(-sum(map(mul, b, z[:stop:-1])))
+        out, power = [0] * m, den
+        for k in range(m - 1, -1, -1):
+            out[k] = z[k] * power
+            power *= a0
+        d = power // den
+        if d < 0:
+            out, d = [-n for n in out], -d
+        return self.vec_reduce(out, d)
 
     def zero(self):
         return Fraction(0)
@@ -281,11 +415,51 @@ class PrimeField(FieldContext):
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.p)
 
-    def _kronecker(self, xs, ys, length):
-        # residues are nonnegative, so the slots need no sign
+    def vector(self, coeffs):
         p = self.p
+        return [c % p for c in coeffs], 1
+
+    def scalars(self, nums, den):
+        return tuple(nums)
+
+    def scalar(self, num, den):
+        return num
+
+    def format_vector(self, nums, den):
+        return [str(n) for n in nums]
+
+    def vec_add(self, xs, dx, ys, dy, off):
+        return _aligned_sum(xs, ys, off, self.p), 1
+
+    def vec_neg(self, nums, den):
+        p = self.p
+        return [-n % p for n in nums], 1
+
+    def vec_scale(self, nums, den, c):
+        p = self.p
+        return [n * c % p for n in nums], 1
+
+    def vec_mul(self, xs, dx, ys, dy, length):
+        p = self.p
+        xs, ys = xs[:length], ys[:length]
+        if len(ys) == 1:
+            xs, ys = ys, xs
+        if len(xs) == 1:
+            c = xs[0]
+            return [c * y % p for y in ys], 1
+        # residues are nonnegative, so the slots need no sign
         bound = 2 * (p - 1).bit_length() + min(len(xs), len(ys)).bit_length()
-        return [c % p for c in _int_convolve(xs, ys, length, bound, False)]
+        return [c % p for c in _int_convolve(xs, ys, length, bound, False)], 1
+
+    def vec_inverse(self, nums, den, m):
+        # u * x = 1 solved term by term, one reduction per term
+        p = self.p
+        lead_inv = pow(nums[0], -1, p)
+        b = nums[1:m]
+        out, stop = [lead_inv], -len(b) - 1
+        for _ in range(1, m):
+            out.append(-lead_inv * sum(map(mul, b, out[:stop:-1])) % p)
+        return out, 1
 
     def zero(self):
         return 0

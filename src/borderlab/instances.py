@@ -11,11 +11,13 @@ runs are reproducible from a single seed.
 from __future__ import annotations
 
 import random
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from .fields import FieldContext
 from .series import LaurentSeries, SeriesMatrix
-from .tensors import Tensor, act_series
+
+if TYPE_CHECKING:
+    from .tensors import Tensor
 
 
 def random_laurent_polynomial(
@@ -32,7 +34,7 @@ def random_laurent_polynomial(
         for _ in range(rng.randint(0 if not nonzero else 1, max_terms)):
             terms[rng.randint(min_exp, max_exp)] = field.random_scalar(rng)
         s = LaurentSeries.from_terms(field, terms)
-        if not nonzero or s.coeffs:
+        if not nonzero or s.nums:
             return s
 
 
@@ -90,6 +92,8 @@ def random_invertible_laurent_matrix(
 
 
 def random_tensor(field: FieldContext, dims: Sequence[int], rng: random.Random, density: float = 0.6) -> Tensor:
+    from .tensors import Tensor
+
     entries = {}
     def fill(prefix):
         if len(prefix) == len(dims):
@@ -115,6 +119,8 @@ def random_witness_instance(
     then scaled by a power of ``t`` making the moved tensor's minimal
     valuation exactly zero (so the limit exists and is nonzero).
     """
+    from .tensors import act_series
+
     dims = tuple(dims)
     gs = []
     for n in dims:

@@ -76,12 +76,12 @@ def field_from_obj(obj: dict) -> FieldContext:
 
 def series_to_obj(s: LaurentSeries) -> dict:
     if s.is_exact:
-        trunc = s.val + len(s.coeffs)
+        trunc = s.val + len(s.nums)
     else:
         trunc = s.trunc
     return {
         "val": s.val,
-        "coeffs": [s.field.format(c) for c in s.coeffs],
+        "coeffs": s.field.format_vector(s.nums, s.den),
         "trunc": trunc,
         "exact": s.is_exact,
     }

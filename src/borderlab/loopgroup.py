@@ -172,7 +172,7 @@ def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResul
         raise ShapeError("decomposition shape does not match the matrix")
     field = g.field
     for name, h in (("h1", dec.h1), ("h2", dec.h2)):
-        low = min((e.val for row in h.entries for e in row if e.coeffs), default=0)
+        low = min((e.val for row in h.entries for e in row if e.nums), default=0)
         if low < 0:
             return VerificationResult(False, f"{name} has an entry of valuation {low}, outside K[[t]]")
     try:

@@ -8,8 +8,12 @@ series is an exact Laurent polynomial (no unknown tail).  Values are
 immutable after construction and all operations are pure, so everything
 here is safe for unrestricted concurrent use.
 
-A product is computed by the field's :meth:`~borderlab.fields.FieldContext.convolve`
-kernel, a sum by adding the aligned coefficient slices.
+The coefficients are stored as one vector that the field owns
+(:mod:`borderlab.fields`): integer numerators ``nums`` over one positive
+denominator ``den`` for the rationals, residues over 1 for F_p, canonical
+and with no zero at either end.  The field's ``vec_*`` kernels do the
+coefficient work; this module keeps only the exponents and truncation
+orders.  ``coeffs`` reads the vector back as scalars.
 
 Truncation orders propagate through arithmetic automatically:
 ``add`` takes the minimum, ``mul`` uses ``min(Na + v(b), Nb + v(a))``, and
@@ -28,6 +32,41 @@ from .fields import FieldContext
 DEFAULT_TRUNCATION = 32
 
 
+def _init(s, field, val, nums, den, trunc):
+    """Store the vector ``nums / den`` from ``t^val`` in ``s``, cut at ``trunc``.
+
+    The vector must be canonical up to zero ends and the slots at or above
+    ``trunc``; zero ends are stripped, and the vector is renormalised only
+    when the cut dropped slots, since only that can leave a factor common
+    to the numerators and the denominator.
+    """
+    if trunc is not None and trunc - val < len(nums):
+        nums, den = field.vec_reduce(nums[: max(trunc - val, 0)], den)
+    if nums and not (nums[0] and nums[-1]):
+        hi = len(nums)
+        while hi and not nums[hi - 1]:
+            hi -= 1
+        lo = 0
+        while lo < hi and not nums[lo]:
+            lo += 1
+        nums = nums[lo:hi]
+        val += lo
+    if not nums:
+        val, den = 0, 1
+    _set_field(s, field)
+    _set_val(s, val)
+    _set_nums(s, tuple(nums))
+    _set_den(s, den)
+    _set_trunc(s, trunc)
+
+
+def _series(field, val, nums, den, trunc) -> "LaurentSeries":
+    """The series of a kernel's output vector (see :func:`_init`)."""
+    s = object.__new__(LaurentSeries)
+    _init(s, field, val, nums, den, trunc)
+    return s
+
+
 class LaurentSeries:
     """A truncated or exact Laurent series over a :class:`FieldContext`.
 
@@ -37,58 +76,48 @@ class LaurentSeries:
     val : int
         Exponent of the first stored coefficient.
     coeffs : sequence
-        Coefficients of ``t^val, t^(val+1), ...``; normalized so that the
+        Canonical scalars, the coefficients of ``t^val, t^(val+1), ...``;
+        stored as the field's vector ``nums / den``, normalized so that the
         first and last stored coefficients are nonzero.
     trunc : int | None
         Coefficients of ``t^k`` with ``k >= trunc`` are unknown; ``None``
         marks an exact series.
     """
 
-    __slots__ = ("field", "val", "coeffs", "trunc")
+    __slots__ = ("field", "val", "nums", "den", "trunc")
 
     def __init__(self, field: FieldContext, val: int, coeffs: Sequence, trunc: Optional[int] = None):
-        coeffs = list(coeffs)
-        if trunc is not None:
-            # defensive clip: drop stored coefficients at or above trunc
-            keep = trunc - val
-            if keep < len(coeffs):
-                coeffs = coeffs[: max(keep, 0)]
-        while coeffs and field.is_zero(coeffs[0]):
-            coeffs.pop(0)
-            val += 1
-        while coeffs and field.is_zero(coeffs[-1]):
-            coeffs.pop()
-        if not coeffs:
-            val = 0
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "val", val)
-        object.__setattr__(self, "coeffs", tuple(coeffs))
-        object.__setattr__(self, "trunc", trunc)
+        _init(self, field, val, *field.vector(coeffs), trunc)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentSeries is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The stored coefficients as canonical scalars (built on each read)."""
+        return self.field.scalars(self.nums, self.den)
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, field: FieldContext) -> "LaurentSeries":
-        return cls(field, 0, ())
+        return _series(field, 0, (), 1, None)
 
     @classmethod
     def constant(cls, field: FieldContext, c) -> "LaurentSeries":
-        return cls(field, 0, (c,))
+        return _series(field, 0, *field.vector((c,)), None)
 
     @classmethod
     def one(cls, field: FieldContext) -> "LaurentSeries":
-        return cls.constant(field, field.one())
+        return _series(field, 0, (1,), 1, None)
 
     @classmethod
     def monomial(cls, field: FieldContext, c, exponent: int) -> "LaurentSeries":
-        return cls(field, exponent, (c,))
+        return _series(field, exponent, *field.vector((c,)), None)
 
     @classmethod
     def t_power(cls, field: FieldContext, exponent: int) -> "LaurentSeries":
-        return cls.monomial(field, field.one(), exponent)
+        return _series(field, exponent, (1,), 1, None)
 
     @classmethod
     def from_terms(cls, field: FieldContext, terms: dict) -> "LaurentSeries":
@@ -96,9 +125,11 @@ class LaurentSeries:
         if not terms:
             return cls.zero(field)
         lo = min(terms)
-        hi = max(terms)
-        coeffs = [terms.get(k, field.zero()) for k in range(lo, hi + 1)]
-        return cls(field, lo, coeffs)
+        values, den = field.vector(terms.values())
+        nums = [0] * (max(terms) - lo + 1)
+        for k, v in zip(terms, values):
+            nums[k - lo] = v
+        return _series(field, lo, nums, den, None)
 
     # -- structure queries -------------------------------------------------
 
@@ -107,14 +138,14 @@ class LaurentSeries:
         return self.trunc is None
 
     def is_exactly_zero(self) -> bool:
-        return self.is_exact and not self.coeffs
+        return self.trunc is None and not self.nums
 
     def has_no_known_terms(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def valuation(self) -> int:
         """The t-adic valuation; raises if it cannot be certified."""
-        if self.coeffs:
+        if self.nums:
             return self.val
         if self.is_exact:
             raise SingularError("valuation of the exact zero series")
@@ -124,7 +155,7 @@ class LaurentSeries:
 
     def valuation_lower_bound(self) -> Optional[int]:
         """A certified lower bound on the valuation; ``None`` means +infinity."""
-        if self.coeffs:
+        if self.nums:
             return self.val
         if self.is_exact:
             return None
@@ -134,8 +165,8 @@ class LaurentSeries:
         """Coefficient of ``t^k``; raises PrecisionError if it is unknown."""
         if self.trunc is not None and k >= self.trunc:
             raise PrecisionError(f"coefficient of t^{k} unknown (truncated at t^{self.trunc})")
-        if self.val <= k < self.val + len(self.coeffs):
-            return self.coeffs[k - self.val]
+        if self.val <= k < self.val + len(self.nums):
+            return self.field.scalar(self.nums[k - self.val], self.den)
         return self.field.zero()
 
     def known_through(self, n: int) -> bool:
@@ -151,7 +182,8 @@ class LaurentSeries:
     def _common_field(self, other: "LaurentSeries") -> FieldContext:
         if not isinstance(other, LaurentSeries):
             raise TypeError(f"expected LaurentSeries, got {type(other).__name__}")
-        self.field.ensure_same(other.field)
+        if other.field is not self.field:
+            self.field.ensure_same(other.field)
         return self.field
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
@@ -162,63 +194,64 @@ class LaurentSeries:
             trunc = self.trunc
         else:
             trunc = min(self.trunc, other.trunc)
-        if not self.coeffs or not other.coeffs:
-            s = self if self.coeffs else other
-            return LaurentSeries(field, s.val, s.coeffs, trunc)
+        if not self.nums or not other.nums:
+            s = self if self.nums else other
+            if trunc == s.trunc:
+                return s
+            return _series(field, s.val, s.nums, s.den, trunc)
         first, second = (self, other) if self.val <= other.val else (other, self)
-        # the coefficients of ``first`` below ``second``'s start are copied,
-        # the overlap is added slot by slot, and whichever tail is left over
-        # is copied; the constructor cuts the sum at trunc
-        xs, ys = first.coeffs, second.coeffs
-        off = second.val - first.val
-        if off >= len(xs):
-            out = [*xs, *[field.zero()] * (off - len(xs)), *ys]
-        else:
-            both = min(len(xs) - off, len(ys))
-            out = [*xs[:off], *map(field.add, xs[off : off + both], ys), *xs[off + both :], *ys[both:]]
-        return LaurentSeries(field, first.val, out, trunc)
+        xs, ys, off = first.nums, second.nums, second.val - first.val
+        if trunc is not None:
+            # add only the slots below trunc, so that the kernel's sum is final
+            keep = max(trunc - first.val, 0)
+            xs, ys = xs[:keep], ys[: max(keep - off, 0)]
+        nums, den = field.vec_add(xs, first.den, ys, second.den, off)
+        return _series(field, first.val, nums, den, trunc)
 
     def __neg__(self) -> "LaurentSeries":
-        return LaurentSeries(self.field, self.val, [self.field.neg(c) for c in self.coeffs], self.trunc)
+        return _series(self.field, self.val, *self.field.vec_neg(self.nums, self.den), self.trunc)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self + (-other)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         field = self._common_field(other)
-        if self.is_exactly_zero() or other.is_exactly_zero():
-            return LaurentSeries.zero(field)
-        va = self.valuation_lower_bound()
-        vb = other.valuation_lower_bound()
-        bounds = []
+        xs, ys = self.nums, other.nums
+        if not xs and self.trunc is None:
+            return self
+        if not ys and other.trunc is None:
+            return other
+        # the truncation orders, shifted by the other factor's certified
+        # valuation bound
+        trunc = None
         if self.trunc is not None:
-            bounds.append(self.trunc + vb)
+            trunc = self.trunc + (other.val if ys else other.trunc)
         if other.trunc is not None:
-            bounds.append(other.trunc + va)
-        trunc = min(bounds) if bounds else None
-        if not self.coeffs or not other.coeffs:
-            return LaurentSeries(field, 0, (), trunc)
+            bound = other.trunc + (self.val if xs else self.trunc)
+            trunc = bound if trunc is None else min(trunc, bound)
+        if not xs or not ys:
+            return _series(field, 0, (), 1, trunc)
         lo = self.val + other.val
-        hi = self.val + len(self.coeffs) + other.val + len(other.coeffs) - 1
+        hi = lo + len(xs) + len(ys) - 1
         if trunc is not None:
             hi = min(hi, trunc)
-        return LaurentSeries(field, lo, field.convolve(self.coeffs, other.coeffs, hi - lo), trunc)
+        nums, den = field.vec_mul(xs, self.den, ys, other.den, hi - lo)
+        return _series(field, lo, nums, den, trunc)
 
     def scale(self, c) -> "LaurentSeries":
         if self.field.is_zero(c):
             return LaurentSeries.zero(self.field)
-        return LaurentSeries(self.field, self.val, [self.field.mul(c, x) for x in self.coeffs], self.trunc)
+        return _series(self.field, self.val, *self.field.vec_scale(self.nums, self.den, c), self.trunc)
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by ``t^k``."""
-        return LaurentSeries(
-            self.field, self.val + k, self.coeffs, None if self.trunc is None else self.trunc + k
-        )
+        trunc = None if self.trunc is None else self.trunc + k
+        return _series(self.field, self.val + k, self.nums, self.den, trunc)
 
     def truncate(self, n: int) -> "LaurentSeries":
         if self.trunc is not None and self.trunc <= n:
             return self
-        return LaurentSeries(self.field, self.val, self.coeffs, n)
+        return _series(self.field, self.val, self.nums, self.den, n)
 
     def inverse(self, n: int) -> "LaurentSeries":
         """Multiplicative inverse ``s⁻¹`` with ``s · s⁻¹ ≡ 1 mod t^n``.
@@ -228,34 +261,25 @@ class LaurentSeries:
         ``n`` and by the precision of ``s``.
         """
         field = self.field
-        if not self.coeffs:
+        if not self.nums:
             # exact zero violates the unit precondition; unknown valuation
             # is a precision failure
             self.valuation()
         v = self.val
-        if len(self.coeffs) == 1 and self.is_exact:
-            return LaurentSeries.monomial(field, field.inv(self.coeffs[0]), -v)
+        if len(self.nums) == 1 and self.is_exact:
+            return _series(field, -v, *field.vec_inverse(self.nums, self.den, 1), None)
         avail = n if self.trunc is None else min(n, self.trunc - v)
         m = max(avail, 1)
-        lead_inv = field.inv(self.coeffs[0])
-        out = [lead_inv]
-        # u = t^{-v} * s has unit constant term; solve u * x = 1 term by term
-        for k in range(1, m):
-            acc = field.zero()
-            for i in range(1, min(k, len(self.coeffs) - 1) + 1):
-                acc = field.add(acc, field.mul(self.coeffs[i], out[k - i]))
-            out.append(field.neg(field.mul(lead_inv, acc)))
-        return LaurentSeries(field, -v, out, m - v)
+        # u = t^{-v} * s has unit constant term; the field solves u * x = 1
+        return _series(field, -v, *field.vec_inverse(self.nums, self.den, m), m - v)
 
     # -- comparisons --------------------------------------------------------
 
     def is_zero_mod(self, n: int) -> bool:
         """True iff all coefficients below ``t^n`` are known and vanish."""
-        for k, c in self.support():
-            if k >= n:
-                break
-            if not self.field.is_zero(c):
-                return False
+        # the first stored coefficient is nonzero
+        if self.nums and self.val < n:
+            return False
         if not self.known_through(n):
             raise PrecisionError(f"zero test mod t^{n} needs precision {n}, have t^{self.trunc}")
         return True
@@ -265,15 +289,16 @@ class LaurentSeries:
             isinstance(other, LaurentSeries)
             and self.field == other.field
             and self.val == other.val
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
             and self.trunc == other.trunc
         )
 
     def __hash__(self):
-        return hash((self.val, self.coeffs, self.trunc))
+        return hash((self.val, self.nums, self.den, self.trunc))
 
     def __repr__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             body = "0"
         else:
             parts = []
@@ -290,6 +315,12 @@ class LaurentSeries:
             body = " + ".join(parts)
         tail = "" if self.is_exact else f" + O(t^{self.trunc})"
         return f"<{body}{tail}>"
+
+
+# the slots' own setters, which the immutability guard does not intercept
+_set_field, _set_val, _set_nums, _set_den, _set_trunc = (
+    getattr(LaurentSeries, name).__set__ for name in LaurentSeries.__slots__
+)
 
 
 class LaurentPolynomials:
@@ -322,7 +353,7 @@ class LaurentPolynomials:
             raise PrecisionError(
                 f"series known only to t^{a.trunc} where an exact Laurent polynomial is needed"
             )
-        return not a.coeffs
+        return not a.nums
 
     def ensure_same(self, other) -> None:
         if self != other:
@@ -355,7 +386,7 @@ def certify_min_valuation(candidates):
     best_val = None
     uncertain = []
     for key, s in candidates:
-        if s.coeffs:
+        if s.nums:
             if best_val is None or s.val < best_val:
                 best_key, best_val = key, s.val
         elif not s.is_exact:
@@ -394,7 +425,8 @@ class SeriesMatrix:
         trunc = None
         for row in entries:
             for e in row:
-                field.ensure_same(e.field)
+                if e.field is not field:
+                    field.ensure_same(e.field)
                 if e.trunc is not None and (trunc is None or e.trunc < trunc):
                     trunc = e.trunc
         if trunc is not None:

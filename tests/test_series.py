@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -166,19 +167,83 @@ def one_term_operand(field, rng):
     return LaurentSeries(field, val, [c], rng.choice((None, val + 1, val + rng.randint(2, 9))))
 
 
+def cut_operand(field, rng):
+    """An exact series and the length of its head.
+
+    Over Q the head's denominators divide 4 and the tail's are odd, so once
+    a cut drops the tail the head's numerators share the tail's factors
+    with the common denominator and must be renormalised.
+    """
+    head = rng.randint(1, 6)
+    if field == QQ:
+        coeffs = [Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.choice((1, 2, 4))) for _ in range(head)]
+        coeffs += [Fraction(rng.choice((-1, 1)), rng.choice((3, 5, 9))) for _ in range(rng.randint(1, 4))]
+    else:
+        coeffs = [kernel_scalar(field, rng, "large") for _ in range(head + rng.randint(1, 4))]
+        coeffs[0] = coeffs[0] or field.one()
+    return LaurentSeries(field, rng.randint(-3, 3), coeffs), head
+
+
+def negated(a):
+    return LaurentSeries(a.field, a.val, [a.field.neg(c) for c in a.coeffs], a.trunc)
+
+
+def scaled(a, c):
+    return LaurentSeries(a.field, a.val, [a.field.mul(c, x) for x in a.coeffs], a.trunc)
+
+
+def shifted(a, k):
+    return LaurentSeries(a.field, a.val + k, a.coeffs, None if a.trunc is None else a.trunc + k)
+
+
+def truncated(a, n):
+    """``a.truncate(n)`` from the terms below ``t^n``, so that nothing is cut on construction."""
+    if a.trunc is not None and a.trunc <= n:
+        return a
+    return with_terms(a.field, {k: c for k, c in a.support() if k < n}, n)
+
+
+def assert_stored_canonically(s):
+    """The stored vector: gcd(den, *nums) == 1 with den > 0, no zero ends."""
+    nums, den = s.nums, s.den
+    if not nums:
+        assert (s.val, den) == (0, 1)
+        return
+    assert nums[0] and nums[-1] and den > 0
+    if s.field == QQ:
+        assert math.gcd(den, *nums) == 1
+    else:
+        assert den == 1 and all(0 <= n < s.field.p for n in nums)
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_mul_and_add_match_the_schoolbook_oracle(field):
     rng = random.Random(f"kernel:{field!r}")
     ones = random.Random(f"one-term:{field!r}")
+    more = random.Random(f"canonical:{field!r}")
     for _ in range(400):
         a, b = kernel_operand(field, rng), kernel_operand(field, rng)
         one = one_term_operand(field, ones)
         # a one-term operand, on either side, is multiplied in without packing
-        cases = ((a * b, schoolbook_mul(a, b)), (a + b, schoolbook_add(a, b)),
-                 (one * a, schoolbook_mul(one, a)), (a * one, schoolbook_mul(a, one)))
+        cases = [(a * b, schoolbook_mul(a, b)), (a + b, schoolbook_add(a, b)),
+                 (one * a, schoolbook_mul(one, a)), (a * one, schoolbook_mul(a, one))]
+        c = kernel_scalar(field, more, more.choice(("small", "large"))) or field.one()
+        k, n = more.randint(-4, 4), more.randint(-8, 12)
+        cases += [(-a, negated(a)), (a - b, schoolbook_add(a, negated(b))), (a.scale(c), scaled(a, c)),
+                  (a.shift(k), shifted(a, k)), (a.truncate(n), truncated(a, n))]
+        # cuts that drop a tail: by truncate, by a product known to fewer
+        # terms, and by a sum with a series known to no term
+        s, head = cut_operand(field, more)
+        cut = s.val + head
+        known = LaurentSeries(field, 0, [field.one()], head)
+        nothing = LaurentSeries(field, 0, (), cut)
+        cases += [(s.truncate(cut), truncated(s, cut)), (s * known, schoolbook_mul(s, known)),
+                  (known * s, schoolbook_mul(known, s)), (s + nothing, schoolbook_add(s, nothing))]
         for got, want in cases:
             assert got == want
+            assert hash(got) == hash(want)
             assert all(canonical(field, c) for c in got.coeffs)
+            assert_stored_canonically(got)
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)

@@ -140,7 +140,7 @@ PRODUCERS = [
     ("certify", ["certify", "--n", "9", "--out", "cert.json"], CERTIFY_FREE),
     ("cim", ["cim", os.path.join(DATA, "binary_cubics_curve.json"), "--out", "cim.json"], CIM_FREE),
     ("witness", ["witness", os.path.join(DATA, "binary_cubics_witness.json"), "--out", "wit.json"], WITNESS_FREE),
-    ("gen-cim", ["gen", "--kind", "cim"], set()),
+    ("gen-cim", ["gen", "--kind", "cim"], {"tensors"}),
 ]
 VERIFIERS = [
     ("verify-certificate", ["verify", "cert.json"], CERTIFY_FREE),
