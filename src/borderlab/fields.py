@@ -13,16 +13,23 @@ vector is a pair ``(nums, den)`` of integers standing for the scalars
 ``gcd(den, *nums) == 1``, as FLINT's ``fmpq_poly`` keeps it; over F_p the
 numerators are residues in ``[0, p)`` and ``den`` is 1.  The ``vec_*``
 kernels take vectors in that form and return one in that form.
+
+:meth:`FieldContext.vec_muladd` is the one kernel for sums of vectors: it
+forms ``x ± Σ y·z`` from unreduced integer products over one common
+denominator and reduces the sum once (delayed reduction, as FFLAS-FFPACK
+does for dot products), ``% p`` over F_p and one gcd over ℚ.  It and the
+plain product :meth:`FieldContext.vec_mul` share one unreduced product.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from fractions import Fraction
-from operator import add, mul
+from operator import add, mul, sub
 
-from .errors import FieldMismatchError
+from .errors import FieldMismatchError, SchemaError
 
 # Deterministic Miller-Rabin witness set, valid for all n below this bound
 # (Sorenson & Webster).  Covers every 64-bit integer with room to spare.
@@ -67,6 +74,28 @@ def random_prime(bits: int, rng: random.Random) -> int:
             return cand
 
 
+#: a rational scalar as JSON writes it: an integer or a quotient of integers
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _rational_parts(s: str) -> tuple:
+    """``(num, den)`` of a rational scalar string, ``den > 0`` (not reduced).
+
+    Only ``[+-]digits`` and ``[+-]digits/digits`` are accepted; anything
+    else, a zero denominator included, raises SchemaError.
+    """
+    m = _RATIONAL.fullmatch(s)
+    if m is None:
+        raise SchemaError(f"rational scalar must be [+-]digits or [+-]digits/digits, got {s[:40]!r}")
+    num, den = m.groups()
+    if den is None:
+        return int(num), 1
+    den = int(den)
+    if not den:
+        raise SchemaError(f"rational scalar {s[:40]!r} has a zero denominator")
+    return int(num), den
+
+
 def _int_convolve(xs, ys, length: int, bound: int, signed: bool) -> list:
     """The first ``length`` coefficients of the product of two integer vectors.
 
@@ -94,21 +123,6 @@ def _int_convolve(xs, ys, length: int, bound: int, signed: bool) -> list:
     product = pack(xs) * pack(ys) + spread(length)
     data = (product & ((1 << (8 * size)) - 1)).to_bytes(size, "little")
     return [int.from_bytes(data[i : i + width], "little") - half for i in range(0, size, width)]
-
-
-def _aligned_sum(xs, ys, off: int, p=None) -> list:
-    """Slot-wise sum of two integer vectors, ``ys`` starting ``off >= 0`` slots into ``xs``.
-
-    With a modulus ``p`` the slots where both vectors have entries are
-    reduced mod ``p``; the others keep the operands' own int objects.
-    """
-    if off >= len(xs):
-        return [*xs, *[0] * (off - len(xs)), *ys]
-    both = min(len(xs) - off, len(ys))
-    overlap = map(add, xs[off : off + both], ys)
-    if p is not None:
-        overlap = [v % p for v in overlap]
-    return [*xs[:off], *overlap, *xs[off + both :], *ys[both:]]
 
 
 class FieldContext:
@@ -168,11 +182,67 @@ class FieldContext:
         raise NotImplementedError
 
     def vec_reduce(self, nums, den):
-        """Canonical form of a vector whose numerators may share a factor with ``den``."""
-        return nums, den
+        """Canonical form of unreduced integer numerators over ``den``."""
+        raise NotImplementedError
 
-    def vec_add(self, xs, dx, ys, dy, off: int):
-        """Sum of two vectors, ``ys`` starting ``off >= 0`` slots into ``xs``."""
+    def vec_muladd(self, head, terms, lo: int, length: int, subtract: bool):
+        """Exponents ``lo .. lo + length - 1`` of ``x ± Σ y·z`` as one canonical vector.
+
+        ``head`` is ``(v, xs, dx)`` or None for ``x = 0``; each term is
+        ``(v, ys, dy, zs, dz)``, with ``zs`` None for ``y`` alone; a vector
+        starts at exponent ``v >= lo``.  The terms are added, or subtracted with
+        ``subtract``, over the lcm of their denominators as unreduced
+        products (:meth:`_raw_product`), and the sum is reduced once.
+        """
+        den = 1 if head is None else head[2]
+        for _, _, dy, zs, dz in terms:
+            d = dy if zs is None else dy * dz
+            if den % d:
+                den = math.lcm(den, d)
+        out = [0] * length
+        if head is not None and head[0] - lo < length:
+            v, xs, dx = head
+            off = v - lo
+            xs = xs[: length - off]
+            out[off : off + len(xs)] = xs if dx == den else [x * (den // dx) for x in xs]
+        step = sub if subtract else add
+        for v, ys, dy, zs, dz in terms:
+            off = v - lo
+            n = length - off
+            if n <= 0:
+                continue
+            if zs is None:
+                f = den // dy
+                ys = ys[:n] if f == 1 else [y * f for y in ys[:n]]
+            else:
+                ys = self._raw_product(ys, zs, n, den // (dy * dz))
+            k = len(ys)
+            out[off : off + k] = map(step, out[off : off + k], ys)
+        return self.vec_reduce(out, den)
+
+    def vec_mul(self, xs, dx, ys, dy, length: int):
+        """The first ``length`` slots of the product of two nonempty vectors."""
+        return self.vec_reduce(self._raw_product(xs, ys, length), dx * dy)
+
+    def _raw_product(self, xs, ys, length: int, scale: int = 1) -> list:
+        """The first ``length`` unreduced numerators of ``scale · xs · ys``.
+
+        The scale goes into the shorter factor.  A length-1 factor is
+        multiplied in directly, since packing would cost more; longer ones
+        go to :func:`_int_convolve`.
+        """
+        xs, ys = xs[:length], ys[:length]
+        if len(ys) < len(xs):
+            xs, ys = ys, xs
+        if scale != 1:
+            xs = [x * scale for x in xs]
+        if len(xs) == 1:
+            c = xs[0]
+            return [c * y for y in ys]
+        return _int_convolve(xs, ys, length, *self._product_bound(xs, ys))
+
+    def _product_bound(self, xs, ys):
+        """``(bound, signed)`` for :func:`_int_convolve`, ``len(xs) <= len(ys)``."""
         raise NotImplementedError
 
     def vec_neg(self, nums, den):
@@ -181,15 +251,6 @@ class FieldContext:
 
     def vec_scale(self, nums, den, c):
         """A vector times the nonzero scalar ``c``."""
-        raise NotImplementedError
-
-    def vec_mul(self, xs, dx, ys, dy, length: int):
-        """The first ``length`` slots of the product of two nonempty vectors.
-
-        A length-1 operand is multiplied into the other directly, since
-        packing would cost more than the products; longer ones go to
-        :func:`_int_convolve`.  The result may stop short of ``length``.
-        """
         raise NotImplementedError
 
     def vec_inverse(self, nums, den, m: int):
@@ -211,6 +272,10 @@ class FieldContext:
 
     # -- string codec (JSON scalar encoding) ------------------------------
     def parse(self, s: str):
+        raise NotImplementedError
+
+    def parse_vector(self, strings):
+        """The vector ``(nums, den)`` of a list of scalar strings."""
         raise NotImplementedError
 
     def format(self, a) -> str:
@@ -292,15 +357,6 @@ class Rationals(FieldContext):
             return nums, den
         return [n // g for n in nums], den // g
 
-    def vec_add(self, xs, dx, ys, dy, off):
-        if dx != dy:
-            g = math.gcd(dx, dy)
-            fx, fy = dy // g, dx // g
-            xs = [x * fx for x in xs]
-            ys = [y * fy for y in ys]
-            dx *= fx
-        return self.vec_reduce(_aligned_sum(xs, ys, off), dx)
-
     def vec_neg(self, nums, den):
         return [-n for n in nums], den
 
@@ -308,22 +364,12 @@ class Rationals(FieldContext):
         cn = c.numerator
         return self.vec_reduce([n * cn for n in nums], den * c.denominator)
 
-    def vec_mul(self, xs, dx, ys, dy, length):
-        xs, ys = xs[:length], ys[:length]
-        if len(ys) == 1:
-            xs, ys = ys, xs
-        if len(xs) == 1:
-            c = xs[0]
-            out = [c * y for y in ys]
-        else:
-            # one signed Kronecker product of the numerators
-            bound = (
-                max(map(abs, xs)).bit_length()
-                + max(map(abs, ys)).bit_length()
-                + min(len(xs), len(ys)).bit_length()
-            )
-            out = _int_convolve(xs, ys, length, bound, True)
-        return self.vec_reduce(out, dx * dy)
+    def _product_bound(self, xs, ys):
+        # one signed Kronecker product of the numerators
+        return (
+            max(map(abs, xs)).bit_length() + max(map(abs, ys)).bit_length() + len(xs).bit_length(),
+            True,
+        )
 
     def vec_inverse(self, nums, den, m):
         # with A = sum a_i t^i the unit is A / den, so its inverse is
@@ -361,7 +407,17 @@ class Rationals(FieldContext):
         return a == 0
 
     def parse(self, s):
-        return Fraction(s)
+        num, den = _rational_parts(s)
+        return Fraction(num, den)
+
+    def parse_vector(self, strings):
+        # the numerators over the lcm of the written denominators, reduced
+        # once: no Fraction per coefficient
+        parts = [_rational_parts(s) for s in strings]
+        den = math.lcm(*[d for _, d in parts])
+        if den == 1:
+            return [n for n, _ in parts], 1
+        return self.vec_reduce([n * (den // d) for n, d in parts], den)
 
     def format(self, a):
         a = Fraction(a)
@@ -428,9 +484,6 @@ class PrimeField(FieldContext):
     def format_vector(self, nums, den):
         return [str(n) for n in nums]
 
-    def vec_add(self, xs, dx, ys, dy, off):
-        return _aligned_sum(xs, ys, off, self.p), 1
-
     def vec_neg(self, nums, den):
         p = self.p
         return [-n % p for n in nums], 1
@@ -439,17 +492,13 @@ class PrimeField(FieldContext):
         p = self.p
         return [n * c % p for n in nums], 1
 
-    def vec_mul(self, xs, dx, ys, dy, length):
-        p = self.p
-        xs, ys = xs[:length], ys[:length]
-        if len(ys) == 1:
-            xs, ys = ys, xs
-        if len(xs) == 1:
-            c = xs[0]
-            return [c * y % p for y in ys], 1
+    def _product_bound(self, xs, ys):
         # residues are nonnegative, so the slots need no sign
-        bound = 2 * (p - 1).bit_length() + min(len(xs), len(ys)).bit_length()
-        return [c % p for c in _int_convolve(xs, ys, length, bound, False)], 1
+        return 2 * (self.p - 1).bit_length() + len(xs).bit_length(), False
+
+    def vec_reduce(self, nums, den):
+        p = self.p
+        return [n % p for n in nums], 1
 
     def vec_inverse(self, nums, den, m):
         # u * x = 1 solved term by term, one reduction per term
@@ -477,6 +526,9 @@ class PrimeField(FieldContext):
         if "/" in s:
             raise ValueError(f"prime-field scalar must be an integer string, got {s!r}")
         return int(s) % self.p
+
+    def parse_vector(self, strings):
+        return [self.parse(s) for s in strings], 1
 
     def format(self, a):
         return str(a % self.p)

@@ -1,8 +1,9 @@
 """JSON encoding and decoding for every on-disk schema.
 
-Scalars are decimal strings ("a/b" for rationals, "k" for prime-field
-residues); big integers (weights) are also strings.  Maps are emitted with
-sorted keys by the CLI so identical inputs yield byte-identical files.
+Scalars are decimal strings ("a/b" or "a" for rationals, "k" for
+prime-field residues); big integers (weights) are also strings.  Maps are
+emitted with sorted keys by the CLI so identical inputs yield
+byte-identical files.
 
 Decoders check the shape of what they read: a value of the wrong JSON type
 raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
@@ -54,10 +55,14 @@ def _opt_int(value, what: str) -> Optional[int]:
     return None if value is None else _int(value, what)
 
 
-def _scalar(field: FieldContext, value, what: str):
+def _str(value, what: str) -> str:
     if not isinstance(value, str):
         raise SchemaError(f"{what}: expected a scalar string, got {type(value).__name__}")
-    return field.parse(value)
+    return value
+
+
+def _scalar(field: FieldContext, value, what: str):
+    return field.parse(_str(value, what))
 
 
 # -- fields ------------------------------------------------------------------
@@ -89,12 +94,12 @@ def series_to_obj(s: LaurentSeries) -> dict:
 
 def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
     _dict(obj, "series")
-    coeffs = [_scalar(field, c, "series coefficient") for c in _list(obj["coeffs"], "series coeffs")]
+    coeffs = [_str(c, "series coefficient") for c in _list(obj["coeffs"], "series coeffs")]
     exact = obj.get("exact", False)
     if not isinstance(exact, bool):
         raise SchemaError(f"series exact: expected true or false, got {type(exact).__name__}")
     trunc = None if exact else _int(obj["trunc"], "series trunc")
-    return LaurentSeries(field, _int(obj["val"], "series val"), coeffs, trunc)
+    return LaurentSeries.from_vector(field, _int(obj["val"], "series val"), *field.parse_vector(coeffs), trunc)
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict:

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import PrecisionError, ShapeError, SingularError
-from .series import DEFAULT_TRUNCATION, SeriesMatrix, certify_min_valuation
+from .series import DEFAULT_TRUNCATION, SeriesMatrix, certify_min_valuation, muladd
 
 
 class CartanDecomposition(NamedTuple):
@@ -92,16 +92,16 @@ def smith_form(m: SeriesMatrix, n: int):
             if a[i][k].has_no_known_terms():
                 continue
             f = a[i][k] * pinv
-            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+            a[i] = [muladd(x, ((f, y),), True) for x, y in zip(a[i], a[k])]
             for row in u:
-                row[k] = row[k] + f * row[i]
+                row[k] = muladd(row[k], ((f, row[i]),))
         for j in range(k + 1, size):
             if a[k][j].has_no_known_terms():
                 continue
             f = a[k][j] * pinv
             for row in a:
-                row[j] = row[j] - f * row[k]
-            v[k] = [x + f * y for x, y in zip(v[k], v[j])]
+                row[j] = muladd(row[j], ((f, row[k]),), True)
+            v[k] = [muladd(x, ((f, y),)) for x, y in zip(v[k], v[j])]
         # pull the unit factor of the pivot into u, leaving a pure t-power
         unit = pivot.shift(-pval)
         for row in u:

@@ -19,6 +19,10 @@ Truncation orders propagate through arithmetic automatically:
 ``add`` takes the minimum, ``mul`` uses ``min(Na + v(b), Nb + v(a))``, and
 unit inversion is the only operation that turns exact input into truncated
 output (except for monomials, which invert exactly).
+
+:func:`muladd` forms ``x ± Σ a·b`` as one series, with one reduction of
+the field's vector; sums, differences, the Smith and Gauss-Jordan updates
+and every entry of a matrix product go through it.
 """
 
 from __future__ import annotations
@@ -65,6 +69,83 @@ def _series(field, val, nums, den, trunc) -> "LaurentSeries":
     s = object.__new__(LaurentSeries)
     _init(s, field, val, nums, den, trunc)
     return s
+
+
+def _product_trunc(a, b) -> Optional[int]:
+    """The truncation order of ``a · b`` for factors that are not exactly zero.
+
+    Each factor's order is shifted by the other factor's certified valuation
+    bound; ``None`` when both factors are exact.
+    """
+    trunc = None
+    if a.trunc is not None:
+        trunc = a.trunc + (b.val if b.nums else b.trunc)
+    if b.trunc is not None:
+        bound = b.trunc + (a.val if a.nums else a.trunc)
+        trunc = bound if trunc is None else min(trunc, bound)
+    return trunc
+
+
+def muladd(x: "LaurentSeries", terms, subtract: bool = False) -> "LaurentSeries":
+    """``x + Σ a·b`` over the pairs ``(a, b)`` of ``terms``, or ``x - Σ a·b``
+    with ``subtract``; a pair ``(a, None)`` stands for ``a`` alone.
+
+    The result is the canonical series that the operators would build one
+    term at a time, with the same ``val``, ``nums``, ``den`` and ``trunc``.
+    The truncation order comes from the operands' orders and valuations
+    alone.  A term with an operand known to no term only lowers it: it
+    costs no product and builds no series, and when nothing else changes
+    ``x`` itself is returned.  The remaining terms go to the field's
+    :meth:`~borderlab.fields.FieldContext.vec_muladd` as one window of
+    slots below the truncation order, which sums unreduced products and
+    reduces once.
+    """
+    field = x.field
+    trunc = x.trunc
+    # the vectors of the terms with known terms, each from its valuation,
+    # and the window of exponents that they and x span
+    live = []
+    lo, hi = (x.val, x.val + len(x.nums)) if x.nums else (None, None)
+    lone = None  # the last live term ``(a, None)``: ``0 + a`` may be ``a`` itself
+    for a, b in terms:
+        if a.field is not field:
+            field.ensure_same(a.field)
+        if b is None:
+            t = a.trunc
+            v = a.val if a.nums else None
+            if v is not None:
+                end = v + len(a.nums)
+                live.append((v, a.nums, a.den, None, 1))
+                lone = a
+        else:
+            if b.field is not field:
+                field.ensure_same(b.field)
+            if (a.trunc is None and not a.nums) or (b.trunc is None and not b.nums):
+                continue  # an exactly zero product
+            t = _product_trunc(a, b)
+            v = a.val + b.val if a.nums and b.nums else None
+            if v is not None:
+                end = v + len(a.nums) + len(b.nums) - 1
+                live.append((v, a.nums, a.den, b.nums, b.den))
+        if t is not None and (trunc is None or t < trunc):
+            trunc = t
+        if v is not None:
+            if lo is None or v < lo:
+                lo = v
+            if hi is None or end > hi:
+                hi = end
+    if not live:
+        if trunc == x.trunc:
+            return x
+        return _series(field, x.val, x.nums, x.den, trunc)
+    if len(live) == 1 and lone is not None and not x.nums and not subtract and lone.trunc == trunc:
+        return lone
+    if trunc is not None and trunc < hi:
+        hi = trunc
+    if hi <= lo:
+        return _series(field, 0, (), 1, trunc)
+    head = (x.val, x.nums, x.den) if x.nums else None
+    return _series(field, lo, *field.vec_muladd(head, live, lo, hi - lo, subtract), trunc)
 
 
 class LaurentSeries:
@@ -131,6 +212,11 @@ class LaurentSeries:
             nums[k - lo] = v
         return _series(field, lo, nums, den, None)
 
+    @classmethod
+    def from_vector(cls, field: FieldContext, val: int, nums, den: int, trunc: Optional[int] = None) -> "LaurentSeries":
+        """The series of the field's canonical vector ``nums / den`` from ``t^val``, cut at ``trunc``."""
+        return _series(field, val, nums, den, trunc)
+
     # -- structure queries -------------------------------------------------
 
     @property
@@ -186,33 +272,16 @@ class LaurentSeries:
             self.field.ensure_same(other.field)
         return self.field
 
-    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        field = self._common_field(other)
-        if self.trunc is None:
-            trunc = other.trunc
-        elif other.trunc is None:
-            trunc = self.trunc
-        else:
-            trunc = min(self.trunc, other.trunc)
-        if not self.nums or not other.nums:
-            s = self if self.nums else other
-            if trunc == s.trunc:
-                return s
-            return _series(field, s.val, s.nums, s.den, trunc)
-        first, second = (self, other) if self.val <= other.val else (other, self)
-        xs, ys, off = first.nums, second.nums, second.val - first.val
-        if trunc is not None:
-            # add only the slots below trunc, so that the kernel's sum is final
-            keep = max(trunc - first.val, 0)
-            xs, ys = xs[:keep], ys[: max(keep - off, 0)]
-        nums, den = field.vec_add(xs, first.den, ys, second.den, off)
-        return _series(field, first.val, nums, den, trunc)
+    def __add__(self, other: "LaurentSeries", subtract: bool = False) -> "LaurentSeries":
+        """``self + other``, or ``self - other`` with ``subtract`` (one :func:`muladd`)."""
+        self._common_field(other)
+        return muladd(self, ((other, None),), subtract)
 
     def __neg__(self) -> "LaurentSeries":
         return _series(self.field, self.val, *self.field.vec_neg(self.nums, self.den), self.trunc)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self + (-other)
+        return self.__add__(other, True)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         field = self._common_field(other)
@@ -221,14 +290,7 @@ class LaurentSeries:
             return self
         if not ys and other.trunc is None:
             return other
-        # the truncation orders, shifted by the other factor's certified
-        # valuation bound
-        trunc = None
-        if self.trunc is not None:
-            trunc = self.trunc + (other.val if ys else other.trunc)
-        if other.trunc is not None:
-            bound = other.trunc + (self.val if xs else self.trunc)
-            trunc = bound if trunc is None else min(trunc, bound)
+        trunc = _product_trunc(self, other)
         if not xs or not ys:
             return _series(field, 0, (), 1, trunc)
         lo = self.val + other.val
@@ -474,16 +536,9 @@ class SeriesMatrix:
         self.field.ensure_same(other.field)
         if self.cols != other.rows:
             raise ShapeError(f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}")
-        out = []
-        for i in range(self.rows):
-            row = []
-            for j in range(other.cols):
-                acc = LaurentSeries.zero(self.field)
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
-        return SeriesMatrix(self.field, out)
+        zero = LaurentSeries.zero(self.field)
+        cols = list(zip(*other.entries))
+        return SeriesMatrix(self.field, [[muladd(zero, zip(row, col)) for col in cols] for row in self.entries])
 
     def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_same_shape(other)
@@ -552,8 +607,8 @@ class SeriesMatrix:
                 f = a[r][k]
                 if f.is_exactly_zero():
                     continue
-                a[r] = [x - f * y for x, y in zip(a[r], a[k])]
-                b[r] = [x - f * y for x, y in zip(b[r], b[k])]
+                a[r] = [muladd(x, ((f, y),), True) for x, y in zip(a[r], a[k])]
+                b[r] = [muladd(x, ((f, y),), True) for x, y in zip(b[r], b[k])]
         return SeriesMatrix(self.field, b)
 
     def constant_matrix(self) -> list:

@@ -84,6 +84,32 @@ def test_wrongly_shaped_json_exits_3(command, doc, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scalar", ["1/0", "1e400000000"])
+@pytest.mark.parametrize("command", ["cim", "witness", "verify"])
+def test_rational_scalars_outside_the_grammar_exit_3(command, scalar, tmp_path, curve_file, witness_file, capsys):
+    # a zero denominator and an exponent are not in [+-]digits(/digits):
+    # SchemaError (exit 3), not a ZeroDivisionError or a 10^400000000
+    if command == "verify":
+        out = tmp_path / "dec.json"
+        assert run(["cim", curve_file, "--out", str(out)]) == 0
+        doc = read_json(out)
+        # the top-level copy of a one-factor output must equal factors[0]
+        matrices = [doc["input"], doc["factors"][0]["input"]]
+    elif command == "witness":
+        doc = read_json(witness_file)
+        matrices = [doc["g"][0]]
+    else:
+        doc = read_json(curve_file)
+        matrices = [doc]
+    for matrix in matrices:
+        entry = next(e for row in matrix["entries"] for e in row if e["coeffs"])
+        entry["coeffs"][0] = scalar
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def json_paths(node, path=()):
     """Every path into a JSON document, the root excluded."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -562,3 +588,22 @@ def test_outputs_match_pinned_digests(tmp_path, witness_file):
         assert run(["verify", str(paths[f"cim-{field}"])]) == 0
     digests = {name: hashlib.sha256(path.read_bytes()).hexdigest() for name, path in paths.items()}
     assert digests == PINNED_DIGESTS
+
+
+# SHA-256 of ``cim`` on the workload-sized gen inputs, as the operator-built
+# Smith pass, inverse and residual check wrote them; the fused kernel must
+# write the same bytes
+WORKLOAD_DIGESTS = {
+    ("q", 12): "7f4a0578a39448e4459ac12af7e2641df9842b67b70fd7b2cf0a2025349a088e",
+    ("fp", 16): "a12b725401ee3c2cebf170b0cc4c3e2c01fdd2aa85b0e7730845d5310f814f4f",
+}
+
+
+@pytest.mark.parametrize("field, size", sorted(WORKLOAD_DIGESTS), ids=str)
+def test_workload_sized_cim_outputs_match_pinned_digests(field, size, tmp_path):
+    matrix, out = tmp_path / "g.json", tmp_path / "dec.json"
+    gen = ["gen", "--kind", "cim", "--field", field, "--size", str(size), "--seed", "1"]
+    assert run(gen + ["--out", str(matrix)]) == 0
+    assert run(["cim", str(matrix), "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == WORKLOAD_DIGESTS[(field, size)]
+    assert run(["verify", str(out)]) == 0

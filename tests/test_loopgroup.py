@@ -387,3 +387,52 @@ def test_decomposition_makes_one_full_precision_smith_pass(monkeypatch, tmp_path
     with pytest.raises(PrecisionError):
         smith(g, 1)
     assert jsonio.cartan_to_obj(cartan_decompose(g, 32)) == jsonio.cartan_to_obj(two_pass_decompose(g, 32))
+
+
+# ---------------------------------------------------------------------------
+# the fused kernel under the decomposition and its check
+# ---------------------------------------------------------------------------
+
+def reference_muladd(x, terms, subtract=False):
+    """``x ± Σ a·b`` from the product operator and a sum taken exponent by
+    exponent (test reference for ``series.muladd``)."""
+    field = x.field
+    parts = [a if b is None else a * b for a, b in terms]
+    truncs = [s.trunc for s in (x, *parts) if s.trunc is not None]
+    trunc = min(truncs, default=None)
+    coeffs = {}
+    for i, s in enumerate((x, *parts)):
+        for k, c in s.support():
+            if trunc is None or k < trunc:
+                coeffs[k] = field.add(coeffs.get(k, field.zero()), field.neg(c) if subtract and i else c)
+    lo = min(coeffs, default=0)
+    hi = max(coeffs, default=-1) + 1
+    return LaurentSeries(field, lo, [coeffs.get(k, field.zero()) for k in range(lo, hi)], trunc)
+
+
+def test_decompositions_match_the_operator_reference(monkeypatch, tmp_path):
+    from borderlab import series as series_module
+
+    inputs = []
+    for field in ("q", "fp"):
+        for size in range(1, 9):
+            path = tmp_path / f"cim-{field}{size}.json"
+            assert cli.main(["gen", "--kind", "cim", "--field", field, "--size", str(size), "--seed", "1",
+                             "--out", str(path)]) == 0
+            inputs.extend(jsonio.cim_input_from_obj(json.loads(path.read_text())))
+
+    def run():
+        out = []
+        for g in inputs:
+            for n in (8, 32):
+                dec = cartan_decompose(g, n)
+                out.append((jsonio.cartan_to_obj(dec), check_cartan(g, dec).passed))
+        return out
+
+    fused = run()
+    calls = []
+    for module in (series_module, loopgroup):
+        monkeypatch.setattr(module, "muladd", lambda *args: calls.append(1) or reference_muladd(*args))
+    assert run() == fused
+    assert all(passed for _, passed in fused)
+    assert len(calls) > 1000

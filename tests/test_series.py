@@ -13,6 +13,7 @@ from borderlab import (
     SingularError,
 )
 from borderlab.fields import is_prime
+from borderlab.series import muladd
 from borderlab.instances import random_laurent_polynomial, random_series_unit_matrix
 
 from conftest import leibniz_determinant, series, tpow
@@ -289,6 +290,82 @@ def test_convolve_pads_and_cuts(field):
             for j, y in enumerate(ys):
                 full[i + j] = field.add(full[i + j], field.mul(x, y))
         assert field.convolve(xs, ys, length) == full[:length]
+
+
+# ---------------------------------------------------------------------------
+# the fused multiply-accumulate kernel against the operators
+# ---------------------------------------------------------------------------
+
+def muladd_operand(field, rng):
+    """A kernel operand, the exact zero, or a series known to no term."""
+    kind = rng.random()
+    if kind < 0.1:
+        return LaurentSeries.zero(field)
+    if kind < 0.25:
+        return LaurentSeries(field, 0, (), rng.randint(-6, 14))
+    return kernel_operand(field, rng)
+
+
+def operator_muladd(x, terms, subtract):
+    """``x ± Σ a·b`` one operator at a time (``b`` None: ``a`` alone)."""
+    for a, b in terms:
+        p = a if b is None else a * b
+        x = x - p if subtract else x + p
+    return x
+
+
+def schoolbook_muladd(x, terms, subtract):
+    """``x ± Σ a·b`` from the schoolbook oracles."""
+    for a, b in terms:
+        p = a if b is None else schoolbook_mul(a, b)
+        x = schoolbook_add(x, negated(p) if subtract else p)
+    return x
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_muladd_matches_the_operators(field):
+    rng = random.Random(f"muladd:{field!r}")
+    for trial in range(400):
+        x = muladd_operand(field, rng)
+        count = (0, 1, 2, 16)[trial % 4]
+        terms = []
+        for _ in range(count):
+            a = muladd_operand(field, rng)
+            terms.append((a, None if rng.random() < 0.2 else muladd_operand(field, rng)))
+        subtract = rng.random() < 0.5
+        got = muladd(x, terms, subtract)
+        want = operator_muladd(x, terms, subtract)
+        assert got == want and hash(got) == hash(want)
+        assert_stored_canonically(got)
+        if count <= 2:
+            assert got == schoolbook_muladd(x, terms, subtract)
+        # sums that cancel: x ∓ (the same terms) gives x back at the lower
+        # truncation order, and a product taken off itself leaves nothing
+        undone = muladd(got, terms, not subtract)
+        assert undone == operator_muladd(got, terms, not subtract)
+        assert undone == (x if undone.trunc is None else x.truncate(undone.trunc))
+        if terms and terms[0][1] is not None:
+            a, b = terms[0]
+            gone = muladd(a * b, [(a, b)], True)
+            assert gone.has_no_known_terms() and gone == (a * b) - (a * b)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_muladd_returns_x_when_no_term_changes_it(field):
+    rng = random.Random(f"muladd-x:{field!r}")
+    zero = LaurentSeries.zero(field)
+    for _ in range(50):
+        x = kernel_operand(field, rng)
+        y = kernel_operand(field, rng)
+        # known to no term below t^1000, beyond every operand's order
+        far = LaurentSeries(field, 0, (), 1000)
+        assert muladd(x, []) is x
+        assert muladd(x, [(zero, y), (y, zero)], True) is x
+        if x.trunc is None:
+            assert muladd(x, [(far, LaurentSeries.one(field))]) == x.truncate(1000)
+        else:
+            assert muladd(x, [(far, LaurentSeries.one(field))]) is x
+            assert muladd(x, [(far, None)]) is x
 
 
 # ---------------------------------------------------------------------------
