@@ -9,27 +9,33 @@ tensor ``T~`` satisfies
   subgroup at ``t -> 0`` is exactly ``S``;
 * the derivative of the translation map ``(g1, g2) -> (g1, g2, id) · T~``,
   restricted to upper-triangular directions in the first two factors,
-  covers the whole space spanned by ``P`` -- certified by an exact rank
-  computation.
+  covers the whole space spanned by ``P`` -- certified by its rank.
 
 Full Jacobian rank at the one constructed point certifies dominance of the
 translation map, hence density of the border-subrank->=r locus.  The
-planted blocks default to identity matrices, which keeps the tensor 0/1
-and the Jacobian integral, so full rank over a single prime field already
-certifies the characteristic-zero statement (an integral matrix can only
-lose rank modulo p).
+planted blocks default to identity matrices, and then the rank has a
+closed-form proof: every row ``(j, k, l)`` of ``P`` owns one matrix unit
+whose column, restricted to ``P``, is that row with entry 1 (a unit
+column).  ``|P|`` unit columns on distinct rows form an identity
+submatrix, so the rank is ``|P|`` over the integers, the rationals and
+every prime field at once.  The check of that cover takes one pass over
+``T~``; when it fails (random blocks, or a corrupted stored ``T~``) the
+rank comes from exact elimination instead.
+
+The pyramid is kept by its layers (the largest ``j`` per ``(k, l)``), so
+certifying and rechecking take memory in ``nnz(T~) + r^2``, not ``|P|``.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import NoLimitError, PlacementError, ShapeError, SizeGuardError
-from .fields import FieldContext, PrimeField, QQ, random_prime
+from .fields import FieldContext, PrimeField, QQ, is_prime, random_prime
 from .tensors import OneParamSubgroup, Tensor, limit_at_zero, recognize_unit_tensor
 
 #: pyramid size by layers: 1^2 + 2^2 + ... + r^2
@@ -87,62 +93,75 @@ def pyramid_weight_profile(n: int, r: int) -> WeightProfile:
 
 
 class PyramidPattern(NamedTuple):
-    """Nonpositive-weight positions of a three-factor profile.
+    """Nonpositive-weight positions of a three-factor profile, kept by layers.
 
-    ``positions`` is downward closed because the weights increase weakly;
-    ``zero_set`` is the equality locus.
+    ``steps[l-1][k-1]`` is the largest ``j`` with ``(j, k, l)`` in the set.
+    Each layer lists its nonzero steps and empty trailing layers are left
+    out; because the weights increase weakly the set is downward closed,
+    so the steps describe it exactly.  ``zero_set`` is the equality locus.
     """
 
     dims: tuple
-    positions: frozenset
+    steps: tuple
     zero_set: frozenset
 
     @property
     def size(self) -> int:
-        return len(self.positions)
+        return sum(map(sum, self.steps))
+
+    @property
+    def positions(self) -> frozenset:
+        """Every position as a tuple, built afresh on each read."""
+        return frozenset(
+            (j, k, l)
+            for l, layer in enumerate(self.steps, start=1)
+            for k, jmax in enumerate(layer, start=1)
+            for j in range(1, jmax + 1)
+        )
+
+    def contains(self, pos) -> bool:
+        """Membership, read off the layers."""
+        j, k, l = pos
+        steps = self.steps
+        if not 1 <= l <= len(steps):
+            return False
+        layer = steps[l - 1]
+        return 1 <= k <= len(layer) and 1 <= j <= layer[k - 1]
 
 
 def build_pyramid(profile: WeightProfile) -> PyramidPattern:
-    """Enumerate the nonpositive-weight set of a three-factor profile.
+    """The nonpositive-weight set of a three-factor profile, by layers.
 
-    For the doubling profile the enumeration is cross-checked against the
+    For the doubling profile the layers are cross-checked against the
     closed form ``{(j,k,l) : l <= r and j,k <= r-l+1}`` and the layer-sum
     size formula.
     """
     if profile.order != 3:
         raise ShapeError("pyramid enumeration expects a three-factor profile")
     a1, a2, a3 = profile.weights
-    positions = set()
+    steps = []
     zeros = set()
     # the weights increase weakly, so once a k leaves no j every larger k
     # leaves none, and once a layer l is empty every later layer is too
     for l0, w3 in enumerate(a3, start=1):
-        before = len(positions)
+        layer = []
         for k0, w2 in enumerate(a2, start=1):
             budget = -(w3 + w2)
             jmax = bisect_right(a1, budget)
             if jmax == 0:
                 break
-            for j0 in range(1, jmax + 1):
-                pos = (j0, k0, l0)
-                positions.add(pos)
-                if a1[j0 - 1] == budget:
-                    zeros.add(pos)
-        if len(positions) == before:
+            layer.append(jmax)
+            if a1[jmax - 1] == budget:
+                zeros.update((j0, k0, l0) for j0 in range(bisect_left(a1, budget) + 1, jmax + 1))
+        if not layer:
             break
-    pattern = PyramidPattern(
-        dims=profile.dims, positions=frozenset(positions), zero_set=frozenset(zeros)
-    )
+        steps.append(tuple(layer))
+    pattern = PyramidPattern(dims=profile.dims, steps=tuple(steps), zero_set=frozenset(zeros))
     r = profile.pyramid_rank
     if r is not None:
-        closed = {
-            (j, k, l)
-            for l in range(1, r + 1)
-            for j in range(1, r - l + 2)
-            for k in range(1, r - l + 2)
-        }
+        closed = tuple((r - l + 1,) * (r - l + 1) for l in range(1, r + 1))
         corners = {(r - l + 1, r - l + 1, l) for l in range(1, r + 1)}
-        if positions != closed or zeros != corners or len(positions) != pyramid_size(r):
+        if pattern.steps != closed or zeros != corners or pattern.size != pyramid_size(r):
             raise RuntimeError(
                 "pyramid enumeration disagrees with the closed form "
                 f"(n={profile.dims[0]}, r={r})"
@@ -174,6 +193,23 @@ def fit_bound(r: int) -> int:
     return -((-((r + 3) ** 2)) // 4)
 
 
+def block_placements(r: int) -> tuple:
+    """Where the rank-``r`` construction plants its blocks, in increasing ``s``.
+
+    Blocks are packed greedily left-to-right from row/column ``r+1``: even
+    sizes on the row axis, odd sizes on the column axis, so the intervals
+    on each axis are pairwise disjoint.  Whether they fit in ``[1, n]`` is
+    the caller's check.
+    """
+    placements = []
+    next_start = {"j": r + 1, "k": r + 1}
+    for s in range(r):
+        axis = "j" if s % 2 == 0 else "k"
+        placements.append(BlockPlacement(s=s, layer=r - s, axis=axis, start=next_start[axis]))
+        next_start[axis] += s + 1
+    return tuple(placements)
+
+
 def build_planted_tensor(
     field: FieldContext,
     n: int,
@@ -184,11 +220,10 @@ def build_planted_tensor(
     """Build ``(T~, S, placements)`` for the rank-``r`` degeneration.
 
     ``S`` has ones exactly on the pyramid corners ``(r-l+1, r-l+1, l)``;
-    ``T~`` adds one ``(s+1) x (s+1)`` block per layer ``l = r-s``, packed
-    greedily left-to-right from row/column ``r+1`` in increasing ``s``
-    (even sizes on the row axis, odd sizes on the column axis, intervals
-    pairwise disjoint per axis).  Blocks are identity matrices unless
-    ``random_blocks`` asks for random invertible ones.
+    ``T~`` adds one ``(s+1) x (s+1)`` block per layer ``l = r-s`` at the
+    :func:`block_placements`.  Blocks are identity matrices, planted as
+    their diagonals, unless ``random_blocks`` asks for random invertible
+    ones.
 
     Raises PlacementError when ``4n < (r+3)^2`` or -- double-checked rather
     than trusted -- when the greedy packing would leave ``[1, n]``.
@@ -199,47 +234,38 @@ def build_planted_tensor(
         raise PlacementError(
             f"fit condition violated: n >= (r+3)^2/4 requires n >= {fit_bound(r)}, got n={n}"
         )
-    one = field.one()
-    entries = {}
-    s_entries = {}
-    for l in range(1, r + 1):
-        pos = (r - l + 1, r - l + 1, l)
-        entries[pos] = one
-        s_entries[pos] = one
-
-    placements = []
-    next_start = {"j": r + 1, "k": r + 1}
-    for s in range(0, r):
-        axis = "j" if s % 2 == 0 else "k"
-        start = next_start[axis]
-        end = start + s
+    placements = block_placements(r)
+    for p in placements:
+        start, end = p.interval
         if end > n:
             raise PlacementError(
-                f"block of size {s + 1} does not fit: interval [{start}, {end}] exceeds n={n}",
+                f"block of size {p.s + 1} does not fit: interval [{start}, {end}] exceeds n={n}",
                 interval=(start, end),
             )
-        next_start[axis] = end + 1
-        layer = r - s
-        block = _block_matrix(field, s + 1, rng, random_blocks)
-        for i in range(s + 1):
-            for i2 in range(s + 1):
-                v = block[i][i2]
-                if field.is_zero(v):
-                    continue
-                if axis == "j":
-                    entries[(start + i, 1 + i2, layer)] = v
-                else:
-                    entries[(1 + i, start + i2, layer)] = v
-        placements.append(BlockPlacement(s=s, layer=layer, axis=axis, start=start))
+    one = field.one()
+    corners = {(r - l + 1, r - l + 1, l): one for l in range(1, r + 1)}
+    entries = dict(corners)
+    for p in placements:
+        size, start, layer = p.s + 1, p.start, p.layer
+        if random_blocks:
+            block = _random_block(field, size, rng)
+            cells = ((i, i2, block[i][i2]) for i in range(size) for i2 in range(size))
+        else:
+            cells = ((i, i, one) for i in range(size))
+        for i, i2, v in cells:
+            if field.is_zero(v):
+                continue
+            if p.axis == "j":
+                entries[(start + i, 1 + i2, layer)] = v
+            else:
+                entries[(1 + i, start + i2, layer)] = v
 
     t_tilde = Tensor.from_entries(field, (n, n, n), entries)
-    s_tensor = Tensor.from_entries(field, (n, n, n), s_entries)
-    return t_tilde, s_tensor, placements
+    s_tensor = Tensor.from_entries(field, (n, n, n), corners)
+    return t_tilde, s_tensor, list(placements)
 
 
-def _block_matrix(field: FieldContext, size: int, rng, random_blocks: bool):
-    if not random_blocks:
-        return linalg.identity(field, size)
+def _random_block(field: FieldContext, size: int, rng):
     if rng is None:
         rng = random.Random(0)
     while True:
@@ -248,59 +274,100 @@ def _block_matrix(field: FieldContext, size: int, rng, random_blocks: bool):
             return cand
 
 
+def _slices(t: Tensor) -> tuple:
+    """``T~``'s nonzeros by first coordinate, as ``(k, l, v)``, and by second, as ``(j, l, v)``."""
+    by_first: dict = {}
+    by_second: dict = {}
+    for (j, k, l), v in t.support():
+        by_first.setdefault(j, []).append((k, l, v))
+        by_second.setdefault(k, []).append((j, l, v))
+    return by_first, by_second
+
+
+def _unit_slice(entries, target: tuple, one, in_p) -> bool:
+    """Whether a slice holds ``target -> 1`` and nothing else that ``in_p`` accepts."""
+    found = False
+    for c, l, v in entries:
+        if (c, l) == target:
+            if v != one:
+                return False
+            found = True
+        elif in_p(c, l):
+            return False
+    return found
+
+
+def unit_cover_holds(t_tilde: Tensor, pattern: PyramidPattern) -> bool:
+    """Whether every row of ``pattern`` has its closed-form unit column in ``t_tilde``.
+
+    Row ``(j, k, l)`` on layer ``l = r - s`` (``r`` the number of layers)
+    names one column of the restricted Jacobian, with ``start`` the start
+    of that layer's block in :func:`block_placements`:
+
+    * even ``s``: the factor-1 column ``E_{j,b}``, ``b = start + k - 1``;
+    * odd ``s``: the factor-2 column ``E_{k,b}``, ``b = start + j - 1``.
+
+    The cover holds when ``b`` is at least the column's first index (the
+    column is upper triangular) and the column restricted to the pyramid
+    is exactly ``{that row: 1}``.  All rows sharing a slice ``b`` are
+    checked in one scan of it: the pyramid is downward closed, so a slice
+    entry that misses row 1 of its line misses every row.  One pass,
+    ``O(r^2 + nnz(T~))``.
+    """
+    steps = pattern.steps
+    one = t_tilde.field.one()
+    by_first, by_second = _slices(t_tilde)
+    contains = pattern.contains
+    for p in block_placements(len(steps)):
+        layer = steps[p.layer - 1]
+        if p.start < max(layer[0], len(layer)):
+            return False
+        if p.axis == "j":
+            slices, lines, in_p = by_first, len(layer), lambda k, l: contains((1, k, l))
+        else:
+            slices, lines, in_p = by_second, layer[0], lambda j, l: contains((j, 1, l))
+        for c in range(1, lines + 1):
+            if not _unit_slice(slices.get(p.start + c - 1, ()), (c, p.layer), one, in_p):
+                return False
+    return True
+
+
 def jacobian_dominance_rank(t_tilde: Tensor, pattern: PyramidPattern, field: FieldContext) -> int:
     """Exact rank of the translation derivative restricted to the pyramid.
 
     Rows are indexed by the pyramid positions; columns by upper-triangular
     matrix units ``E_ab`` acting on factor 1 or factor 2 (the entry at row
     ``(j,k,l)`` for a factor-1 column is ``T~[b,k,l]`` if ``j = a``, and
-    symmetrically for factor 2).  The elimination stops once the rank
-    reaches the row count (the exact answer is already known then).
+    symmetrically for factor 2).  When :func:`unit_cover_holds` the rank is
+    ``|P|`` over every field.  Otherwise the columns go through exact
+    elimination, which stops once the rank reaches the row count.
     """
     field.ensure_same(t_tilde.field)
-    positions = sorted(pattern.positions)
-    row_index = {pos: i for i, pos in enumerate(positions)}
+    size = pattern.size
+    if unit_cover_holds(t_tilde, pattern):
+        return size
+    by_first, by_second = _slices(t_tilde)
     n1, n2, _ = t_tilde.dims
-    in_p = pattern.positions
-
-    by_first: dict = {}
-    by_second: dict = {}
-    for (j, k, l), v in t_tilde.support():
-        by_first.setdefault(j, []).append((k, l, v))
-        by_second.setdefault(k, []).append((j, l, v))
-
+    contains = pattern.contains
+    steps = pattern.steps
     # a column E_ab is empty unless some pyramid position has coordinate a
-    # in the factor it acts on
-    firsts = sorted({j for j, _, _ in in_p})
-    seconds = sorted({k for _, k, _ in in_p})
+    # in the factor it acts on; rows are keyed by their positions, whose
+    # order is the row order
+    top_j, top_k = (steps[0][0], len(steps[0])) if steps else (0, 0)
 
     def columns():
-        for a in firsts:
+        for a in range(1, top_j + 1):
             for b in range(a, n1 + 1):
-                slice_b = by_first.get(b)
-                if not slice_b:
-                    continue
-                col = {}
-                for k, l, v in slice_b:
-                    pos = (a, k, l)
-                    if pos in in_p:
-                        col[row_index[pos]] = v
+                col = {(a, k, l): v for k, l, v in by_first.get(b, ()) if contains((a, k, l))}
                 if col:
                     yield col
-        for a in seconds:
+        for a in range(1, top_k + 1):
             for b in range(a, n2 + 1):
-                slice_b = by_second.get(b)
-                if not slice_b:
-                    continue
-                col = {}
-                for j, l, v in slice_b:
-                    pos = (j, a, l)
-                    if pos in in_p:
-                        col[row_index[pos]] = v
+                col = {(j, a, l): v for j, l, v in by_second.get(b, ()) if contains((j, a, l))}
                 if col:
                     yield col
 
-    return linalg.sparse_rank(field, columns(), stop_at=len(positions))
+    return linalg.sparse_rank(field, columns(), stop_at=size)
 
 
 # ---------------------------------------------------------------------------
@@ -351,9 +418,9 @@ def restriction_agrees(t_tilde: Tensor, s_tensor: Tensor, pattern: PyramidPatter
 
     Tensors store no zeros, so this compares their nonzeros inside the pyramid.
     """
-    in_p = pattern.positions
-    return {pos: v for pos, v in t_tilde.support() if pos in in_p} == {
-        pos: v for pos, v in s_tensor.support() if pos in in_p
+    in_p = pattern.contains
+    return {pos: v for pos, v in t_tilde.support() if in_p(pos)} == {
+        pos: v for pos, v in s_tensor.support() if in_p(pos)
     }
 
 
@@ -367,10 +434,11 @@ def certify_lower_bound(
 
     ``r`` defaults to ``isqrt(4n) - 3`` and must end up >= 1.  The rank is
     certified over ``field``; when none is given, a random prime field with
-    ``PRIME_BITS``-bit modulus is drawn from ``rng``.  Because the default
-    tensor is 0/1, full rank modulo one prime certifies the rational
-    statement; a sub-full rank over a prime is inconclusive and triggers
-    fresh primes, then random invertible blocks, before giving up.
+    ``PRIME_BITS``-bit modulus is drawn from ``rng``.  The default identity
+    blocks give the unit-column cover, whose full rank holds over every
+    field, the rationals included; a sub-full rank over a prime is
+    inconclusive and triggers fresh primes, then random invertible blocks,
+    before giving up.
     """
     if rng is None:
         rng = random.Random(0)
@@ -433,11 +501,15 @@ def certify_lower_bound(
 def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Random] = None):
     """Re-derive every checkable claim of a stored certificate from scratch.
 
-    Returns an ordered list of ``(clause, ok, detail)`` triples.  The
-    Jacobian rank is recomputed over a fresh random prime drawn from
-    ``rng``, redrawn while it equals the stored prime.  ``rng`` should be a
-    stream of its own, not the one the certificate was made with; the
-    default is the verify stream of seed 0, ``random.Random("verify:0")``.
+    Returns an ordered list of ``(clause, ok, detail)`` triples.  A stored
+    claim passes only when it equals its re-derived value: the placements,
+    the restriction and limit checks, the unit size, the rank and pyramid
+    size, and the verdict, which must read Certified exactly when every
+    other clause holds; a stored prime must be prime.  The Jacobian rank
+    is recomputed over a fresh random prime drawn from ``rng``, redrawn
+    while it equals the stored prime.  ``rng`` should be a stream of its
+    own, not the one the certificate was made with; the default is the
+    verify stream of seed 0, ``random.Random("verify:0")``.
     """
     if rng is None:
         rng = random.Random("verify:0")
@@ -451,9 +523,17 @@ def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Rand
         ("pyramid", pattern.size == cert.pyramid_size == pyramid_size(cert.r), "pyramid size r(r+1)(2r+1)/6")
     )
 
+    placements = block_placements(cert.r)
     results.append(
-        ("restriction", restriction_agrees(cert.t_tilde, cert.s_tensor, pattern), "T|_P = S|_P")
+        (
+            "placements",
+            tuple(cert.placements) == placements and all(p.interval[1] <= cert.n for p in placements),
+            "blocks packed greedily from r+1 inside [1, n]",
+        )
     )
+
+    restriction = restriction_agrees(cert.t_tilde, cert.s_tensor, pattern)
+    results.append(("restriction", restriction and cert.restriction_check, "T|_P = S|_P"))
 
     tensor_field = cert.t_tilde.field
     subgroup = expected_profile.subgroup(tensor_field)
@@ -461,10 +541,14 @@ def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Rand
         limit_ok = limit_at_zero(subgroup, cert.t_tilde) == cert.s_tensor
     except NoLimitError:
         limit_ok = False
-    results.append(("limit", limit_ok, "limit of T~ at t->0 equals S"))
+    results.append(("limit", limit_ok and cert.limit_check, "limit of T~ at t->0 equals S"))
 
     results.append(
-        ("unit-tensor", recognize_unit_tensor(cert.s_tensor) == cert.r, "S is a diagonal unit tensor of size r")
+        (
+            "unit-tensor",
+            recognize_unit_tensor(cert.s_tensor) == cert.r == cert.unit_size,
+            "S is a diagonal unit tensor of size r",
+        )
     )
 
     prime = random_prime(PRIME_BITS, rng)
@@ -476,9 +560,23 @@ def recheck_certificate(cert: DegenerationCertificate, rng: Optional[random.Rand
         results.append(("jacobian-rank", False, "tensor entries not integral; cannot recheck over a fresh prime"))
     else:
         rank = jacobian_dominance_rank(coerced, pattern, fresh)
+        stored_prime_ok = cert.prime is None or is_prime(cert.prime)
         results.append(
-            ("jacobian-rank", rank == cert.jacobian_rank == pattern.size, f"full rank over fresh prime {fresh.p}")
+            (
+                "jacobian-rank",
+                rank == cert.jacobian_rank == pattern.size and stored_prime_ok,
+                f"full rank over fresh prime {fresh.p}",
+            )
         )
+
+    holds = all(ok for _, ok, _ in results)
+    results.append(
+        (
+            "verdict",
+            (cert.verdict == VERDICT_CERTIFIED) == holds,
+            f"{VERDICT_CERTIFIED} exactly when every clause above holds",
+        )
+    )
     return results
 
 

@@ -76,6 +76,9 @@ def random_prime(bits: int, rng: random.Random) -> int:
 
 #: a rational scalar as JSON writes it: an integer or a quotient of integers
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+#: a prime-field scalar, and the characters a vector of them may hold
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_SIGNS_AND_DIGITS = re.compile(r"[0-9+-]*")
 
 
 def _rational_parts(s: str) -> tuple:
@@ -523,11 +526,20 @@ class PrimeField(FieldContext):
         return a == 0
 
     def parse(self, s):
-        if "/" in s:
-            raise ValueError(f"prime-field scalar must be an integer string, got {s!r}")
+        if _INTEGER.fullmatch(s) is None:
+            raise SchemaError(f"prime-field scalar must be [+-]digits, got {s[:40]!r}")
         return int(s) % self.p
 
     def parse_vector(self, strings):
+        # one match checks every character of the vector; on signs and
+        # digits alone int() accepts exactly [+-]digits and raises otherwise
+        if _SIGNS_AND_DIGITS.fullmatch("".join(strings)):
+            p = self.p
+            try:
+                return [int(s) % p for s in strings], 1
+            except ValueError:
+                pass
+        # one string at a time, to name the first one outside the grammar
         return [self.parse(s) for s in strings], 1
 
     def format(self, a):

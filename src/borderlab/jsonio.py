@@ -9,8 +9,8 @@ Decoders check the shape of what they read: a value of the wrong JSON type
 raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
 
 A decoder imports the module of the type it builds when it runs, so reading
-a ``cim`` document loads no tensor code and reading a witness loads no
-degeneration code.
+a ``cim`` document loads no tensor code, reading a witness loads no
+degeneration code and reading a certificate loads no series code.
 """
 
 from __future__ import annotations
@@ -19,11 +19,11 @@ from typing import TYPE_CHECKING, Optional
 
 from .errors import SchemaError
 from .fields import FieldContext
-from .series import LaurentSeries, SeriesMatrix
 
 if TYPE_CHECKING:
     from .degeneration import BlockPlacement, DegenerationCertificate, WeightProfile
     from .loopgroup import CartanDecomposition
+    from .series import LaurentSeries, SeriesMatrix
     from .tensors import OneParamSubgroup, Tensor
     from .witness import LimitWitness
 
@@ -93,13 +93,19 @@ def series_to_obj(s: LaurentSeries) -> dict:
 
 
 def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
+    from .series import LaurentSeries
+
+    return _read_series(LaurentSeries.from_vector, field, obj)
+
+
+def _read_series(from_vector, field: FieldContext, obj: dict) -> LaurentSeries:
     _dict(obj, "series")
     coeffs = [_str(c, "series coefficient") for c in _list(obj["coeffs"], "series coeffs")]
     exact = obj.get("exact", False)
     if not isinstance(exact, bool):
         raise SchemaError(f"series exact: expected true or false, got {type(exact).__name__}")
     trunc = None if exact else _int(obj["trunc"], "series trunc")
-    return LaurentSeries.from_vector(field, _int(obj["val"], "series val"), *field.parse_vector(coeffs), trunc)
+    return from_vector(field, _int(obj["val"], "series val"), *field.parse_vector(coeffs), trunc)
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict:
@@ -110,10 +116,13 @@ def matrix_to_obj(m: SeriesMatrix) -> dict:
 
 
 def matrix_from_obj(obj: dict, field: Optional[FieldContext] = None) -> SeriesMatrix:
+    from .series import LaurentSeries, SeriesMatrix
+
     _dict(obj, "matrix")
     fld = field if field is not None else field_from_obj(obj["field"])
     rows = _list(obj["entries"], "matrix entries")
-    return SeriesMatrix(fld, [[series_from_obj(fld, e) for e in _list(row, "matrix row")] for row in rows])
+    read = LaurentSeries.from_vector
+    return SeriesMatrix(fld, [[_read_series(read, fld, e) for e in _list(row, "matrix row")] for row in rows])
 
 
 def scalar_matrix_to_obj(field: FieldContext, mat) -> list:

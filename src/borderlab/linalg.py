@@ -1,8 +1,9 @@
 """Dense exact linear algebra over a FieldContext, plus a sparse rank kernel.
 
 Constant matrices are plain lists of lists of scalars (0-based, row-major).
-The sparse rank routine consumes columns as ``{row_index: value}`` dicts and
-is the workhorse behind the Jacobian dominance check.
+The sparse rank routine consumes columns as ``{row: value}`` dicts (rows
+are any ordered keys) and is the Jacobian dominance check's fallback when
+its unit-column cover does not hold.
 """
 
 from __future__ import annotations

@@ -18,12 +18,14 @@ with ``j`` up to the ambient dimension).
 from __future__ import annotations
 
 import operator
-from typing import Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import NoLimitError, ShapeError
 from .fields import FieldContext
-from .series import LaurentPolynomials, LaurentSeries, SeriesMatrix
+
+if TYPE_CHECKING:
+    from .series import LaurentPolynomials, SeriesMatrix
 
 _POSITION = operator.itemgetter(0)
 
@@ -186,6 +188,8 @@ def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> Tensor:
     The result is a tensor over :class:`LaurentPolynomials`.  Every matrix
     entry must be exact; a truncated one raises PrecisionError.
     """
+    from .series import LaurentPolynomials, LaurentSeries
+
     for mat in mats:
         t.field.ensure_same(mat.field)
     ring = LaurentPolynomials(t.field)
@@ -287,6 +291,8 @@ class OneParamSubgroup:
         Only sensible for small weights (guarded by |w| <= clamp); limits
         of big-weight subgroups go through sign analysis instead.
         """
+        from .series import SeriesMatrix
+
         out = []
         for fac in self.factors:
             if any(abs(w) > clamp for w in fac.weights):

@@ -110,6 +110,30 @@ def test_rational_scalars_outside_the_grammar_exit_3(command, scalar, tmp_path, 
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("scalar", [" 1_0 ", "\u0663", "\uff13", "1/2", "", "0x1"])
+@pytest.mark.parametrize("command", ["cim", "verify"])
+def test_prime_field_scalars_outside_the_grammar_exit_3(command, scalar, tmp_path, capsys):
+    # F_p reads [+-]digits only, as Q does: no int() whitespace, underscores
+    # or non-ASCII digits
+    source = tmp_path / "g.json"
+    assert run(["gen", "--kind", "cim", "--field", "fp", "--size", "3", "--seed", "1", "--out", str(source)]) == 0
+    if command == "verify":
+        out = tmp_path / "dec.json"
+        assert run(["cim", str(source), "--out", str(out)]) == 0
+        doc = read_json(out)
+        matrices = [doc["input"], doc["factors"][0]["input"]]
+    else:
+        doc = read_json(source)
+        matrices = [doc]
+    for matrix in matrices:
+        entry = next(e for row in matrix["entries"] for e in row if e["coeffs"])
+        entry["coeffs"][0] = scalar
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    assert run([command, str(path)]) == 3
+    assert "error:" in capsys.readouterr().err
+
+
 def json_paths(node, path=()):
     """Every path into a JSON document, the root excluded."""
     items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
@@ -419,6 +443,44 @@ def test_verify_tampered_certificate_names_clause(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "restriction: FAILED" in out
     assert "T|_P = S|_P" in out
+
+
+def _shift_first_start(obj):
+    obj["placements"][0]["start"] += 1
+
+
+@pytest.mark.parametrize(
+    "mutate, clause",
+    [
+        (lambda obj: obj.update(placements=[]), "placements"),
+        (_shift_first_start, "placements"),
+        (lambda obj: obj.update(limitCheck="Fail"), "limit"),
+        (lambda obj: obj.update(restrictionCheck="Fail"), "restriction"),
+        (lambda obj: obj.update(unitSize=obj["unitSize"] + 1), "unit-tensor"),
+        (lambda obj: obj.update(prime="4611686018427387904"), "jacobian-rank"),
+        (lambda obj: obj.update(verdict="Refuted"), "verdict"),
+        (lambda obj: obj.update(verdict="Inconclusive"), "verdict"),
+    ],
+    ids=[
+        "placements-empty",
+        "placements-start",
+        "limitCheck",
+        "restrictionCheck",
+        "unitSize",
+        "prime",
+        "verdict-refuted",
+        "verdict-inconclusive",
+    ],
+)
+def test_verify_compares_every_stored_claim(mutate, clause, tmp_path, capsys):
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", "--n", "9", "--out", str(cert_path)]) == 0
+    obj = read_json(cert_path)
+    mutate(obj)
+    cert_path.write_text(json.dumps(obj))
+    assert run(["verify", str(cert_path)]) == 1
+    failed = re.findall(r"^(\S+): FAILED", capsys.readouterr().out, re.M)
+    assert failed[0] == clause
 
 
 def test_verify_witness_output(witness_file, tmp_path):

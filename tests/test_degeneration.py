@@ -1,4 +1,6 @@
+import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -21,12 +23,16 @@ from borderlab import (
     recognize_unit_tensor,
     unit_tensor,
 )
+from borderlab import linalg
+from borderlab.cli import main
 from borderlab.degeneration import (
     WeightProfile,
+    block_placements,
     default_rank,
     fit_bound,
     is_downward_closed,
     restriction_agrees,
+    unit_cover_holds,
 )
 
 
@@ -109,6 +115,19 @@ def test_pyramid_matches_brute_force_on_random_profiles():
         total = lambda pos: a1[pos[0] - 1] + a2[pos[1] - 1] + a3[pos[2] - 1]
         assert pattern.positions == {pos for pos in grid if total(pos) <= 0}
         assert pattern.zero_set == {pos for pos in grid if total(pos) == 0}
+
+
+def test_pyramid_membership_and_size_are_arithmetic():
+    # contains and size read the layers; they must agree with the positions
+    rng = random.Random(62)
+    for _ in range(200):
+        dims = tuple(rng.randint(0, 5) for _ in range(3))
+        weights = tuple(tuple(sorted(rng.randint(-5, 5) for _ in range(n))) for n in dims)
+        pattern = build_pyramid(WeightProfile(dims=dims, weights=weights))
+        positions = pattern.positions
+        assert pattern.size == len(positions)
+        box = [(j, k, l) for j in range(7) for k in range(7) for l in range(7)]
+        assert {pos for pos in box if pattern.contains(pos)} == positions
 
 
 def test_pyramid_downward_closed():
@@ -218,6 +237,167 @@ def test_deleting_one_block_drops_rank():
         if jacobian_dominance_rank(stripped, pattern, field) < pattern.size:
             dropped += 1
     assert dropped >= 1
+
+
+def elimination_rank(t_tilde, pattern, field):
+    """The oracle: the restricted Jacobian built from its definition, ranked by elimination.
+
+    Every upper-triangular matrix unit of factors 1 and 2 is a column; its
+    entry at pyramid row ``(j, k, l)`` is ``T~[b, k, l]`` (factor 1,
+    ``j = a``) or ``T~[j, b, l]`` (factor 2, ``k = a``).
+    """
+    n1, n2, _ = t_tilde.dims
+    positions = pattern.positions
+    entries = dict(t_tilde.support())
+    columns = []
+    for a in range(1, n1 + 1):
+        for b in range(a, n1 + 1):
+            columns.append({(a, k, l): v for (j, k, l), v in entries.items() if j == b and (a, k, l) in positions})
+    for a in range(1, n2 + 1):
+        for b in range(a, n2 + 1):
+            columns.append({(j, a, l): v for (j, k, l), v in entries.items() if k == b and (j, a, l) in positions})
+    return linalg.sparse_rank(field, columns)
+
+
+def fitting_pairs(n_max):
+    return [(n, r) for n in range(4, n_max + 1) for r in range(1, default_rank(n) + 1)]
+
+
+def test_unit_cover_holds_on_every_fitting_size():
+    field = PrimeField(1000003)
+    pairs = fitting_pairs(150)
+    assert len(pairs) > 1900
+    for n, r in pairs:
+        t_tilde, _, _ = build_planted_tensor(field, n, r)
+        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        assert unit_cover_holds(t_tilde, pattern), (n, r)
+        assert jacobian_dominance_rank(t_tilde, pattern, field) == pattern.size == pyramid_size(r)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
+def test_cover_rank_matches_elimination_on_a_sample(field):
+    rng = random.Random(63)
+    for n, r in rng.sample(fitting_pairs(40), 12) + [(16, 5), (36, 9)]:
+        t_tilde, _, _ = build_planted_tensor(field, n, r)
+        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        assert jacobian_dominance_rank(t_tilde, pattern, field) == elimination_rank(t_tilde, pattern, field)
+
+
+def block_mutants(t_tilde, r, rng):
+    """``(kind, mutant)`` for one drawn block entry: zeroed, set to 2, and a
+    1 added to its cover column's slice on a line whose row 1 lies in P.
+
+    The entry is not the block's last diagonal entry, whose row a corner of
+    ``S`` also covers, so zeroing it drops the rank.
+    """
+    placement = rng.choice([p for p in block_placements(r) if p.s >= 1])
+    i = rng.randrange(placement.s)
+    other = rng.choice([l for l in range(1, r + 1) if l != placement.layer])
+    if placement.axis == "j":
+        cell = (placement.start + i, 1 + i, placement.layer)
+        extra = (placement.start + i, 1, other)
+    else:
+        cell = (1 + i, placement.start + i, placement.layer)
+        extra = (1, placement.start + i, other)
+    field = t_tilde.field
+    base = dict(t_tilde.support())
+    mutants = (
+        ("zeroed", {pos: v for pos, v in base.items() if pos != cell}),
+        ("doubled", base | {cell: field.from_int(2)}),
+        ("crowded", base | {extra: field.one()}),
+    )
+    return [(kind, Tensor.from_entries(field, t_tilde.dims, entries)) for kind, entries in mutants]
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
+def test_mutants_break_the_cover_and_fall_back_to_elimination(field):
+    rng = random.Random(64)
+    blocky = [(n, r) for n, r in fitting_pairs(30) if r >= 2]
+    for n, r in [(9, 3), (16, 5), (25, 7), (36, 9)] + rng.sample(blocky, 6):
+        t_tilde, _, _ = build_planted_tensor(field, n, r)
+        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        for kind, mutant in block_mutants(t_tilde, r, rng):
+            assert not unit_cover_holds(mutant, pattern), (n, r, kind)
+            rank = jacobian_dominance_rank(mutant, pattern, field)
+            assert rank == elimination_rank(mutant, pattern, field), (n, r, kind)
+            if kind == "zeroed":
+                assert rank < pattern.size, (n, r)
+
+
+def test_the_cover_takes_only_upper_triangular_columns():
+    # one layer of three rows (j, 1, 1) and T~ = e_2 ⊗ e_1 ⊗ e_1: the named
+    # column E_{3,2} of row (3, 1, 1) is below the diagonal, so the cover
+    # must refuse, and elimination finds rank 2
+    field = PrimeField(101)
+    pattern = build_pyramid(WeightProfile(dims=(3, 1, 1), weights=((0, 0, 0), (0,), (0,))))
+    assert pattern.steps == ((3,),)
+    t_tilde = Tensor.from_entries(field, (3, 1, 1), {(2, 1, 1): field.one()})
+    assert not unit_cover_holds(t_tilde, pattern)
+    assert jacobian_dominance_rank(t_tilde, pattern, field) == elimination_rank(t_tilde, pattern, field) == 2
+
+
+def test_a_zeroed_block_entry_fails_verify(tmp_path, capsys):
+    path = tmp_path / "cert.json"
+    assert main(["certify", "--n", "16", "--out", str(path)]) == 0
+    obj = json.loads(path.read_text())
+    # the size-2 block of layer 4 starts at (1, 6, 4)
+    entries = obj["TTilde"]["entries"]
+    obj["TTilde"]["entries"] = [e for e in entries if e["idx"] != [1, 6, 4]]
+    assert len(obj["TTilde"]["entries"]) == len(entries) - 1
+    path.write_text(json.dumps(obj))
+    assert main(["verify", str(path)]) == 1
+    out = capsys.readouterr().out
+    assert "jacobian-rank: FAILED" in out
+    assert "restriction: ok" in out and "limit: ok" in out
+
+
+def spy_on_sparse_rank(monkeypatch):
+    calls = []
+    kernel = linalg.sparse_rank
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(linalg, "sparse_rank", spy)
+    return calls
+
+
+def test_default_certify_and_verify_never_eliminate(tmp_path, monkeypatch, capsys):
+    calls = spy_on_sparse_rank(monkeypatch)
+    path = tmp_path / "cert.json"
+    for argv in (["--n", "64"], ["--n", "49", "--field", "q"]):
+        assert main(["certify", *argv, "--out", str(path)]) == 0
+        assert main(["verify", str(path)]) == 0
+    assert calls == []
+
+
+def test_random_blocks_go_through_elimination(monkeypatch):
+    calls = spy_on_sparse_rank(monkeypatch)
+    field = PrimeField(1000003)
+    t_tilde, _, _ = build_planted_tensor(field, 16, 5, rng=random.Random(5), random_blocks=True)
+    pattern = build_pyramid(pyramid_weight_profile(16, 5))
+    assert not unit_cover_holds(t_tilde, pattern)
+    assert jacobian_dominance_rank(t_tilde, pattern, field) == pattern.size
+    assert len(calls) == 1
+
+
+def traced_peak(fn, *args):
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_certify_and_recheck_at_1024_stay_small():
+    # the pyramid is kept by its layers and the rank by its cover: no
+    # |P| = 39 711 position tuples, dicts or elimination columns
+    cert = certify_lower_bound(1024, rng=random.Random(1))
+    assert cert.certified and cert.pyramid_size == pyramid_size(61)
+    assert traced_peak(certify_lower_bound, 1024, None, None, random.Random(1)) < 4 * 2**20
+    assert traced_peak(recheck_certificate, cert, random.Random(2)) < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from borderlab import FieldMismatchError, PrimeField, QQ, is_prime, random_prime
+from borderlab import FieldMismatchError, PrimeField, QQ, SchemaError, is_prime, random_prime
 
 
 def test_is_prime_small():
@@ -41,8 +41,22 @@ def test_prime_field_arithmetic():
     assert f.inv(7) == 2
     assert f.neg(5) == 8
     assert f.parse("27") == 1
-    with pytest.raises(ValueError):
+    with pytest.raises(SchemaError):
         f.parse("1/2")
+
+
+@pytest.mark.parametrize("bad", [" 1_0 ", " 1", "1 ", "\u0663", "\uff13", "1/2", "", "1,2", "+-1", "1\n"])
+def test_prime_field_reads_signed_digits_only(bad):
+    f = PrimeField(7)
+    assert f.parse("+3") == 3 and f.parse("-10") == 4 and f.parse("007") == 0
+    assert f.parse_vector(["+3", "-10", "007"]) == ([3, 4, 0], 1)
+    assert f.parse_vector([]) == ([], 1)
+    with pytest.raises(SchemaError):
+        f.parse(bad)
+    # the vector check matches the whole list at once, wherever the bad string sits
+    for vector in ([bad], ["1", bad], [bad, "2"], ["1", bad, "2"]):
+        with pytest.raises(SchemaError):
+            f.parse_vector(vector)
 
 
 def test_context_mismatch():

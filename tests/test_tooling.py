@@ -129,7 +129,7 @@ SUBMODULES = {
 }
 CIM_FREE = {"tensors", "witness", "degeneration", "bounds", "instances"}
 WITNESS_FREE = {"degeneration", "bounds", "instances"}
-CERTIFY_FREE = {"loopgroup", "witness", "bounds"}
+CERTIFY_FREE = {"loopgroup", "witness", "bounds", "series"}
 
 # (case, argv, submodules it must not load); the verify cases read the
 # outputs of the cases before them
