@@ -6,8 +6,9 @@ Exit codes are a stable contract:
   2  inconclusive (precision or prime retries exhausted)
   3  malformed input, bad parameters or a usage error
 
-All outputs are JSON with sorted keys (identical inputs and seed give
-byte-identical files); files are written atomically.
+All outputs are the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
+plus a newline (identical inputs and seed give byte-identical files),
+streamed piece by piece; files are written atomically.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import os
 import random
 import sys
 import tempfile
+from json.encoder import encode_basestring_ascii as _quote
 from typing import TYPE_CHECKING, Optional
 
 # Only light modules are imported here: each subcommand imports the
@@ -31,6 +33,7 @@ from .errors import (
     NoLimitError,
     PlacementError,
     PrecisionError,
+    SchemaError,
     SingularError,
     WitnessVerificationFailure,
 )
@@ -62,17 +65,20 @@ def _field(args) -> Optional[FieldContext]:
     return None
 
 
-def _write_text(path: Optional[str], text: str) -> None:
+#: the output file's buffer, in bytes, and how many strings the JSON writer quotes and joins at once
+_BUFFER, _JOIN_SLICE = 1 << 16, 128
+
+
+def _emit(path: Optional[str], dump) -> None:
+    """``dump(write)`` into stdout, or into a temp file that replaces ``path`` once complete."""
     if path is None:
-        sys.stdout.write(text)
-        if not text.endswith("\n"):
-            sys.stdout.write("\n")
+        dump(sys.stdout.write)
         return
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+        with os.fdopen(fd, "w", buffering=_BUFFER) as handle:
+            dump(handle.write)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -80,8 +86,52 @@ def _write_text(path: Optional[str], text: str) -> None:
         raise
 
 
+def _write_text(path: Optional[str], text: str) -> None:
+    _emit(path, lambda write: write(text))
+
+
 def _write_json(path: Optional[str], obj) -> None:
-    _write_text(path, json.dumps(obj, sort_keys=True, indent=2) + "\n")
+    _emit(path, lambda write: _dump_json(obj, write))
+
+
+def _dump_json(obj, write) -> None:
+    """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` through ``write``, piece by piece.
+
+    No piece is larger than one string of ``obj`` or one slice of a string
+    list, so the whole text is never held.  Only str, int, bool, None,
+    lists, tuples and str-keyed dicts are written; anything else raises
+    TypeError.
+    """
+
+    def node(o, indent):
+        if isinstance(o, str):
+            return write(_quote(o))
+        if o is None or o is True or o is False:
+            return write("null" if o is None else "true" if o else "false")
+        if isinstance(o, int):
+            return write(int.__repr__(o))
+        if not isinstance(o, (list, tuple, dict)):
+            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+        if not o:
+            return write("{}" if isinstance(o, dict) else "[]")
+        inner = indent + "  "
+        lead, sep = ("{" if isinstance(o, dict) else "[") + inner, "," + inner
+        if isinstance(o, dict):
+            for i, key in enumerate(sorted(o)):  # _quote refuses a key that is not a str
+                write((sep if i else lead) + _quote(key) + ": ")
+                node(o[key], inner)
+            return write(indent + "}")
+        if all(isinstance(x, str) for x in o):  # quoted and joined in C, a slice at a time
+            for i in range(0, len(o), _JOIN_SLICE):
+                write((sep if i else lead) + sep.join(map(_quote, o[i : i + _JOIN_SLICE])))
+        else:
+            for i, x in enumerate(o):
+                write(sep if i else lead)
+                node(x, inner)
+        write(indent + "]")
+
+    node(obj, "\n")
+    write("\n")
 
 
 def _load_json(path: str):
@@ -232,12 +282,18 @@ def _recheck_cartan(obj):
     from . import jsonio
     from .loopgroup import verify_cartan
 
-    pairs = jsonio.cartan_results_from_obj(obj)
+    factors = jsonio.cartan_results_from_obj(obj)
     results = []
-    for i, (g, dec) in enumerate(pairs):
+    for i, (g, dec, verified, reason) in enumerate(factors):
         verdict = verify_cartan(g, dec)
-        label = f"residual[{i}]" if len(pairs) > 1 else "residual"
-        results.append((label, verdict.passed, verdict.reason or "g = h1 diag(t^w) h2^-1 mod t^N"))
+        index = f"[{i}]" if len(factors) > 1 else ""
+        results.append((f"residual{index}", verdict.passed, verdict.reason or "g = h1 diag(t^w) h2^-1 mod t^N"))
+        # verified exactly when the residual holds, and a reason exactly when it does not
+        agrees = verified == verdict.passed and (reason == "") == verdict.passed
+        detail = "stored verified and reason match the residual"
+        if not agrees:
+            detail = f"stored verified={verified}, reason={reason!r}"
+        results.append((f"verdict{index}", agrees, detail))
     return results
 
 
@@ -252,6 +308,8 @@ def _recheck_witness(obj):
     fld = witness.subgroup.field
     results = []
     gs, p, _ = jsonio.witness_input_from_obj(obj, fld)
+    if len(witness.decompositions) != len(gs):
+        raise SchemaError(f"cim: {len(witness.decompositions)} decompositions for {len(gs)} matrices of g")
     for i, (g, dec) in enumerate(zip(gs, witness.decompositions)):
         verdict = verify_cartan(g, dec)
         results.append((f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"))

@@ -617,10 +617,6 @@ class DichotomyResult(NamedTuple):
     hypercube: Optional[frozenset] = None
     cover: Optional[tuple] = None  # tuple of (axis, value) coordinate slices
 
-    @property
-    def cover_size(self) -> int:
-        return 0 if self.cover is None else len(self.cover)
-
 
 def hypercube_dichotomy(positions, s: int, d: int) -> DichotomyResult:
     """Either ``[s]^d`` sits inside the downward-closed set, or the set is

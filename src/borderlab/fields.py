@@ -153,20 +153,6 @@ class FieldContext:
     def inv(self, a):
         raise NotImplementedError
 
-    def convolve(self, xs, ys, length: int) -> list:
-        """The first ``length`` coefficients of the product of two scalar lists.
-
-        ``xs`` and ``ys`` hold the scalar coefficients of ``t^0, t^1, ...``
-        of two polynomials; the result is in canonical form, zero-padded
-        when ``length`` exceeds the product's length.  It is
-        :meth:`vec_mul` on the lists' vectors.
-        """
-        xs, ys = xs[:length], ys[:length]
-        if not xs or not ys:
-            return [self.zero()] * max(length, 0)
-        out = self.scalars(*self.vec_mul(*self.vector(xs), *self.vector(ys), length))
-        return [*out, *[self.zero()] * (length - len(out))]
-
     # -- coefficient vectors ----------------------------------------------
     def vector(self, coeffs):
         """The vector ``(nums, den)`` of the canonical scalars ``coeffs``."""

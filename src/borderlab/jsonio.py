@@ -61,6 +61,17 @@ def _str(value, what: str) -> str:
     return value
 
 
+def _bool(value, what: str) -> bool:
+    if not isinstance(value, bool):
+        raise SchemaError(f"{what}: expected true or false, got {type(value).__name__}")
+    return value
+
+
+def _version(obj: dict, what: str) -> None:
+    if obj.get("version") != TOOL_VERSION:
+        raise SchemaError(f"{what}: version {obj.get('version')!r} is not {TOOL_VERSION!r}")
+
+
 def _scalar(field: FieldContext, value, what: str):
     return field.parse(_str(value, what))
 
@@ -101,9 +112,7 @@ def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
 def _read_series(from_vector, field: FieldContext, obj: dict) -> LaurentSeries:
     _dict(obj, "series")
     coeffs = [_str(c, "series coefficient") for c in _list(obj["coeffs"], "series coeffs")]
-    exact = obj.get("exact", False)
-    if not isinstance(exact, bool):
-        raise SchemaError(f"series exact: expected true or false, got {type(exact).__name__}")
+    exact = _bool(obj.get("exact", False), "series exact")
     trunc = None if exact else _int(obj["trunc"], "series trunc")
     return from_vector(field, _int(obj["val"], "series val"), *field.parse_vector(coeffs), trunc)
 
@@ -226,7 +235,8 @@ def witness_to_obj(w: LimitWitness) -> dict:
 def witness_from_obj(obj: dict) -> LimitWitness:
     from .witness import LimitWitness
 
-    subgroup = subgroup_from_obj(_dict(obj, "witness")["lambda"])
+    _version(_dict(obj, "witness"), "witness")
+    subgroup = subgroup_from_obj(obj["lambda"])
     fld = subgroup.field
     q = tensor_from_obj(obj["q"], fld)
     q_tilde = tensor_from_obj(obj["qTilde"], fld)
@@ -312,6 +322,7 @@ def certificate_from_obj(obj: dict) -> DegenerationCertificate:
 
     if document_kind(obj) != "degeneration":
         raise SchemaError("not a degeneration certificate")
+    _version(obj, "certificate")
     s_tensor = tensor_from_obj(obj["S"])
     t_tilde = tensor_from_obj(obj["TTilde"])
     return DegenerationCertificate(
@@ -357,13 +368,14 @@ _CIM_RESULT_KEYS = ("input", "decomposition", "verified", "reason")
 
 
 def cartan_results_from_obj(obj) -> list:
-    """``(g, decomposition)`` per factor of a ``cim`` output.
+    """``(g, decomposition, verified, reason)`` per factor of a ``cim`` output.
 
     The top-level copy of a one-factor output must equal ``factors[0]``:
     a copy that differs, or one beside several factors, is refused rather
     than left unchecked.
     """
-    if "factors" not in _dict(obj, "cim output"):
+    _version(_dict(obj, "cim output"), "cim output")
+    if "factors" not in obj:
         factors = [obj]
     else:
         factors = _list(obj["factors"], "factors")
@@ -373,8 +385,9 @@ def cartan_results_from_obj(obj) -> list:
         for key in copied:
             if obj[key] != _dict(factors[0], "cim result").get(key):
                 raise SchemaError(f"top-level {key} differs from factors[0].{key}")
-    pairs = []
+    results = []
     for fac in factors:
         g = matrix_from_obj(_dict(fac, "cim result")["input"])
-        pairs.append((g, cartan_from_obj(fac["decomposition"], g.field)))
-    return pairs
+        dec = cartan_from_obj(fac["decomposition"], g.field)
+        results.append((g, dec, _bool(fac["verified"], "verified"), _str(fac["reason"], "reason")))
+    return results

@@ -240,10 +240,6 @@ class OneParamSubgroup:
     def from_weights(cls, field: FieldContext, weights_per_factor: Sequence[Sequence[int]]) -> "OneParamSubgroup":
         return cls(field, [SubgroupFactor(weights=tuple(int(w) for w in ws)) for ws in weights_per_factor])
 
-    @classmethod
-    def trivial(cls, field: FieldContext, dims: Sequence[int]) -> "OneParamSubgroup":
-        return cls.from_weights(field, [[0] * n for n in dims])
-
     @property
     def dims(self) -> tuple:
         return tuple(fac.dim for fac in self.factors)
@@ -285,29 +281,6 @@ class OneParamSubgroup:
         full = [linalg.identity(self.field, n) if m is None else m for m, n in zip(mats, self.dims)]
         return act(full, t)
 
-    def series_matrices(self, clamp: int = 64) -> tuple:
-        """The factors as exact series matrices ``h · diag(t^w) · h^{-1}``.
-
-        Only sensible for small weights (guarded by |w| <= clamp); limits
-        of big-weight subgroups go through sign analysis instead.
-        """
-        from .series import SeriesMatrix
-
-        out = []
-        for fac in self.factors:
-            if any(abs(w) > clamp for w in fac.weights):
-                raise ValueError("weights too large to expand as series; use limit analysis")
-            d = SeriesMatrix.diag_powers(self.field, list(fac.weights))
-            if fac.basis is None:
-                out.append(d)
-            else:
-                h = SeriesMatrix.from_scalar_matrix(self.field, [list(r) for r in fac.basis])
-                hinv = SeriesMatrix.from_scalar_matrix(
-                    self.field, linalg.mat_inv(self.field, [list(r) for r in fac.basis])
-                )
-                out.append(h @ d @ hinv)
-        return tuple(out)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, OneParamSubgroup)
@@ -343,12 +316,6 @@ class WeightDecomposition(NamedTuple):
         if got is None:
             return Tensor.zeros(self.base.field, self.dims)
         return got
-
-    def reconstruct(self) -> Tensor:
-        total = Tensor.zeros(self.base.field, self.dims)
-        for comp in self.components.values():
-            total = total + comp
-        return self.base.from_eigen(total)
 
 
 def weight_decompose(t: Tensor, subgroup: OneParamSubgroup) -> WeightDecomposition:

@@ -117,10 +117,6 @@ class LimitWitness(NamedTuple):
     decompositions: tuple  # per-factor CartanDecomposition
     lift: Optional[str] = None
 
-    @property
-    def cartan_weights(self) -> tuple:
-        return tuple(dec.weights for dec in self.decompositions)
-
 
 def build_witness(
     gs: Sequence[SeriesMatrix],

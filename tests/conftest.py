@@ -3,8 +3,9 @@ import random
 
 import pytest
 
-from borderlab import PrimeField, QQ
-from borderlab.series import LaurentSeries
+from borderlab import PrimeField, QQ, linalg
+from borderlab.series import LaurentSeries, SeriesMatrix
+from borderlab.tensors import OneParamSubgroup, Tensor
 
 
 @pytest.fixture
@@ -43,3 +44,45 @@ def leibniz_determinant(m):
             term = term * m.entries[i][j]
         acc = acc + term
     return acc
+
+
+# ---------------------------------------------------------------------------
+# oracles over the library's records
+# ---------------------------------------------------------------------------
+
+def trivial_subgroup(field, dims):
+    """The one-parameter subgroup with every weight 0."""
+    return OneParamSubgroup.from_weights(field, [[0] * n for n in dims])
+
+
+def series_matrices(subgroup):
+    """The subgroup's factors as exact series matrices ``h · diag(t^w) · h^-1``."""
+    out = []
+    for fac in subgroup.factors:
+        d = SeriesMatrix.diag_powers(subgroup.field, list(fac.weights))
+        if fac.basis is None:
+            out.append(d)
+        else:
+            basis = [list(r) for r in fac.basis]
+            h = SeriesMatrix.from_scalar_matrix(subgroup.field, basis)
+            hinv = SeriesMatrix.from_scalar_matrix(subgroup.field, linalg.mat_inv(subgroup.field, basis))
+            out.append(h @ d @ hinv)
+    return tuple(out)
+
+
+def reconstruct(dec):
+    """The tensor a weight decomposition splits: its components' sum, out of the eigenbasis."""
+    total = Tensor.zeros(dec.base.field, dec.dims)
+    for comp in dec.components.values():
+        total = total + comp
+    return dec.base.from_eigen(total)
+
+
+def cartan_weights(witness):
+    """The Cartan weights of each of a witness's decompositions."""
+    return tuple(dec.weights for dec in witness.decompositions)
+
+
+def cover_size(result):
+    """The number of slices in a dichotomy's cover; 0 for a hypercube."""
+    return 0 if result.cover is None else len(result.cover)

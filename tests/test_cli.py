@@ -493,7 +493,10 @@ def test_verify_cartan_output(curve_file, tmp_path, capsys):
     out = tmp_path / "dec.json"
     assert run(["cim", curve_file, "--out", str(out)]) == 0
     assert run(["verify", str(out)]) == 0
-    assert capsys.readouterr().out == "residual: ok (g = h1 diag(t^w) h2^-1 mod t^N)\n"
+    assert capsys.readouterr().out == (
+        "residual: ok (g = h1 diag(t^w) h2^-1 mod t^N)\n"
+        "verdict: ok (stored verified and reason match the residual)\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -550,6 +553,80 @@ def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "residual: FAILED (h1 has an entry of valuation -1" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "verified, reason",
+    [(False, "nonzero residual"), (True, "nonzero residual"), (False, "")],
+    ids=["refuted-with-reason", "verified-with-reason", "refuted-without-reason"],
+)
+def test_verify_compares_the_stored_cim_verdict(curve_file, tmp_path, capsys, verified, reason):
+    # the residual holds, so only verified = true with an empty reason agrees;
+    # both copies are changed alike, so that the verdict clause is what refuses it
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--out", str(out)]) == 0
+    obj = read_json(out)
+    for result in (obj, obj["factors"][0]):
+        result.update(verified=verified, reason=reason)
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("residual: ok")
+    assert lines[1] == f"verdict: FAILED (stored verified={verified}, reason={reason!r})"
+
+
+def test_verify_names_the_verdict_of_each_cim_factor(curve_file, tmp_path, capsys):
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--out", str(out)]) == 0
+    obj = read_json(out)
+    factor = obj["factors"][0]
+    obj = {"kind": "cartan", "version": obj["version"], "factors": [factor, dict(factor, verified=False)]}
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    failed = re.findall(r"^(\S+): FAILED", capsys.readouterr().out, re.M)
+    assert failed == ["verdict[1]"]
+
+
+@pytest.mark.parametrize("cim", [[], "short"], ids=["empty", "short"])
+def test_verify_refuses_a_witness_without_one_decomposition_per_matrix(witness_file, tmp_path, capsys, cim):
+    from borderlab import QQ, SeriesMatrix
+
+    out = tmp_path / "w.json"
+    assert run(["witness", witness_file, "--out", str(out)]) == 0
+    obj = read_json(out)
+    if cim == "short":
+        # two matrices of g and one decomposition: zipping them would check only the first
+        obj["g"].append(jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2)))
+        cim = obj["cim"]
+    obj["cim"] = cim
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "decompositions for" in captured.err
+
+
+@pytest.mark.parametrize("kind", ["certificate", "cim", "witness"])
+@pytest.mark.parametrize("version", ["junk", None, "borderlab-0.0.9"], ids=["junk", "null", "older"])
+def test_verify_refuses_an_unknown_version(kind, version, curve_file, witness_file, tmp_path, capsys):
+    out = tmp_path / "doc.json"
+    argv = {
+        "certificate": ["certify", "--n", "9"],
+        "cim": ["cim", curve_file],
+        "witness": ["witness", witness_file],
+    }[kind]
+    assert run(argv + ["--out", str(out)]) == 0
+    obj = read_json(out)
+    obj["version"] = version
+    out.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"version {version!r} is not {jsonio.TOOL_VERSION!r}" in captured.err
 
 
 def test_verify_unknown_kind_exits_3(tmp_path):
@@ -621,6 +698,29 @@ def test_byte_identical_outputs(tmp_path):
     for out in (a, b):
         assert run(["certify", "--n", "9", "--seed", "7", "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_every_output_is_canonical_json(tmp_path, curve_file, witness_file, capsys):
+    # each document is json.dumps(obj, sort_keys=True, indent=2) plus a newline
+    jobs = {
+        "certify": ["certify", "--n", "196"],
+        "cim": ["cim", curve_file],
+        "witness": ["witness", witness_file],
+        "gen-witness": ["gen", "--kind", "witness", "--field", "fp", "--dims", "3,3,3", "--seed", "1"],
+        "gen-cim": ["gen", "--kind", "cim", "--field", "q", "--size", "4", "--seed", "1"],
+        "bounds": ["bounds", "--n-max", "40", "--format", "json"],
+    }
+    texts = {}
+    for name, argv in jobs.items():
+        out = tmp_path / f"{name}.json"
+        assert run(argv + ["--out", str(out)]) == 0
+        texts[name] = out.read_text()
+    capsys.readouterr()
+    assert run(jobs["cim"]) == 0
+    texts["stdout"] = capsys.readouterr().out
+    assert texts["stdout"] == texts["cim"]
+    for name, text in texts.items():
+        assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n", name
 
 
 # SHA-256 of outputs as the dense tensor storage and the schoolbook series

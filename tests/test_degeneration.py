@@ -35,6 +35,8 @@ from borderlab.degeneration import (
     unit_cover_holds,
 )
 
+from conftest import cover_size
+
 
 # ---------------------------------------------------------------------------
 # weight profiles
@@ -473,7 +475,7 @@ def test_dichotomy_cover_three_slices():
     out = hypercube_dichotomy(pts, 2, 3)
     assert out.kind == "cover"
     assert set(out.cover) == {(0, 1), (1, 1), (2, 1)}
-    assert out.cover_size == 3  # d*(s-1)
+    assert cover_size(out) == 3  # d*(s-1)
 
 
 def test_dichotomy_on_pyramid():

@@ -8,7 +8,6 @@ import pytest
 from borderlab import (
     QQ,
     DichotomyResult,
-    OneParamSubgroup,
     ShapeError,
     SubgroupFactor,
     Tensor,
@@ -26,6 +25,8 @@ from borderlab.bounds import crossover_scan
 from borderlab.jsonio import witness_from_obj, witness_to_obj
 from borderlab.series import SeriesMatrix
 from borderlab.witness import build_witness
+
+from conftest import cover_size, trivial_subgroup
 
 
 def records():
@@ -45,7 +46,7 @@ def records():
             "CartanDecomposition": cartan_decompose(g, 8),
             "VerificationResult": VerificationResult(False, "nonzero residual"),
             "SubgroupFactor": SubgroupFactor(weights=(0, 1), basis=((QQ.one(), QQ.zero()), (QQ.one(), QQ.one()))),
-            "WeightDecomposition": weight_decompose(unit_tensor(QQ, 2, 3), OneParamSubgroup.trivial(QQ, (2, 2, 2))),
+            "WeightDecomposition": weight_decompose(unit_tensor(QQ, 2, 3), trivial_subgroup(QQ, (2, 2, 2))),
             "LimitWitness": witness_from_obj(witness_to_obj(build_witness([g, g], p, 8))),
         }
 
@@ -88,7 +89,7 @@ def test_record_defaults_and_replace():
     assert dec._replace(weights=(0, 0)).weights == (0, 0)
     assert dec.size == 2
     assert VerificationResult(True) == VerificationResult(True, "", None)
-    assert DichotomyResult(kind="cover").cover_size == 0
+    assert cover_size(DichotomyResult(kind="cover")) == 0
     assert WeightProfile(dims=(1,), weights=((0,),)).pyramid_rank is None
 
 

@@ -260,6 +260,15 @@ def test_sums_that_cancel(field):
         assert (a + (-a)).trunc == a.trunc
 
 
+def convolve(field, xs, ys, length):
+    """The first ``length`` scalars of the product of two scalar lists, by :meth:`vec_mul`, zero-padded."""
+    xs, ys = xs[:length], ys[:length]
+    if not xs or not ys:
+        return [field.zero()] * max(length, 0)
+    out = field.scalars(*field.vec_mul(*field.vector(xs), *field.vector(ys), length))
+    return [*out, *[field.zero()] * (length - len(out))]
+
+
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_convolve_fills_every_slot_width(field):
     # m equal coefficients of the largest size and one sign: the middle
@@ -275,7 +284,7 @@ def test_convolve_fills_every_slot_width(field):
                 field.mul(field.from_int(min(k, m - 1) - max(0, k - m + 1) + 1), field.mul(x, y))
                 for k in range(2 * m - 1)
             ]
-            assert field.convolve([x] * m, [y] * m, 2 * m + 1) == want + [field.zero()] * 2
+            assert convolve(field, [x] * m, [y] * m, 2 * m + 1) == want + [field.zero()] * 2
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
@@ -289,7 +298,7 @@ def test_convolve_pads_and_cuts(field):
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
                 full[i + j] = field.add(full[i + j], field.mul(x, y))
-        assert field.convolve(xs, ys, length) == full[:length]
+        assert convolve(field, xs, ys, length) == full[:length]
 
 
 # ---------------------------------------------------------------------------

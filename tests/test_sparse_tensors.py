@@ -36,6 +36,8 @@ from borderlab import (
 )
 from borderlab import linalg
 
+from conftest import reconstruct
+
 FIELDS = [QQ, PrimeField(7), PrimeField(1000003)]
 SHAPES = [(1,), (4,), (2, 3), (4, 1), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 3, 3, 3), (2, 1, 3, 2)]
 
@@ -334,7 +336,7 @@ def test_weight_decompose_reconstructs():
         t = Tensor.from_entries(field, dims, entries)
         lam = random_subgroup(field, dims, rng, with_bases=rng.random() < 0.5)
         dec = weight_decompose(t, lam)
-        assert dec.reconstruct() == t
+        assert reconstruct(dec) == t
         eigen = lam.to_eigen(t)
         for w in dec.weights():
             assert list(dec.component(w).support()) == [

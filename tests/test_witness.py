@@ -22,7 +22,7 @@ from borderlab import (
 from borderlab import linalg
 from borderlab.instances import random_witness_instance
 
-from conftest import series, tpow
+from conftest import cartan_weights, series, tpow
 
 X3, X2Y, XY2, Y3 = (1,), (2,), (3,), (4,)
 
@@ -122,7 +122,7 @@ def test_specialize_no_limit():
 
 def test_sl2_cubics_witness_end_to_end():
     w = build_witness([sl2_matrix()], cubic(X2Y), 16, lift="sym3")
-    assert w.cartan_weights == ((-2, 2),)
+    assert cartan_weights(w) == ((-2, 2),)
     assert w.q == cubic(X3)
     assert w.q_tilde == cubic(Y3)
     assert w.shared_limit.is_zero()
