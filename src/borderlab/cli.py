@@ -3,7 +3,8 @@
 Exit codes are a stable contract:
   0  success / certified
   1  refuted or failed verification
-  2  inconclusive (precision or prime retries exhausted)
+  2  inconclusive (precision retries exhausted, or a certificate
+     whose checks do not all hold)
   3  malformed input, bad parameters or a usage error
 
 All outputs are the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
@@ -18,6 +19,7 @@ import io
 import json
 import os
 import random
+import stat
 import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
@@ -78,6 +80,14 @@ def _emit(path: Optional[str], dump) -> None:
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".json")
     try:
         with os.fdopen(fd, "w", buffering=_BUFFER) as handle:
+            # mkstemp makes the file 0600; give it the mode open(path, "w") would
+            try:
+                mode = stat.S_IMODE(os.stat(path).st_mode)
+            except FileNotFoundError:
+                umask = os.umask(0)
+                os.umask(umask)
+                mode = 0o666 & ~umask
+            os.fchmod(fd, mode)
             dump(handle.write)
         os.replace(tmp, path)
     except BaseException:
@@ -212,15 +222,10 @@ def cmd_certify(args) -> int:
     from . import jsonio
     from .degeneration import certify_lower_bound
 
-    # without a named prime, certify draws its first prime and its retry
-    # primes from the one stream
+    # without a named field, certify draws its prime from --seed
     cert = certify_lower_bound(args.n, r=args.r, field=_field(args), rng=random.Random(args.seed))
     _write_json(args.out, jsonio.certificate_to_obj(cert))
-    if cert.verdict == "Certified":
-        return EXIT_OK
-    if cert.verdict == "Refuted":
-        return EXIT_FAIL
-    return EXIT_INCONCLUSIVE
+    return EXIT_OK if cert.certified else EXIT_INCONCLUSIVE
 
 
 def cmd_bounds(args) -> int:
@@ -260,9 +265,7 @@ def cmd_verify(args) -> int:
     if kind == "degeneration":
         from .degeneration import recheck_certificate
 
-        cert = jsonio.certificate_from_obj(obj)
-        # the fresh prime comes from a stream of its own, apart from certify's
-        results = recheck_certificate(cert, rng=random.Random(f"verify:{args.seed}"))
+        results = recheck_certificate(jsonio.certificate_from_obj(obj))
     elif kind == "cartan":
         results = _recheck_cartan(obj)
     elif kind == "witness":
@@ -424,8 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bounds.add_argument("--n-max", type=int, required=True)
     p_bounds.add_argument("--format", choices=["json", "csv"], default="json")
 
-    p_verify = command("verify", cmd_verify, "re-derive a stored certificate from scratch", "--seed")
+    p_verify = command("verify", cmd_verify, "re-derive a stored certificate from scratch")
     p_verify.add_argument("input")
+    p_verify.add_argument("--seed", type=int, default=0, help="accepted and ignored: verify draws nothing at random")
 
     p_gen = command(
         "gen", cmd_gen, "generate test instances with known ground truth", "--field", "--prime", "--seed", "--out"

@@ -2,8 +2,9 @@
 
 Constant matrices are plain lists of lists of scalars (0-based, row-major).
 The sparse rank routine consumes columns as ``{row: value}`` dicts (rows
-are any ordered keys) and is the Jacobian dominance check's fallback when
-its unit-column cover does not hold.
+are any ordered keys).  No certificate path calls it: the Jacobian rank is
+proved by its unit-column cover, and elimination is the tests' oracle for
+the true rank.
 """
 
 from __future__ import annotations

@@ -86,3 +86,23 @@ def cartan_weights(witness):
 def cover_size(result):
     """The number of slices in a dichotomy's cover; 0 for a hypercube."""
     return 0 if result.cover is None else len(result.cover)
+
+
+def elimination_rank(t_tilde, pattern, field):
+    """The oracle: the restricted Jacobian built from its definition, ranked by elimination.
+
+    Every upper-triangular matrix unit of factors 1 and 2 is a column; its
+    entry at pyramid row ``(j, k, l)`` is ``T~[b, k, l]`` (factor 1,
+    ``j = a``) or ``T~[j, b, l]`` (factor 2, ``k = a``).
+    """
+    n1, n2, _ = t_tilde.dims
+    positions = pattern.positions
+    entries = dict(t_tilde.support())
+    columns = []
+    for a in range(1, n1 + 1):
+        for b in range(a, n1 + 1):
+            columns.append({(a, k, l): v for (j, k, l), v in entries.items() if j == b and (a, k, l) in positions})
+    for a in range(1, n2 + 1):
+        for b in range(a, n2 + 1):
+            columns.append({(j, a, l): v for (j, k, l), v in entries.items() if k == b and (j, a, l) in positions})
+    return linalg.sparse_rank(field, columns)

@@ -49,7 +49,7 @@ from borderlab.instances import (
     random_witness_instance,
 )
 
-from conftest import cartan_weights, cover_size
+from conftest import cartan_weights, cover_size, elimination_rank
 
 
 def report(number, description):
@@ -229,7 +229,8 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
     for n, r in ((8, 2), (9, 3), (16, 5)):
         _, s_only, _ = build_planted_tensor(field, n, r)
         pattern = build_pyramid(pyramid_weight_profile(n, r))
-        assert jacobian_dominance_rank(s_only, pattern, field) < pattern.size
+        assert jacobian_dominance_rank(s_only, pattern) < pattern.size
+        assert elimination_rank(s_only, pattern, field) < pattern.size
 
     # a tampered certificate fails re-verification with the named clause
     from borderlab.cli import main

@@ -35,7 +35,7 @@ from borderlab.degeneration import (
     unit_cover_holds,
 )
 
-from conftest import cover_size
+from conftest import cover_size, elimination_rank
 
 
 # ---------------------------------------------------------------------------
@@ -194,13 +194,13 @@ def test_jacobian_rank_9_3():
     field = PrimeField(1000003)
     t_tilde, _, _ = build_planted_tensor(field, 9, 3)
     pattern = build_pyramid(pyramid_weight_profile(9, 3))
-    assert jacobian_dominance_rank(t_tilde, pattern, field) == 14
+    assert jacobian_dominance_rank(t_tilde, pattern) == 14
 
 
 def test_jacobian_rank_over_rationals():
     t_tilde, _, _ = build_planted_tensor(QQ, 9, 3)
     pattern = build_pyramid(pyramid_weight_profile(9, 3))
-    assert jacobian_dominance_rank(t_tilde, pattern, QQ) == 14
+    assert jacobian_dominance_rank(t_tilde, pattern) == 14
 
 
 def test_jacobian_rank_without_blocks_drops():
@@ -208,14 +208,18 @@ def test_jacobian_rank_without_blocks_drops():
     for n, r in ((9, 3), (8, 2)):
         _, s_tensor, _ = build_planted_tensor(field, n, r)
         pattern = build_pyramid(pyramid_weight_profile(n, r))
-        assert jacobian_dominance_rank(s_tensor, pattern, field) < pattern.size
+        assert jacobian_dominance_rank(s_tensor, pattern) < pattern.size
+        assert elimination_rank(s_tensor, pattern, field) < pattern.size
 
 
 def test_jacobian_rank_r1_diagonal_only():
+    # S alone has full rank 1 (the column E_11 of factor 1), but not the
+    # cover, whose named column is E_12: no rank is claimed
     field = QQ
     _, s_tensor, _ = build_planted_tensor(field, 4, 1)
     pattern = build_pyramid(pyramid_weight_profile(4, 1))
-    assert jacobian_dominance_rank(s_tensor, pattern, field) == 1
+    assert jacobian_dominance_rank(s_tensor, pattern) == 0 < pattern.size
+    assert elimination_rank(s_tensor, pattern, field) == 1
 
 
 def test_deleting_one_block_drops_rank():
@@ -236,29 +240,10 @@ def test_deleting_one_block_drops_rank():
                     continue
             entries[pos] = v
         stripped = Tensor.from_entries(field, t_tilde.dims, entries)
-        if jacobian_dominance_rank(stripped, pattern, field) < pattern.size:
+        assert jacobian_dominance_rank(stripped, pattern) < pattern.size
+        if elimination_rank(stripped, pattern, field) < pattern.size:
             dropped += 1
     assert dropped >= 1
-
-
-def elimination_rank(t_tilde, pattern, field):
-    """The oracle: the restricted Jacobian built from its definition, ranked by elimination.
-
-    Every upper-triangular matrix unit of factors 1 and 2 is a column; its
-    entry at pyramid row ``(j, k, l)`` is ``T~[b, k, l]`` (factor 1,
-    ``j = a``) or ``T~[j, b, l]`` (factor 2, ``k = a``).
-    """
-    n1, n2, _ = t_tilde.dims
-    positions = pattern.positions
-    entries = dict(t_tilde.support())
-    columns = []
-    for a in range(1, n1 + 1):
-        for b in range(a, n1 + 1):
-            columns.append({(a, k, l): v for (j, k, l), v in entries.items() if j == b and (a, k, l) in positions})
-    for a in range(1, n2 + 1):
-        for b in range(a, n2 + 1):
-            columns.append({(j, a, l): v for (j, k, l), v in entries.items() if k == b and (j, a, l) in positions})
-    return linalg.sparse_rank(field, columns)
 
 
 def fitting_pairs(n_max):
@@ -273,7 +258,7 @@ def test_unit_cover_holds_on_every_fitting_size():
         t_tilde, _, _ = build_planted_tensor(field, n, r)
         pattern = build_pyramid(pyramid_weight_profile(n, r))
         assert unit_cover_holds(t_tilde, pattern), (n, r)
-        assert jacobian_dominance_rank(t_tilde, pattern, field) == pattern.size == pyramid_size(r)
+        assert jacobian_dominance_rank(t_tilde, pattern) == pattern.size == pyramid_size(r)
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
@@ -282,7 +267,7 @@ def test_cover_rank_matches_elimination_on_a_sample(field):
     for n, r in rng.sample(fitting_pairs(40), 12) + [(16, 5), (36, 9)]:
         t_tilde, _, _ = build_planted_tensor(field, n, r)
         pattern = build_pyramid(pyramid_weight_profile(n, r))
-        assert jacobian_dominance_rank(t_tilde, pattern, field) == elimination_rank(t_tilde, pattern, field)
+        assert jacobian_dominance_rank(t_tilde, pattern) == elimination_rank(t_tilde, pattern, field)
 
 
 def block_mutants(t_tilde, r, rng):
@@ -313,6 +298,9 @@ def block_mutants(t_tilde, r, rng):
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
 def test_mutants_break_the_cover_and_fall_back_to_elimination(field):
+    # without the cover no rank is claimed; elimination, the oracle, gives
+    # the true rank: short for a zeroed entry, full for the other two, so
+    # the cover is sufficient for full rank but not necessary
     rng = random.Random(64)
     blocky = [(n, r) for n, r in fitting_pairs(30) if r >= 2]
     for n, r in [(9, 3), (16, 5), (25, 7), (36, 9)] + rng.sample(blocky, 6):
@@ -320,37 +308,63 @@ def test_mutants_break_the_cover_and_fall_back_to_elimination(field):
         pattern = build_pyramid(pyramid_weight_profile(n, r))
         for kind, mutant in block_mutants(t_tilde, r, rng):
             assert not unit_cover_holds(mutant, pattern), (n, r, kind)
-            rank = jacobian_dominance_rank(mutant, pattern, field)
-            assert rank == elimination_rank(mutant, pattern, field), (n, r, kind)
-            if kind == "zeroed":
-                assert rank < pattern.size, (n, r)
+            assert jacobian_dominance_rank(mutant, pattern) == 0 < pattern.size, (n, r, kind)
+            full = elimination_rank(mutant, pattern, field) == pattern.size
+            assert full == (kind != "zeroed"), (n, r, kind)
 
 
 def test_the_cover_takes_only_upper_triangular_columns():
     # one layer of three rows (j, 1, 1) and T~ = e_2 ⊗ e_1 ⊗ e_1: the named
     # column E_{3,2} of row (3, 1, 1) is below the diagonal, so the cover
-    # must refuse, and elimination finds rank 2
+    # must refuse and claim no rank; elimination finds rank 2
     field = PrimeField(101)
     pattern = build_pyramid(WeightProfile(dims=(3, 1, 1), weights=((0, 0, 0), (0,), (0,))))
     assert pattern.steps == ((3,),)
     t_tilde = Tensor.from_entries(field, (3, 1, 1), {(2, 1, 1): field.one()})
     assert not unit_cover_holds(t_tilde, pattern)
-    assert jacobian_dominance_rank(t_tilde, pattern, field) == elimination_rank(t_tilde, pattern, field) == 2
+    assert jacobian_dominance_rank(t_tilde, pattern) == 0 < pattern.size
+    assert elimination_rank(t_tilde, pattern, field) == 2
 
 
-def test_a_zeroed_block_entry_fails_verify(tmp_path, capsys):
+def verify_with_mutated_block(tmp_path, capsys, mutate):
+    """Certify n = 16, let ``mutate`` change T~'s entries off the pyramid, and verify.
+
+    The rank clause alone must fail: the restriction to P and the limit
+    are untouched.
+    """
     path = tmp_path / "cert.json"
     assert main(["certify", "--n", "16", "--out", str(path)]) == 0
     obj = json.loads(path.read_text())
-    # the size-2 block of layer 4 starts at (1, 6, 4)
     entries = obj["TTilde"]["entries"]
-    obj["TTilde"]["entries"] = [e for e in entries if e["idx"] != [1, 6, 4]]
-    assert len(obj["TTilde"]["entries"]) == len(entries) - 1
+    obj["TTilde"]["entries"] = mutate(entries)
+    assert obj["TTilde"]["entries"] != entries
     path.write_text(json.dumps(obj))
+    capsys.readouterr()
     assert main(["verify", str(path)]) == 1
     out = capsys.readouterr().out
     assert "jacobian-rank: FAILED" in out
     assert "restriction: ok" in out and "limit: ok" in out
+
+
+def test_a_zeroed_block_entry_fails_verify(tmp_path, capsys):
+    # the size-2 block of layer 4 starts at (1, 6, 4)
+    verify_with_mutated_block(tmp_path, capsys, lambda entries: [e for e in entries if e["idx"] != [1, 6, 4]])
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [
+        # the block entry at (1, 6, 4) set to 2: still invertible, but not a unit column
+        lambda entries: [dict(e, value="2") if e["idx"] == [1, 6, 4] else e for e in entries],
+        # a 1 at (1, 6, 1) in the slice of the cover column E_{1,6}, on the
+        # line k = 6 of layer 1, whose row (1, 1, 1) lies in P
+        lambda entries: entries + [{"idx": [1, 6, 1], "value": "1"}],
+    ],
+    ids=["block-entry-2", "extra-in-cover-slice"],
+)
+def test_a_non_unit_cover_column_fails_verify(tmp_path, capsys, mutate):
+    # elimination finds full rank on both, but without the cover no rank is claimed
+    verify_with_mutated_block(tmp_path, capsys, mutate)
 
 
 def spy_on_sparse_rank(monkeypatch):
@@ -374,16 +388,6 @@ def test_default_certify_and_verify_never_eliminate(tmp_path, monkeypatch, capsy
     assert calls == []
 
 
-def test_random_blocks_go_through_elimination(monkeypatch):
-    calls = spy_on_sparse_rank(monkeypatch)
-    field = PrimeField(1000003)
-    t_tilde, _, _ = build_planted_tensor(field, 16, 5, rng=random.Random(5), random_blocks=True)
-    pattern = build_pyramid(pyramid_weight_profile(16, 5))
-    assert not unit_cover_holds(t_tilde, pattern)
-    assert jacobian_dominance_rank(t_tilde, pattern, field) == pattern.size
-    assert len(calls) == 1
-
-
 def traced_peak(fn, *args):
     tracemalloc.start()
     try:
@@ -399,7 +403,7 @@ def test_certify_and_recheck_at_1024_stay_small():
     cert = certify_lower_bound(1024, rng=random.Random(1))
     assert cert.certified and cert.pyramid_size == pyramid_size(61)
     assert traced_peak(certify_lower_bound, 1024, None, None, random.Random(1)) < 4 * 2**20
-    assert traced_peak(recheck_certificate, cert, random.Random(2)) < 4 * 2**20
+    assert traced_peak(recheck_certificate, cert) < 4 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +443,7 @@ def test_certify_rejects_tiny_n_without_r():
 
 def test_recheck_round_trip_and_tamper():
     cert = certify_lower_bound(9, rng=random.Random(4))
-    results = recheck_certificate(cert, rng=random.Random(99))
+    results = recheck_certificate(cert)
     assert all(ok for _, ok, _ in results)
 
     # tamper inside the pyramid: the restriction clause must fail
@@ -448,7 +452,7 @@ def test_recheck_round_trip_and_tamper():
     tampered = cert._replace(
         t_tilde=Tensor.from_entries(cert.t_tilde.field, cert.t_tilde.dims, entries)
     )
-    results = recheck_certificate(tampered, rng=random.Random(99))
+    results = recheck_certificate(tampered)
     by_clause = {clause: ok for clause, ok, _ in results}
     assert by_clause["restriction"] is False
 

@@ -79,6 +79,22 @@ def test_tracer_counts_the_series_kernels_under_cim(tmp_path):
     assert "loopgroup.smith_form" in {span[0] for span in tracer.spans}
 
 
+def test_tracer_spans_the_certify_path(tmp_path):
+    # the traced subrank benchmark wraps jacobian_dominance_rank by its
+    # (t_tilde, pattern) arguments; certify draws one prime and verify none
+    tracer = load_spans().Tracer()
+    tracer.install()
+    try:
+        cert = str(tmp_path / "cert.json")
+        assert main(["certify", "--n", "16", "--out", cert]) == 0
+        assert main(["verify", cert]) == 0
+    finally:
+        tracer.uninstall()
+    seen = {span[0] for span in tracer.spans}
+    assert {"degeneration.jacobian_self", "degeneration.recheck_self"} <= seen
+    assert tracer.counts["fields.primes_drawn"] == 1
+
+
 # ---------------------------------------------------------------------------
 # lazy package exports
 # ---------------------------------------------------------------------------

@@ -124,3 +124,29 @@ def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
     assert path.read_text() == "old\n"
     assert os.listdir(tmp_path) == ["out.json"]
 
+
+
+@pytest.fixture
+def umask_027():
+    old = os.umask(0o027)
+    yield
+    os.umask(old)
+
+
+def test_a_new_file_gets_the_mode_open_would_give(tmp_path, umask_027):
+    # mkstemp makes its file 0600; the output must not stay that private
+    path = tmp_path / "new.json"
+    cli._write_json(str(path), {"a": 1})
+    assert os.stat(path).st_mode & 0o777 == 0o640
+    os.umask(0o022)
+    cli._write_json(str(tmp_path / "other.json"), {"a": 1})
+    assert os.stat(tmp_path / "other.json").st_mode & 0o777 == 0o644
+
+
+def test_a_replaced_file_keeps_its_mode(tmp_path, umask_027):
+    path = tmp_path / "out.json"
+    path.write_text("old\n")
+    os.chmod(path, 0o604)
+    cli._write_json(str(path), {"a": 1})
+    assert os.stat(path).st_mode & 0o777 == 0o604
+    assert path.read_text() == canonical({"a": 1})
