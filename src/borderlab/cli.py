@@ -23,7 +23,7 @@ import stat
 import sys
 import tempfile
 from json.encoder import encode_basestring_ascii as _quote
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 # Only light modules are imported here: each subcommand imports the
 # modules it runs, so a job loads nothing it does not use.  A subcommand
@@ -40,9 +40,6 @@ from .errors import (
     WitnessVerificationFailure,
 )
 
-if TYPE_CHECKING:
-    from .fields import FieldContext
-
 EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
@@ -51,20 +48,6 @@ EXIT_INPUT = 3
 
 #: precision doublings ``cim`` and ``witness`` try after their first attempt
 MAX_DOUBLINGS = 3
-
-
-def _field(args) -> Optional[FieldContext]:
-    """ℚ for ``--field q``, F_P for ``--prime P``, else None (no field fixed).
-
-    The parser refuses ``--field q`` with ``--prime``.
-    """
-    from .fields import PrimeField, QQ
-
-    if args.field == "q":
-        return QQ
-    if args.prime is not None:
-        return PrimeField(args.prime)
-    return None
 
 
 #: the output file's buffer, in bytes, and how many strings the JSON writer quotes and joins at once
@@ -222,8 +205,7 @@ def cmd_certify(args) -> int:
     from . import jsonio
     from .degeneration import certify_lower_bound
 
-    # without a named field, certify draws its prime from --seed
-    cert = certify_lower_bound(args.n, r=args.r, field=_field(args), rng=random.Random(args.seed))
+    cert = certify_lower_bound(args.n, r=args.r)
     _write_json(args.out, jsonio.certificate_to_obj(cert))
     return EXIT_OK if cert.certified else EXIT_INCONCLUSIVE
 
@@ -348,9 +330,13 @@ def cmd_gen(args) -> int:
     from .fields import PrimeField, QQ, random_prime
     from .instances import random_invertible_laurent_matrix, random_witness_instance
 
-    field = _field(args)
-    if field is None:
-        field = PrimeField(random_prime(62, random.Random(args.seed))) if args.field == "fp" else QQ
+    # the parser refuses --field q with --prime
+    if args.prime is not None:
+        field = PrimeField(args.prime)
+    elif args.field == "fp":
+        field = PrimeField(random_prime(62, random.Random(args.seed)))
+    else:
+        field = QQ
     rng = random.Random(args.seed)
     if args.kind == "witness":
         dims = tuple(int(x) for x in args.dims.split(","))
@@ -387,12 +373,13 @@ class _Parser(argparse.ArgumentParser):
 
 #: the flags more than one subcommand takes
 _FLAGS = {
-    "--field": dict(choices=["q", "fp"], default=None, help="coefficient field"),
-    "--prime": dict(type=int, default=None, help="prime for --field fp (default: a random 62-bit prime)"),
     "--precision": dict(type=int, default=32, help="series truncation order of the first attempt"),
-    "--seed": dict(type=int, default=0, help="seed for all randomized choices"),
     "--out": dict(default=None, help="output path (default: stdout)"),
 }
+
+#: ``--seed`` of certify and verify, which draw nothing at random; it stays
+#: accepted so that callers passing one still run
+_IGNORED_SEED = dict(type=int, default=0, help="accepted and ignored: nothing is drawn at random")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -416,9 +403,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_wit = command("witness", cmd_witness, "build and verify a limit witness", "--precision", "--out")
     p_wit.add_argument("input", help='{"g": [...], "p": ..., "lift": optional "sym3"} file')
 
-    p_cert = command(
-        "certify", cmd_certify, "produce a degeneration certificate", "--field", "--prime", "--seed", "--out"
-    )
+    p_cert = command("certify", cmd_certify, "produce a degeneration certificate over Q", "--out")
+    p_cert.add_argument("--seed", **_IGNORED_SEED)
     p_cert.add_argument("--n", type=int, required=True)
     p_cert.add_argument("--r", type=int, default=None)
 
@@ -429,11 +415,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = command("verify", cmd_verify, "re-derive a stored certificate from scratch")
     p_verify.add_argument("input")
-    p_verify.add_argument("--seed", type=int, default=0, help="accepted and ignored: verify draws nothing at random")
+    p_verify.add_argument("--seed", **_IGNORED_SEED)
 
-    p_gen = command(
-        "gen", cmd_gen, "generate test instances with known ground truth", "--field", "--prime", "--seed", "--out"
-    )
+    p_gen = command("gen", cmd_gen, "generate test instances with known ground truth", "--out")
+    p_gen.add_argument("--field", choices=["q", "fp"], default=None, help="coefficient field")
+    p_gen.add_argument("--prime", type=int, default=None, help="prime for --field fp (default: a random 62-bit prime)")
+    p_gen.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
     p_gen.add_argument("--kind", choices=["witness", "cim"], required=True)
     p_gen.add_argument("--dims", default="3,3", help="comma-separated factor dimensions (witness)")
     p_gen.add_argument("--size", type=int, default=3, help="matrix size (cim)")

@@ -28,12 +28,11 @@ certifying and rechecking take memory in ``nnz(T~) + r^2``, not ``|P|``.
 from __future__ import annotations
 
 import math
-import random
 from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import NoLimitError, PlacementError, ShapeError, SizeGuardError
-from .fields import FieldContext, PrimeField, is_prime, random_prime
+from .fields import QQ, FieldContext
 from .tensors import OneParamSubgroup, Tensor, limit_at_zero, recognize_unit_tensor
 
 #: pyramid size by layers: 1^2 + 2^2 + ... + r^2
@@ -326,25 +325,22 @@ def jacobian_dominance_rank(t_tilde: Tensor, pattern: PyramidPattern) -> int:
 VERDICT_CERTIFIED = "Certified"
 VERDICT_INCONCLUSIVE = "Inconclusive"
 
-#: bit size of the random prime a certificate is drawn over
-PRIME_BITS = 62
-
 
 class DegenerationCertificate(NamedTuple):
-    """Everything needed to re-derive the dominance certificate from scratch."""
+    """The witness tensors and the claims a recheck compares.
+
+    Everything else (the weight profile, the pyramid, the block
+    placements) is rebuilt from ``(n, r)``; ``recipe`` is the ``(n, r)``
+    that the stored doubling profile names.
+    """
 
     n: int
     r: int
-    profile: WeightProfile
+    recipe: tuple
     s_tensor: Tensor
     t_tilde: Tensor
-    placements: tuple
-    limit_check: bool
-    restriction_check: bool
-    unit_size: Optional[int]
     jacobian_rank: int
     pyramid_size: int
-    prime: Optional[int]  # None when certified over the rationals
     verdict: str
 
     @property
@@ -368,54 +364,46 @@ def restriction_agrees(t_tilde: Tensor, s_tensor: Tensor, pattern: PyramidPatter
     }
 
 
-def certify_lower_bound(
-    n: int,
-    r: Optional[int] = None,
-    field: Optional[FieldContext] = None,
-    rng: Optional[random.Random] = None,
-) -> DegenerationCertificate:
-    """Run the full pipeline and return a self-contained certificate.
+def _limit_holds(profile: WeightProfile, t_tilde: Tensor, s_tensor: Tensor) -> bool:
+    try:
+        return limit_at_zero(profile.subgroup(t_tilde.field), t_tilde) == s_tensor
+    except NoLimitError:
+        return False
+
+
+def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertificate:
+    """Run the full pipeline over the rationals and return a self-contained certificate.
 
     ``r`` defaults to ``isqrt(4n) - 3`` and must end up >= 1.  The
-    certificate is built over ``field``; when none is given, a random prime
-    field with ``PRIME_BITS``-bit modulus is drawn from ``rng``.  The
     identity blocks give the unit-column cover, whose full rank holds over
-    every field, the rationals included.  The verdict is Certified when
-    every check holds and Inconclusive otherwise: a missing cover proves
-    nothing either way.
+    the integers and so over every field; nothing is drawn at random.  The
+    verdict is Certified when every check holds and Inconclusive
+    otherwise: a missing cover proves nothing either way.
     """
     if r is None:
         r = default_rank(n)
     if r < 1:
         raise ValueError(f"certified rank must be >= 1 (n={n} gives default {r}); pass r explicitly")
-    if field is None:
-        field = PrimeField(random_prime(PRIME_BITS, random.Random(0) if rng is None else rng))
 
     profile = pyramid_weight_profile(n, r)
     pattern = build_pyramid(profile)
     size = pattern.size
-    t_tilde, s_tensor, placements = build_planted_tensor(field, n, r)
-    restriction = restriction_agrees(t_tilde, s_tensor, pattern)
-    try:
-        limit_ok = limit_at_zero(profile.subgroup(field), t_tilde) == s_tensor
-    except NoLimitError:
-        limit_ok = False
-    unit = recognize_unit_tensor(s_tensor)
+    t_tilde, s_tensor, _ = build_planted_tensor(QQ, n, r)
     rank = jacobian_dominance_rank(t_tilde, pattern)
-    certified = restriction and limit_ok and unit == r and rank == size
+    certified = (
+        restriction_agrees(t_tilde, s_tensor, pattern)
+        and _limit_holds(profile, t_tilde, s_tensor)
+        and recognize_unit_tensor(s_tensor) == r
+        and rank == size
+    )
     return DegenerationCertificate(
         n=n,
         r=r,
-        profile=profile,
+        recipe=(n, r),
         s_tensor=s_tensor,
         t_tilde=t_tilde,
-        placements=tuple(placements),
-        limit_check=limit_ok,
-        restriction_check=restriction,
-        unit_size=unit,
         jacobian_rank=rank,
         pyramid_size=size,
-        prime=field.p if isinstance(field, PrimeField) else None,
         verdict=VERDICT_CERTIFIED if certified else VERDICT_INCONCLUSIVE,
     )
 
@@ -423,58 +411,40 @@ def certify_lower_bound(
 def recheck_certificate(cert: DegenerationCertificate):
     """Re-derive every checkable claim of a stored certificate from scratch.
 
-    Returns an ordered list of ``(clause, ok, detail)`` triples.  A stored
-    claim passes only when it equals its re-derived value: the placements,
-    the restriction and limit checks, the unit size, the rank and pyramid
-    size, and the verdict, which must read Certified exactly when every
-    other clause holds; a stored prime must be prime.  The Jacobian rank
-    is re-derived from the unit-column cover of the stored ``T~``, in its
-    stored field, so the result draws nothing at random.
+    Returns an ordered list of ``(clause, ok, detail)`` triples.  The
+    profile, pyramid and placements are rebuilt from ``(n, r)``; the
+    restriction, the limit, the unit tensor and the rank are recomputed
+    from the stored tensors.  A stored claim passes only when it equals
+    its re-derived value: the profile recipe, the rank and pyramid size,
+    and the verdict, which must read Certified exactly when every other
+    clause holds.  The Jacobian rank is re-derived from the unit-column
+    cover of the stored ``T~``, so the result draws nothing at random.
     """
-    results = []
+    results = [("profile", cert.recipe == (cert.n, cert.r), "stored recipe is the doubling profile of (n, r)")]
 
     expected_profile = pyramid_weight_profile(cert.n, cert.r)
-    results.append(("profile", cert.profile == expected_profile, "stored weight profile matches the construction"))
-
     pattern = build_pyramid(expected_profile)
     results.append(
         ("pyramid", pattern.size == cert.pyramid_size == pyramid_size(cert.r), "pyramid size r(r+1)(2r+1)/6")
     )
-
-    placements = block_placements(cert.r)
     results.append(
         (
             "placements",
-            tuple(cert.placements) == placements and all(p.interval[1] <= cert.n for p in placements),
+            all(p.interval[1] <= cert.n for p in block_placements(cert.r)),
             "blocks packed greedily from r+1 inside [1, n]",
         )
     )
-
-    restriction = restriction_agrees(cert.t_tilde, cert.s_tensor, pattern)
-    results.append(("restriction", restriction and cert.restriction_check, "T|_P = S|_P"))
-
-    tensor_field = cert.t_tilde.field
-    subgroup = expected_profile.subgroup(tensor_field)
-    try:
-        limit_ok = limit_at_zero(subgroup, cert.t_tilde) == cert.s_tensor
-    except NoLimitError:
-        limit_ok = False
-    results.append(("limit", limit_ok and cert.limit_check, "limit of T~ at t->0 equals S"))
-
+    results.append(("restriction", restriction_agrees(cert.t_tilde, cert.s_tensor, pattern), "T|_P = S|_P"))
     results.append(
-        (
-            "unit-tensor",
-            recognize_unit_tensor(cert.s_tensor) == cert.r == cert.unit_size,
-            "S is a diagonal unit tensor of size r",
-        )
+        ("limit", _limit_holds(expected_profile, cert.t_tilde, cert.s_tensor), "limit of T~ at t->0 equals S")
     )
-
-    rank = jacobian_dominance_rank(cert.t_tilde, pattern)
-    stored_prime_ok = cert.prime is None or is_prime(cert.prime)
+    results.append(
+        ("unit-tensor", recognize_unit_tensor(cert.s_tensor) == cert.r, "S is a diagonal unit tensor of size r")
+    )
     results.append(
         (
             "jacobian-rank",
-            rank == cert.jacobian_rank == pattern.size and stored_prime_ok,
+            jacobian_dominance_rank(cert.t_tilde, pattern) == cert.jacobian_rank == pattern.size,
             "unit-column cover: |P| unit columns on distinct rows",
         )
     )

@@ -7,6 +7,8 @@ byte-identical files.
 
 Decoders check the shape of what they read: a value of the wrong JSON type
 raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
+A certificate is read strictly: its keys must be exactly those of the
+current format, and a missing one is a ``SchemaError`` too.
 
 A decoder imports the module of the type it builds when it runs, so reading
 a ``cim`` document loads no tensor code, reading a witness loads no
@@ -18,16 +20,18 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from .errors import SchemaError
-from .fields import FieldContext
+from .fields import _INTEGER, QQ, FieldContext
 
 if TYPE_CHECKING:
-    from .degeneration import BlockPlacement, DegenerationCertificate, WeightProfile
+    from .degeneration import DegenerationCertificate
     from .loopgroup import CartanDecomposition
     from .series import LaurentSeries, SeriesMatrix
     from .tensors import OneParamSubgroup, Tensor
     from .witness import LimitWitness
 
 TOOL_VERSION = "borderlab-0.1.0"
+#: certificates name their doubling profile by its recipe and carry no prime
+CERTIFICATE_VERSION = "borderlab-0.2.0"
 
 
 # -- shape checks ------------------------------------------------------------
@@ -45,14 +49,12 @@ def _list(value, what: str) -> list:
 
 
 def _int(value, what: str) -> int:
-    """An integer written as a JSON number or a decimal string."""
+    """An integer written as a JSON number or a ``[+-]digits`` string."""
     if isinstance(value, bool) or not isinstance(value, (int, str)):
         raise SchemaError(f"{what}: expected an integer, got {type(value).__name__}")
+    if isinstance(value, str) and _INTEGER.fullmatch(value) is None:
+        raise SchemaError(f"{what}: integer must be [+-]digits, got {value[:40]!r}")
     return int(value)
-
-
-def _opt_int(value, what: str) -> Optional[int]:
-    return None if value is None else _int(value, what)
 
 
 def _str(value, what: str) -> str:
@@ -67,9 +69,9 @@ def _bool(value, what: str) -> bool:
     return value
 
 
-def _version(obj: dict, what: str) -> None:
-    if obj.get("version") != TOOL_VERSION:
-        raise SchemaError(f"{what}: version {obj.get('version')!r} is not {TOOL_VERSION!r}")
+def _version(obj: dict, what: str, expected: str = TOOL_VERSION) -> None:
+    if obj.get("version") != expected:
+        raise SchemaError(f"{what}: version {obj.get('version')!r} is not {expected!r}")
 
 
 def _scalar(field: FieldContext, value, what: str):
@@ -162,6 +164,8 @@ def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
     for item in _list(obj.get("entries", []), "tensor entries"):
         _dict(item, "tensor entry")
         pos = tuple(_int(i, "tensor index") for i in _list(item["idx"], "tensor idx"))
+        if pos in entries:
+            raise SchemaError(f"tensor entries: position {list(pos)} given twice")
         entries[pos] = _scalar(fld, item["value"], "tensor value")
     return Tensor.from_entries(fld, dims, entries)
 
@@ -259,62 +263,42 @@ def witness_from_obj(obj: dict) -> LimitWitness:
 
 # -- degeneration certificates ---------------------------------------------------
 
-def profile_to_obj(p: WeightProfile) -> dict:
-    return {
-        "dims": list(p.dims),
-        "weights": [[str(w) for w in ws] for ws in p.weights],
-        "pyramidRank": p.pyramid_rank,
-    }
+#: every key of a certificate, none optional
+_CERTIFICATE_KEYS = frozenset(
+    ("kind", "version", "n", "r", "profile", "S", "TTilde", "jacobianRank", "pyramidSize", "verdict")
+)
 
 
-def profile_from_obj(obj: dict) -> WeightProfile:
-    from .degeneration import WeightProfile
-
-    _dict(obj, "profile")
-    return WeightProfile(
-        dims=tuple(_int(n, "profile dim") for n in _list(obj["dims"], "profile dims")),
-        weights=tuple(
-            tuple(_int(w, "profile weight") for w in _list(ws, "profile weights"))
-            for ws in _list(obj["weights"], "profile weights")
-        ),
-        pyramid_rank=_opt_int(obj.get("pyramidRank"), "pyramidRank"),
-    )
-
-
-def placement_to_obj(p: BlockPlacement) -> dict:
-    return {"s": p.s, "layer": p.layer, "axis": p.axis, "start": p.start}
-
-
-def placement_from_obj(obj: dict) -> BlockPlacement:
-    from .degeneration import BlockPlacement
-
-    _dict(obj, "placement")
-    return BlockPlacement(
-        s=_int(obj["s"], "placement s"),
-        layer=_int(obj["layer"], "placement layer"),
-        axis=obj["axis"],
-        start=_int(obj["start"], "placement start"),
-    )
+def _exact_keys(obj: dict, keys, what: str) -> None:
+    if obj.keys() != keys:
+        extra, missing = sorted(obj.keys() - keys), sorted(keys - obj.keys())
+        raise SchemaError(f"{what}: unknown keys {extra}" if extra else f"{what}: missing keys {missing}")
 
 
 def certificate_to_obj(c: DegenerationCertificate) -> dict:
+    n, r = c.recipe
     return {
         "kind": "degeneration",
-        "version": TOOL_VERSION,
+        "version": CERTIFICATE_VERSION,
         "n": c.n,
         "r": c.r,
-        "profile": profile_to_obj(c.profile),
+        "profile": {"kind": "doubling", "n": n, "r": r},
         "S": tensor_to_obj(c.s_tensor),
         "TTilde": tensor_to_obj(c.t_tilde),
-        "placements": [placement_to_obj(p) for p in c.placements],
-        "limitCheck": "Pass" if c.limit_check else "Fail",
-        "restrictionCheck": "Pass" if c.restriction_check else "Fail",
-        "unitSize": c.unit_size,
         "jacobianRank": c.jacobian_rank,
         "pyramidSize": c.pyramid_size,
-        "prime": None if c.prime is None else str(c.prime),
         "verdict": c.verdict,
     }
+
+
+def _rational_cube(obj, n: int, what: str) -> Tensor:
+    """An ``n x n x n`` tensor over Q, read from ``obj``."""
+    if field_from_obj(_dict(obj, what)["field"]) != QQ:
+        raise SchemaError(f"{what}: a certificate is over Q, got field {obj['field']}")
+    t = tensor_from_obj(obj, QQ)
+    if t.dims != (n, n, n):
+        raise SchemaError(f"{what}: dims {list(t.dims)} are not n x n x n for n={n}")
+    return t
 
 
 def certificate_from_obj(obj: dict) -> DegenerationCertificate:
@@ -322,23 +306,22 @@ def certificate_from_obj(obj: dict) -> DegenerationCertificate:
 
     if document_kind(obj) != "degeneration":
         raise SchemaError("not a degeneration certificate")
-    _version(obj, "certificate")
-    s_tensor = tensor_from_obj(obj["S"])
-    t_tilde = tensor_from_obj(obj["TTilde"])
+    _version(obj, "certificate", CERTIFICATE_VERSION)
+    _exact_keys(obj, _CERTIFICATE_KEYS, "certificate")
+    recipe = _dict(obj["profile"], "profile")
+    _exact_keys(recipe, {"kind", "n", "r"}, "profile")
+    if recipe["kind"] != "doubling":
+        raise SchemaError(f"profile: unknown recipe {recipe['kind']!r}")
+    n = _int(obj["n"], "n")
     return DegenerationCertificate(
-        n=_int(obj["n"], "n"),
+        n=n,
         r=_int(obj["r"], "r"),
-        profile=profile_from_obj(obj["profile"]),
-        s_tensor=s_tensor,
-        t_tilde=t_tilde,
-        placements=tuple(placement_from_obj(p) for p in _list(obj["placements"], "placements")),
-        limit_check=obj["limitCheck"] == "Pass",
-        restriction_check=obj.get("restrictionCheck", "Pass") == "Pass",
-        unit_size=_opt_int(obj.get("unitSize"), "unitSize"),
+        recipe=(_int(recipe["n"], "profile n"), _int(recipe["r"], "profile r")),
+        s_tensor=_rational_cube(obj["S"], n, "S"),
+        t_tilde=_rational_cube(obj["TTilde"], n, "TTilde"),
         jacobian_rank=_int(obj["jacobianRank"], "jacobianRank"),
         pyramid_size=_int(obj["pyramidSize"], "pyramidSize"),
-        prime=_opt_int(obj.get("prime"), "prime"),
-        verdict=obj["verdict"],
+        verdict=_str(obj["verdict"], "verdict"),
     )
 
 

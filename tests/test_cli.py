@@ -2,6 +2,7 @@ import copy
 import hashlib
 import json
 import os
+import random
 import re
 
 import pytest
@@ -349,10 +350,21 @@ def test_certify_4(tmp_path):
 
 def test_certify_exact_rational_rank(tmp_path):
     out = tmp_path / "cert.json"
-    assert run(["certify", "--n", "8", "--field", "q", "--out", str(out)]) == 0
+    assert run(["certify", "--n", "8", "--out", str(out)]) == 0
     obj = read_json(out)
     assert obj["verdict"] == "Certified"
-    assert obj["prime"] is None
+    assert obj["S"]["field"] == obj["TTilde"]["field"] == {"kind": "Q"}
+    assert "prime" not in obj
+
+
+def test_certify_and_verify_past_the_int_to_str_digit_limit(tmp_path, capsys):
+    # the stored weight profile's largest weight, 2^(n+1), has more than
+    # 4 300 digits from n = 14 285 on; the recipe stores no weight
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--n", "14300", "--out", str(out)]) == 0
+    assert read_json(out)["profile"] == {"kind": "doubling", "n": 14300, "r": 236}
+    assert run(["verify", str(out)]) == 0
+    assert "FAILED" not in capsys.readouterr().out
 
 
 # ---------------------------------------------------------------------------
@@ -416,32 +428,13 @@ def test_verify_tampered_certificate_names_clause(tmp_path, capsys):
     assert "T|_P = S|_P" in out
 
 
-def _shift_first_start(obj):
-    obj["placements"][0]["start"] += 1
-
-
 @pytest.mark.parametrize(
     "mutate, clause",
     [
-        (lambda obj: obj.update(placements=[]), "placements"),
-        (_shift_first_start, "placements"),
-        (lambda obj: obj.update(limitCheck="Fail"), "limit"),
-        (lambda obj: obj.update(restrictionCheck="Fail"), "restriction"),
-        (lambda obj: obj.update(unitSize=obj["unitSize"] + 1), "unit-tensor"),
-        (lambda obj: obj.update(prime="4611686018427387904"), "jacobian-rank"),
         (lambda obj: obj.update(verdict="Refuted"), "verdict"),
         (lambda obj: obj.update(verdict="Inconclusive"), "verdict"),
     ],
-    ids=[
-        "placements-empty",
-        "placements-start",
-        "limitCheck",
-        "restrictionCheck",
-        "unitSize",
-        "prime",
-        "verdict-refuted",
-        "verdict-inconclusive",
-    ],
+    ids=["verdict-refuted", "verdict-inconclusive"],
 )
 def test_verify_compares_every_stored_claim(mutate, clause, tmp_path, capsys):
     cert_path = tmp_path / "cert.json"
@@ -452,6 +445,152 @@ def test_verify_compares_every_stored_claim(mutate, clause, tmp_path, capsys):
     assert run(["verify", str(cert_path)]) == 1
     failed = re.findall(r"^(\S+): FAILED", capsys.readouterr().out, re.M)
     assert failed[0] == clause
+
+
+def _with_entries(obj, tensor, entries):
+    return dict(obj, **{tensor: dict(obj[tensor], entries=entries)})
+
+
+def _first_entry(obj, tensor, **change):
+    """``obj`` with ``change`` applied to its tensor's first entry."""
+    entries = obj[tensor]["entries"]
+    return _with_entries(obj, tensor, [dict(entries[0], **change)] + entries[1:])
+
+
+FP = {"kind": "Fp", "p": "1000003"}
+V1_CERTIFICATE = os.path.join(DATA, "certificate_v1.json")
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda obj: read_json(V1_CERTIFICATE), "version 'borderlab-0.1.0' is not 'borderlab-0.2.0'"),
+        (lambda obj: dict(read_json(V1_CERTIFICATE), version="borderlab-0.2.0"), "unknown keys"),
+        (lambda obj: dict(obj, placements=[]), "unknown keys ['placements']"),
+        (lambda obj: dict(obj, limitCheck="Pass"), "unknown keys ['limitCheck']"),
+        (lambda obj: dict(obj, restrictionCheck="Pass"), "unknown keys ['restrictionCheck']"),
+        (lambda obj: dict(obj, unitSize=3), "unknown keys ['unitSize']"),
+        (lambda obj: dict(obj, prime="1000003"), "unknown keys ['prime']"),
+        (lambda obj: {k: v for k, v in obj.items() if k != "verdict"}, "missing keys ['verdict']"),
+        (lambda obj: dict(obj, profile=dict(obj["profile"], kind="weights")), "unknown recipe 'weights'"),
+        (lambda obj: dict(obj, TTilde=dict(obj["TTilde"], field=FP)), "TTilde: a certificate is over Q"),
+        (lambda obj: dict(obj, S=dict(obj["S"], field=FP)), "S: a certificate is over Q"),
+        (lambda obj: dict(obj, n="1_0"), "n: integer must be [+-]digits"),
+        (lambda obj: _first_entry(obj, "TTilde", idx=["\u0663", 1, 3]), "tensor index: integer must be [+-]digits"),
+        (lambda obj: _first_entry(obj, "TTilde", idx=obj["TTilde"]["entries"][1]["idx"]), "given twice"),
+    ],
+    ids=[
+        "v1",
+        "v1-relabelled",
+        "extra-placements",
+        "extra-limitCheck",
+        "extra-restrictionCheck",
+        "extra-unitSize",
+        "extra-prime",
+        "missing-verdict",
+        "profile-kind",
+        "fp-TTilde",
+        "fp-S",
+        "n-underscore",
+        "idx-arabic-indic",
+        "TTilde-repeated-position",
+    ],
+)
+def test_verify_refuses_a_certificate_outside_the_format(build, message, tmp_path, capsys):
+    # format v2 has exactly these keys, tensors over Q, [+-]digits integers
+    # and each tensor position once; anything else exits 3
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", "--n", "9", "--out", str(cert_path)]) == 0
+    cert_path.write_text(json.dumps(build(read_json(cert_path))))
+    capsys.readouterr()
+    assert run(["verify", str(cert_path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+
+def test_witness_refuses_a_repeated_tensor_position(witness_file, tmp_path, capsys):
+    # the later entry used to win silently
+    doc = read_json(witness_file)
+    doc["p"]["entries"].append(dict(doc["p"]["entries"][0], value="2"))
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(doc))
+    assert run(["witness", str(path)]) == 3
+    assert "given twice" in capsys.readouterr().err
+
+
+# -- seeded semantic mutations of certificates ---------------------------------
+
+def canonical_support(tensor, n):
+    """The positions of a 0/1 n x n x n tensor over Q, or None for anything else.
+
+    An explicit "0" is no entry; a position given twice is no tensor.
+    """
+    entries = tensor["entries"]
+    if tensor["field"] != {"kind": "Q"} or tensor["dims"] != [n, n, n]:
+        return None
+    if len({tuple(e["idx"]) for e in entries}) != len(entries) or any(e["value"] not in ("0", "1") for e in entries):
+        return None
+    return {tuple(e["idx"]) for e in entries if e["value"] == "1"}
+
+
+def oracle_valid(doc):
+    """Whether ``doc`` is, read off its JSON alone, the doubling construction's certificate of its own (n, r)."""
+    n, r = doc["n"], doc["r"]
+    if not (type(n) is int and type(r) is int and r >= 1 and 4 * n >= (r + 3) ** 2):
+        return False
+    size = r * (r + 1) * (2 * r + 1) // 6
+    claims = (doc["profile"], doc["jacobianRank"], doc["pyramidSize"], doc["verdict"])
+    if claims != ({"kind": "doubling", "n": n, "r": r}, size, size, "Certified"):
+        return False
+    corners = {(r - l + 1, r - l + 1, l) for l in range(1, r + 1)}
+    blocks, start = set(), {"j": r + 1, "k": r + 1}
+    for s in range(r):  # identity blocks of size s + 1 on layer r - s, packed greedily from r + 1
+        axis = "j" if s % 2 == 0 else "k"
+        for i in range(s + 1):
+            blocks.add((start[axis] + i, 1 + i, r - s) if axis == "j" else (1 + i, start[axis] + i, r - s))
+        start[axis] += s + 1
+    return canonical_support(doc["S"], n) == corners and canonical_support(doc["TTilde"], n) == corners | blocks
+
+
+def certificate_mutants(obj, rng):
+    """``(name, mutant)`` pairs, each changing one field of ``obj``."""
+    for key in ("n", "r", "jacobianRank", "pyramidSize"):
+        for d in (-1, 1):
+            yield f"{key}{d:+d}", dict(obj, **{key: obj[key] + d})
+    for key in ("n", "r"):
+        for d in (-1, 1):
+            yield f"profile.{key}{d:+d}", dict(obj, profile=dict(obj["profile"], **{key: obj["profile"][key] + d}))
+    yield "verdict", dict(obj, verdict="Inconclusive")
+    for tensor in ("S", "TTilde"):
+        entries = obj[tensor]["entries"]
+        i, axis = rng.randrange(len(entries)), rng.randrange(3)
+        head, entry, tail = entries[:i], entries[i], entries[i + 1 :]
+        for d in (-1, 1):
+            idx = [c + d if a == axis else c for a, c in enumerate(entry["idx"])]
+            yield f"{tensor}[{i}].idx[{axis}]{d:+d}", _with_entries(obj, tensor, head + [dict(entry, idx=idx)] + tail)
+        yield f"{tensor}[{i}] dropped", _with_entries(obj, tensor, head + tail)
+        yield f"{tensor}[{i}] duplicated", _with_entries(obj, tensor, head + [entry, entry] + tail)
+        for value in ("2", "0"):
+            yield f"{tensor}[{i}] = {value}", _with_entries(obj, tensor, head + [dict(entry, value=value)] + tail)
+
+
+@pytest.mark.parametrize("n", [4, 9, 16])
+def test_certificate_mutants_fail_verify_unless_the_oracle_accepts_them(n, tmp_path, capsys):
+    # every mutant changes one field; verify must exit nonzero on it, or
+    # the oracle, which knows the construction's closed form, must judge
+    # it a valid certificate in its own right (then verify must pass it)
+    path = tmp_path / "cert.json"
+    assert run(["certify", "--n", str(n), "--out", str(path)]) == 0
+    obj = read_json(path)
+    assert oracle_valid(obj)
+    mutants = list(certificate_mutants(obj, random.Random(2024 + n)))
+    assert len(mutants) == 25
+    for name, mutant in mutants:
+        path.write_text(json.dumps(mutant))
+        rc = run(["verify", str(path)])
+        capsys.readouterr()
+        assert (rc == 0) == oracle_valid(mutant), (name, rc)
 
 
 def test_verify_witness_output(witness_file, tmp_path):
@@ -597,7 +736,8 @@ def test_verify_refuses_an_unknown_version(kind, version, curve_file, witness_fi
     assert run(["verify", str(out)]) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert f"version {version!r} is not {jsonio.TOOL_VERSION!r}" in captured.err
+    expected = jsonio.CERTIFICATE_VERSION if kind == "certificate" else jsonio.TOOL_VERSION
+    assert f"version {version!r} is not {expected!r}" in captured.err
 
 
 def test_verify_unknown_kind_exits_3(tmp_path):
@@ -623,7 +763,7 @@ def test_each_subcommand_parses_only_the_flags_it_reads():
     assert dests == {
         "cim": {"input", "precision", "out"},
         "witness": {"input", "precision", "out"},
-        "certify": {"n", "r", "field", "prime", "seed", "out"},
+        "certify": {"n", "r", "seed", "out"},
         "bounds": {"d", "n_max", "format", "out"},
         "verify": {"input", "seed"},
         "gen": {"kind", "dims", "size", "field", "prime", "seed", "out"},
@@ -665,9 +805,10 @@ def test_help_exits_0(argv, capsys):
 # ---------------------------------------------------------------------------
 
 def test_byte_identical_outputs(tmp_path):
+    # certify draws nothing at random: --seed is accepted and changes no byte
     a, b = tmp_path / "a.json", tmp_path / "b.json"
-    for out in (a, b):
-        assert run(["certify", "--n", "9", "--seed", "7", "--out", str(out)]) == 0
+    for out, seed in ((a, "0"), (b, "123")):
+        assert run(["certify", "--n", "64", "--seed", seed, "--out", str(out)]) == 0
     assert a.read_bytes() == b.read_bytes()
 
 
@@ -695,10 +836,10 @@ def test_every_output_is_canonical_json(tmp_path, curve_file, witness_file, caps
 
 
 # SHA-256 of outputs as the dense tensor storage and the schoolbook series
-# product wrote them; the sparse storage and the Kronecker product must
-# write the same bytes
+# product wrote them (the certificate as format v2 first wrote it); the
+# sparse storage and the Kronecker product must write the same bytes
 PINNED_DIGESTS = {
-    "certify": "738ea703626a44533ee75fe52a07c6853a92bee4b431638a0fd28cd1ded3eb7e",
+    "certify": "c3316584080fd8cbc533be000884ff23f51689e03a5c8e50e76fc91d618d4142",
     "witness-data": "5abe9e5d7c37e600b58773c1d18c4b1ccb3ccb79bf6f2a5f6516d9089277d549",
     "gen": "cc27539098a1e18df7a1b83a518335c222ade94429c4079e99e8497e4cd1bc7e",
     "witness-gen": "774ed96f9773badec4ef756b6565fc403173756e5571adff367e4129d598ecb2",

@@ -1,7 +1,6 @@
 """The library's records are immutable values: read-only fields, equality
 and hashing by value, and the validation and truth value they define."""
 
-import random
 
 import pytest
 
@@ -22,6 +21,7 @@ from borderlab import (
     weight_decompose,
 )
 from borderlab.bounds import crossover_scan
+from borderlab.degeneration import block_placements
 from borderlab.jsonio import witness_from_obj, witness_to_obj
 from borderlab.series import SeriesMatrix
 from borderlab.witness import build_witness
@@ -35,12 +35,12 @@ def records():
     def build():
         g = SeriesMatrix.diag_powers(QQ, [-1, 1])
         p = Tensor.from_entries(QQ, (2, 2), {(1, 2): QQ.one(), (2, 1): QQ.one()})
-        cert = certify_lower_bound(9, rng=random.Random(1))
+        cert = certify_lower_bound(9)
         return {
             "CrossoverRow": crossover_scan(5)[0][3],
             "WeightProfile": pyramid_weight_profile(5, 2),
             "PyramidPattern": build_pyramid(pyramid_weight_profile(5, 2)),
-            "BlockPlacement": cert.placements[0],
+            "BlockPlacement": block_placements(3)[0],
             "DegenerationCertificate": cert,
             "DichotomyResult": hypercube_dichotomy([(1, 1, 1)], 1, 3),
             "CartanDecomposition": cartan_decompose(g, 8),

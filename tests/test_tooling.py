@@ -81,7 +81,7 @@ def test_tracer_counts_the_series_kernels_under_cim(tmp_path):
 
 def test_tracer_spans_the_certify_path(tmp_path):
     # the traced subrank benchmark wraps jacobian_dominance_rank by its
-    # (t_tilde, pattern) arguments; certify draws one prime and verify none
+    # (t_tilde, pattern) arguments; certify and verify draw no prime
     tracer = load_spans().Tracer()
     tracer.install()
     try:
@@ -92,7 +92,7 @@ def test_tracer_spans_the_certify_path(tmp_path):
         tracer.uninstall()
     seen = {span[0] for span in tracer.spans}
     assert {"degeneration.jacobian_self", "degeneration.recheck_self"} <= seen
-    assert tracer.counts["fields.primes_drawn"] == 1
+    assert tracer.counts["fields.primes_drawn"] == 0
 
 
 # ---------------------------------------------------------------------------
