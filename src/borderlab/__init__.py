@@ -54,7 +54,6 @@ _HOMES = {
             "DegenerationCertificate",
             "DichotomyResult",
             "PyramidPattern",
-            "WeightProfile",
             "build_planted_tensor",
             "build_pyramid",
             "certify_lower_bound",
@@ -62,7 +61,6 @@ _HOMES = {
             "jacobian_dominance_rank",
             "min_slice_cover",
             "pyramid_size",
-            "pyramid_weight_profile",
             "recheck_certificate",
         )),
         ("bounds", ("bounds",)),

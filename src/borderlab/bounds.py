@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence
+from typing import Sequence
 
 
 def dimension_upper_bound(d: int, dims: Sequence[int], r: int) -> int:
@@ -87,34 +87,6 @@ def generic_subrank(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.isqrt(3 * n - 2)
-
-
-class CrossoverRow(NamedTuple):
-    n: int
-    lower_3d: int
-    generic: int
-    excess: bool
-
-
-def crossover_scan(n_max: int):
-    """Compare the border lower bound against the generic subrank.
-
-    Returns ``(rows, first_excess)`` where ``first_excess`` is the least
-    ``n`` in range whose border lower bound strictly exceeds the generic
-    subrank (``None`` if no such ``n`` exists below ``n_max``).
-    """
-    if n_max < 4:
-        raise ValueError("n_max must be >= 4")
-    rows = []
-    first: Optional[int] = None
-    for n in range(1, n_max + 1):
-        lower = border_subrank_lower_3d(n)
-        gen = generic_subrank(n)
-        excess = lower > gen
-        if excess and first is None:
-            first = n
-        rows.append(CrossoverRow(n=n, lower_3d=lower, generic=gen, excess=excess))
-    return rows, first
 
 
 def max_locus_bounds(n: int) -> tuple:

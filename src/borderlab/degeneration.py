@@ -21,149 +21,78 @@ rank is ``|P|`` over the integers, the rationals and every prime field at
 once.  The check of that cover takes one pass over ``T~``, and it is the
 only rank proof: a ``T~`` without the cover certifies nothing.
 
-The pyramid is kept by its layers (the largest ``j`` per ``(k, l)``), so
-certifying and rechecking take memory in ``nnz(T~) + r^2``, not ``|P|``.
+The weight subgroup is the doubling profile of ``(n, r)``, and its
+weights are never built: ``P``, its zero-weight corners and the sign of
+every position's weight are read from ``(n, r)`` in closed form (see
+:class:`PyramidPattern`).  Certifying and rechecking take time and memory
+in ``nnz(S) + nnz(T~) + r`` for any ``(n, r)``.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import NoLimitError, PlacementError, ShapeError, SizeGuardError
+from .errors import PlacementError, ShapeError, SizeGuardError
 from .fields import QQ, FieldContext
-from .tensors import OneParamSubgroup, Tensor, limit_at_zero, recognize_unit_tensor
+from .tensors import Tensor, recognize_unit_tensor
 
 #: pyramid size by layers: 1^2 + 2^2 + ... + r^2
 def pyramid_size(r: int) -> int:
     return r * (r + 1) * (2 * r + 1) // 6
 
 
-class _WeightProfileFields(NamedTuple):
-    dims: tuple
-    weights: tuple  # tuple per factor, weakly increasing
-    pyramid_rank: Optional[int] = None
-
-
-class WeightProfile(_WeightProfileFields):
-    """Weakly increasing integer weights per tensor factor.
-
-    ``pyramid_rank`` marks profiles produced by
-    :func:`pyramid_weight_profile`; for those the pyramid enumeration is
-    cross-checked against its closed form.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, dims: tuple, weights: tuple, pyramid_rank: Optional[int] = None):
-        if len(weights) != len(dims):
-            raise ShapeError("one weight list per factor required")
-        for n, ws in zip(dims, weights):
-            if len(ws) != n:
-                raise ShapeError("weight list length must match the factor dimension")
-            if any(ws[i] > ws[i + 1] for i in range(len(ws) - 1)):
-                raise ValueError("weights must be weakly increasing within each factor")
-        return super().__new__(cls, dims, weights, pyramid_rank)
-
-    @classmethod
-    def _make(cls, iterable):
-        # ``_replace`` builds its copy here, so a copy is validated too
-        return cls(*iterable)
-
-    @property
-    def order(self) -> int:
-        return len(self.dims)
-
-    def subgroup(self, field: FieldContext) -> OneParamSubgroup:
-        return OneParamSubgroup.from_weights(field, [list(ws) for ws in self.weights])
-
-
-def pyramid_weight_profile(n: int, r: int) -> WeightProfile:
-    """The doubling profile: ``2^j`` on the first two factors and
-    ``-2^(r-l+2)`` (then zeros) on the third."""
-    if not 1 <= r <= n:
-        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
-    ab = tuple(2 ** j for j in range(1, n + 1))
-    third = tuple(-(2 ** (r - l + 2)) if l <= r else 0 for l in range(1, n + 1))
-    return WeightProfile(dims=(n, n, n), weights=(ab, ab, third), pyramid_rank=r)
-
-
 class PyramidPattern(NamedTuple):
-    """Nonpositive-weight positions of a three-factor profile, kept by layers.
+    """The nonpositive-weight positions of the doubling profile of ``(n, r)``.
 
-    ``steps[l-1][k-1]`` is the largest ``j`` with ``(j, k, l)`` in the set.
-    Each layer lists its nonzero steps and empty trailing layers are left
-    out; because the weights increase weakly the set is downward closed,
-    so the steps describe it exactly.  ``zero_set`` is the equality locus.
+    The doubling profile puts the weight ``2^j`` on index ``j`` of the first
+    two factors and ``-2^(r-l+2)`` on index ``l <= r`` of the third (0
+    beyond), so ``(j, k, l)`` has weight ``2^j + 2^k - 2^(e+1)`` with
+    ``e = r - l + 1`` when ``l <= r``, and a positive one when ``l > r``.
+    That weight is negative exactly when ``j, k <= e`` and ``(j, k) != (e, e)``
+    and zero exactly at the corner ``j = k = e``.  So ``P`` is
+    ``{(j, k, l) : l <= r and j, k <= r - l + 1}``, layer ``l`` is the
+    square of side :meth:`extent`, and the zero set is the ``r`` corners
+    ``(r-l+1, r-l+1, l)``.  Every query is arithmetic on ``(n, r)``.
     """
 
-    dims: tuple
-    steps: tuple
-    zero_set: frozenset
+    n: int
+    r: int
+
+    def extent(self, l: int) -> int:
+        """The side ``r - l + 1`` of layer ``l``'s square."""
+        return self.r - l + 1
 
     @property
     def size(self) -> int:
-        return sum(map(sum, self.steps))
+        return pyramid_size(self.r)
+
+    @property
+    def corners(self) -> frozenset:
+        """The zero-weight positions, built afresh on each read."""
+        return frozenset((self.extent(l), self.extent(l), l) for l in range(1, self.r + 1))
 
     @property
     def positions(self) -> frozenset:
         """Every position as a tuple, built afresh on each read."""
         return frozenset(
             (j, k, l)
-            for l, layer in enumerate(self.steps, start=1)
-            for k, jmax in enumerate(layer, start=1)
-            for j in range(1, jmax + 1)
+            for l in range(1, self.r + 1)
+            for k in range(1, self.extent(l) + 1)
+            for j in range(1, self.extent(l) + 1)
         )
 
     def contains(self, pos) -> bool:
-        """Membership, read off the layers."""
         j, k, l = pos
-        steps = self.steps
-        if not 1 <= l <= len(steps):
-            return False
-        layer = steps[l - 1]
-        return 1 <= k <= len(layer) and 1 <= j <= layer[k - 1]
+        e = self.extent(l)
+        return 1 <= l <= self.r and 1 <= j <= e and 1 <= k <= e
 
 
-def build_pyramid(profile: WeightProfile) -> PyramidPattern:
-    """The nonpositive-weight set of a three-factor profile, by layers.
-
-    For the doubling profile the layers are cross-checked against the
-    closed form ``{(j,k,l) : l <= r and j,k <= r-l+1}`` and the layer-sum
-    size formula.
-    """
-    if profile.order != 3:
-        raise ShapeError("pyramid enumeration expects a three-factor profile")
-    a1, a2, a3 = profile.weights
-    steps = []
-    zeros = set()
-    # the weights increase weakly, so once a k leaves no j every larger k
-    # leaves none, and once a layer l is empty every later layer is too
-    for l0, w3 in enumerate(a3, start=1):
-        layer = []
-        for k0, w2 in enumerate(a2, start=1):
-            budget = -(w3 + w2)
-            jmax = bisect_right(a1, budget)
-            if jmax == 0:
-                break
-            layer.append(jmax)
-            if a1[jmax - 1] == budget:
-                zeros.update((j0, k0, l0) for j0 in range(bisect_left(a1, budget) + 1, jmax + 1))
-        if not layer:
-            break
-        steps.append(tuple(layer))
-    pattern = PyramidPattern(dims=profile.dims, steps=tuple(steps), zero_set=frozenset(zeros))
-    r = profile.pyramid_rank
-    if r is not None:
-        closed = tuple((r - l + 1,) * (r - l + 1) for l in range(1, r + 1))
-        corners = {(r - l + 1, r - l + 1, l) for l in range(1, r + 1)}
-        if pattern.steps != closed or zeros != corners or pattern.size != pyramid_size(r):
-            raise RuntimeError(
-                "pyramid enumeration disagrees with the closed form "
-                f"(n={profile.dims[0]}, r={r})"
-            )
-    return pattern
+def build_pyramid(n: int, r: int) -> PyramidPattern:
+    """The pyramid of the doubling profile of ``(n, r)``; needs ``1 <= r <= n``."""
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    return PyramidPattern(n, r)
 
 
 class BlockPlacement(NamedTuple):
@@ -279,26 +208,25 @@ def unit_cover_holds(t_tilde: Tensor, pattern: PyramidPattern) -> bool:
     * even ``s``: the factor-1 column ``E_{j,b}``, ``b = start + k - 1``;
     * odd ``s``: the factor-2 column ``E_{k,b}``, ``b = start + j - 1``.
 
-    The cover holds when ``b`` is at least the column's first index (the
-    column is upper triangular) and the column restricted to the pyramid
-    is exactly ``{that row: 1}``.  All rows sharing a slice ``b`` are
-    checked in one scan of it: the pyramid is downward closed, so a slice
-    entry that misses row 1 of its line misses every row.  One pass,
-    ``O(r^2 + nnz(T~))``.
+    Every such column is upper triangular: ``b >= start >= r + 1``, and
+    its first index is at most ``r - l + 1``.  The cover holds when each
+    column restricted to the pyramid is exactly ``{its row: 1}``.  All
+    rows sharing a slice ``b`` are checked in one scan of it: the pyramid
+    is downward closed, so a slice entry that misses row 1 of its line
+    misses every row.  Each line that passes uses up its own entry of
+    ``T~``, so the pass stops within ``nnz(T~) + 1`` lines: ``O(r +
+    nnz(T~))`` time, whatever ``r`` is.
     """
-    steps = pattern.steps
     one = t_tilde.field.one()
     by_first, by_second = _slices(t_tilde)
     contains = pattern.contains
-    for p in block_placements(len(steps)):
-        layer = steps[p.layer - 1]
-        if p.start < max(layer[0], len(layer)):
-            return False
+    for p in block_placements(pattern.r):
+        side = pattern.extent(p.layer)
         if p.axis == "j":
-            slices, lines, in_p = by_first, len(layer), lambda k, l: contains((1, k, l))
+            slices, in_p = by_first, lambda k, l: contains((1, k, l))
         else:
-            slices, lines, in_p = by_second, layer[0], lambda j, l: contains((j, 1, l))
-        for c in range(1, lines + 1):
+            slices, in_p = by_second, lambda j, l: contains((j, 1, l))
+        for c in range(1, side + 1):
             if not _unit_slice(slices.get(p.start + c - 1, ()), (c, p.layer), one, in_p):
                 return False
     return True
@@ -329,9 +257,10 @@ VERDICT_INCONCLUSIVE = "Inconclusive"
 class DegenerationCertificate(NamedTuple):
     """The witness tensors and the claims a recheck compares.
 
-    Everything else (the weight profile, the pyramid, the block
-    placements) is rebuilt from ``(n, r)``; ``recipe`` is the ``(n, r)``
-    that the stored doubling profile names.
+    Everything else is read from ``(n, r)`` in closed form: the pyramid,
+    its corners, the sign of each weight (so the limit) and the block
+    placements, at a cost in ``nnz(S) + nnz(T~) + r`` for any ``(n, r)``.
+    ``recipe`` is the ``(n, r)`` that the stored doubling profile names.
     """
 
     n: int
@@ -364,11 +293,23 @@ def restriction_agrees(t_tilde: Tensor, s_tensor: Tensor, pattern: PyramidPatter
     }
 
 
-def _limit_holds(profile: WeightProfile, t_tilde: Tensor, s_tensor: Tensor) -> bool:
-    try:
-        return limit_at_zero(profile.subgroup(t_tilde.field), t_tilde) == s_tensor
-    except NoLimitError:
-        return False
+def limit_agrees(t_tilde: Tensor, s_tensor: Tensor, pattern: PyramidPattern) -> bool:
+    """Whether ``T~``'s limit at ``t -> 0`` under the doubling profile exists and equals ``S``.
+
+    Off the pyramid every weight is positive and its entries vanish in the
+    limit; inside it only the corners have weight 0 and the rest have a
+    negative one.  So the limit exists iff ``T~`` has no nonzero on the
+    pyramid off its corners, and it is ``T~`` on the corners.  One pass
+    over ``T~``'s support, with no weight built.
+    """
+    kept = {}
+    for pos, v in t_tilde.support():
+        if pattern.contains(pos):
+            j, k, l = pos
+            if not j == k == pattern.extent(l):
+                return False
+            kept[pos] = v
+    return Tensor.from_entries(t_tilde.field, t_tilde.dims, kept) == s_tensor
 
 
 def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertificate:
@@ -385,14 +326,13 @@ def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertific
     if r < 1:
         raise ValueError(f"certified rank must be >= 1 (n={n} gives default {r}); pass r explicitly")
 
-    profile = pyramid_weight_profile(n, r)
-    pattern = build_pyramid(profile)
+    pattern = build_pyramid(n, r)
     size = pattern.size
     t_tilde, s_tensor, _ = build_planted_tensor(QQ, n, r)
     rank = jacobian_dominance_rank(t_tilde, pattern)
     certified = (
         restriction_agrees(t_tilde, s_tensor, pattern)
-        and _limit_holds(profile, t_tilde, s_tensor)
+        and limit_agrees(t_tilde, s_tensor, pattern)
         and recognize_unit_tensor(s_tensor) == r
         and rank == size
     )
@@ -412,21 +352,18 @@ def recheck_certificate(cert: DegenerationCertificate):
     """Re-derive every checkable claim of a stored certificate from scratch.
 
     Returns an ordered list of ``(clause, ok, detail)`` triples.  The
-    profile, pyramid and placements are rebuilt from ``(n, r)``; the
-    restriction, the limit, the unit tensor and the rank are recomputed
-    from the stored tensors.  A stored claim passes only when it equals
-    its re-derived value: the profile recipe, the rank and pyramid size,
-    and the verdict, which must read Certified exactly when every other
-    clause holds.  The Jacobian rank is re-derived from the unit-column
+    pyramid, its corners and the placements are read from ``(n, r)`` in
+    closed form; the restriction, the limit, the unit tensor and the rank
+    are recomputed from the stored tensors.  A stored claim passes only
+    when it equals its re-derived value: the profile recipe, the rank and
+    pyramid size, and the verdict, which must read Certified exactly when
+    every other clause holds.  The Jacobian rank is re-derived from the unit-column
     cover of the stored ``T~``, so the result draws nothing at random.
     """
     results = [("profile", cert.recipe == (cert.n, cert.r), "stored recipe is the doubling profile of (n, r)")]
 
-    expected_profile = pyramid_weight_profile(cert.n, cert.r)
-    pattern = build_pyramid(expected_profile)
-    results.append(
-        ("pyramid", pattern.size == cert.pyramid_size == pyramid_size(cert.r), "pyramid size r(r+1)(2r+1)/6")
-    )
+    pattern = build_pyramid(cert.n, cert.r)
+    results.append(("pyramid", pattern.size == cert.pyramid_size, "pyramid size r(r+1)(2r+1)/6"))
     results.append(
         (
             "placements",
@@ -435,9 +372,7 @@ def recheck_certificate(cert: DegenerationCertificate):
         )
     )
     results.append(("restriction", restriction_agrees(cert.t_tilde, cert.s_tensor, pattern), "T|_P = S|_P"))
-    results.append(
-        ("limit", _limit_holds(expected_profile, cert.t_tilde, cert.s_tensor), "limit of T~ at t->0 equals S")
-    )
+    results.append(("limit", limit_agrees(cert.t_tilde, cert.s_tensor, pattern), "limit of T~ at t->0 equals S"))
     results.append(
         ("unit-tensor", recognize_unit_tensor(cert.s_tensor) == cert.r, "S is a diagonal unit tensor of size r")
     )

@@ -1,9 +1,11 @@
 import itertools
 import random
+from bisect import bisect_left, bisect_right
+from typing import NamedTuple, Optional
 
 import pytest
 
-from borderlab import PrimeField, QQ, linalg
+from borderlab import NoLimitError, PrimeField, QQ, ShapeError, limit_at_zero, linalg
 from borderlab.series import LaurentSeries, SeriesMatrix
 from borderlab.tensors import OneParamSubgroup, Tensor
 
@@ -106,3 +108,108 @@ def elimination_rank(t_tilde, pattern, field):
         for b in range(a, n2 + 1):
             columns.append({(j, a, l): v for (j, k, l), v in entries.items() if k == b and (j, a, l) in positions})
     return linalg.sparse_rank(field, columns)
+
+
+# ---------------------------------------------------------------------------
+# the doubling profile as exact weights: the oracle for the closed form
+# ---------------------------------------------------------------------------
+
+class _WeightProfileFields(NamedTuple):
+    dims: tuple
+    weights: tuple  # tuple per factor, weakly increasing
+    pyramid_rank: Optional[int] = None
+
+
+class WeightProfile(_WeightProfileFields):
+    """Weakly increasing integer weights per tensor factor.
+
+    ``pyramid_rank`` marks profiles produced by :func:`pyramid_weight_profile`.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, dims: tuple, weights: tuple, pyramid_rank: Optional[int] = None):
+        if len(weights) != len(dims):
+            raise ShapeError("one weight list per factor required")
+        for n, ws in zip(dims, weights):
+            if len(ws) != n:
+                raise ShapeError("weight list length must match the factor dimension")
+            if any(ws[i] > ws[i + 1] for i in range(len(ws) - 1)):
+                raise ValueError("weights must be weakly increasing within each factor")
+        return super().__new__(cls, dims, weights, pyramid_rank)
+
+    @classmethod
+    def _make(cls, iterable):
+        # ``_replace`` builds its copy here, so a copy is validated too
+        return cls(*iterable)
+
+    @property
+    def order(self) -> int:
+        return len(self.dims)
+
+    def subgroup(self, field) -> OneParamSubgroup:
+        return OneParamSubgroup.from_weights(field, [list(ws) for ws in self.weights])
+
+
+def pyramid_weight_profile(n: int, r: int) -> WeightProfile:
+    """The doubling profile as integers: ``2^j`` on the first two factors and
+    ``-2^(r-l+2)`` (then zeros) on the third."""
+    if not 1 <= r <= n:
+        raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
+    ab = tuple(2 ** j for j in range(1, n + 1))
+    third = tuple(-(2 ** (r - l + 2)) if l <= r else 0 for l in range(1, n + 1))
+    return WeightProfile(dims=(n, n, n), weights=(ab, ab, third), pyramid_rank=r)
+
+
+class EnumeratedPyramid(NamedTuple):
+    """A three-factor profile's nonpositive-weight set, found by bisecting its weights.
+
+    ``steps[l-1][k-1]`` is the largest ``j`` with ``(j, k, l)`` in the set;
+    ``zero_set`` is the equality locus.
+    """
+
+    steps: tuple
+    zero_set: frozenset
+
+    @property
+    def positions(self) -> frozenset:
+        return frozenset(
+            (j, k, l)
+            for l, layer in enumerate(self.steps, start=1)
+            for k, jmax in enumerate(layer, start=1)
+            for j in range(1, jmax + 1)
+        )
+
+
+def enumerate_pyramid(profile: WeightProfile) -> EnumeratedPyramid:
+    """The nonpositive-weight set of a three-factor profile, by layers."""
+    if profile.order != 3:
+        raise ShapeError("pyramid enumeration expects a three-factor profile")
+    a1, a2, a3 = profile.weights
+    steps = []
+    zeros = set()
+    # the weights increase weakly, so once a k leaves no j every larger k
+    # leaves none, and once a layer l is empty every later layer is too
+    for l0, w3 in enumerate(a3, start=1):
+        layer = []
+        for k0, w2 in enumerate(a2, start=1):
+            budget = -(w3 + w2)
+            jmax = bisect_right(a1, budget)
+            if jmax == 0:
+                break
+            layer.append(jmax)
+            if a1[jmax - 1] == budget:
+                zeros.update((j0, k0, l0) for j0 in range(bisect_left(a1, budget) + 1, jmax + 1))
+        if not layer:
+            break
+        steps.append(tuple(layer))
+    return EnumeratedPyramid(steps=tuple(steps), zero_set=frozenset(zeros))
+
+
+def oracle_limit_agrees(t_tilde, s_tensor, r: int) -> bool:
+    """Whether ``lim_{t->0}`` of ``t_tilde`` under the exact doubling weights of rank ``r`` is ``s_tensor``."""
+    subgroup = pyramid_weight_profile(t_tilde.dims[0], r).subgroup(t_tilde.field)
+    try:
+        return limit_at_zero(subgroup, t_tilde) == s_tensor
+    except NoLimitError:
+        return False

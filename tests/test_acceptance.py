@@ -30,7 +30,6 @@ from borderlab import (
     limit_at_zero,
     min_slice_cover,
     pyramid_size,
-    pyramid_weight_profile,
     recheck_certificate,
     recognize_unit_tensor,
     unit_tensor,
@@ -38,11 +37,11 @@ from borderlab import (
 )
 from borderlab.bounds import (
     border_subrank_lower_3d,
-    crossover_scan,
     dimension_upper_bound,
     dimension_upper_bound_equal_dims,
     generic_border_subrank_upper,
     max_locus_bounds,
+    scan_table,
 )
 from borderlab.instances import (
     random_invertible_laurent_matrix,
@@ -50,7 +49,7 @@ from borderlab.instances import (
     random_witness_instance,
 )
 
-from conftest import cartan_weights, cover_size, elimination_rank
+from conftest import cartan_weights, cover_size, elimination_rank, pyramid_weight_profile
 
 
 def report(number, description):
@@ -167,10 +166,10 @@ def test_criterion_5_bounds():
         if value >= full:
             best = r
     assert best == 359 == generic_border_subrank_upper(3, 1000)
-    rows, first = crossover_scan(200)
-    table = {row.n: row for row in rows}
-    assert (table[200].lower_3d, table[200].generic, table[200].excess) == (25, 24, True)
-    assert (table[9].lower_3d, table[9].generic, table[9].excess) == (3, 5, False)
+    table = {row["n"]: row for row in scan_table(3, 200)}
+    crossover = lambda n: (table[n]["d3_lower"], table[n]["generic_subrank"], table[n]["excess_flag"])
+    assert crossover(200) == (25, 24, True)
+    assert crossover(9) == (3, 5, False)
     assert time.monotonic() - start < 30.0
 
 
@@ -227,7 +226,7 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
     # stripping the planted blocks breaks dominance
     for n, r in ((8, 2), (9, 3), (16, 5)):
         _, s_only, _ = build_planted_tensor(field, n, r)
-        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        pattern = build_pyramid(n, r)
         assert jacobian_dominance_rank(s_only, pattern) < pattern.size
         assert elimination_rank(s_only, pattern, field) < pattern.size
 

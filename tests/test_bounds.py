@@ -3,9 +3,7 @@ import math
 import pytest
 
 from borderlab.bounds import (
-    CrossoverRow,
     border_subrank_lower_3d,
-    crossover_scan,
     dimension_upper_bound,
     dimension_upper_bound_equal_dims,
     generic_border_subrank_upper,
@@ -103,14 +101,15 @@ def test_interval_ordering():
 # ---------------------------------------------------------------------------
 
 def test_crossover_rows():
-    rows, first = crossover_scan(200)
-    table = {row.n: row for row in rows}
-    assert table[200] == CrossoverRow(n=200, lower_3d=25, generic=24, excess=True)
-    assert table[9] == CrossoverRow(n=9, lower_3d=3, generic=5, excess=False)
+    # the crossover columns of the three-factor table: n, the border lower
+    # bound, the generic subrank and whether the first exceeds the second
+    rows = scan_table(3, 200)
+    crossover = {row["n"]: (row["d3_lower"], row["generic_subrank"], row["excess_flag"]) for row in rows}
+    assert crossover[200] == (25, 24, True)
+    assert crossover[9] == (3, 5, False)
+    first = min(n for n, (_, _, excess) in crossover.items() if excess)
     assert first == 133  # regression value: 20 = isqrt(532)-3 > 19 = isqrt(397)
-    # the reported first excess really is the least one
-    assert all(not row.excess for row in rows if row.n < first)
-    assert table[first].excess
+    assert all(excess == (lower > generic) for lower, generic, excess in crossover.values())
 
 
 def test_crossover_consistency_with_upper_bound():

@@ -18,7 +18,6 @@ from borderlab import (
     limit_at_zero,
     min_slice_cover,
     pyramid_size,
-    pyramid_weight_profile,
     recheck_certificate,
     recognize_unit_tensor,
     unit_tensor,
@@ -26,20 +25,27 @@ from borderlab import (
 from borderlab import linalg
 from borderlab.cli import main
 from borderlab.degeneration import (
-    WeightProfile,
     block_placements,
     default_rank,
     fit_bound,
     is_downward_closed,
+    limit_agrees,
     restriction_agrees,
     unit_cover_holds,
 )
 
-from conftest import cover_size, elimination_rank
+from conftest import (
+    WeightProfile,
+    cover_size,
+    elimination_rank,
+    enumerate_pyramid,
+    oracle_limit_agrees,
+    pyramid_weight_profile,
+)
 
 
 # ---------------------------------------------------------------------------
-# weight profiles
+# the doubling profile as exact weights (the test oracle)
 # ---------------------------------------------------------------------------
 
 def test_profile_9_3_third_factor():
@@ -65,48 +71,62 @@ def test_profile_monotone():
 
 
 def test_profile_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"need 1 <= r <= n, got r=4, n=3"):
         pyramid_weight_profile(3, 4)
+    # the closed form refuses the same (n, r) with the same message
+    for r in (0, 4):
+        with pytest.raises(ValueError, match=rf"need 1 <= r <= n, got r={r}, n=3"):
+            build_pyramid(3, r)
     with pytest.raises(ValueError):
         WeightProfile(dims=(2,), weights=((3, 1),))
 
 
 # ---------------------------------------------------------------------------
-# the pyramid
+# the pyramid, in closed form
 # ---------------------------------------------------------------------------
 
 def test_pyramid_corners_r4():
-    pattern = build_pyramid(pyramid_weight_profile(6, 4))
-    assert pattern.zero_set == {(4, 4, 1), (3, 3, 2), (2, 2, 3), (1, 1, 4)}
+    pattern = build_pyramid(6, 4)
+    assert pattern.corners == {(4, 4, 1), (3, 3, 2), (2, 2, 3), (1, 1, 4)}
+    assert enumerate_pyramid(pyramid_weight_profile(6, 4)).zero_set == pattern.corners
 
 
 def test_pyramid_size_r3():
-    pattern = build_pyramid(pyramid_weight_profile(9, 3))
-    assert pattern.size == 14 == pyramid_size(3)
+    pattern = build_pyramid(9, 3)
+    assert pattern.size == 14 == pyramid_size(3) == len(pattern.positions)
 
 
 def test_pyramid_r1():
-    pattern = build_pyramid(pyramid_weight_profile(1, 1))
-    assert pattern.positions == {(1, 1, 1)} == pattern.zero_set
+    pattern = build_pyramid(1, 1)
+    assert pattern.positions == {(1, 1, 1)} == pattern.corners
+
+
+def closed_form_steps(r):
+    """The layers of the rank-``r`` pyramid: layer ``l`` is a square of side ``r - l + 1``."""
+    return tuple((r - l + 1,) * (r - l + 1) for l in range(1, r + 1))
 
 
 def test_pyramid_closed_form_grid():
-    # build_pyramid self-checks the closed form for canonical profiles
-    for n in range(1, 33):
-        for r in range(1, n + 1):
-            build_pyramid(pyramid_weight_profile(n, r))
-    for n, r in ((48, 10), (64, 13), (64, 64)):
-        build_pyramid(pyramid_weight_profile(n, r))
+    # the exact weights, enumerated by bisection, give the closed form on
+    # every (n, r), fitting or not
+    for n, r in [(n, r) for n in range(1, 33) for r in range(1, n + 1)] + [(48, 10), (64, 13), (64, 64)]:
+        oracle = enumerate_pyramid(pyramid_weight_profile(n, r))
+        pattern = build_pyramid(n, r)
+        assert oracle.steps == closed_form_steps(r), (n, r)
+        assert oracle.zero_set == pattern.corners, (n, r)
+        assert sum(map(sum, oracle.steps)) == pattern.size, (n, r)
+        if r <= 12:
+            assert oracle.positions == pattern.positions, (n, r)
 
 
 def test_pyramid_matches_brute_force_on_random_profiles():
-    # profiles that are not the doubling one get no closed-form cross-check,
-    # so the early stops are compared with a scan over every (j, k, l)
+    # the oracle's bisection stops early; it is compared with a scan over
+    # every (j, k, l) on profiles that are not the doubling one
     rng = random.Random(61)
     for _ in range(400):
         dims = tuple(rng.randint(0, 6) for _ in range(3))
         weights = tuple(tuple(sorted(rng.randint(-6, 6) for _ in range(n))) for n in dims)
-        pattern = build_pyramid(WeightProfile(dims=dims, weights=weights))
+        pattern = enumerate_pyramid(WeightProfile(dims=dims, weights=weights))
         a1, a2, a3 = weights
         grid = [
             (j, k, l)
@@ -120,21 +140,82 @@ def test_pyramid_matches_brute_force_on_random_profiles():
 
 
 def test_pyramid_membership_and_size_are_arithmetic():
-    # contains and size read the layers; they must agree with the positions
-    rng = random.Random(62)
-    for _ in range(200):
-        dims = tuple(rng.randint(0, 5) for _ in range(3))
-        weights = tuple(tuple(sorted(rng.randint(-5, 5) for _ in range(n))) for n in dims)
-        pattern = build_pyramid(WeightProfile(dims=dims, weights=weights))
-        positions = pattern.positions
-        assert pattern.size == len(positions)
-        box = [(j, k, l) for j in range(7) for k in range(7) for l in range(7)]
-        assert {pos for pos in box if pattern.contains(pos)} == positions
+    # contains, size and corners read (n, r); they must agree with the positions
+    for n in range(1, 9):
+        for r in range(1, n + 1):
+            pattern = build_pyramid(n, r)
+            positions = pattern.positions
+            assert pattern.size == len(positions)
+            box = [(j, k, l) for j in range(n + 2) for k in range(n + 2) for l in range(n + 2)]
+            assert {pos for pos in box if pattern.contains(pos)} == positions
+            assert pattern.corners <= positions and len(pattern.corners) == r
+    # the pattern is (n, r) alone: a rank far too large to fit costs nothing
+    pattern = build_pyramid(10**6, 10**6)
+    assert pattern.size == pyramid_size(10**6)
+    assert pattern.contains((1, 1, 10**6)) and not pattern.contains((2, 1, 10**6))
 
 
 def test_pyramid_downward_closed():
-    pattern = build_pyramid(pyramid_weight_profile(9, 3))
+    pattern = build_pyramid(9, 3)
     assert is_downward_closed(pattern.positions, 3)
+
+
+def limit_mutants(t_tilde, s_tensor, r, rng):
+    """``(kind, T~ mutant, S mutant)``: a nonzero added on the pyramid off its
+    corners (to T~ alone, and to both tensors), a corner set to a value
+    other than 1, and a nonzero added off the pyramid."""
+    field = t_tilde.field
+    n = t_tilde.dims[0]
+    pattern = build_pyramid(n, r)
+    base, s_base = dict(t_tilde.support()), dict(s_tensor.support())
+    inner = sorted(pattern.positions - pattern.corners)
+    l = rng.randint(1, r)
+    corner = (r - l + 1, r - l + 1, l)
+    while True:
+        outside = tuple(rng.randint(1, n) for _ in range(3))
+        if not pattern.contains(outside):
+            break
+    value = field.from_int(rng.choice([-3, -1, 2, 5]))
+    mutants = [
+        ("corner", base | {corner: value}, s_base),
+        ("outside", base | {outside: value}, s_base),
+    ]
+    if inner:
+        pos = rng.choice(inner)
+        mutants.append(("inner", base | {pos: value}, s_base))
+        mutants.append(("inner-shared", base | {pos: value}, s_base | {pos: value}))
+    return [
+        (kind, Tensor.from_entries(field, t_tilde.dims, t), Tensor.from_entries(field, t_tilde.dims, s))
+        for kind, t, s in mutants
+    ]
+
+
+def test_closed_form_matches_the_weight_oracle():
+    # every fitting (n, r) with n <= 60 and a seeded sample up to n = 150:
+    # the pattern and the limit verdict read from (n, r) equal what the
+    # exact weights 2^1 ... 2^n give through limit_at_zero, on (T~, S) and
+    # on their seeded mutants
+    rng = random.Random(65)
+    pairs = fitting_pairs(60)
+    pairs += rng.sample([pair for pair in fitting_pairs(150) if pair[0] > 60], 15)
+    verdicts = set()
+    for n, r in pairs:
+        profile = pyramid_weight_profile(n, r)
+        oracle = enumerate_pyramid(profile)
+        pattern = build_pyramid(n, r)
+        positions = oracle.positions
+        assert pattern.positions == positions and pattern.size == len(positions), (n, r)
+        assert pattern.corners == oracle.zero_set, (n, r)
+        shell = [(j, k, l) for l in range(1, r + 2) for k in range(1, r + 2) for j in range(1, r + 2)]
+        assert all(pattern.contains(pos) == (pos in positions) for pos in shell), (n, r)
+        t_tilde, s_tensor, _ = build_planted_tensor(QQ, n, r)
+        assert limit_agrees(t_tilde, s_tensor, pattern) and oracle_limit_agrees(t_tilde, s_tensor, r), (n, r)
+        for kind, mutant, s_mutant in limit_mutants(t_tilde, s_tensor, r, rng):
+            closed = limit_agrees(mutant, s_mutant, pattern)
+            assert closed == oracle_limit_agrees(mutant, s_mutant, r), (n, r, kind)
+            assert closed == (kind == "outside"), (n, r, kind)
+            verdicts.add((kind, closed))
+    assert verdicts == {("corner", False), ("inner", False), ("inner-shared", False), ("outside", True)}
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +227,7 @@ def test_planted_tensor_9_3_layout():
     spots = {(p.s, p.layer, p.axis, p.start) for p in placements}
     assert spots == {(0, 3, "j", 4), (1, 2, "k", 4), (2, 1, "j", 5)}
     assert sorted(pos for pos, _ in s_tensor.support()) == [(1, 1, 3), (2, 2, 2), (3, 3, 1)]
-    pattern = build_pyramid(pyramid_weight_profile(9, 3))
+    pattern = build_pyramid(9, 3)
     assert restriction_agrees(t_tilde, s_tensor, pattern)
     # identity blocks land where the placements say
     assert t_tilde.get((4, 1, 3)) == QQ.one()
@@ -193,13 +274,13 @@ def test_limit_of_planted_tensor_is_diagonal():
 def test_jacobian_rank_9_3():
     field = PrimeField(1000003)
     t_tilde, _, _ = build_planted_tensor(field, 9, 3)
-    pattern = build_pyramid(pyramid_weight_profile(9, 3))
+    pattern = build_pyramid(9, 3)
     assert jacobian_dominance_rank(t_tilde, pattern) == 14
 
 
 def test_jacobian_rank_over_rationals():
     t_tilde, _, _ = build_planted_tensor(QQ, 9, 3)
-    pattern = build_pyramid(pyramid_weight_profile(9, 3))
+    pattern = build_pyramid(9, 3)
     assert jacobian_dominance_rank(t_tilde, pattern) == 14
 
 
@@ -207,7 +288,7 @@ def test_jacobian_rank_without_blocks_drops():
     field = PrimeField(1000003)
     for n, r in ((9, 3), (8, 2)):
         _, s_tensor, _ = build_planted_tensor(field, n, r)
-        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        pattern = build_pyramid(n, r)
         assert jacobian_dominance_rank(s_tensor, pattern) < pattern.size
         assert elimination_rank(s_tensor, pattern, field) < pattern.size
 
@@ -217,7 +298,7 @@ def test_jacobian_rank_r1_diagonal_only():
     # cover, whose named column is E_12: no rank is claimed
     field = QQ
     _, s_tensor, _ = build_planted_tensor(field, 4, 1)
-    pattern = build_pyramid(pyramid_weight_profile(4, 1))
+    pattern = build_pyramid(4, 1)
     assert jacobian_dominance_rank(s_tensor, pattern) == 0 < pattern.size
     assert elimination_rank(s_tensor, pattern, field) == 1
 
@@ -226,7 +307,7 @@ def test_deleting_one_block_drops_rank():
     field = PrimeField(1000003)
     n, r = 9, 3
     t_tilde, _, placements = build_planted_tensor(field, n, r)
-    pattern = build_pyramid(pyramid_weight_profile(n, r))
+    pattern = build_pyramid(n, r)
     dropped = 0
     for block in placements:
         entries = {}
@@ -256,7 +337,7 @@ def test_unit_cover_holds_on_every_fitting_size():
     assert len(pairs) > 1900
     for n, r in pairs:
         t_tilde, _, _ = build_planted_tensor(field, n, r)
-        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        pattern = build_pyramid(n, r)
         assert unit_cover_holds(t_tilde, pattern), (n, r)
         assert jacobian_dominance_rank(t_tilde, pattern) == pattern.size == pyramid_size(r)
 
@@ -266,7 +347,7 @@ def test_cover_rank_matches_elimination_on_a_sample(field):
     rng = random.Random(63)
     for n, r in rng.sample(fitting_pairs(40), 12) + [(16, 5), (36, 9)]:
         t_tilde, _, _ = build_planted_tensor(field, n, r)
-        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        pattern = build_pyramid(n, r)
         assert jacobian_dominance_rank(t_tilde, pattern) == elimination_rank(t_tilde, pattern, field)
 
 
@@ -305,7 +386,7 @@ def test_mutants_break_the_cover_and_fall_back_to_elimination(field):
     blocky = [(n, r) for n, r in fitting_pairs(30) if r >= 2]
     for n, r in [(9, 3), (16, 5), (25, 7), (36, 9)] + rng.sample(blocky, 6):
         t_tilde, _, _ = build_planted_tensor(field, n, r)
-        pattern = build_pyramid(pyramid_weight_profile(n, r))
+        pattern = build_pyramid(n, r)
         for kind, mutant in block_mutants(t_tilde, r, rng):
             assert not unit_cover_holds(mutant, pattern), (n, r, kind)
             assert jacobian_dominance_rank(mutant, pattern) == 0 < pattern.size, (n, r, kind)
@@ -313,17 +394,38 @@ def test_mutants_break_the_cover_and_fall_back_to_elimination(field):
             assert full == (kind != "zeroed"), (n, r, kind)
 
 
+def cover_columns(r):
+    """``{row: (factor, a, b)}``: the matrix unit ``E_{a,b}`` the cover names for each pyramid row."""
+    named = {}
+    for p in block_placements(r):
+        side = r - p.layer + 1
+        for j in range(1, side + 1):
+            for k in range(1, side + 1):
+                row = (j, k, p.layer)
+                named[row] = (1, j, p.start + k - 1) if p.axis == "j" else (2, k, p.start + j - 1)
+    return named
+
+
 def test_the_cover_takes_only_upper_triangular_columns():
-    # one layer of three rows (j, 1, 1) and T~ = e_2 ⊗ e_1 ⊗ e_1: the named
-    # column E_{3,2} of row (3, 1, 1) is below the diagonal, so the cover
-    # must refuse and claim no rank; elimination finds rank 2
-    field = PrimeField(101)
-    pattern = build_pyramid(WeightProfile(dims=(3, 1, 1), weights=((0, 0, 0), (0,), (0,))))
-    assert pattern.steps == ((3,),)
-    t_tilde = Tensor.from_entries(field, (3, 1, 1), {(2, 1, 1): field.one()})
-    assert not unit_cover_holds(t_tilde, pattern)
-    assert jacobian_dominance_rank(t_tilde, pattern) == 0 < pattern.size
-    assert elimination_rank(t_tilde, pattern, field) == 2
+    # the column E_{a,b} named for row (j, k, l) has a <= r - l + 1 < r + 1
+    # <= b, so the cover never names a column below the diagonal, and
+    # distinct rows name distinct columns
+    for r in range(1, 30):
+        named = cover_columns(r)
+        assert len(named) == pyramid_size(r) == len(set(named.values()))
+        assert all(a < b for _, a, b in named.values()), r
+    # on the planted tensor each named column, built from its definition
+    # and restricted to P, is its row with entry 1
+    for n, r in ((9, 3), (16, 5), (36, 9), (64, 13)):
+        t_tilde, _, _ = build_planted_tensor(QQ, n, r)
+        pattern = build_pyramid(n, r)
+        entries = dict(t_tilde.support())
+        for row, (factor, a, b) in cover_columns(r).items():
+            if factor == 1:
+                column = {(a, k, l): v for (j, k, l), v in entries.items() if j == b and pattern.contains((a, k, l))}
+            else:
+                column = {(j, a, l): v for (j, k, l), v in entries.items() if k == b and pattern.contains((j, a, l))}
+            assert column == {row: QQ.one()}, (n, r, row)
 
 
 def verify_with_mutated_block(tmp_path, capsys, mutate):
@@ -406,6 +508,30 @@ def test_certify_and_recheck_at_1024_stay_small():
     assert traced_peak(recheck_certificate, cert) < 4 * 2**20
 
 
+def test_certify_and_recheck_for_a_large_n_and_a_small_r_stay_small():
+    # no weight is built: the exact doubling profile at n = 30 000 would
+    # hold 2^1 ... 2^30000 on two factors, about 60 MB
+    cert = certify_lower_bound(30_000, 5)
+    assert cert.certified
+    assert all(ok for _, ok, _ in recheck_certificate(cert))
+    assert traced_peak(certify_lower_bound, 30_000, 5) < 2**20
+    assert traced_peak(recheck_certificate, cert) < 2**20
+
+
+@pytest.mark.parametrize("verdict", ["Certified", "Inconclusive"])
+def test_recheck_of_a_rank_that_does_not_fit_stays_small(verdict):
+    # a certificate naming r = n = 2000 costs no r^2 pyramid positions; the
+    # blocks cannot fit, and the verdict clause holds exactly when the
+    # stored verdict owns up to the failures
+    cert = certify_lower_bound(2000, 5)._replace(r=2000, recipe=(2000, 2000), verdict=verdict)
+    results = recheck_certificate(cert)
+    by_clause = {clause: ok for clause, ok, _ in results}
+    assert by_clause["profile"] and by_clause["pyramid"] is False
+    assert by_clause["placements"] is False
+    assert by_clause["verdict"] is (verdict == "Inconclusive")
+    assert traced_peak(recheck_certificate, cert) < 2**20
+
+
 # ---------------------------------------------------------------------------
 # certification
 # ---------------------------------------------------------------------------
@@ -483,7 +609,7 @@ def test_dichotomy_cover_three_slices():
 
 
 def test_dichotomy_on_pyramid():
-    pattern = build_pyramid(pyramid_weight_profile(6, 4))
+    pattern = build_pyramid(6, 4)
     # (2,2,2) is inside the rank-4 pyramid, (3,3,3) is not
     assert hypercube_dichotomy(pattern.positions, 2, 3).kind == "hypercube"
     assert hypercube_dichotomy(pattern.positions, 3, 3).kind == "cover"
@@ -506,7 +632,7 @@ def test_min_slice_cover_single_slice():
 
 
 def test_min_slice_cover_pyramid_r3():
-    pattern = build_pyramid(pyramid_weight_profile(3, 3))
+    pattern = build_pyramid(3, 3)
     assert min_slice_cover(pattern.positions, (3, 3, 3)) == 3
 
 

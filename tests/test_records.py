@@ -1,5 +1,6 @@
-"""The library's records are immutable values: read-only fields, equality
-and hashing by value, and the validation and truth value they define."""
+"""The library's records, and the test oracle's weight profile, are
+immutable values: read-only fields, equality and hashing by value, and the
+validation and truth value they define."""
 
 
 import pytest
@@ -11,22 +12,19 @@ from borderlab import (
     SubgroupFactor,
     Tensor,
     VerificationResult,
-    WeightProfile,
     build_pyramid,
     cartan_decompose,
     certify_lower_bound,
     hypercube_dichotomy,
-    pyramid_weight_profile,
     unit_tensor,
     weight_decompose,
 )
-from borderlab.bounds import crossover_scan
 from borderlab.degeneration import block_placements
 from borderlab.jsonio import witness_from_obj, witness_to_obj
 from borderlab.series import SeriesMatrix
 from borderlab.witness import build_witness
 
-from conftest import cover_size, trivial_subgroup
+from conftest import WeightProfile, cover_size, pyramid_weight_profile, trivial_subgroup
 
 
 def records():
@@ -37,9 +35,8 @@ def records():
         p = Tensor.from_entries(QQ, (2, 2), {(1, 2): QQ.one(), (2, 1): QQ.one()})
         cert = certify_lower_bound(9)
         return {
-            "CrossoverRow": crossover_scan(5)[0][3],
             "WeightProfile": pyramid_weight_profile(5, 2),
-            "PyramidPattern": build_pyramid(pyramid_weight_profile(5, 2)),
+            "PyramidPattern": build_pyramid(5, 2),
             "BlockPlacement": block_placements(3)[0],
             "DegenerationCertificate": cert,
             "DichotomyResult": hypercube_dichotomy([(1, 1, 1)], 1, 3),

@@ -29,14 +29,13 @@ from borderlab import (
     build_planted_tensor,
     limit_at_infinity,
     limit_at_zero,
-    pyramid_weight_profile,
     recognize_unit_tensor,
     specialize,
     weight_decompose,
 )
 from borderlab import linalg
 
-from conftest import reconstruct
+from conftest import pyramid_weight_profile, reconstruct
 
 FIELDS = [QQ, PrimeField(7), PrimeField(1000003)]
 SHAPES = [(1,), (4,), (2, 3), (4, 1), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 3, 3, 3), (2, 1, 3, 2)]

@@ -116,7 +116,7 @@ def test_weight_decompose_all_ones_cube():
 
 
 def test_weight_decompose_doubling_profile_corner():
-    from borderlab import pyramid_weight_profile
+    from conftest import pyramid_weight_profile
 
     profile = pyramid_weight_profile(9, 3)
     lam = profile.subgroup(QQ)

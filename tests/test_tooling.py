@@ -79,19 +79,29 @@ def test_tracer_counts_the_series_kernels_under_cim(tmp_path):
     assert "loopgroup.smith_form" in {span[0] for span in tracer.spans}
 
 
-def test_tracer_spans_the_certify_path(tmp_path):
-    # the traced subrank benchmark wraps jacobian_dominance_rank by its
-    # (t_tilde, pattern) arguments; certify and verify draw no prime
+def test_tracer_spans_the_certify_path(tmp_path, capsys):
+    # the traced subrank benchmark wraps build_pyramid and
+    # jacobian_dominance_rank, and counts the pyramid rows by reading
+    # PyramidPattern.positions; certify and verify draw no prime
     tracer = load_spans().Tracer()
     tracer.install()
     try:
         cert = str(tmp_path / "cert.json")
-        assert main(["certify", "--n", "16", "--out", cert]) == 0
+        assert main(["certify", "--n", "64", "--out", cert]) == 0
         assert main(["verify", cert]) == 0
     finally:
         tracer.uninstall()
+    assert "verdict: ok" in capsys.readouterr().out
     seen = {span[0] for span in tracer.spans}
-    assert {"degeneration.jacobian_self", "degeneration.recheck_self"} <= seen
+    assert {
+        "degeneration.certify_self",
+        "degeneration.build_pyramid",
+        "degeneration.build_planted",
+        "degeneration.jacobian_self",
+        "degeneration.recheck_self",
+    } <= seen
+    # one rank check in certify and one in verify, each over |P| = 819 rows
+    assert tracer.counts["degeneration.pyramid_rows"] == 2 * borderlab.pyramid_size(13)
     assert tracer.counts["fields.primes_drawn"] == 0
 
 
