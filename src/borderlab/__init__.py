@@ -50,7 +50,6 @@ _HOMES = {
         )),
         ("witness", ("LimitWitness", "build_witness", "specialize", "sym3_lift", "sym3_lift_constant")),
         ("degeneration", (
-            "BlockPlacement",
             "DegenerationCertificate",
             "DichotomyResult",
             "PyramidPattern",

@@ -287,7 +287,7 @@ def _recheck_witness(obj):
     from . import jsonio, linalg
     from .loopgroup import verify_cartan
     from .tensors import act, limit_at_infinity, limit_at_zero
-    from .witness import specialize, sym3_lift
+    from .witness import specialize, subgroup_and_translations, sym3_lift
 
     witness = jsonio.witness_from_obj(obj)
     fld = witness.subgroup.field
@@ -298,6 +298,13 @@ def _recheck_witness(obj):
     for i, (g, dec) in enumerate(zip(gs, witness.decompositions)):
         verdict = verify_cartan(g, dec)
         results.append((f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"))
+    if all(ok for _, ok, _ in results):
+        subgroup, translations = subgroup_and_translations(fld, witness.decompositions, witness.lift)
+        results.append(("lambda", subgroup == witness.subgroup, "lambda_i = weights of cim[i] on the basis h2_i(0)"))
+        results.append(("translations", translations == witness.translations, "translation i = h2_i(0) h1_i(0)^-1"))
+    else:
+        # a decomposition that fails its residual check derives nothing
+        results += [(clause, False, "needs every cim-residual to hold") for clause in ("lambda", "translations")]
     action = gs
     if witness.lift == "sym3":
         action = [sym3_lift(gs[0])]

@@ -24,8 +24,11 @@ only rank proof: a ``T~`` without the cover certifies nothing.
 The weight subgroup is the doubling profile of ``(n, r)``, and its
 weights are never built: ``P``, its zero-weight corners and the sign of
 every position's weight are read from ``(n, r)`` in closed form (see
-:class:`PyramidPattern`).  Certifying and rechecking take time and memory
-in ``nnz(S) + nnz(T~) + r`` for any ``(n, r)``.
+:class:`PyramidPattern`), and so are the blocks: where each one starts
+(:func:`block_start`), where the packing ends (:func:`packing_end`) and,
+inverting the first, which block a slice of ``T~`` belongs to.
+Certifying and rechecking take time and memory in ``nnz(S) + nnz(T~)``
+for any ``(n, r)``.
 """
 
 from __future__ import annotations
@@ -37,8 +40,8 @@ from .errors import PlacementError, ShapeError, SizeGuardError
 from .fields import QQ, FieldContext
 from .tensors import Tensor, recognize_unit_tensor
 
-#: pyramid size by layers: 1^2 + 2^2 + ... + r^2
 def pyramid_size(r: int) -> int:
+    """The pyramid's size by layers: ``1^2 + 2^2 + ... + r^2``."""
     return r * (r + 1) * (2 * r + 1) // 6
 
 
@@ -95,56 +98,56 @@ def build_pyramid(n: int, r: int) -> PyramidPattern:
     return PyramidPattern(n, r)
 
 
-class BlockPlacement(NamedTuple):
-    """One planted full-rank block: size ``s+1`` at layer ``l = r - s``.
-
-    Even ``s`` places the block on rows ``[start, start+s]`` x columns
-    ``[1, s+1]``; odd ``s`` on rows ``[1, s+1]`` x columns
-    ``[start, start+s]``.  ``axis`` records which coordinate carries the
-    packed interval ("j" for even, "k" for odd).
-    """
-
-    s: int
-    layer: int
-    axis: str
-    start: int
-
-    @property
-    def interval(self) -> tuple:
-        return (self.start, self.start + self.s)
-
-
 def fit_bound(r: int) -> int:
     """Smallest ambient dimension accepted for rank ``r``: ceil((r+3)^2/4)."""
     return -((-((r + 3) ** 2)) // 4)
 
 
-def block_placements(r: int) -> tuple:
-    """Where the rank-``r`` construction plants its blocks, in increasing ``s``.
+def block_start(r: int, s: int) -> int:
+    """Where the rank-``r`` construction's block of size ``s+1`` starts.
 
-    Blocks are packed greedily left-to-right from row/column ``r+1``: even
-    sizes on the row axis, odd sizes on the column axis, so the intervals
-    on each axis are pairwise disjoint.  Whether they fit in ``[1, n]`` is
-    the caller's check.
+    The blocks are packed from index ``r+1`` on, even sizes on the first
+    axis and odd ones on the second, in increasing ``s``, so the intervals
+    on each axis are disjoint.  Block ``s = 2m`` starts at ``r+1+m^2`` on
+    the first axis, after the blocks of sizes ``1, 3, ..., 2m-1``; block
+    ``s = 2m+1`` at ``r+1+m(m+1)`` on the second, after ``2, 4, ..., 2m``.
     """
-    placements = []
-    next_start = {"j": r + 1, "k": r + 1}
-    for s in range(r):
-        axis = "j" if s % 2 == 0 else "k"
-        placements.append(BlockPlacement(s=s, layer=r - s, axis=axis, start=next_start[axis]))
-        next_start[axis] += s + 1
-    return tuple(placements)
+    m = s // 2
+    return r + 1 + (m * m if s % 2 == 0 else m * (m + 1))
+
+
+def packing_end(r: int) -> int:
+    """The last index the rank-``r`` packing uses on either axis: ``r + floor((r+1)^2/4)``.
+
+    It is at most ``fit_bound(r) - 2``, so every block fits in ``[1, n]``
+    once ``4n >= (r+3)^2``.
+    """
+    return r + (r + 1) ** 2 // 4
+
+
+def _block_at(r: int, c: int, first_axis: bool) -> tuple:
+    """``(s, i)``: index ``c > r`` is entry ``i`` of block ``s``'s interval on its axis.
+
+    The inverse of :func:`block_start`; ``s`` is ``r`` or more when ``c``
+    lies past the packing.
+    """
+    d = c - r - 1
+    if first_axis:
+        m = math.isqrt(d)
+        return 2 * m, d - m * m
+    m = (math.isqrt(4 * d + 1) - 1) // 2
+    return 2 * m + 1, d - m * (m + 1)
 
 
 def build_planted_tensor(field: FieldContext, n: int, r: int):
-    """Build ``(T~, S, placements)`` for the rank-``r`` degeneration.
+    """Build ``(T~, S)`` for the rank-``r`` degeneration.
 
     ``S`` has ones exactly on the pyramid corners ``(r-l+1, r-l+1, l)``;
     ``T~`` adds one ``(s+1) x (s+1)`` identity block per layer ``l = r-s``
-    at the :func:`block_placements`, planted as its diagonal.
+    from :func:`block_start` on, planted as its diagonal.
 
-    Raises PlacementError when ``4n < (r+3)^2`` or -- double-checked rather
-    than trusted -- when the greedy packing would leave ``[1, n]``.
+    Raises PlacementError when ``4n < (r+3)^2``; otherwise every block
+    fits (see :func:`packing_end`).
     """
     if not 1 <= r <= n:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
@@ -152,84 +155,62 @@ def build_planted_tensor(field: FieldContext, n: int, r: int):
         raise PlacementError(
             f"fit condition violated: n >= (r+3)^2/4 requires n >= {fit_bound(r)}, got n={n}"
         )
-    placements = block_placements(r)
-    for p in placements:
-        start, end = p.interval
-        if end > n:
-            raise PlacementError(
-                f"block of size {p.s + 1} does not fit: interval [{start}, {end}] exceeds n={n}",
-                interval=(start, end),
-            )
     one = field.one()
     corners = {(r - l + 1, r - l + 1, l): one for l in range(1, r + 1)}
     entries = dict(corners)
-    for p in placements:
-        for i in range(p.s + 1):
-            if p.axis == "j":
-                entries[(p.start + i, 1 + i, p.layer)] = one
+    for s in range(r):
+        start = block_start(r, s)
+        for i in range(s + 1):
+            if s % 2 == 0:
+                entries[(start + i, 1 + i, r - s)] = one
             else:
-                entries[(1 + i, p.start + i, p.layer)] = one
+                entries[(1 + i, start + i, r - s)] = one
 
     t_tilde = Tensor.from_entries(field, (n, n, n), entries)
     s_tensor = Tensor.from_entries(field, (n, n, n), corners)
-    return t_tilde, s_tensor, list(placements)
-
-
-def _slices(t: Tensor) -> tuple:
-    """``T~``'s nonzeros by first coordinate, as ``(k, l, v)``, and by second, as ``(j, l, v)``."""
-    by_first: dict = {}
-    by_second: dict = {}
-    for (j, k, l), v in t.support():
-        by_first.setdefault(j, []).append((k, l, v))
-        by_second.setdefault(k, []).append((j, l, v))
-    return by_first, by_second
-
-
-def _unit_slice(entries, target: tuple, one, in_p) -> bool:
-    """Whether a slice holds ``target -> 1`` and nothing else that ``in_p`` accepts."""
-    found = False
-    for c, l, v in entries:
-        if (c, l) == target:
-            if v != one:
-                return False
-            found = True
-        elif in_p(c, l):
-            return False
-    return found
+    return t_tilde, s_tensor
 
 
 def unit_cover_holds(t_tilde: Tensor, pattern: PyramidPattern) -> bool:
     """Whether every row of ``pattern`` has its closed-form unit column in ``t_tilde``.
 
     Row ``(j, k, l)`` on layer ``l = r - s`` (``r`` the number of layers)
-    names one column of the restricted Jacobian, with ``start`` the start
-    of that layer's block in :func:`block_placements`:
+    names one column of the restricted Jacobian, with ``start`` the
+    :func:`block_start` of that layer's block:
 
     * even ``s``: the factor-1 column ``E_{j,b}``, ``b = start + k - 1``;
     * odd ``s``: the factor-2 column ``E_{k,b}``, ``b = start + j - 1``.
 
     Every such column is upper triangular: ``b >= start >= r + 1``, and
     its first index is at most ``r - l + 1``.  The cover holds when each
-    column restricted to the pyramid is exactly ``{its row: 1}``.  All
-    rows sharing a slice ``b`` are checked in one scan of it: the pyramid
-    is downward closed, so a slice entry that misses row 1 of its line
-    misses every row.  Each line that passes uses up its own entry of
-    ``T~``, so the pass stops within ``nnz(T~) + 1`` lines: ``O(r +
-    nnz(T~))`` time, whatever ``r`` is.
+    column restricted to the pyramid is exactly ``{its row: 1}``.  The
+    pyramid is downward closed, so the column ``E_{a,b}`` restricted to it
+    reads the slice ``b`` of ``T~`` on the lines ``(k, l)`` (or ``(j, l)``)
+    with ``l <= r`` and ``k <= r - l + 1``: the slice's reach.  So the
+    cover holds exactly when every entry of ``T~`` in the reach of a
+    block's slice ``b = start + i`` is that slice's unit, ``1`` at
+    ``(i + 1, r - s)``, and all ``r(r+1)/2`` units are there.  One pass
+    over ``T~`` decides it, with the block of a slice found by inverting
+    :func:`block_start`: ``O(nnz(T~))`` time and ``O(1)`` memory, whatever
+    ``r`` is.
     """
+    r = pattern.r
     one = t_tilde.field.one()
-    by_first, by_second = _slices(t_tilde)
-    contains = pattern.contains
-    for p in block_placements(pattern.r):
-        side = pattern.extent(p.layer)
-        if p.axis == "j":
-            slices, in_p = by_first, lambda k, l: contains((1, k, l))
+    units = 0
+    for (j, k, l), v in t_tilde.support():
+        e = pattern.extent(l)
+        if j > r and k <= e:
+            (s, i), line = _block_at(r, j, True), k
+        elif k > r and j <= e:
+            (s, i), line = _block_at(r, k, False), j
         else:
-            slices, in_p = by_second, lambda j, l: contains((j, 1, l))
-        for c in range(1, side + 1):
-            if not _unit_slice(slices.get(p.start + c - 1, ()), (c, p.layer), one, in_p):
-                return False
-    return True
+            continue
+        if s >= r:
+            continue
+        if (line, l, v) != (i + 1, r - s, one):
+            return False
+        units += 1
+    return units == r * (r + 1) // 2
 
 
 def jacobian_dominance_rank(t_tilde: Tensor, pattern: PyramidPattern) -> int:
@@ -259,7 +240,7 @@ class DegenerationCertificate(NamedTuple):
 
     Everything else is read from ``(n, r)`` in closed form: the pyramid,
     its corners, the sign of each weight (so the limit) and the block
-    placements, at a cost in ``nnz(S) + nnz(T~) + r`` for any ``(n, r)``.
+    packing, at a cost in ``nnz(S) + nnz(T~)`` for any ``(n, r)``.
     ``recipe`` is the ``(n, r)`` that the stored doubling profile names.
     """
 
@@ -328,7 +309,7 @@ def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertific
 
     pattern = build_pyramid(n, r)
     size = pattern.size
-    t_tilde, s_tensor, _ = build_planted_tensor(QQ, n, r)
+    t_tilde, s_tensor = build_planted_tensor(QQ, n, r)
     rank = jacobian_dominance_rank(t_tilde, pattern)
     certified = (
         restriction_agrees(t_tilde, s_tensor, pattern)
@@ -352,8 +333,8 @@ def recheck_certificate(cert: DegenerationCertificate):
     """Re-derive every checkable claim of a stored certificate from scratch.
 
     Returns an ordered list of ``(clause, ok, detail)`` triples.  The
-    pyramid, its corners and the placements are read from ``(n, r)`` in
-    closed form; the restriction, the limit, the unit tensor and the rank
+    pyramid, its corners and the end of the block packing are read from
+    ``(n, r)`` in closed form; the restriction, the limit, the unit tensor and the rank
     are recomputed from the stored tensors.  A stored claim passes only
     when it equals its re-derived value: the profile recipe, the rank and
     pyramid size, and the verdict, which must read Certified exactly when
@@ -367,7 +348,7 @@ def recheck_certificate(cert: DegenerationCertificate):
     results.append(
         (
             "placements",
-            all(p.interval[1] <= cert.n for p in block_placements(cert.r)),
+            packing_end(cert.r) <= cert.n,
             "blocks packed greedily from r+1 inside [1, n]",
         )
     )

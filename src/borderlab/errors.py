@@ -61,17 +61,7 @@ class WitnessVerificationFailure(BorderlabError):
 
 
 class PlacementError(BorderlabError):
-    """A full-rank block does not fit inside the ambient dimensions.
-
-    Attributes
-    ----------
-    interval : tuple[int, int] | None
-        The first violated placement interval (1-based, inclusive).
-    """
-
-    def __init__(self, message: str, interval=None):
-        super().__init__(message)
-        self.interval = interval
+    """The full-rank blocks do not fit inside the ambient dimensions."""
 
 
 class SizeGuardError(BorderlabError):

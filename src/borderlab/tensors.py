@@ -11,8 +11,10 @@ matrices remain ordinary 0-based lists of lists.
 
 Limits at ``t -> 0`` and ``t -> infinity`` are computed by sign analysis of
 integer weight sums, never by series expansion, so weights may be
-astronomically large (the degeneration construction uses weights ``2^j``
-with ``j`` up to the ambient dimension).
+astronomically large.  The degeneration's doubling profile, with weights
+``2^j`` for ``j`` up to the ambient dimension, is one such subgroup, but
+the degeneration module reads its weights' signs in closed form and never
+builds them.
 """
 
 from __future__ import annotations

@@ -118,6 +118,30 @@ class LimitWitness(NamedTuple):
     lift: Optional[str] = None
 
 
+def subgroup_and_translations(fld, decs: Sequence, lift: Optional[str] = None) -> tuple:
+    """``(lambda, translations)`` as a witness derives them from its Cartan decompositions.
+
+    ``lambda_i`` has the weights of ``decs[i]`` on the basis ``h2_i(0)``,
+    and translation ``i`` is ``h2_i(0) · h1_i(0)^{-1}``.  With
+    ``lift="sym3"`` the one 2x2 decomposition gives both, lifted to binary
+    cubics.  Each ``h1_i(0)`` must be invertible, as a verified
+    decomposition's is.
+    """
+    factors = []
+    translations = []
+    for dec in decs:
+        h2_0 = dec.h2.constant_matrix()
+        translations.append(linalg.mat_mul(fld, h2_0, linalg.mat_inv(fld, dec.h1.constant_matrix())))
+        factors.append(SubgroupFactor(weights=tuple(dec.weights), basis=_freeze(h2_0)))
+    if lift == "sym3":
+        if len(decs) != 1:
+            raise ShapeError(f"sym3 lift expects one 2x2 decomposition, got {len(decs)}")
+        basis = sym3_lift_constant(fld, factors[0].basis)
+        factors = [SubgroupFactor(weights=_sym3_weights(*factors[0].weights), basis=_freeze(basis))]
+        translations = [sym3_lift_constant(fld, translations[0])]
+    return OneParamSubgroup(fld, factors), tuple(_freeze(m) for m in translations)
+
+
 def build_witness(
     gs: Sequence[SeriesMatrix],
     p: Tensor,
@@ -147,31 +171,13 @@ def build_witness(
     q = specialize(action, p)
 
     decs = []
-    factors = []
-    translations = []
     for g in gs:
         dec = cartan_decompose(g, n)
         check = check_cartan(g, dec)
         if not check:
             raise WitnessVerificationFailure(f"Cartan decomposition failed to verify: {check.reason}")
         decs.append(dec)
-        h1_0 = dec.h1.constant_matrix()
-        h2_0 = dec.h2.constant_matrix()
-        translations.append(linalg.mat_mul(fld, h2_0, linalg.mat_inv(fld, h1_0)))
-        factors.append((h2_0, dec.weights))
-
-    if lift == "sym3":
-        h2_0, weights = factors[0]
-        basis = sym3_lift_constant(fld, h2_0)
-        subgroup = OneParamSubgroup(
-            fld, [SubgroupFactor(weights=_sym3_weights(*weights), basis=_freeze(basis))]
-        )
-        translations = [sym3_lift_constant(fld, translations[0])]
-    else:
-        subgroup = OneParamSubgroup(
-            fld,
-            [SubgroupFactor(weights=tuple(w), basis=_freeze(h)) for h, w in factors],
-        )
+    subgroup, translations = subgroup_and_translations(fld, decs, lift)
     q_tilde = act(translations, q)
 
     try:
@@ -189,7 +195,7 @@ def build_witness(
         q=q,
         q_tilde=q_tilde,
         shared_limit=lim0,
-        translations=tuple(_freeze(m) for m in translations),
+        translations=translations,
         decompositions=tuple(decs),
         lift=lift,
     )

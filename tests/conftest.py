@@ -213,3 +213,86 @@ def oracle_limit_agrees(t_tilde, s_tensor, r: int) -> bool:
         return limit_at_zero(subgroup, t_tilde) == s_tensor
     except NoLimitError:
         return False
+
+
+# ---------------------------------------------------------------------------
+# the block packing by the greedy loop: the oracle for its closed form
+# ---------------------------------------------------------------------------
+
+class BlockPlacement(NamedTuple):
+    """One planted full-rank block: size ``s+1`` at layer ``l = r - s``.
+
+    Even ``s`` places the block on rows ``[start, start+s]`` x columns
+    ``[1, s+1]``; odd ``s`` on rows ``[1, s+1]`` x columns
+    ``[start, start+s]``.  ``axis`` records which coordinate carries the
+    packed interval ("j" for even, "k" for odd).
+    """
+
+    s: int
+    layer: int
+    axis: str
+    start: int
+
+    @property
+    def interval(self) -> tuple:
+        return (self.start, self.start + self.s)
+
+
+def block_placements(r: int) -> tuple:
+    """Where the rank-``r`` construction plants its blocks, in increasing ``s``.
+
+    Blocks are packed greedily left-to-right from row/column ``r+1``: even
+    sizes on the row axis, odd sizes on the column axis, so the intervals
+    on each axis are pairwise disjoint.
+    """
+    placements = []
+    next_start = {"j": r + 1, "k": r + 1}
+    for s in range(r):
+        axis = "j" if s % 2 == 0 else "k"
+        placements.append(BlockPlacement(s=s, layer=r - s, axis=axis, start=next_start[axis]))
+        next_start[axis] += s + 1
+    return tuple(placements)
+
+
+def _slices(t) -> tuple:
+    """``t``'s nonzeros by first coordinate, as ``(k, l, v)``, and by second, as ``(j, l, v)``."""
+    by_first: dict = {}
+    by_second: dict = {}
+    for (j, k, l), v in t.support():
+        by_first.setdefault(j, []).append((k, l, v))
+        by_second.setdefault(k, []).append((j, l, v))
+    return by_first, by_second
+
+
+def _unit_slice(entries, target: tuple, one, in_p) -> bool:
+    """Whether a slice holds ``target -> 1`` and nothing else that ``in_p`` accepts."""
+    found = False
+    for c, l, v in entries:
+        if (c, l) == target:
+            if v != one:
+                return False
+            found = True
+        elif in_p(c, l):
+            return False
+    return found
+
+
+def slice_scan_cover_holds(t_tilde, pattern) -> bool:
+    """The unit-column cover by scanning each block's slices of ``t_tilde``, placed greedily.
+
+    For each block and each of its slices ``b``, the slice restricted to
+    the pyramid's lines through row 1 must be exactly its unit.
+    """
+    one = t_tilde.field.one()
+    by_first, by_second = _slices(t_tilde)
+    contains = pattern.contains
+    for p in block_placements(pattern.r):
+        side = pattern.extent(p.layer)
+        if p.axis == "j":
+            slices, in_p = by_first, lambda k, l: contains((1, k, l))
+        else:
+            slices, in_p = by_second, lambda j, l: contains((j, 1, l))
+        for c in range(1, side + 1):
+            if not _unit_slice(slices.get(p.start + c - 1, ()), (c, p.layer), one, in_p):
+                return False
+    return True

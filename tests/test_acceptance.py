@@ -225,7 +225,7 @@ def test_criterion_7_negative_controls(tmp_path, capsys):
     field = PrimeField(1000003)
     # stripping the planted blocks breaks dominance
     for n, r in ((8, 2), (9, 3), (16, 5)):
-        _, s_only, _ = build_planted_tensor(field, n, r)
+        _, s_only = build_planted_tensor(field, n, r)
         pattern = build_pyramid(n, r)
         assert jacobian_dominance_rank(s_only, pattern) < pattern.size
         assert elimination_rank(s_only, pattern, field) < pattern.size

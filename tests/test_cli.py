@@ -4,6 +4,7 @@ import json
 import os
 import random
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -597,6 +598,61 @@ def test_verify_witness_output(witness_file, tmp_path):
     out = tmp_path / "w.json"
     assert run(["witness", witness_file, "--out", str(out)]) == 0
     assert run(["verify", str(out)]) == 0
+
+
+def doubled(scalar):
+    return str(2 * Fraction(scalar))
+
+
+def double_lambda(doc):
+    # the limits still hold, for lambda(t^2), but lambda is no longer the
+    # subgroup the decompositions give
+    for factor in doc["lambda"]["factors"]:
+        factor["weights"] = [doubled(w) for w in factor["weights"]]
+
+
+def double_translation(doc):
+    # qTilde doubles with it, so qTilde = translations . q still holds, and
+    # the shared limit 0 of the binary cubics stays the limit at infinity
+    doc["translations"] = [[[doubled(x) for x in row] for row in m] for m in doc["translations"]]
+    for entry in doc["qTilde"]["entries"]:
+        entry["value"] = doubled(entry["value"])
+
+
+@pytest.mark.parametrize(
+    "source, edit, clause",
+    [("gen-333", double_lambda, "lambda"), ("binary-cubics", double_translation, "translations")],
+    ids=["lambda-doubled", "translation-doubled"],
+)
+def test_verify_rederives_lambda_and_the_translations(source, edit, clause, witness_file, tmp_path, capsys):
+    if source == "gen-333":
+        witness_file = str(tmp_path / "input.json")
+        assert run(["gen", "--kind", "witness", "--dims", "3,3,3", "--seed", "1", "--out", witness_file]) == 0
+    out = tmp_path / "w.json"
+    assert run(["witness", witness_file, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 0
+    doc = read_json(out)
+    edit(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    failed = re.findall(r"^(\S+): FAILED", capsys.readouterr().out, re.M)
+    assert failed == [clause]
+
+
+def test_verify_refuses_a_sym3_witness_with_two_matrices(witness_file, tmp_path, capsys):
+    # the lift acts through one 2x2 curve, so a second matrix and its
+    # decomposition would go unread
+    out = tmp_path / "w.json"
+    assert run(["witness", witness_file, "--out", str(out)]) == 0
+    doc = read_json(out)
+    doc["g"].append(doc["g"][0])
+    doc["cim"].append(doc["cim"][0])
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    assert "sym3 lift expects one 2x2 decomposition" in capsys.readouterr().err
 
 
 def test_verify_cartan_output(curve_file, tmp_path, capsys):

@@ -25,22 +25,26 @@ from borderlab import (
 from borderlab import linalg
 from borderlab.cli import main
 from borderlab.degeneration import (
-    block_placements,
+    _block_at,
+    block_start,
     default_rank,
     fit_bound,
     is_downward_closed,
     limit_agrees,
+    packing_end,
     restriction_agrees,
     unit_cover_holds,
 )
 
 from conftest import (
     WeightProfile,
+    block_placements,
     cover_size,
     elimination_rank,
     enumerate_pyramid,
     oracle_limit_agrees,
     pyramid_weight_profile,
+    slice_scan_cover_holds,
 )
 
 
@@ -208,7 +212,7 @@ def test_closed_form_matches_the_weight_oracle():
         assert pattern.corners == oracle.zero_set, (n, r)
         shell = [(j, k, l) for l in range(1, r + 2) for k in range(1, r + 2) for j in range(1, r + 2)]
         assert all(pattern.contains(pos) == (pos in positions) for pos in shell), (n, r)
-        t_tilde, s_tensor, _ = build_planted_tensor(QQ, n, r)
+        t_tilde, s_tensor = build_planted_tensor(QQ, n, r)
         assert limit_agrees(t_tilde, s_tensor, pattern) and oracle_limit_agrees(t_tilde, s_tensor, r), (n, r)
         for kind, mutant, s_mutant in limit_mutants(t_tilde, s_tensor, r, rng):
             closed = limit_agrees(mutant, s_mutant, pattern)
@@ -223,7 +227,8 @@ def test_closed_form_matches_the_weight_oracle():
 # ---------------------------------------------------------------------------
 
 def test_planted_tensor_9_3_layout():
-    t_tilde, s_tensor, placements = build_planted_tensor(QQ, 9, 3)
+    t_tilde, s_tensor = build_planted_tensor(QQ, 9, 3)
+    placements = block_placements(3)
     spots = {(p.s, p.layer, p.axis, p.start) for p in placements}
     assert spots == {(0, 3, "j", 4), (1, 2, "k", 4), (2, 1, "j", 5)}
     assert sorted(pos for pos, _ in s_tensor.support()) == [(1, 1, 3), (2, 2, 2), (3, 3, 1)]
@@ -239,10 +244,13 @@ def test_planted_tensor_9_3_layout():
 def test_planted_tensor_fit_boundaries():
     # exactly at the boundary the greedy packing succeeds
     for n, r in ((16, 5), (25, 7), (64, 13)):
-        t_tilde, _, placements = build_planted_tensor(QQ, n, r)
+        t_tilde, _ = build_planted_tensor(QQ, n, r)
+        placements = block_placements(r)
         assert len(placements) == r
         for p in placements:
             assert p.interval[1] <= n
+        assert packing_end(r) <= n
+        assert jacobian_dominance_rank(t_tilde, build_pyramid(n, r)) == pyramid_size(r)
     with pytest.raises(PlacementError) as err:
         build_planted_tensor(QQ, 10, 4)
     assert "(r+3)^2/4" in str(err.value)
@@ -250,7 +258,7 @@ def test_planted_tensor_fit_boundaries():
 
 
 def test_planted_intervals_disjoint():
-    _, _, placements = build_planted_tensor(QQ, 64, 13)
+    placements = block_placements(13)
     for axis in ("j", "k"):
         spans = sorted(p.interval for p in placements if p.axis == axis)
         for (a1, b1), (a2, b2) in zip(spans, spans[1:]):
@@ -258,10 +266,36 @@ def test_planted_intervals_disjoint():
         assert all(a >= 14 for a, _ in spans)  # packed from r+1
 
 
+def test_the_packing_in_closed_form_matches_the_greedy_loop():
+    # block_start and packing_end against the greedy loop for every r < 400;
+    # the inverse at each block's first and last index, and at every index
+    # of the packing for a few r (it reads only c - r - 1, so r = 399
+    # covers every offset the smaller r use)
+    for r in range(1, 400):
+        placements = block_placements(r)
+        assert [block_start(r, p.s) for p in placements] == [p.start for p in placements], r
+        assert packing_end(r) == max(p.interval[1] for p in placements), r
+        whole = r in (1, 2, 3, 10, 41, 399)
+        for p in placements:
+            offsets = range(p.s + 1) if whole else {0, p.s}
+            for i in offsets:
+                assert _block_at(r, p.start + i, p.axis == "j") == (p.s, i), (r, p, i)
+        for first_axis in (True, False):
+            ends = [p.interval[1] for p in placements if (p.axis == "j") == first_axis]
+            past = max(ends, default=r) + 1
+            assert _block_at(r, past, first_axis)[0] >= r, (r, first_axis)
+
+
+def test_the_packing_ends_two_short_of_the_fit_bound():
+    # the fit condition 4n >= (r+3)^2 leaves room for every block, with two to spare
+    assert all(packing_end(r) <= fit_bound(r) - 2 for r in range(1, 10**5))
+    assert [fit_bound(r) - packing_end(r) for r in range(1, 6)] == [2, 3, 2, 3, 2]
+
+
 def test_limit_of_planted_tensor_is_diagonal():
     for n, r in ((9, 3), (16, 5)):
         field = PrimeField(101)
-        t_tilde, s_tensor, _ = build_planted_tensor(field, n, r)
+        t_tilde, s_tensor = build_planted_tensor(field, n, r)
         lam = pyramid_weight_profile(n, r).subgroup(field)
         assert limit_at_zero(lam, t_tilde) == s_tensor
         assert recognize_unit_tensor(s_tensor) == r
@@ -273,13 +307,13 @@ def test_limit_of_planted_tensor_is_diagonal():
 
 def test_jacobian_rank_9_3():
     field = PrimeField(1000003)
-    t_tilde, _, _ = build_planted_tensor(field, 9, 3)
+    t_tilde, _ = build_planted_tensor(field, 9, 3)
     pattern = build_pyramid(9, 3)
     assert jacobian_dominance_rank(t_tilde, pattern) == 14
 
 
 def test_jacobian_rank_over_rationals():
-    t_tilde, _, _ = build_planted_tensor(QQ, 9, 3)
+    t_tilde, _ = build_planted_tensor(QQ, 9, 3)
     pattern = build_pyramid(9, 3)
     assert jacobian_dominance_rank(t_tilde, pattern) == 14
 
@@ -287,7 +321,7 @@ def test_jacobian_rank_over_rationals():
 def test_jacobian_rank_without_blocks_drops():
     field = PrimeField(1000003)
     for n, r in ((9, 3), (8, 2)):
-        _, s_tensor, _ = build_planted_tensor(field, n, r)
+        _, s_tensor = build_planted_tensor(field, n, r)
         pattern = build_pyramid(n, r)
         assert jacobian_dominance_rank(s_tensor, pattern) < pattern.size
         assert elimination_rank(s_tensor, pattern, field) < pattern.size
@@ -297,7 +331,7 @@ def test_jacobian_rank_r1_diagonal_only():
     # S alone has full rank 1 (the column E_11 of factor 1), but not the
     # cover, whose named column is E_12: no rank is claimed
     field = QQ
-    _, s_tensor, _ = build_planted_tensor(field, 4, 1)
+    _, s_tensor = build_planted_tensor(field, 4, 1)
     pattern = build_pyramid(4, 1)
     assert jacobian_dominance_rank(s_tensor, pattern) == 0 < pattern.size
     assert elimination_rank(s_tensor, pattern, field) == 1
@@ -306,10 +340,10 @@ def test_jacobian_rank_r1_diagonal_only():
 def test_deleting_one_block_drops_rank():
     field = PrimeField(1000003)
     n, r = 9, 3
-    t_tilde, _, placements = build_planted_tensor(field, n, r)
+    t_tilde, _ = build_planted_tensor(field, n, r)
     pattern = build_pyramid(n, r)
     dropped = 0
-    for block in placements:
+    for block in block_placements(r):
         entries = {}
         for pos, v in t_tilde.support():
             j, k, l = pos
@@ -336,7 +370,7 @@ def test_unit_cover_holds_on_every_fitting_size():
     pairs = fitting_pairs(150)
     assert len(pairs) > 1900
     for n, r in pairs:
-        t_tilde, _, _ = build_planted_tensor(field, n, r)
+        t_tilde, _ = build_planted_tensor(field, n, r)
         pattern = build_pyramid(n, r)
         assert unit_cover_holds(t_tilde, pattern), (n, r)
         assert jacobian_dominance_rank(t_tilde, pattern) == pattern.size == pyramid_size(r)
@@ -346,7 +380,7 @@ def test_unit_cover_holds_on_every_fitting_size():
 def test_cover_rank_matches_elimination_on_a_sample(field):
     rng = random.Random(63)
     for n, r in rng.sample(fitting_pairs(40), 12) + [(16, 5), (36, 9)]:
-        t_tilde, _, _ = build_planted_tensor(field, n, r)
+        t_tilde, _ = build_planted_tensor(field, n, r)
         pattern = build_pyramid(n, r)
         assert jacobian_dominance_rank(t_tilde, pattern) == elimination_rank(t_tilde, pattern, field)
 
@@ -385,13 +419,52 @@ def test_mutants_break_the_cover_and_fall_back_to_elimination(field):
     rng = random.Random(64)
     blocky = [(n, r) for n, r in fitting_pairs(30) if r >= 2]
     for n, r in [(9, 3), (16, 5), (25, 7), (36, 9)] + rng.sample(blocky, 6):
-        t_tilde, _, _ = build_planted_tensor(field, n, r)
+        t_tilde, _ = build_planted_tensor(field, n, r)
         pattern = build_pyramid(n, r)
         for kind, mutant in block_mutants(t_tilde, r, rng):
             assert not unit_cover_holds(mutant, pattern), (n, r, kind)
             assert jacobian_dominance_rank(mutant, pattern) == 0 < pattern.size, (n, r, kind)
             full = elimination_rank(mutant, pattern, field) == pattern.size
             assert full == (kind != "zeroed"), (n, r, kind)
+
+
+def cover_mutants(t_tilde, r, rng):
+    """``(kind, mutant)``: one entry dropped, one set to 2, a 1 added in the
+    reach of a drawn block slice, and a 1 added at a drawn position."""
+    field = t_tilde.field
+    base = dict(t_tilde.support())
+    n = t_tilde.dims[0]
+    cell = rng.choice(sorted(base))
+    p = rng.choice(block_placements(r))
+    b = p.start + rng.randrange(p.s + 1)
+    l = rng.randrange(1, r + 1)
+    line = rng.randrange(1, r - l + 2)
+    reach = (b, line, l) if p.axis == "j" else (line, b, l)
+    anywhere = tuple(rng.randrange(1, n + 1) for _ in range(3))
+    mutants = (
+        ("dropped", {pos: v for pos, v in base.items() if pos != cell}),
+        ("two", base | {cell: field.from_int(2)}),
+        ("in-reach", base | {reach: field.one()}),
+        ("anywhere", base | {anywhere: field.one()}),
+    )
+    return [(kind, Tensor.from_entries(field, t_tilde.dims, entries)) for kind, entries in mutants]
+
+
+def test_the_one_pass_cover_matches_the_slice_scan():
+    # every fitting (n, r) with n <= 60, on T~, on S and on seeded mutants of
+    # T~: the closed form decides the cover as the greedy slice scan does
+    rng = random.Random(66)
+    verdicts = set()
+    for n, r in fitting_pairs(60):
+        t_tilde, s_tensor = build_planted_tensor(QQ, n, r)
+        pattern = build_pyramid(n, r)
+        cases = [("planted", t_tilde), ("unit", s_tensor)] + cover_mutants(t_tilde, r, rng)
+        for kind, tensor in cases:
+            held = unit_cover_holds(tensor, pattern)
+            assert held == slice_scan_cover_holds(tensor, pattern), (n, r, kind)
+            verdicts.add((kind, held))
+    assert {("planted", True), ("unit", False), ("dropped", False), ("two", False)} <= verdicts
+    assert {("in-reach", True), ("in-reach", False), ("anywhere", True), ("anywhere", False)} <= verdicts
 
 
 def cover_columns(r):
@@ -417,7 +490,7 @@ def test_the_cover_takes_only_upper_triangular_columns():
     # on the planted tensor each named column, built from its definition
     # and restricted to P, is its row with entry 1
     for n, r in ((9, 3), (16, 5), (36, 9), (64, 13)):
-        t_tilde, _, _ = build_planted_tensor(QQ, n, r)
+        t_tilde, _ = build_planted_tensor(QQ, n, r)
         pattern = build_pyramid(n, r)
         entries = dict(t_tilde.support())
         for row, (factor, a, b) in cover_columns(r).items():
@@ -520,16 +593,17 @@ def test_certify_and_recheck_for_a_large_n_and_a_small_r_stay_small():
 
 @pytest.mark.parametrize("verdict", ["Certified", "Inconclusive"])
 def test_recheck_of_a_rank_that_does_not_fit_stays_small(verdict):
-    # a certificate naming r = n = 2000 costs no r^2 pyramid positions; the
-    # blocks cannot fit, and the verdict clause holds exactly when the
-    # stored verdict owns up to the failures
-    cert = certify_lower_bound(2000, 5)._replace(r=2000, recipe=(2000, 2000), verdict=verdict)
-    results = recheck_certificate(cert)
-    by_clause = {clause: ok for clause, ok, _ in results}
-    assert by_clause["profile"] and by_clause["pyramid"] is False
-    assert by_clause["placements"] is False
-    assert by_clause["verdict"] is (verdict == "Inconclusive")
-    assert traced_peak(recheck_certificate, cert) < 2**20
+    # a certificate naming r = n costs no r^2 pyramid positions and no r
+    # block placements; the blocks cannot fit, and the verdict clause holds
+    # exactly when the stored verdict owns up to the failures
+    for n in (2000, 10**6):
+        cert = certify_lower_bound(n, 5)._replace(r=n, recipe=(n, n), verdict=verdict)
+        results = recheck_certificate(cert)
+        by_clause = {clause: ok for clause, ok, _ in results}
+        assert by_clause["profile"] and by_clause["pyramid"] is False, n
+        assert by_clause["placements"] is False, n
+        assert by_clause["verdict"] is (verdict == "Inconclusive"), n
+        assert traced_peak(recheck_certificate, cert) < 2**20, n
 
 
 # ---------------------------------------------------------------------------

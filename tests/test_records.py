@@ -1,5 +1,5 @@
-"""The library's records, and the test oracle's weight profile, are
-immutable values: read-only fields, equality and hashing by value, and the
+"""The library's records, and the test oracles' weight profile and block
+placement, are immutable values: read-only fields, equality and hashing by value, and the
 validation and truth value they define."""
 
 
@@ -19,12 +19,11 @@ from borderlab import (
     unit_tensor,
     weight_decompose,
 )
-from borderlab.degeneration import block_placements
 from borderlab.jsonio import witness_from_obj, witness_to_obj
 from borderlab.series import SeriesMatrix
 from borderlab.witness import build_witness
 
-from conftest import WeightProfile, cover_size, pyramid_weight_profile, trivial_subgroup
+from conftest import WeightProfile, block_placements, cover_size, pyramid_weight_profile, trivial_subgroup
 
 
 def records():

@@ -384,7 +384,7 @@ def test_truncated_partly_zero_series_tensor(trunc):
 def test_planted_tensor_at_n_1024():
     # 1024^3 slots would be 10^9 dense entries; the sparse tensors hold ~2k
     field = PrimeField(1000003)
-    t_tilde, s_tensor, _ = build_planted_tensor(field, 1024, 61)
+    t_tilde, s_tensor = build_planted_tensor(field, 1024, 61)
     subgroup = pyramid_weight_profile(1024, 61).subgroup(field)
     assert limit_at_zero(subgroup, t_tilde) == s_tensor
     assert recognize_unit_tensor(s_tensor) == 61

@@ -51,10 +51,15 @@ def test_tracer_installs_spans_and_uninstalls(tmp_path):
     try:
         witness_file = os.path.join(ROOT, "data", "binary_cubics_witness.json")
         assert main(["witness", witness_file, "--out", str(tmp_path / "w.json")]) == 0
+        built = len(tracer.spans)
+        assert main(["verify", str(tmp_path / "w.json")]) == 0
     finally:
         tracer.uninstall()
-    seen = {span[0] for span in tracer.spans}
+    seen = {span[0] for span in tracer.spans[:built]}
     assert {"witness.specialize", "tensors.act_series", "loopgroup.cartan_self"} <= seen
+    # verify re-derives the witness through the same spanned functions
+    seen = {span[0] for span in tracer.spans[built:]}
+    assert {"witness.specialize", "loopgroup.verify_cartan", "tensors.limit_at_zero"} <= seen
     assert tracer.counts["tensors.support_nnz"] > 0
     after = namespaces()
     assert after.keys() == before.keys()
