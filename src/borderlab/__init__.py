@@ -23,7 +23,6 @@ _HOMES = {
             "SchemaError",
             "ShapeError",
             "SingularError",
-            "SizeGuardError",
             "WitnessVerificationFailure",
         )),
         ("fields", ("FieldContext", "PrimeField", "QQ", "Rationals", "is_prime", "random_prime")),
@@ -39,26 +38,20 @@ _HOMES = {
             "OneParamSubgroup",
             "SubgroupFactor",
             "Tensor",
-            "WeightDecomposition",
             "act",
             "act_series",
             "limit_at_infinity",
             "limit_at_zero",
             "recognize_unit_tensor",
-            "unit_tensor",
-            "weight_decompose",
         )),
         ("witness", ("LimitWitness", "build_witness", "specialize", "sym3_lift", "sym3_lift_constant")),
         ("degeneration", (
             "DegenerationCertificate",
-            "DichotomyResult",
             "PyramidPattern",
             "build_planted_tensor",
             "build_pyramid",
             "certify_lower_bound",
-            "hypercube_dichotomy",
             "jacobian_dominance_rank",
-            "min_slice_cover",
             "pyramid_size",
             "recheck_certificate",
         )),

@@ -9,7 +9,6 @@ exceeds its smallest factor dimension).
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence
 
 
@@ -31,15 +30,6 @@ def dimension_upper_bound(d: int, dims: Sequence[int], r: int) -> int:
     total += sum(2 * s * (n - s) for n in dims)
     total += r * (1 + d * (r - 1) + sum(n - r for n in dims))
     return total
-
-
-def dimension_upper_bound_equal_dims(d: int, n: int, r: int) -> int:
-    """Simplified form for equal dimensions and ``d | r``:
-    ``n^d - (r/d)^d + r(2(n - r/d) + d(n-1) + 1)``."""
-    if r % d != 0:
-        raise ValueError(f"r must be a multiple of d, got r={r}, d={d}")
-    s = r // d
-    return n**d - s**d + r * (2 * (n - s) + d * (n - 1) + 1)
 
 
 def generic_border_subrank_upper(d: int, n: int) -> int:
@@ -87,22 +77,6 @@ def generic_subrank(n: int) -> int:
     if n < 1:
         raise ValueError("n must be >= 1")
     return math.isqrt(3 * n - 2)
-
-
-def max_locus_bounds(n: int) -> tuple:
-    """Dimension bounds for the locus of maximal border subrank (3 | n):
-    lower ``(2n^3 + 3n^2 - 2n - 3)/3`` and upper
-    ``26/27 n^3 + 13/3 n^2 - 2n`` (checked against the general formula)."""
-    if n % 3 != 0:
-        raise ValueError("the closed-form upper bound needs 3 | n")
-    lower_frac = Fraction(2 * n**3 + 3 * n**2 - 2 * n - 3, 3)
-    upper_frac = Fraction(26, 27) * n**3 + Fraction(13, 3) * n**2 - 2 * n
-    if lower_frac.denominator != 1 or upper_frac.denominator != 1:
-        raise ArithmeticError("bounds expected to be integral")
-    upper = int(upper_frac)
-    if upper != dimension_upper_bound(3, (n, n, n), n):
-        raise ArithmeticError("simplified upper bound disagrees with the general formula")
-    return int(lower_frac), upper
 
 
 def scan_table(d: int, n_max: int):

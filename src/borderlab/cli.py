@@ -30,15 +30,7 @@ from typing import Optional
 # that reads Laurent series imports ``series`` before anything else: it is
 # the largest module, and where no bytecode is cached, compiling it while
 # the heap is still small lowers the job's peak RSS by 0.1-0.3 MB.
-from .errors import (
-    BorderlabError,
-    NoLimitError,
-    PlacementError,
-    PrecisionError,
-    SchemaError,
-    SingularError,
-    WitnessVerificationFailure,
-)
+from .errors import BorderlabError, NoLimitError, PrecisionError, SchemaError, WitnessVerificationFailure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -448,10 +440,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (PlacementError, SingularError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except (BorderlabError, ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (BorderlabError, ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

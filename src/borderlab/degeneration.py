@@ -34,9 +34,9 @@ for any ``(n, r)``.
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
-from .errors import PlacementError, ShapeError, SizeGuardError
+from .errors import PlacementError
 from .fields import QQ, FieldContext
 from .tensors import Tensor, recognize_unit_tensor
 
@@ -293,14 +293,35 @@ def limit_agrees(t_tilde: Tensor, s_tensor: Tensor, pattern: PyramidPattern) -> 
     return Tensor.from_entries(t_tilde.field, t_tilde.dims, kept) == s_tensor
 
 
+def _claim_clauses(cert: DegenerationCertificate, pattern: PyramidPattern, rank: int):
+    """Yield ``(clause, ok, detail)`` for every claim of ``cert`` but its verdict.
+
+    ``pattern`` is the pyramid of ``(cert.n, cert.r)`` and ``rank`` the
+    Jacobian rank re-derived from ``cert.t_tilde``; the caller computes it
+    once, so that certifying and rechecking each rank ``T~`` once.
+    """
+    yield "profile", cert.recipe == (cert.n, cert.r), "stored recipe is the doubling profile of (n, r)"
+    yield "pyramid", pattern.size == cert.pyramid_size, "pyramid size r(r+1)(2r+1)/6"
+    yield "placements", packing_end(cert.r) <= cert.n, "blocks packed greedily from r+1 inside [1, n]"
+    yield "restriction", restriction_agrees(cert.t_tilde, cert.s_tensor, pattern), "T|_P = S|_P"
+    yield "limit", limit_agrees(cert.t_tilde, cert.s_tensor, pattern), "limit of T~ at t->0 equals S"
+    yield "unit-tensor", recognize_unit_tensor(cert.s_tensor) == cert.r, "S is a diagonal unit tensor of size r"
+    yield (
+        "jacobian-rank",
+        rank == cert.jacobian_rank == pattern.size,
+        "unit-column cover: |P| unit columns on distinct rows",
+    )
+
+
 def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertificate:
     """Run the full pipeline over the rationals and return a self-contained certificate.
 
     ``r`` defaults to ``isqrt(4n) - 3`` and must end up >= 1.  The
     identity blocks give the unit-column cover, whose full rank holds over
     the integers and so over every field; nothing is drawn at random.  The
-    verdict is Certified when every check holds and Inconclusive
-    otherwise: a missing cover proves nothing either way.
+    verdict is Certified exactly when every clause that
+    :func:`recheck_certificate` checks holds, and Inconclusive otherwise: a
+    missing cover proves nothing either way.
     """
     if r is None:
         r = default_rank(n)
@@ -308,25 +329,21 @@ def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertific
         raise ValueError(f"certified rank must be >= 1 (n={n} gives default {r}); pass r explicitly")
 
     pattern = build_pyramid(n, r)
-    size = pattern.size
     t_tilde, s_tensor = build_planted_tensor(QQ, n, r)
     rank = jacobian_dominance_rank(t_tilde, pattern)
-    certified = (
-        restriction_agrees(t_tilde, s_tensor, pattern)
-        and limit_agrees(t_tilde, s_tensor, pattern)
-        and recognize_unit_tensor(s_tensor) == r
-        and rank == size
-    )
-    return DegenerationCertificate(
+    cert = DegenerationCertificate(
         n=n,
         r=r,
         recipe=(n, r),
         s_tensor=s_tensor,
         t_tilde=t_tilde,
         jacobian_rank=rank,
-        pyramid_size=size,
-        verdict=VERDICT_CERTIFIED if certified else VERDICT_INCONCLUSIVE,
+        pyramid_size=pattern.size,
+        verdict=VERDICT_INCONCLUSIVE,
     )
+    if all(ok for _, ok, _ in _claim_clauses(cert, pattern, rank)):
+        cert = cert._replace(verdict=VERDICT_CERTIFIED)
+    return cert
 
 
 def recheck_certificate(cert: DegenerationCertificate):
@@ -341,30 +358,8 @@ def recheck_certificate(cert: DegenerationCertificate):
     every other clause holds.  The Jacobian rank is re-derived from the unit-column
     cover of the stored ``T~``, so the result draws nothing at random.
     """
-    results = [("profile", cert.recipe == (cert.n, cert.r), "stored recipe is the doubling profile of (n, r)")]
-
     pattern = build_pyramid(cert.n, cert.r)
-    results.append(("pyramid", pattern.size == cert.pyramid_size, "pyramid size r(r+1)(2r+1)/6"))
-    results.append(
-        (
-            "placements",
-            packing_end(cert.r) <= cert.n,
-            "blocks packed greedily from r+1 inside [1, n]",
-        )
-    )
-    results.append(("restriction", restriction_agrees(cert.t_tilde, cert.s_tensor, pattern), "T|_P = S|_P"))
-    results.append(("limit", limit_agrees(cert.t_tilde, cert.s_tensor, pattern), "limit of T~ at t->0 equals S"))
-    results.append(
-        ("unit-tensor", recognize_unit_tensor(cert.s_tensor) == cert.r, "S is a diagonal unit tensor of size r")
-    )
-    results.append(
-        (
-            "jacobian-rank",
-            jacobian_dominance_rank(cert.t_tilde, pattern) == cert.jacobian_rank == pattern.size,
-            "unit-column cover: |P| unit columns on distinct rows",
-        )
-    )
-
+    results = list(_claim_clauses(cert, pattern, jacobian_dominance_rank(cert.t_tilde, pattern)))
     holds = all(ok for _, ok, _ in results)
     results.append(
         (
@@ -374,114 +369,3 @@ def recheck_certificate(cert: DegenerationCertificate):
         )
     )
     return results
-
-
-# ---------------------------------------------------------------------------
-# slice combinatorics
-# ---------------------------------------------------------------------------
-
-def is_downward_closed(positions, d: int) -> bool:
-    pos_set = set(positions)
-    for pos in pos_set:
-        if len(pos) != d:
-            raise ShapeError(f"position {pos} does not have arity {d}")
-        for axis in range(d):
-            if pos[axis] > 1:
-                pred = pos[:axis] + (pos[axis] - 1,) + pos[axis + 1 :]
-                if pred not in pos_set:
-                    return False
-    return True
-
-
-class DichotomyResult(NamedTuple):
-    """Either a hypercube inside the set or an explicit small slice cover."""
-
-    kind: str  # "hypercube" | "cover"
-    hypercube: Optional[frozenset] = None
-    cover: Optional[tuple] = None  # tuple of (axis, value) coordinate slices
-
-
-def hypercube_dichotomy(positions, s: int, d: int) -> DichotomyResult:
-    """Either ``[s]^d`` sits inside the downward-closed set, or the set is
-    covered by the ``d*(s-1)`` coordinate slices with value below ``s``.
-
-    Both branches are verified by enumeration rather than trusted.
-    """
-    pos_set = set(tuple(p) for p in positions)
-    if not is_downward_closed(pos_set, d):
-        raise ValueError("input set is not downward closed")
-    if s < 1:
-        raise ValueError("s must be >= 1")
-    corner = (s,) * d
-    if corner in pos_set:
-        cube = frozenset(
-            tuple(p) for p in _product_range(s, d)
-        )
-        missing = cube - pos_set
-        if missing:
-            raise RuntimeError(f"hypercube witness violated at {sorted(missing)[0]}")
-        return DichotomyResult(kind="hypercube", hypercube=cube)
-    cover = tuple((axis, c) for axis in range(d) for c in range(1, s))
-    for pos in pos_set:
-        if not any(pos[axis] == c for axis, c in cover):
-            raise RuntimeError(f"cover misses position {pos}")
-    return DichotomyResult(kind="cover", cover=cover)
-
-
-def _product_range(s: int, d: int):
-    if d == 0:
-        yield ()
-        return
-    for head in range(1, s + 1):
-        for tail in _product_range(s, d - 1):
-            yield (head,) + tail
-
-
-def min_slice_cover(support, dims: Sequence[int]) -> int:
-    """Exact minimum number of coordinate slices covering ``support``.
-
-    Branch and bound over which slice through a chosen uncovered point to
-    take next, seeded with a greedy upper bound.  Guarded to small
-    instances (intended for dimensions up to ~6).
-    """
-    support = set(tuple(p) for p in support)
-    dims = tuple(dims)
-    d = len(dims)
-    if max(dims, default=0) > 8 or len(support) > 400 or d > 4:
-        raise SizeGuardError(f"min_slice_cover guarded to small instances, got dims={dims}, |support|={len(support)}")
-    if not support:
-        return 0
-
-    def greedy(remaining) -> int:
-        count = 0
-        remaining = set(remaining)
-        while remaining:
-            best_axis, best_val, best_hit = None, None, -1
-            for axis in range(d):
-                seen: dict = {}
-                for p in remaining:
-                    seen[p[axis]] = seen.get(p[axis], 0) + 1
-                val, hit = max(seen.items(), key=lambda kv: (kv[1], -kv[0]))
-                if hit > best_hit:
-                    best_axis, best_val, best_hit = axis, val, hit
-            remaining = {p for p in remaining if p[best_axis] != best_val}
-            count += 1
-        return count
-
-    best = greedy(support)
-
-    def dfs(remaining: frozenset, used: int):
-        nonlocal best
-        if not remaining:
-            best = min(best, used)
-            return
-        if used + 1 >= best:
-            return
-        pivot = min(remaining)
-        for axis in range(d):
-            val = pivot[axis]
-            rest = frozenset(p for p in remaining if p[axis] != val)
-            dfs(rest, used + 1)
-
-    dfs(frozenset(support), 0)
-    return best

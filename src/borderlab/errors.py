@@ -63,6 +63,3 @@ class WitnessVerificationFailure(BorderlabError):
 class PlacementError(BorderlabError):
     """The full-rank blocks do not fit inside the ambient dimensions."""
 
-
-class SizeGuardError(BorderlabError):
-    """An exact-search routine was called on an instance above its guard."""

@@ -7,6 +7,8 @@ byte-identical files.
 
 Decoders check the shape of what they read: a value of the wrong JSON type
 raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
+A matrix, tensor or subgroup inside a document that fixes the field may
+leave out its own ``"field"``, but one it names must be that field.
 A certificate is read strictly: its keys must be exactly those of the
 current format, and a missing one is a ``SchemaError`` too.
 
@@ -90,6 +92,16 @@ def field_from_obj(obj: dict) -> FieldContext:
     return FieldContext.from_obj(obj)
 
 
+def _field_of(obj: dict, field: Optional[FieldContext], what: str) -> FieldContext:
+    """The field ``obj`` names; when its document gives ``field``, a named one must equal it."""
+    if field is None:
+        return field_from_obj(obj["field"])
+    # the fast test is the bytes every writer emits; a hand-written "p" may be a number
+    if "field" in obj and obj["field"] != field.to_obj() and field_from_obj(obj["field"]) != field:
+        raise SchemaError(f"{what}: field {obj['field']} is not the document's field {field.to_obj()}")
+    return field
+
+
 # -- series and matrices -------------------------------------------------------
 
 def series_to_obj(s: LaurentSeries) -> dict:
@@ -108,15 +120,11 @@ def series_to_obj(s: LaurentSeries) -> dict:
 def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
     from .series import LaurentSeries
 
-    return _read_series(LaurentSeries.from_vector, field, obj)
-
-
-def _read_series(from_vector, field: FieldContext, obj: dict) -> LaurentSeries:
     _dict(obj, "series")
     coeffs = [_str(c, "series coefficient") for c in _list(obj["coeffs"], "series coeffs")]
     exact = _bool(obj.get("exact", False), "series exact")
     trunc = None if exact else _int(obj["trunc"], "series trunc")
-    return from_vector(field, _int(obj["val"], "series val"), *field.parse_vector(coeffs), trunc)
+    return LaurentSeries.from_vector(field, _int(obj["val"], "series val"), *field.parse_vector(coeffs), trunc)
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict:
@@ -127,13 +135,12 @@ def matrix_to_obj(m: SeriesMatrix) -> dict:
 
 
 def matrix_from_obj(obj: dict, field: Optional[FieldContext] = None) -> SeriesMatrix:
-    from .series import LaurentSeries, SeriesMatrix
+    from .series import SeriesMatrix
 
     _dict(obj, "matrix")
-    fld = field if field is not None else field_from_obj(obj["field"])
+    fld = _field_of(obj, field, "matrix")
     rows = _list(obj["entries"], "matrix entries")
-    read = LaurentSeries.from_vector
-    return SeriesMatrix(fld, [[_read_series(read, fld, e) for e in _list(row, "matrix row")] for row in rows])
+    return SeriesMatrix(fld, [[series_from_obj(fld, e) for e in _list(row, "matrix row")] for row in rows])
 
 
 def scalar_matrix_to_obj(field: FieldContext, mat) -> list:
@@ -158,7 +165,7 @@ def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
     from .tensors import Tensor
 
     _dict(obj, "tensor")
-    fld = field if field is not None else field_from_obj(obj["field"])
+    fld = _field_of(obj, field, "tensor")
     dims = tuple(_int(n, "tensor dim") for n in _list(obj["dims"], "tensor dims"))
     entries = {}
     for item in _list(obj.get("entries", []), "tensor entries"):
@@ -184,7 +191,7 @@ def subgroup_from_obj(obj: dict, field: Optional[FieldContext] = None) -> OnePar
     from .tensors import OneParamSubgroup, SubgroupFactor
 
     _dict(obj, "subgroup")
-    fld = field if field is not None else field_from_obj(obj["field"])
+    fld = _field_of(obj, field, "subgroup")
     factors = []
     for fac in _list(obj["factors"], "subgroup factors"):
         _dict(fac, "subgroup factor")

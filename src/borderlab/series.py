@@ -540,16 +540,6 @@ class SeriesMatrix:
         cols = list(zip(*other.entries))
         return SeriesMatrix(self.field, [[muladd(zero, zip(row, col)) for col in cols] for row in self.entries])
 
-    def __add__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        self._check_same_shape(other)
-        return SeriesMatrix(
-            self.field,
-            [
-                [self.entries[i][j] + other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
     def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
         self._check_same_shape(other)
         return SeriesMatrix(
@@ -570,9 +560,6 @@ class SeriesMatrix:
     def shift(self, k: int) -> "SeriesMatrix":
         """Multiply every entry by ``t^k``."""
         return SeriesMatrix(self.field, [[e.shift(k) for e in row] for row in self.entries])
-
-    def scale(self, c) -> "SeriesMatrix":
-        return SeriesMatrix(self.field, [[e.scale(c) for e in row] for row in self.entries])
 
     def inverse(self, n: Optional[int] = None) -> "SeriesMatrix":
         """Gauss-Jordan inverse with minimal-valuation pivoting.

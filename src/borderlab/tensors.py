@@ -78,10 +78,6 @@ class Tensor:
         raise AttributeError("Tensor is immutable")
 
     @classmethod
-    def zeros(cls, field: FieldContext, dims: Sequence[int]) -> "Tensor":
-        return cls(field, dims, {})
-
-    @classmethod
     def from_entries(cls, field: FieldContext, dims: Sequence[int], entries: Mapping[tuple, object]) -> "Tensor":
         return cls(field, dims, entries)
 
@@ -100,30 +96,6 @@ class Tensor:
 
     def is_zero(self) -> bool:
         return not self._entries
-
-    def _combine(self, other: "Tensor", op) -> "Tensor":
-        self._check_compatible(other)
-        zero = self.field.zero()
-        a, b = self._entries, other._entries
-        entries = {pos: op(a.get(pos, zero), b.get(pos, zero)) for pos in a.keys() | b.keys()}
-        return Tensor(self.field, self.dims, entries)
-
-    def __add__(self, other: "Tensor") -> "Tensor":
-        return self._combine(other, self.field.add)
-
-    def __sub__(self, other: "Tensor") -> "Tensor":
-        return self._combine(other, self.field.sub)
-
-    def scale(self, c) -> "Tensor":
-        f = self.field
-        return Tensor(f, self.dims, {pos: f.mul(c, v) for pos, v in self._entries.items()})
-
-    def _check_compatible(self, other: "Tensor") -> None:
-        if not isinstance(other, Tensor):
-            raise TypeError("expected Tensor")
-        self.field.ensure_same(other.field)
-        if self.dims != other.dims:
-            raise ShapeError(f"tensor dims differ: {self.dims} vs {other.dims}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -238,10 +210,6 @@ class OneParamSubgroup:
     def __setattr__(self, name, value):
         raise AttributeError("OneParamSubgroup is immutable")
 
-    @classmethod
-    def from_weights(cls, field: FieldContext, weights_per_factor: Sequence[Sequence[int]]) -> "OneParamSubgroup":
-        return cls(field, [SubgroupFactor(weights=tuple(int(w) for w in ws)) for ws in weights_per_factor])
-
     @property
     def dims(self) -> tuple:
         return tuple(fac.dim for fac in self.factors)
@@ -298,43 +266,6 @@ class SingularBasisError(ShapeError):
     """Raised when a subgroup basis matrix is not invertible."""
 
 
-class WeightDecomposition(NamedTuple):
-    """Split of a tensor into weight components of a one-parameter subgroup.
-
-    ``components`` maps each realized weight to the component tensor in the
-    subgroup's eigenbasis; mapping the sum back through the basis recovers
-    the decomposed tensor exactly.
-    """
-
-    base: OneParamSubgroup
-    components: dict  # weight -> Tensor (eigenbasis coordinates)
-    dims: tuple
-
-    def weights(self) -> list:
-        return sorted(self.components)
-
-    def component(self, weight: int) -> Tensor:
-        got = self.components.get(weight)
-        if got is None:
-            return Tensor.zeros(self.base.field, self.dims)
-        return got
-
-
-def weight_decompose(t: Tensor, subgroup: OneParamSubgroup) -> WeightDecomposition:
-    """Decompose ``t`` into eigen-components of the subgroup's weights."""
-    if t.dims != subgroup.dims:
-        raise ShapeError(f"tensor dims {t.dims} do not match subgroup dims {subgroup.dims}")
-    eigen = subgroup.to_eigen(t)
-    buckets: dict = {}
-    for pos, v in eigen.support():
-        w = subgroup.weight_of(pos)
-        buckets.setdefault(w, {})[pos] = v
-    components = {
-        w: Tensor.from_entries(t.field, t.dims, entries) for w, entries in buckets.items()
-    }
-    return WeightDecomposition(base=subgroup, components=components, dims=t.dims)
-
-
 def limit_at_zero(subgroup: OneParamSubgroup, t: Tensor) -> Tensor:
     """``lim_{t->0} lambda(t) · T``: exists iff no negative-weight component.
 
@@ -367,13 +298,6 @@ def limit_at_infinity(subgroup: OneParamSubgroup, t: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 # unit tensors
 # ---------------------------------------------------------------------------
-
-def unit_tensor(field: FieldContext, r: int, d: int) -> Tensor:
-    """The size-``r`` unit tensor: ones on the full diagonal of ``(K^r)^{⊗d}``."""
-    if r < 0 or d < 2:
-        raise ValueError("unit tensor needs r >= 0 and d >= 2")
-    return Tensor.from_entries(field, (r,) * d, {(i,) * d: field.one() for i in range(1, r + 1)})
-
 
 def recognize_unit_tensor(t: Tensor) -> Optional[int]:
     """Size ``r`` if the support is a diagonal-type witness, else ``None``.

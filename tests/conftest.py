@@ -7,7 +7,7 @@ import pytest
 
 from borderlab import NoLimitError, PrimeField, QQ, ShapeError, limit_at_zero, linalg
 from borderlab.series import LaurentSeries, SeriesMatrix
-from borderlab.tensors import OneParamSubgroup, Tensor
+from borderlab.tensors import OneParamSubgroup, SubgroupFactor, Tensor
 
 
 @pytest.fixture
@@ -49,13 +49,66 @@ def leibniz_determinant(m):
 
 
 # ---------------------------------------------------------------------------
-# oracles over the library's records
+# tensors and subgroups built from their definitions
 # ---------------------------------------------------------------------------
+
+def unit_tensor(field, r: int, d: int) -> Tensor:
+    """The size-``r`` unit tensor: ones on the full diagonal of ``(K^r)^{⊗d}``."""
+    if r < 0 or d < 2:
+        raise ValueError("unit tensor needs r >= 0 and d >= 2")
+    return Tensor.from_entries(field, (r,) * d, {(i,) * d: field.one() for i in range(1, r + 1)})
+
+
+def subgroup_from_weights(field, weights_per_factor) -> OneParamSubgroup:
+    """The standard-basis one-parameter subgroup with these weights per factor."""
+    return OneParamSubgroup(field, [SubgroupFactor(weights=tuple(int(w) for w in ws)) for ws in weights_per_factor])
+
 
 def trivial_subgroup(field, dims):
     """The one-parameter subgroup with every weight 0."""
-    return OneParamSubgroup.from_weights(field, [[0] * n for n in dims])
+    return subgroup_from_weights(field, [[0] * n for n in dims])
 
+
+class WeightDecomposition(NamedTuple):
+    """Split of a tensor into weight components of a one-parameter subgroup.
+
+    ``components`` maps each realized weight to the component tensor in the
+    subgroup's eigenbasis; mapping the sum back through the basis recovers
+    the decomposed tensor exactly.
+    """
+
+    base: OneParamSubgroup
+    components: dict  # weight -> Tensor (eigenbasis coordinates)
+    dims: tuple
+
+    def weights(self) -> list:
+        return sorted(self.components)
+
+    def component(self, weight: int) -> Tensor:
+        got = self.components.get(weight)
+        if got is None:
+            return Tensor.from_entries(self.base.field, self.dims, {})
+        return got
+
+
+def weight_decompose(t: Tensor, subgroup: OneParamSubgroup) -> WeightDecomposition:
+    """Decompose ``t`` into eigen-components of the subgroup's weights."""
+    if t.dims != subgroup.dims:
+        raise ShapeError(f"tensor dims {t.dims} do not match subgroup dims {subgroup.dims}")
+    eigen = subgroup.to_eigen(t)
+    buckets: dict = {}
+    for pos, v in eigen.support():
+        w = subgroup.weight_of(pos)
+        buckets.setdefault(w, {})[pos] = v
+    components = {
+        w: Tensor.from_entries(t.field, t.dims, entries) for w, entries in buckets.items()
+    }
+    return WeightDecomposition(base=subgroup, components=components, dims=t.dims)
+
+
+# ---------------------------------------------------------------------------
+# oracles over the library's records
+# ---------------------------------------------------------------------------
 
 def series_matrices(subgroup):
     """The subgroup's factors as exact series matrices ``h · diag(t^w) · h^-1``."""
@@ -74,10 +127,31 @@ def series_matrices(subgroup):
 
 def reconstruct(dec):
     """The tensor a weight decomposition splits: its components' sum, out of the eigenbasis."""
-    total = Tensor.zeros(dec.base.field, dec.dims)
+    field = dec.base.field
+    total: dict = {}
     for comp in dec.components.values():
-        total = total + comp
-    return dec.base.from_eigen(total)
+        for pos, v in comp.support():
+            total[pos] = field.add(total.get(pos, field.zero()), v)
+    return dec.base.from_eigen(Tensor.from_entries(field, dec.dims, total))
+
+
+def inverse_residual_check(g, dec):
+    """Whether ``g - h1 · diag(t^w) · h2^{-1}`` vanishes mod ``t^precision``,
+    with ``h2`` inverted explicitly, ``h1`` and ``h2`` in K[[t]] and their
+    constant terms invertible (test oracle).
+
+    Raises PrecisionError when the available precision cannot decide it.
+    """
+    field = g.field
+    for h in (dec.h1, dec.h2):
+        if any(e.coeffs and e.val < 0 for row in h.entries for e in row):
+            return False
+    for h in (dec.h1, dec.h2):
+        if not linalg.is_invertible(field, h.constant_matrix()):
+            return False
+    h2inv = dec.h2.inverse(dec.h2.trunc if dec.h2.trunc is not None else dec.precision)
+    product = dec.h1 @ SeriesMatrix.diag_powers(field, list(dec.weights)) @ h2inv
+    return (g - product).is_zero_mod(dec.precision)
 
 
 def cartan_weights(witness):
@@ -148,7 +222,7 @@ class WeightProfile(_WeightProfileFields):
         return len(self.dims)
 
     def subgroup(self, field) -> OneParamSubgroup:
-        return OneParamSubgroup.from_weights(field, [list(ws) for ws in self.weights])
+        return subgroup_from_weights(field, self.weights)
 
 
 def pyramid_weight_profile(n: int, r: int) -> WeightProfile:

@@ -24,23 +24,18 @@ from borderlab import (
     build_witness,
     cartan_decompose,
     certify_lower_bound,
-    hypercube_dichotomy,
     jacobian_dominance_rank,
     limit_at_infinity,
     limit_at_zero,
-    min_slice_cover,
     pyramid_size,
     recheck_certificate,
     recognize_unit_tensor,
-    unit_tensor,
     verify_cartan,
 )
 from borderlab.bounds import (
     border_subrank_lower_3d,
     dimension_upper_bound,
-    dimension_upper_bound_equal_dims,
     generic_border_subrank_upper,
-    max_locus_bounds,
     scan_table,
 )
 from borderlab.instances import (
@@ -49,7 +44,8 @@ from borderlab.instances import (
     random_witness_instance,
 )
 
-from conftest import cartan_weights, cover_size, elimination_rank, pyramid_weight_profile
+from conftest import cartan_weights, cover_size, elimination_rank, pyramid_weight_profile, unit_tensor
+from paper_claims import dimension_upper_bound_equal_dims, hypercube_dichotomy, max_locus_bounds, min_slice_cover
 
 
 def report(number, description):

@@ -5,13 +5,13 @@ import pytest
 from borderlab.bounds import (
     border_subrank_lower_3d,
     dimension_upper_bound,
-    dimension_upper_bound_equal_dims,
     generic_border_subrank_upper,
     generic_subrank,
     generic_subrank_interval,
-    max_locus_bounds,
     scan_table,
 )
+
+from paper_claims import dimension_upper_bound_equal_dims, max_locus_bounds
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,21 @@ from fractions import Fraction
 
 import pytest
 
+from borderlab import (
+    BorderlabError,
+    NoLimitError,
+    PlacementError,
+    PrecisionError,
+    SchemaError,
+    ShapeError,
+    SingularError,
+    WitnessVerificationFailure,
+    cli,
+    jsonio,
+)
 from borderlab.cli import main
-from borderlab import jsonio
 
-from conftest import series
+from conftest import inverse_residual_check, series, unit_tensor
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -262,7 +273,7 @@ def test_witness_worked_example(witness_file, tmp_path):
 
 
 def test_witness_identity_curve(tmp_path):
-    from borderlab import QQ, SeriesMatrix, unit_tensor
+    from borderlab import QQ, SeriesMatrix
 
     inp = tmp_path / "in.json"
     inp.write_text(
@@ -641,6 +652,152 @@ def test_verify_rederives_lambda_and_the_translations(source, edit, clause, witn
     assert failed == [clause]
 
 
+# -- seeded semantic mutations of cim and witness outputs ----------------------
+
+FIELD_SWAP = {"Q": {"kind": "Fp", "p": "1000003"}, "Fp": {"kind": "Q"}}
+
+
+def one_change_mutants(doc, rng):
+    """``(name, mutant)`` pairs, each changing one field of ``doc``: a bool
+    flipped, an int moved by one, a list element dropped or duplicated, an
+    enum value swapped, or a weight list doubled."""
+
+    def at(path, value):
+        return replaced(doc, path, value)
+
+    for path in json_paths(doc):
+        value, key, name = read_at(doc, path), path[-1], "/".join(map(str, path))
+        if isinstance(value, dict) and value.get("kind") in FIELD_SWAP and set(value) <= {"kind", "p"}:
+            yield f"{name} swapped", at(path, FIELD_SWAP[value["kind"]])
+        elif path == ("kind",):
+            yield "kind swapped", at(path, {"cartan": "witness", "witness": "cartan"}[value])
+        elif path == ("lift",):
+            yield "lift swapped", at(path, None if value else "sym3")
+        elif key == "basis" and isinstance(value, list):
+            yield f"{name} standard", at(path, "standard")
+        if isinstance(value, bool):
+            yield f"{name} flipped", at(path, not value)
+        elif isinstance(value, int):
+            for d in (-1, 1):
+                yield f"{name}{d:+d}", at(path, value + d)
+        elif isinstance(value, list) and value:
+            i = rng.randrange(len(value))
+            yield f"{name}[{i}] dropped", at(path, value[:i] + value[i + 1 :])
+            yield f"{name}[{i}] duplicated", at(path, value[:i] + [value[i]] + value[i:])
+            if key == "weights":
+                yield f"{name} doubled", at(path, [doubled(w) if isinstance(w, str) else 2 * w for w in value])
+
+
+#: the keys a one-factor cim output repeats at its top level
+CIM_COPY = ("input", "decomposition", "verified", "reason")
+
+
+def cim_mutants(doc, rng):
+    """One change at a time to the top level or to ``factors[0]``, with the
+    top-level copy made from ``factors[0]`` again, so the copy check alone
+    does not refuse it."""
+    copy_ = {key: doc[key] for key in CIM_COPY}
+    for name, mutant in one_change_mutants({k: v for k, v in doc.items() if k not in CIM_COPY}, rng):
+        factors = mutant.get("factors")
+        one = isinstance(factors, list) and len(factors) == 1 and isinstance(factors[0], dict)
+        yield name, dict(mutant, **({key: factors[0][key] for key in CIM_COPY if key in factors[0]} if one else copy_))
+
+
+def names_one_field(doc):
+    """Whether every ``"field"`` object in ``doc`` names the same field."""
+    fields = {json.dumps(read_at(doc, path), sort_keys=True) for path in json_paths(doc) if path[-1] == "field"}
+    return len(fields) == 1
+
+
+def cim_oracle_valid(doc):
+    """Whether ``doc`` is a ``cim`` output true on its own terms.
+
+    It is read by the schema's decoders; each factor's decomposition must
+    then pass the inverse-based residual oracle at its own precision, and be
+    stored as verified with no reason.
+    """
+    if doc.get("kind") != "cartan" or not names_one_field(doc):
+        return False
+    try:
+        results = jsonio.cartan_results_from_obj(doc)
+        return all(inverse_residual_check(g, dec) and verified and reason == "" for g, dec, verified, reason in results)
+    except (BorderlabError, KeyError, ValueError):
+        return False
+
+
+def witness_oracle_valid(doc):
+    """Whether ``doc`` is a witness of its own ``g`` and ``p``, true on its own terms.
+
+    It is read by the schema's decoders.  Each decomposition must pass the
+    inverse-based residual oracle; λ_i must be the weights of ``cim[i]`` on
+    the basis h2_i(0) and translation i the T with T·h1_i(0) = h2_i(0); q
+    the constant terms of g(t)·p, which may have no pole; q̃ the translated
+    q; and the shared limit both limits.  The documents here have no
+    ``lift``: the sym3 lift takes one 2x2 curve.
+    """
+    from borderlab import SubgroupFactor, Tensor, act, act_series, limit_at_infinity, limit_at_zero, linalg
+
+    if doc.get("kind") != "witness" or doc.get("lift") is not None or not names_one_field(doc):
+        return False
+    try:
+        w = jsonio.witness_from_obj(doc)
+        fld = w.subgroup.field
+        gs, p, _ = jsonio.witness_input_from_obj(doc, fld)
+        if not len(gs) == len(w.decompositions) == len(w.subgroup.factors) == len(w.translations):
+            return False
+        for g, dec, factor, translation in zip(gs, w.decompositions, w.subgroup.factors, w.translations):
+            h1_0, h2_0 = dec.h1.constant_matrix(), dec.h2.constant_matrix()
+            if not inverse_residual_check(g, dec):
+                return False
+            if factor != SubgroupFactor(tuple(dec.weights), tuple(map(tuple, h2_0))):
+                return False
+            square = [len(row) for row in translation] == [len(h1_0)] * len(h1_0)
+            if not square or linalg.mat_mul(fld, translation, h1_0) != h2_0:
+                return False
+        moved = act_series(gs, p)
+        if any(e.val < 0 for _, e in moved.support()):
+            return False
+        q = Tensor(fld, moved.dims, {pos: e.coefficient(0) for pos, e in moved.support()})
+        return (
+            q == w.q
+            and act([[list(row) for row in m] for m in w.translations], q) == w.q_tilde
+            and limit_at_zero(w.subgroup, p) == w.shared_limit == limit_at_infinity(w.subgroup, w.q_tilde)
+        )
+    except (BorderlabError, KeyError, ValueError):
+        return False
+
+
+@pytest.mark.parametrize(
+    "command, gen, mutate, oracle",
+    [
+        ("cim", ["--kind", "cim", "--field", "q", "--size", "3"], cim_mutants, cim_oracle_valid),
+        ("witness", ["--kind", "witness", "--field", "fp", "--dims", "2,2"], one_change_mutants, witness_oracle_valid),
+    ],
+    ids=["cim", "witness"],
+)
+def test_output_mutants_fail_verify_unless_the_oracle_accepts_them(command, gen, mutate, oracle, tmp_path, capsys):
+    # every mutant changes one field; verify must exit nonzero on it, or
+    # the oracle must judge it true on its own terms (then verify must pass
+    # it): a lower precision is such a weaker claim that still holds
+    source, path = tmp_path / "input.json", tmp_path / "out.json"
+    assert run(["gen", *gen, "--seed", "1", "--out", str(source)]) == 0
+    assert run([command, str(source), "--out", str(path)]) == 0
+    doc = read_json(path)
+    assert oracle(doc)
+    mutants = list(mutate(doc, random.Random(2024)))
+    accepted = []
+    for name, mutant in mutants:
+        path.write_text(json.dumps(mutant))
+        rc = run(["verify", str(path)])
+        capsys.readouterr()
+        assert (rc == 0) == oracle(mutant), (name, rc)
+        if rc == 0:
+            accepted.append(name)
+    # not vacuous: a lower precision stays true, and most changes are refused
+    assert any(name.endswith("precision-1") for name in accepted)
+    assert 2 * len(accepted) < len(mutants)
+
+
 def test_verify_refuses_a_sym3_witness_with_two_matrices(witness_file, tmp_path, capsys):
     # the lift acts through one 2x2 curve, so a second matrix and its
     # decomposition would go unread
@@ -848,6 +1005,33 @@ def test_each_subcommand_parses_only_the_flags_it_reads():
 def test_usage_errors_exit_3(argv, capsys):
     assert run(argv) == 3
     assert "usage:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "error, code",
+    [
+        (NoLimitError("no limit at t->0"), 1),
+        (WitnessVerificationFailure("the two limits disagree"), 1),
+        (PrecisionError("precision retries exhausted"), 2),
+        (PlacementError("fit condition violated"), 3),
+        (SingularError("zero determinant"), 3),
+        (SchemaError("expected an object"), 3),
+        (ShapeError("dims differ"), 3),
+        (ValueError("bad value"), 3),
+        (KeyError("missing"), 3),
+        (OSError("unreadable"), 3),
+        (json.JSONDecodeError("Expecting value", "{", 1), 3),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_exit_code_follows_the_exception_type(error, code, monkeypatch, capsys):
+    def fail(args):
+        raise error
+
+    # the parser binds each subcommand's function when main builds it
+    monkeypatch.setattr(cli, "cmd_bounds", fail)
+    assert run(["bounds", "--n-max", "1"]) == code
+    assert capsys.readouterr().err.startswith("inconclusive: " if code == 2 else "error: ")
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["certify", "--help"], ["verify", "--help"]])

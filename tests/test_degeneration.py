@@ -8,19 +8,15 @@ from borderlab import (
     PlacementError,
     PrimeField,
     QQ,
-    SizeGuardError,
     Tensor,
     build_planted_tensor,
     build_pyramid,
     certify_lower_bound,
-    hypercube_dichotomy,
     jacobian_dominance_rank,
     limit_at_zero,
-    min_slice_cover,
     pyramid_size,
     recheck_certificate,
     recognize_unit_tensor,
-    unit_tensor,
 )
 from borderlab import linalg
 from borderlab.cli import main
@@ -29,7 +25,6 @@ from borderlab.degeneration import (
     block_start,
     default_rank,
     fit_bound,
-    is_downward_closed,
     limit_agrees,
     packing_end,
     restriction_agrees,
@@ -45,7 +40,9 @@ from conftest import (
     oracle_limit_agrees,
     pyramid_weight_profile,
     slice_scan_cover_holds,
+    unit_tensor,
 )
+from paper_claims import hypercube_dichotomy, is_downward_closed, min_slice_cover
 
 
 # ---------------------------------------------------------------------------
@@ -712,5 +709,5 @@ def test_min_slice_cover_pyramid_r3():
 
 def test_min_slice_cover_guard():
     support = {(i, 1) for i in range(1, 10)}
-    with pytest.raises(SizeGuardError):
+    with pytest.raises(ValueError, match="guarded to small instances"):
         min_slice_cover(support, (9, 9))

@@ -12,12 +12,11 @@ from borderlab import (
     build_witness,
     cartan_decompose,
     certify_lower_bound,
-    unit_tensor,
 )
 from borderlab import jsonio
 from borderlab.instances import random_invertible_laurent_matrix, random_witness_instance
 
-from conftest import series, tpow
+from conftest import series, tpow, unit_tensor
 
 
 def test_series_round_trip_exact():

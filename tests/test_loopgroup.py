@@ -24,7 +24,7 @@ from borderlab.instances import (
     random_series_unit_matrix,
 )
 
-from conftest import leibniz_determinant, series, tpow
+from conftest import inverse_residual_check, leibniz_determinant, series, tpow
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -252,25 +252,6 @@ def test_verify_rejects_factors_outside_power_series():
 # ---------------------------------------------------------------------------
 # the residual check against the inverse-based oracle
 # ---------------------------------------------------------------------------
-
-def inverse_residual_check(g, dec):
-    """Whether ``g - h1 · diag(t^w) · h2^{-1}`` vanishes mod ``t^precision``,
-    with ``h2`` inverted explicitly, ``h1`` and ``h2`` in K[[t]] and their
-    constant terms invertible (test oracle).
-
-    Raises PrecisionError when the available precision cannot decide it.
-    """
-    field = g.field
-    for h in (dec.h1, dec.h2):
-        if any(e.coeffs and e.val < 0 for row in h.entries for e in row):
-            return False
-    for h in (dec.h1, dec.h2):
-        if not linalg.is_invertible(field, h.constant_matrix()):
-            return False
-    h2inv = dec.h2.inverse(dec.h2.trunc if dec.h2.trunc is not None else dec.precision)
-    product = dec.h1 @ SeriesMatrix.diag_powers(field, list(dec.weights)) @ h2inv
-    return (g - product).is_zero_mod(dec.precision)
-
 
 def with_entry(m, i, j, entry):
     rows = [list(row) for row in m.entries]

@@ -1,13 +1,13 @@
-"""The library's records, and the test oracles' weight profile and block
-placement, are immutable values: read-only fields, equality and hashing by value, and the
-validation and truth value they define."""
+"""The library's records, and the test oracles' weight profile, block
+placement, weight decomposition and dichotomy result, are immutable values:
+read-only fields, equality and hashing by value, and the validation and
+truth value they define."""
 
 
 import pytest
 
 from borderlab import (
     QQ,
-    DichotomyResult,
     ShapeError,
     SubgroupFactor,
     Tensor,
@@ -15,15 +15,21 @@ from borderlab import (
     build_pyramid,
     cartan_decompose,
     certify_lower_bound,
-    hypercube_dichotomy,
-    unit_tensor,
-    weight_decompose,
 )
 from borderlab.jsonio import witness_from_obj, witness_to_obj
 from borderlab.series import SeriesMatrix
 from borderlab.witness import build_witness
 
-from conftest import WeightProfile, block_placements, cover_size, pyramid_weight_profile, trivial_subgroup
+from conftest import (
+    WeightProfile,
+    block_placements,
+    cover_size,
+    pyramid_weight_profile,
+    trivial_subgroup,
+    unit_tensor,
+    weight_decompose,
+)
+from paper_claims import DichotomyResult, hypercube_dichotomy
 
 
 def records():

