@@ -123,8 +123,13 @@ def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
     _dict(obj, "series")
     coeffs = [_str(c, "series coefficient") for c in _list(obj["coeffs"], "series coeffs")]
     exact = _bool(obj.get("exact", False), "series exact")
+    val = _int(obj["val"], "series val")
     trunc = None if exact else _int(obj["trunc"], "series trunc")
-    return LaurentSeries.from_vector(field, _int(obj["val"], "series val"), *field.parse_vector(coeffs), trunc)
+    # an exact series is known through its last coefficient; a trunc it gives must say so
+    if exact and "trunc" in obj and _int(obj["trunc"], "series trunc") != val + len(coeffs):
+        raise SchemaError(f"series trunc: an exact series from t^{val} with {len(coeffs)} coefficients "
+                          f"has trunc {val + len(coeffs)}, not {obj['trunc']}")
+    return LaurentSeries.from_vector(field, val, *field.parse_vector(coeffs), trunc)
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict:
@@ -342,6 +347,8 @@ def document_kind(obj) -> Optional[str]:
 def cim_input_from_obj(obj) -> list:
     """The matrices of a ``cim`` input: one matrix, or ``{"factors": [...]}``."""
     factors = _list(obj["factors"], "factors") if "factors" in _dict(obj, "cim input") else [obj]
+    if not factors:
+        raise SchemaError("factors: expected at least one matrix")
     return [matrix_from_obj(o) for o in factors]
 
 
@@ -369,6 +376,8 @@ def cartan_results_from_obj(obj) -> list:
         factors = [obj]
     else:
         factors = _list(obj["factors"], "factors")
+        if not factors:
+            raise SchemaError("factors: expected at least one result")
         copied = [key for key in _CIM_RESULT_KEYS if key in obj]
         if copied and len(factors) != 1:
             raise SchemaError(f"top-level {copied[0]} beside {len(factors)} factors")

@@ -53,9 +53,11 @@ class VerificationResult(NamedTuple):
 def smith_form(m: SeriesMatrix, n: int):
     """Smith reduction of a square power-series matrix at precision ``n``.
 
-    Returns ``(u, exponents, v)`` with ``m ≡ u · diag(t^e) · v mod t^n``,
-    ``u(0), v(0)`` invertible and the exponents weakly increasing; their
-    sum equals the valuation of ``det m``.
+    Returns ``(u, exponents, h2)`` with ``m · h2 ≡ u · diag(t^e) mod t^n``,
+    ``u(0), h2(0)`` invertible and the exponents weakly increasing; their
+    sum equals the valuation of ``det m``.  ``h2`` is the inverse of the
+    right transform ``v`` of ``m ≡ u · diag(t^e) · v``, built column
+    operation by column operation, so no inverse is formed.
 
     Raises SingularError when the determinant is exactly zero and
     PrecisionError when a pivot choice is ambiguous at the working
@@ -70,7 +72,7 @@ def smith_form(m: SeriesMatrix, n: int):
     field = m.field
     a = [list(row) for row in m.entries]
     u = [list(row) for row in SeriesMatrix.identity(field, size).entries]
-    v = [list(row) for row in SeriesMatrix.identity(field, size).entries]
+    h2 = [list(row) for row in SeriesMatrix.identity(field, size).entries]
     exponents = []
     for k in range(size):
         cand = ((i, j) for i in range(k, size) for j in range(k, size))
@@ -83,9 +85,8 @@ def smith_form(m: SeriesMatrix, n: int):
             for row in u:
                 row[k], row[pi] = row[pi], row[k]
         if pj != k:
-            for row in a:
+            for row in (*a, *h2):
                 row[k], row[pj] = row[pj], row[k]
-            v[k], v[pj] = v[pj], v[k]
         pivot = a[k][k]
         pinv = pivot.inverse(n)
         for i in range(k + 1, size):
@@ -99,26 +100,28 @@ def smith_form(m: SeriesMatrix, n: int):
             if a[k][j].has_no_known_terms():
                 continue
             f = a[k][j] * pinv
-            for row in a:
+            for row in (*a, *h2):
                 row[j] = muladd(row[j], ((f, row[k]),), True)
-            v[k] = [muladd(x, ((f, y),)) for x, y in zip(v[k], v[j])]
         # pull the unit factor of the pivot into u, leaving a pure t-power
         unit = pivot.shift(-pval)
         for row in u:
             row[k] = row[k] * unit
         exponents.append(pval)
-    return SeriesMatrix(field, u), exponents, SeriesMatrix(field, v)
+    return SeriesMatrix(field, u), exponents, SeriesMatrix(field, h2)
 
 
 def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDecomposition:
     """Cartan decomposition of an invertible Laurent-series matrix.
 
     Clears denominators with a global shift ``t^a``, Smith-reduces the
-    resulting power-series matrix at a padded working precision, and
-    un-shifts the middle factor.  Deterministic for fixed input and
+    resulting power-series matrix at a padded working precision ``work``,
+    and un-shifts the middle factor.  ``h2`` is the Smith pass's own,
+    cut at ``work`` when it is known beyond it and left exact when every
+    column operation was exact.  Deterministic for fixed input and
     precision.  Raises ValueError for ``n < 1`` and PrecisionError when
-    ``g`` is known only below ``t^n``: no decomposition is claimed to more
-    precision than its input has.
+    ``g`` is known only below ``t^(n + max(w) - min(w))``: no decomposition
+    is claimed to more precision than its input has, and the weight spread
+    is what the factors lose of it.
     """
     if g.rows != g.cols:
         raise ShapeError("Cartan decomposition expects a square matrix")
@@ -142,16 +145,27 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
     except PrecisionError:
         pass
     else:
+        _check_known(g, n, exponents)
         work = max(work, n + shift + max(exponents, default=0))
     while True:
-        u, exponents, v = smith_form(cleared, work)
+        u, exponents, h2 = smith_form(cleared, work)
+        _check_known(g, n, exponents)
         need = n + shift + max(exponents, default=0)
         if work >= need:
             break
         work = need
     weights = tuple(e - shift for e in exponents)
-    h2 = v.inverse(work)
+    if h2.trunc is not None and h2.trunc > work:
+        h2 = SeriesMatrix(h2.field, [[e.truncate(work) for e in row] for row in h2.entries])
     return CartanDecomposition(h1=u, weights=weights, h2=h2, precision=n)
+
+
+def _check_known(g: SeriesMatrix, n: int, exponents) -> None:
+    """PrecisionError when ``g`` is known below ``t^(n + spread)``, the spread of the exponents."""
+    if g.trunc is not None and exponents:
+        spread = max(exponents) - min(exponents)
+        if g.trunc < n + spread:
+            raise PrecisionError(f"input known only to t^{g.trunc}, below precision {n} plus the weight spread {spread}")
 
 
 def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:

@@ -855,6 +855,85 @@ def test_verify_refuses_a_top_level_copy_beside_several_factors(curve_file, tmp_
     assert "beside 2 factors" in capsys.readouterr().err
 
 
+def test_a_cim_document_without_factors_exits_3(curve_file, tmp_path, capsys):
+    # an empty factor list claims nothing: cim refuses it as input, and
+    # verify refuses an output that carries no factor
+    empty = tmp_path / "empty.json"
+    empty.write_text(json.dumps({"factors": []}))
+    assert run(["cim", str(empty), "--out", str(tmp_path / "none.json")]) == 3
+    assert "factors: expected at least one" in capsys.readouterr().err
+    assert not (tmp_path / "none.json").exists()
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--out", str(out)]) == 0
+    doc = read_json(out)
+    out.write_text(json.dumps({"kind": doc["kind"], "version": doc["version"], "factors": []}))
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "factors: expected at least one" in captured.err
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+def test_an_exact_series_with_another_trunc_exits_3(delta, curve_file, tmp_path, capsys):
+    # an exact series is known through its last coefficient, so a trunc it
+    # gives must be val + len(coeffs), in a cim input and in a cim output
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--out", str(out)]) == 0
+    doc = read_json(out)
+    curve = read_json(curve_file)
+    curve["entries"][1][1]["trunc"] += delta
+    path = tmp_path / "curve.json"
+    path.write_text(json.dumps(curve))
+    capsys.readouterr()
+    assert run(["cim", str(path)]) == 3
+    assert "series trunc" in capsys.readouterr().err
+    for copy_ in (doc, doc["factors"][0]):
+        entry = copy_["decomposition"]["h2"]["entries"][0][0]
+        assert entry["exact"] is True
+        entry["trunc"] += delta
+    out.write_text(json.dumps(doc))
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "series trunc" in captured.err
+
+
+def test_no_matrix_inverse_on_the_cim_and_witness_paths(curve_file, witness_file, tmp_path, monkeypatch):
+    # cim, witness, their precision retries and verify take h2 from the
+    # Smith pass and check g·h2 against h1·diag(t^w): no Gauss-Jordan inverse
+    from borderlab import loopgroup, witness
+    from borderlab.series import SeriesMatrix
+
+    inverses = []
+    monkeypatch.setattr(SeriesMatrix, "inverse", lambda self, n=None: inverses.append(n))
+    paths = {"cim": [curve_file], "witness": [witness_file]}
+    for kind, gen in (("cim", ["--field", "fp", "--size", "4"]), ("witness", ["--dims", "2,2"])):
+        paths[kind].append(str(tmp_path / f"{kind}-gen.json"))
+        assert run(["gen", "--kind", kind, *gen, "--seed", "1", "--out", paths[kind][-1]]) == 0
+    for kind, inputs in paths.items():
+        for i, source in enumerate(inputs):
+            out = str(tmp_path / f"{kind}-{i}.json")
+            assert run([kind, source, "--out", out]) == 0
+            assert run(["verify", out]) == 0
+
+    # one doubling retry on each path
+    def once(check, tried):
+        def first_undecided(g, dec):
+            tried.append(dec.precision)
+            if len(tried) == 1:
+                raise PrecisionError("undecided")
+            return check(g, dec)
+        return first_undecided
+
+    cim_tried, witness_tried = [], []
+    monkeypatch.setattr(loopgroup, "check_cartan", once(loopgroup.check_cartan, cim_tried))
+    monkeypatch.setattr(witness, "check_cartan", once(witness.check_cartan, witness_tried))
+    assert run(["cim", curve_file, "--out", str(tmp_path / "retried.json")]) == 0
+    assert run(["witness", witness_file, "--out", str(tmp_path / "retried-w.json")]) == 0
+    assert cim_tried == witness_tried == [32, 64]
+    assert inverses == []
+
+
 def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
     # g = diag(t^-1 + 1, 1) has weights (-1, 0); the forged triple
     # h1 = g, weights (0, 0), h2 = I multiplies out to g but h1 is not in K[[t]]

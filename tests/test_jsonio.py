@@ -1,10 +1,13 @@
 import json
 import random
 
+import pytest
+
 from borderlab import (
     PrimeField,
     QQ,
     LaurentSeries,
+    SchemaError,
     OneParamSubgroup,
     SeriesMatrix,
     SubgroupFactor,
@@ -32,6 +35,17 @@ def test_series_round_trip_truncated():
     obj = jsonio.series_to_obj(s)
     assert obj == {"val": 0, "coeffs": ["1", "1"], "trunc": 7, "exact": False}
     assert jsonio.series_from_obj(QQ, obj) == s
+
+
+def test_series_exact_trunc_is_its_end():
+    # an exact series may omit its trunc; one it gives must be val + len(coeffs)
+    obj = {"val": -2, "coeffs": ["1", "0", "3"], "exact": True}
+    s = series(QQ, {-2: 1, 0: 3})
+    assert jsonio.series_from_obj(QQ, obj) == s
+    assert jsonio.series_from_obj(QQ, dict(obj, trunc=1)) == s
+    for trunc in (0, 2, "1/2"):
+        with pytest.raises(SchemaError):
+            jsonio.series_from_obj(QQ, dict(obj, trunc=trunc))
 
 
 def test_series_zero_forms():

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from borderlab import (
 )
 from borderlab import cli, jsonio, linalg, loopgroup
 from borderlab.loopgroup import check_cartan
+from borderlab.series import certify_min_valuation
 from borderlab.instances import (
     random_invertible_laurent_matrix,
     random_series_unit_matrix,
@@ -42,31 +44,31 @@ def sl2_example_matrix(field=QQ):
 
 def test_smith_already_diagonal():
     m = SeriesMatrix.diag_powers(QQ, [1, 3])
-    u, exps, v = smith_form(m, 16)
+    u, exps, h2 = smith_form(m, 16)
     assert exps == [1, 3]
     assert u == SeriesMatrix.identity(QQ, 2)
-    assert v == SeriesMatrix.identity(QQ, 2)
+    assert h2 == SeriesMatrix.identity(QQ, 2)
 
 
 def test_smith_antidiagonal_swap():
     m = SeriesMatrix(QQ, [[LaurentSeries.zero(QQ), tpow(QQ, 1)],
                           [tpow(QQ, 2), LaurentSeries.zero(QQ)]])
-    u, exps, v = smith_form(m, 16)
+    u, exps, h2 = smith_form(m, 16)
     assert exps == [1, 2]
     # permutation-type transforms: every entry is 0 or a constant
-    for mat in (u, v):
+    for mat in (u, h2):
         for row in mat.entries:
             for e in row:
                 assert len(e.coeffs) <= 1 and (not e.coeffs or e.val == 0)
-    assert (u @ SeriesMatrix.diag_powers(QQ, exps) @ v - m).is_zero_mod(16)
+    assert (m @ h2 - u @ SeriesMatrix.diag_powers(QQ, exps)).is_zero_mod(16)
 
 
 def test_smith_unit_pivot():
     m = SeriesMatrix(QQ, [[tpow(QQ, 1), LaurentSeries.zero(QQ)],
                           [series(QQ, {0: -1}), tpow(QQ, 3)]])
-    u, exps, v = smith_form(m, 16)
+    u, exps, h2 = smith_form(m, 16)
     assert exps == [0, 4]
-    assert (u @ SeriesMatrix.diag_powers(QQ, exps) @ v - m).is_zero_mod(16)
+    assert (m @ h2 - u @ SeriesMatrix.diag_powers(QQ, exps)).is_zero_mod(16)
     # exponent sum equals the determinant valuation (Leibniz oracle)
     assert sum(exps) == leibniz_determinant(m).valuation()
 
@@ -319,19 +321,64 @@ def test_cim_output_checks_without_precision_error_at_the_default_precision():
 # one full-precision Smith pass per decomposition
 # ---------------------------------------------------------------------------
 
+def reference_smith_form(m, n):
+    """Smith reduction that tracks the right transform ``v`` of
+    ``m ≡ u · diag(t^e) · v mod t^n`` row operation by row operation, with
+    the library's pivot rule (test reference for the h2-tracking pass)."""
+    size, field = m.rows, m.field
+    a = [list(row) for row in m.entries]
+    u = [list(row) for row in SeriesMatrix.identity(field, size).entries]
+    v = [list(row) for row in SeriesMatrix.identity(field, size).entries]
+    exponents = []
+    for k in range(size):
+        cand = ((i, j) for i in range(k, size) for j in range(k, size))
+        (pi, pj), pval = certify_min_valuation(((ij, a[ij[0]][ij[1]]) for ij in cand))
+        if pi != k:
+            a[k], a[pi] = a[pi], a[k]
+            for row in u:
+                row[k], row[pi] = row[pi], row[k]
+        if pj != k:
+            for row in a:
+                row[k], row[pj] = row[pj], row[k]
+            v[k], v[pj] = v[pj], v[k]
+        pivot = a[k][k]
+        pinv = pivot.inverse(n)
+        for i in range(k + 1, size):
+            if a[i][k].has_no_known_terms():
+                continue
+            f = a[i][k] * pinv
+            a[i] = [x - f * y for x, y in zip(a[i], a[k])]
+            for row in u:
+                row[k] = row[k] + f * row[i]
+        for j in range(k + 1, size):
+            if a[k][j].has_no_known_terms():
+                continue
+            f = a[k][j] * pinv
+            for row in a:
+                row[j] = row[j] - f * row[k]
+            v[k] = [x + f * y for x, y in zip(v[k], v[j])]
+        unit = pivot.shift(-pval)
+        for row in u:
+            row[k] = row[k] * unit
+        exponents.append(pval)
+    return SeriesMatrix(field, u), exponents, SeriesMatrix(field, v)
+
+
 def two_pass_decompose(g, n):
-    """Cartan decomposition by a first Smith pass at ``n + 2·shift`` and a
-    corrected re-run when the largest exponent needs more (test oracle)."""
+    """``(decomposition, passes)``: a first reference Smith pass at
+    ``n + 2·shift``, a corrected re-run when the largest exponent needs
+    more, and ``h2 = v⁻¹`` by Gauss-Jordan at the last pass's precision
+    (test oracle).  ``passes`` lists the precision of each pass."""
     shift = max(0, -g.min_valuation_lower_bound())
-    work = n + 2 * shift
+    passes = [n + 2 * shift]
     while True:
-        u, exponents, v = loopgroup.smith_form(g.shift(shift), work)
+        u, exponents, v = reference_smith_form(g.shift(shift), passes[-1])
         need = n + shift + max(exponents, default=0)
-        if work >= need:
+        if passes[-1] >= need:
             break
-        work = need
+        passes.append(need)
     weights = tuple(e - shift for e in exponents)
-    return CartanDecomposition(h1=u, weights=weights, h2=v.inverse(work), precision=n)
+    return CartanDecomposition(h1=u, weights=weights, h2=v.inverse(passes[-1]), precision=n), passes
 
 
 def one_pass_inputs(tmp_path):
@@ -356,9 +403,9 @@ def test_decomposition_makes_one_full_precision_smith_pass(monkeypatch, tmp_path
         precisions.clear()
         dec = cartan_decompose(g, 32)
         assert len([n for n in precisions if n >= 32]) == 1, precisions
-        precisions.clear()
-        assert jsonio.cartan_to_obj(dec) == jsonio.cartan_to_obj(two_pass_decompose(g, 32))
-        two_passes += len(precisions) == 2
+        reference, passes = two_pass_decompose(g, 32)
+        assert jsonio.cartan_to_obj(dec) == jsonio.cartan_to_obj(reference)
+        two_passes += len(passes) == 2
     # the reference re-runs its reduction on some inputs, so one pass saves one
     assert two_passes >= 3
     # a non-monomial pivot whose elimination cancels past t^1 defeats the
@@ -367,7 +414,134 @@ def test_decomposition_makes_one_full_precision_smith_pass(monkeypatch, tmp_path
                           [series(QQ, {0: 1}), series(QQ, {0: 1, 5: 1})]])
     with pytest.raises(PrecisionError):
         smith(g, 1)
-    assert jsonio.cartan_to_obj(cartan_decompose(g, 32)) == jsonio.cartan_to_obj(two_pass_decompose(g, 32))
+    assert jsonio.cartan_to_obj(cartan_decompose(g, 32)) == jsonio.cartan_to_obj(two_pass_decompose(g, 32)[0])
+
+
+#: the largest prime below 2^62
+P62 = 4611686018427387847
+
+
+def cut_at(m, n):
+    return SeriesMatrix(m.field, [[e.truncate(n) for e in row] for row in m.entries])
+
+
+def sparse_laurent_matrix(field, size, rng):
+    """Entries of 0-2 terms in t^-1 ... t^3, so that many pivots are exact
+    monomials; the matrix may be singular."""
+    return SeriesMatrix(field, [
+        [LaurentSeries.from_terms(field, {rng.randint(-1, 3): field.random_scalar(rng, nonzero=True)
+                                          for _ in range(rng.choice((0, 1, 1, 2)))})
+         for _ in range(size)]
+        for _ in range(size)
+    ])
+
+
+def exact_h2_matrix(field):
+    """A matrix whose Smith pass makes only exact column operations, while
+    the Gauss-Jordan inverse of its ``v`` meets a pivot ``1 + t``."""
+    return SeriesMatrix(field, [[series(field, {1: 1}), series(field, {}), series(field, {0: 1})],
+                                [series(field, {0: -1}), series(field, {0: 1}), series(field, {1: 1})],
+                                [series(field, {}), series(field, {}), series(field, {0: 1, 1: 1})]])
+
+
+def comparison_inputs():
+    """Seeded ``(g, n)`` over Q, F_2, F_3, F_7 and F_P62, of size 1-7: exact
+    matrices, dense (moved by units at odd sizes) and sparse, at n and at
+    the 2n of one doubling retry, and a truncated copy at its own order and
+    two below it; and :func:`exact_h2_matrix` at 8 and 16."""
+    rng = random.Random(2025)
+    for field in (QQ, PrimeField(2), PrimeField(3), PrimeField(7), PrimeField(P62)):
+        yield exact_h2_matrix(field), 8
+        yield exact_h2_matrix(field), 16
+        for size in range(1, 8):
+            g = random_invertible_laurent_matrix(field, size, rng)
+            if size % 2:
+                g = random_series_unit_matrix(field, size, rng) @ g @ random_series_unit_matrix(field, size, rng)
+            for m in (g, sparse_laurent_matrix(field, size, rng)):
+                yield m, 8
+                yield m, 16
+            cut = rng.randint(4, 12)
+            yield cut_at(g, cut), cut
+            yield cut_at(g, cut), cut - 2
+
+
+def test_decompositions_match_the_inverse_reference():
+    # the library's h2 against the reference's Gauss-Jordan inverse of v:
+    # equal, except that an h2 the library knows exactly may be O(t^work)
+    # in the reference, which is then the library's cut at work
+    outcomes = Counter()
+    for g, n in comparison_inputs():
+        try:
+            reference, passes = two_pass_decompose(g, n)
+        except (PrecisionError, SingularError) as exc:
+            with pytest.raises(type(exc)):
+                cartan_decompose(g, n)
+            outcomes[type(exc).__name__] += 1
+            continue
+        try:
+            dec = cartan_decompose(g, n)
+        except PrecisionError:
+            # refused: the input is known to too little for the reference's claim
+            assert g.trunc is not None and not verify_cartan(g, reference).passed
+            outcomes["refused"] += 1
+            continue
+        want = jsonio.cartan_to_obj(reference)
+        if jsonio.cartan_to_obj(dec) == want:
+            outcomes["equal"] += 1
+            continue
+        work = passes[-1]
+        assert dec.h2.trunc is None and reference.h2.trunc == work
+        assert jsonio.cartan_to_obj(dec._replace(h2=cut_at(dec.h2, work))) == want
+        outcomes["exact h2"] += 1
+    assert outcomes["equal"] >= 150 and outcomes["exact h2"] >= 1 and outcomes["refused"] >= 10, outcomes
+
+
+def precision_fuzz():
+    """3 000 seeded square Q matrices of size 1-4 whose entries have
+    valuation -2 ... 3 and 0-4 coefficients in -3 ... 3, half of them
+    truncated 0-3 orders past their last coefficient."""
+    rng = random.Random(2024)
+    for _ in range(3000):
+        size = rng.randint(1, 4)
+        rows = []
+        for _ in range(size):
+            row = []
+            for _ in range(size):
+                val = rng.randint(-2, 3)
+                coeffs = [QQ.from_int(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+                trunc = val + len(coeffs) + rng.randint(0, 3) if rng.random() < 0.5 else None
+                row.append(LaurentSeries(QQ, val, coeffs, trunc))
+            rows.append(row)
+        yield SeriesMatrix(QQ, rows)
+
+
+def test_no_decomposition_claims_more_precision_than_its_input_has():
+    # each matrix is decomposed at its own order (16 when exact): the result
+    # verifies or is refused, and a refusal on precision alone falls where
+    # the reference's decomposition does not verify either
+    outcomes = Counter()
+    for g in precision_fuzz():
+        n = 16 if g.trunc is None else g.trunc
+        if n < 1:
+            continue
+        try:
+            dec = cartan_decompose(g, n)
+        except SingularError:
+            outcomes["singular"] += 1
+            continue
+        except PrecisionError:
+            try:
+                reference, _ = two_pass_decompose(g, n)
+            except PrecisionError:
+                outcomes["ambiguous pivot"] += 1
+                continue
+            assert not verify_cartan(g, reference).passed
+            outcomes["refused"] += 1
+            continue
+        assert verify_cartan(g, dec).passed
+        outcomes["verified"] += 1
+    # not vacuous: 707 decompositions verify, and 626 are refused on precision alone
+    assert outcomes["verified"] >= 707 and outcomes["refused"] >= 600, outcomes
 
 
 # ---------------------------------------------------------------------------
