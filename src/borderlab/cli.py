@@ -3,9 +3,14 @@
 Exit codes are a stable contract:
   0  success / certified
   1  refuted or failed verification
-  2  inconclusive (precision retries exhausted, or a certificate
-     whose checks do not all hold)
+  2  inconclusive (no working precision certifies a Cartan
+     decomposition, an input known to too little for the asked precision,
+     or a certificate whose checks do not all hold)
   3  malformed input, bad parameters or a usage error
+
+``cim`` and ``witness`` decompose at exactly ``--precision``; the working
+precision, and its doublings when a pivot cannot be certified, are
+:func:`borderlab.loopgroup.cartan_decompose`'s own.
 
 All outputs are the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
 plus a newline (identical inputs and seed give byte-identical files),
@@ -36,10 +41,6 @@ EXIT_OK = 0
 EXIT_FAIL = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INPUT = 3
-
-
-#: precision doublings ``cim`` and ``witness`` try after their first attempt
-MAX_DOUBLINGS = 3
 
 
 #: the output file's buffer, in bytes, and how many strings the JSON writer quotes and joins at once
@@ -128,41 +129,17 @@ def _load_json(path: str):
 # subcommands
 # ---------------------------------------------------------------------------
 
-def _at_doubling_precision(precision: int, gs, attempt):
-    """``attempt(precision)``, doubling the precision on PrecisionError.
-
-    A precision above what an input matrix of ``gs`` is known to cannot be
-    verified, so reaching one raises PrecisionError at once.
-    """
-    known = min((g.trunc for g in gs if g.trunc is not None), default=None)
-    last_exc = None
-    for _ in range(MAX_DOUBLINGS + 1):
-        if known is not None and known < precision:
-            raise PrecisionError(f"input known only to t^{known}, below precision {precision}") from last_exc
-        try:
-            return attempt(precision)
-        except PrecisionError as exc:
-            last_exc = exc
-            precision *= 2
-    raise PrecisionError(f"precision retries exhausted: {last_exc}")
-
-
-def _decompose(g, precision: int):
-    from .loopgroup import cartan_decompose, check_cartan
-
-    dec = cartan_decompose(g, precision)
-    return dec, check_cartan(g, dec)
-
-
 def cmd_cim(args) -> int:
     from . import series  # noqa: F401  (first: see the imports above)
     from . import jsonio
+    from .loopgroup import cartan_decompose, verify_cartan
 
     matrices = jsonio.cim_input_from_obj(_load_json(args.input))
     results = []
     all_ok = True
     for g in matrices:
-        dec, verdict = _at_doubling_precision(args.precision, [g], lambda n: _decompose(g, n))
+        dec = cartan_decompose(g, args.precision)
+        verdict = verify_cartan(g, dec)
         all_ok = all_ok and verdict.passed
         results.append(
             {
@@ -185,7 +162,7 @@ def cmd_witness(args) -> int:
     from .witness import build_witness
 
     gs, p, lift = jsonio.witness_input_from_obj(_load_json(args.input))
-    witness = _at_doubling_precision(args.precision, gs, lambda n: build_witness(gs, p, n, lift=lift))
+    witness = build_witness(gs, p, args.precision, lift=lift)
     out_obj = jsonio.witness_to_obj(witness)
     out_obj["g"] = [jsonio.matrix_to_obj(g) for g in gs]
     out_obj["p"] = jsonio.tensor_to_obj(p)
@@ -372,7 +349,7 @@ class _Parser(argparse.ArgumentParser):
 
 #: the flags more than one subcommand takes
 _FLAGS = {
-    "--precision": dict(type=int, default=32, help="series truncation order of the first attempt"),
+    "--precision": dict(type=int, default=32, help="truncation order of the decompositions (default 32)"),
     "--out": dict(default=None, help="output path (default: stdout)"),
 }
 

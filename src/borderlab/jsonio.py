@@ -71,6 +71,14 @@ def _bool(value, what: str) -> bool:
     return value
 
 
+def _lift(obj: dict) -> Optional[str]:
+    """The ``"lift"`` of a witness document: absent, null or ``"sym3"``."""
+    lift = obj.get("lift")
+    if lift is not None and lift != "sym3":
+        raise SchemaError(f"lift: expected null or 'sym3', got {str(lift)[:40]!r}")
+    return lift
+
+
 def _version(obj: dict, what: str, expected: str = TOOL_VERSION) -> None:
     if obj.get("version") != expected:
         raise SchemaError(f"{what}: version {obj.get('version')!r} is not {expected!r}")
@@ -269,7 +277,7 @@ def witness_from_obj(obj: dict) -> LimitWitness:
         shared_limit=shared,
         translations=translations,
         decompositions=decs,
-        lift=obj.get("lift"),
+        lift=_lift(obj),
     )
 
 
@@ -357,7 +365,7 @@ def witness_input_from_obj(obj, field: Optional[FieldContext] = None):
     gs = [matrix_from_obj(o, field) for o in _list(_dict(obj, "witness input")["g"], "g")]
     if not gs:
         raise SchemaError("g: expected at least one matrix")
-    return gs, tensor_from_obj(obj["p"], gs[0].field), obj.get("lift")
+    return gs, tensor_from_obj(obj["p"], gs[0].field), _lift(obj)
 
 
 #: the keys ``cim`` writes per factor; a one-factor output repeats them at the top level

@@ -110,18 +110,31 @@ def smith_form(m: SeriesMatrix, n: int):
     return SeriesMatrix(field, u), exponents, SeriesMatrix(field, h2)
 
 
+#: how often ``cartan_decompose`` doubles its working precision when a full
+#: Smith pass cannot certify a pivot
+MAX_DOUBLINGS = 3
+
+
 def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDecomposition:
-    """Cartan decomposition of an invertible Laurent-series matrix.
+    """Cartan decomposition of an invertible Laurent-series matrix at precision ``n``.
 
     Clears denominators with a global shift ``t^a``, Smith-reduces the
-    resulting power-series matrix at a padded working precision ``work``,
-    and un-shifts the middle factor.  ``h2`` is the Smith pass's own,
-    cut at ``work`` when it is known beyond it and left exact when every
-    column operation was exact.  Deterministic for fixed input and
-    precision.  Raises ValueError for ``n < 1`` and PrecisionError when
-    ``g`` is known only below ``t^(n + max(w) - min(w))``: no decomposition
-    is claimed to more precision than its input has, and the weight spread
-    is what the factors lose of it.
+    resulting power-series matrix at a working precision ``work`` that it
+    finds itself, and un-shifts the middle factor.  A precision-1 probe
+    learns the exponents when it can certify its pivots, so the full pass
+    starts at ``n + a + max(e)``, what the factors need.  A full pass that
+    cannot certify a pivot is retried at twice the working precision, at
+    most ``MAX_DOUBLINGS`` times and never once ``work`` reaches what the
+    shifted input is known to.  ``h2`` is the Smith pass's own, cut at
+    ``work`` when it is known beyond it and left exact when every column
+    operation was exact.  The result always has precision ``n``, and is
+    deterministic for fixed input and ``n``.
+
+    Raises ValueError for ``n < 1``, SingularError when the determinant
+    is exactly zero, and PrecisionError when no working precision
+    certifies the pivots or ``g`` is known only below ``t^(n + max(w) -
+    min(w))``: no decomposition is claimed to more precision than its
+    input has, and the weight spread is what the factors lose of it.
     """
     if g.rows != g.cols:
         raise ShapeError("Cartan decomposition expects a square matrix")
@@ -134,41 +147,37 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
         raise SingularError("matrix is exactly zero")
     shift = max(0, -bound)
     cleared = g.shift(shift)
-    # the factors lose precision proportional to the largest exponent; the
-    # exponents are intrinsic (elementary divisors), so a reduction at
-    # precision 1 learns them and the full pass starts where it must.  When
-    # that probe cannot certify its pivots, a first full pass learns them
-    # and one corrected re-run suffices
-    work = n + 2 * shift
-    try:
-        _, exponents, _ = smith_form(cleared, 1)
-    except PrecisionError:
-        pass
-    else:
-        _check_known(g, n, exponents)
-        work = max(work, n + shift + max(exponents, default=0))
+    # the exponents are intrinsic (elementary divisors), so any certified
+    # reduction finds the same ones: the probe at precision 1 learns them
+    # when it can, and a full pass that falls short of what they need is
+    # re-run where they say
+    probe, work, doublings = True, 1, 0
     while True:
-        u, exponents, h2 = smith_form(cleared, work)
-        _check_known(g, n, exponents)
-        need = n + shift + max(exponents, default=0)
-        if work >= need:
-            break
-        work = need
+        try:
+            u, exponents, h2 = smith_form(cleared, work)
+        except PrecisionError as exc:
+            if probe:
+                work = n + 2 * shift
+            elif doublings < MAX_DOUBLINGS and (g.trunc is None or work < g.trunc + shift):
+                work, doublings = 2 * work, doublings + 1
+            else:
+                raise PrecisionError(f"{exc} (working precision {work}, {doublings} doublings)") from exc
+        else:
+            spread = max(exponents, default=0) - min(exponents, default=0)
+            if g.trunc is not None and g.trunc < n + spread:
+                raise PrecisionError(f"input known only to t^{g.trunc}, below precision {n} plus the weight spread {spread}")
+            need = n + shift + max(exponents, default=0)
+            if not probe and work >= need:
+                break
+            work = max(n + 2 * shift, need)
+        probe = False
     weights = tuple(e - shift for e in exponents)
     if h2.trunc is not None and h2.trunc > work:
         h2 = SeriesMatrix(h2.field, [[e.truncate(work) for e in row] for row in h2.entries])
     return CartanDecomposition(h1=u, weights=weights, h2=h2, precision=n)
 
 
-def _check_known(g: SeriesMatrix, n: int, exponents) -> None:
-    """PrecisionError when ``g`` is known below ``t^(n + spread)``, the spread of the exponents."""
-    if g.trunc is not None and exponents:
-        spread = max(exponents) - min(exponents)
-        if g.trunc < n + spread:
-            raise PrecisionError(f"input known only to t^{g.trunc}, below precision {n} plus the weight spread {spread}")
-
-
-def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
+def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
     """Residual check of a claimed decomposition at its stated precision.
 
     Passes iff ``h1`` and ``h2`` have no entry of certified negative
@@ -178,8 +187,8 @@ def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResul
     over K[[t]], so the last is equivalent to ``g - h1 · diag(t^w) · h2^{-1}
     ≡ 0`` and no inverse is formed; a failed ``residual`` holds
     ``g · h2 - h1 · diag(t^w)``.  Accepts any valid triple, not only the
-    canonical one.  Raises PrecisionError when the available precision
-    cannot decide the check, so that a caller can retry at a higher one.
+    canonical one.  A check the available precision cannot decide fails,
+    with the reason.
     """
     shape = (g.rows, g.cols)
     if shape != (dec.h1.rows, dec.h1.cols) or shape != (dec.h2.rows, dec.h2.cols) or len(dec.weights) != g.rows:
@@ -194,7 +203,7 @@ def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResul
             if not linalg.is_invertible(field, h.constant_matrix()):
                 return VerificationResult(False, f"{name}(0) is not invertible")
     except PrecisionError as exc:
-        raise PrecisionError(f"constant terms not determined: {exc}") from exc
+        return VerificationResult(False, f"constant terms not determined: {exc}")
     # h1 · diag(t^w) shifts column j of h1 by w_j
     h1d = SeriesMatrix(field, [[e.shift(w) for e, w in zip(row, dec.weights)] for row in dec.h1.entries])
     residual = g @ dec.h2 - h1d
@@ -202,13 +211,5 @@ def check_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResul
         if residual.is_zero_mod(dec.precision):
             return VerificationResult(True)
     except PrecisionError as exc:
-        raise PrecisionError(f"insufficient precision for the residual check: {exc}") from exc
+        return VerificationResult(False, f"insufficient precision for the residual check: {exc}")
     return VerificationResult(False, "nonzero residual", residual)
-
-
-def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
-    """:func:`check_cartan` as a verdict: a check the precision cannot decide fails."""
-    try:
-        return check_cartan(g, dec)
-    except PrecisionError as exc:
-        return VerificationResult(False, str(exc))

@@ -21,7 +21,7 @@ from typing import NamedTuple, Optional, Sequence
 
 from . import linalg
 from .errors import NoLimitError, ShapeError, WitnessVerificationFailure
-from .loopgroup import cartan_decompose, check_cartan
+from .loopgroup import cartan_decompose, verify_cartan
 from .series import DEFAULT_TRUNCATION, LaurentSeries, SeriesMatrix
 from .tensors import (
     OneParamSubgroup,
@@ -153,9 +153,10 @@ def build_witness(
     ``lift="sym3"`` treats ``gs`` as a single 2x2 curve acting on the
     4-dimensional space of binary cubics through :func:`sym3_lift`; the
     Cartan decomposition then runs on the 2x2 matrix and the subgroup and
-    translation are lifted.  Raises PrecisionError when precision ``n``
-    cannot decide a Cartan check, so that a caller can retry at a higher
-    one.
+    translation are lifted.  Each decomposition is computed and checked at
+    precision ``n`` (:func:`cartan_decompose` finds its own working
+    precision); a check that fails, or that precision ``n`` cannot decide,
+    raises WitnessVerificationFailure with its reason.
     """
     fld = p.field
     if lift not in (None, "sym3"):
@@ -173,7 +174,7 @@ def build_witness(
     decs = []
     for g in gs:
         dec = cartan_decompose(g, n)
-        check = check_cartan(g, dec)
+        check = verify_cartan(g, dec)
         if not check:
             raise WitnessVerificationFailure(f"Cartan decomposition failed to verify: {check.reason}")
         decs.append(dec)

@@ -212,7 +212,7 @@ def test_cim_uncertifiable_pivot_exits_2(tmp_path, capsys):
 
 def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monkeypatch, capsys):
     # the input is known to t^5: it verifies at precision 4, and a higher
-    # precision is refused at once instead of being doubled toward 256
+    # precision is refused before any Smith pass
     from borderlab import QQ, LaurentSeries, SeriesMatrix, loopgroup
 
     def known_to_t5(*coeffs):
@@ -221,15 +221,53 @@ def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monke
     g = SeriesMatrix(QQ, [[known_to_t5(1, 2), known_to_t5(0, 1)], [known_to_t5(3, 0, 1), known_to_t5(1, 1)]])
     path = tmp_path / "t5.json"
     path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
-    tried = []
-    decompose = loopgroup.cartan_decompose
-    monkeypatch.setattr(loopgroup, "cartan_decompose", lambda g, n: tried.append(n) or decompose(g, n))
+    passes = []
+    smith = loopgroup.smith_form
+    monkeypatch.setattr(loopgroup, "smith_form", lambda m, n: passes.append(n) or smith(m, n))
     assert run(["cim", str(path), "--precision", "4", "--out", str(tmp_path / "dec.json")]) == 0
-    assert tried == [4]
-    tried.clear()
+    assert read_json(tmp_path / "dec.json")["decomposition"]["precision"] == 4
+    assert passes
+    passes.clear()
     assert run(["cim", str(path)]) == 2
-    assert tried == []
+    assert passes == []
     assert "known only to t^5" in capsys.readouterr().err
+
+
+def test_cim_doubles_the_working_precision_and_keeps_the_asked_precision(tmp_path, monkeypatch):
+    # neither the probe nor the first full pass at precision 1 can certify
+    # a pivot; a doubled working precision does, and the decomposition is
+    # stored at the asked precision 1, not at a doubled claim
+    from borderlab import QQ, SeriesMatrix, loopgroup
+
+    g = SeriesMatrix(QQ, [[series(QQ, {2: -3, 3: 1, 4: -1, 5: 1}), series(QQ, {2: 1})],
+                          [series(QQ, {3: 3, 4: 2, 6: 2}), series(QQ, {3: -1})]])
+    path, out = tmp_path / "g.json", tmp_path / "dec.json"
+    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    passes = []
+    smith = loopgroup.smith_form
+    monkeypatch.setattr(loopgroup, "smith_form", lambda m, n: passes.append(n) or smith(m, n))
+    assert run(["cim", str(path), "--precision", "1", "--out", str(out)]) == 0
+    assert passes == [1, 1, 2, 5]
+    doc = read_json(out)
+    assert doc["decomposition"]["precision"] == doc["factors"][0]["decomposition"]["precision"] == 1
+    assert doc["decomposition"]["weights"] == [2, 4]
+    assert run(["verify", str(out)]) == 0
+
+
+def test_cim_exactly_singular_series_exits_2_after_the_doublings(tmp_path, monkeypatch, capsys):
+    # det = 0 exactly, but the elimination leaves O(t^work) rather than an
+    # exact zero: one probe, then a full pass at 32 and at each doubling
+    from borderlab import QQ, SeriesMatrix, loopgroup
+
+    one_plus_t = series(QQ, {0: 1, 1: 1})
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps(jsonio.matrix_to_obj(SeriesMatrix(QQ, [[one_plus_t] * 2] * 2))))
+    passes = []
+    smith = loopgroup.smith_form
+    monkeypatch.setattr(loopgroup, "smith_form", lambda m, n: passes.append(n) or smith(m, n))
+    assert run(["cim", str(path)]) == 2
+    assert passes == [1] + [32 << k for k in range(loopgroup.MAX_DOUBLINGS + 1)]
+    assert "inconclusive: " in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("precision", ["0", "-3"])
@@ -301,25 +339,26 @@ def test_witness_no_limit_exits_1(tmp_path, capsys):
     assert "specialize" in capsys.readouterr().err
 
 
-def test_witness_retries_a_precision_failure(witness_file, tmp_path, monkeypatch):
-    # the first decomposition's h1 is known only to t^1, so its Cartan check
-    # cannot be decided at precision 32: that is retried, not refuted
+def test_witness_fails_an_undecidable_cartan_check_with_its_reason(witness_file, tmp_path, monkeypatch, capsys):
+    # the decomposition's h1 is known only to t^1, so its Cartan check
+    # cannot be decided at precision 32: the witness is refused, not retried
     from borderlab import SeriesMatrix, witness
 
     tried = []
     decompose = witness.cartan_decompose
 
-    def cut_first(g, n):
+    def cut_h1(g, n):
         tried.append(n)
         dec = decompose(g, n)
-        if len(tried) > 1:
-            return dec
-        h1 = SeriesMatrix(dec.h1.field, [[e.truncate(1) for e in row] for row in dec.h1.entries])
-        return dec._replace(h1=h1)
+        return dec._replace(h1=SeriesMatrix(dec.h1.field, [[e.truncate(1) for e in row] for row in dec.h1.entries]))
 
-    monkeypatch.setattr(witness, "cartan_decompose", cut_first)
-    assert run(["witness", witness_file, "--out", str(tmp_path / "w.json")]) == 0
-    assert tried == [32, 64]
+    monkeypatch.setattr(witness, "cartan_decompose", cut_h1)
+    out = tmp_path / "w.json"
+    assert run(["witness", witness_file, "--out", str(out)]) == 1
+    assert tried == [32]
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "Cartan decomposition failed to verify: insufficient precision for the residual check" in err
 
 
 def test_gen_witness_round_trip(tmp_path):
@@ -660,7 +699,7 @@ FIELD_SWAP = {"Q": {"kind": "Fp", "p": "1000003"}, "Fp": {"kind": "Q"}}
 def one_change_mutants(doc, rng):
     """``(name, mutant)`` pairs, each changing one field of ``doc``: a bool
     flipped, an int moved by one, a list element dropped or duplicated, an
-    enum value swapped, or a weight list doubled."""
+    enum value swapped or made unknown, or a weight list doubled."""
 
     def at(path, value):
         return replaced(doc, path, value)
@@ -673,6 +712,8 @@ def one_change_mutants(doc, rng):
             yield "kind swapped", at(path, {"cartan": "witness", "witness": "cartan"}[value])
         elif path == ("lift",):
             yield "lift swapped", at(path, None if value else "sym3")
+            for unknown in ("bogus", 5):
+                yield f"lift {unknown!r}", at(path, unknown)
         elif key == "basis" and isinstance(value, list):
             yield f"{name} standard", at(path, "standard")
         if isinstance(value, bool):
@@ -899,9 +940,8 @@ def test_an_exact_series_with_another_trunc_exits_3(delta, curve_file, tmp_path,
 
 
 def test_no_matrix_inverse_on_the_cim_and_witness_paths(curve_file, witness_file, tmp_path, monkeypatch):
-    # cim, witness, their precision retries and verify take h2 from the
-    # Smith pass and check g·h2 against h1·diag(t^w): no Gauss-Jordan inverse
-    from borderlab import loopgroup, witness
+    # cim, witness and verify take h2 from the Smith pass and check g·h2
+    # against h1·diag(t^w): no Gauss-Jordan inverse
     from borderlab.series import SeriesMatrix
 
     inverses = []
@@ -916,21 +956,6 @@ def test_no_matrix_inverse_on_the_cim_and_witness_paths(curve_file, witness_file
             assert run([kind, source, "--out", out]) == 0
             assert run(["verify", out]) == 0
 
-    # one doubling retry on each path
-    def once(check, tried):
-        def first_undecided(g, dec):
-            tried.append(dec.precision)
-            if len(tried) == 1:
-                raise PrecisionError("undecided")
-            return check(g, dec)
-        return first_undecided
-
-    cim_tried, witness_tried = [], []
-    monkeypatch.setattr(loopgroup, "check_cartan", once(loopgroup.check_cartan, cim_tried))
-    monkeypatch.setattr(witness, "check_cartan", once(witness.check_cartan, witness_tried))
-    assert run(["cim", curve_file, "--out", str(tmp_path / "retried.json")]) == 0
-    assert run(["witness", witness_file, "--out", str(tmp_path / "retried-w.json")]) == 0
-    assert cim_tried == witness_tried == [32, 64]
     assert inverses == []
 
 

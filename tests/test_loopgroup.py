@@ -19,7 +19,6 @@ from borderlab import (
     verify_cartan,
 )
 from borderlab import cli, jsonio, linalg, loopgroup
-from borderlab.loopgroup import check_cartan
 from borderlab.series import certify_min_valuation
 from borderlab.instances import (
     random_invertible_laurent_matrix,
@@ -306,7 +305,7 @@ def test_residual_check_agrees_with_the_inverse_oracle():
                 want = inverse_residual_check(g, candidate)
             except PrecisionError:
                 continue
-            assert check_cartan(g, candidate).passed == want
+            assert verify_cartan(g, candidate).passed == want
             decided[want] += 1
     # both verdicts occur, so the comparison is not vacuous
     assert decided[True] >= 30 and decided[False] >= 60
@@ -314,7 +313,7 @@ def test_residual_check_agrees_with_the_inverse_oracle():
 
 def test_cim_output_checks_without_precision_error_at_the_default_precision():
     for g, _ in oracle_matrices():
-        assert check_cartan(g, cartan_decompose(g, DEFAULT_TRUNCATION)).passed
+        assert verify_cartan(g, cartan_decompose(g, DEFAULT_TRUNCATION)).passed
 
 
 # ---------------------------------------------------------------------------
@@ -496,23 +495,23 @@ def test_decompositions_match_the_inverse_reference():
     assert outcomes["equal"] >= 150 and outcomes["exact h2"] >= 1 and outcomes["refused"] >= 10, outcomes
 
 
-def precision_fuzz():
-    """3 000 seeded square Q matrices of size 1-4 whose entries have
+def precision_fuzz(field=QQ, seed=2024, count=3000, exact=False):
+    """``count`` seeded square matrices of size 1-4 whose entries have
     valuation -2 ... 3 and 0-4 coefficients in -3 ... 3, half of them
-    truncated 0-3 orders past their last coefficient."""
-    rng = random.Random(2024)
-    for _ in range(3000):
+    truncated 0-3 orders past their last coefficient unless ``exact``."""
+    rng = random.Random(seed)
+    for _ in range(count):
         size = rng.randint(1, 4)
         rows = []
         for _ in range(size):
             row = []
             for _ in range(size):
                 val = rng.randint(-2, 3)
-                coeffs = [QQ.from_int(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
-                trunc = val + len(coeffs) + rng.randint(0, 3) if rng.random() < 0.5 else None
-                row.append(LaurentSeries(QQ, val, coeffs, trunc))
+                coeffs = [field.from_int(rng.randint(-3, 3)) for _ in range(rng.randint(0, 4))]
+                trunc = val + len(coeffs) + rng.randint(0, 3) if not exact and rng.random() < 0.5 else None
+                row.append(LaurentSeries(field, val, coeffs, trunc))
             rows.append(row)
-        yield SeriesMatrix(QQ, rows)
+        yield SeriesMatrix(field, rows)
 
 
 def test_no_decomposition_claims_more_precision_than_its_input_has():
@@ -542,6 +541,73 @@ def test_no_decomposition_claims_more_precision_than_its_input_has():
         outcomes["verified"] += 1
     # not vacuous: 707 decompositions verify, and 626 are refused on precision alone
     assert outcomes["verified"] >= 707 and outcomes["refused"] >= 600, outcomes
+
+
+def test_truncated_inputs_make_the_passes_and_checks_of_the_doubling_retry(monkeypatch):
+    # each truncated fuzz input decomposed and checked as cim does, at its
+    # own order and at 32: a truncated input's working precision already
+    # reaches what it is known to, so it is never doubled, and the counts
+    # are those of the retry on the CLI that doubled the precision claimed.
+    # A pass at precision 1 counts as a probe, as does the full pass of an
+    # unshifted input at n = 1
+    counts = Counter()
+    smith = loopgroup.smith_form
+    monkeypatch.setattr(loopgroup, "smith_form",
+                        lambda m, n: counts.update(["probe" if n == 1 else "full pass"]) or smith(m, n))
+    for g in precision_fuzz():
+        if g.trunc is None:
+            continue
+        for n in (g.trunc, 32):
+            try:
+                dec = cartan_decompose(g, n)
+            except (PrecisionError, SingularError, ValueError) as exc:
+                counts[type(exc).__name__] += 1
+                continue
+            counts["check"] += 1
+            counts["verified" if verify_cartan(g, dec).passed else "failed"] += 1
+    assert counts == {"probe": 1874, "full pass": 1140, "check": 362, "verified": 362,
+                      "PrecisionError": 4020, "ValueError": 748}
+
+
+def doubling_reference(g, n, monkeypatch):
+    """``cim``'s decomposition as it was when the CLI owned the precision
+    retry (test reference): a decomposition at precision ``n`` with no
+    working-precision doubling, and a check that raises PrecisionError when
+    it cannot decide, retried at 2n, 4n and 8n on PrecisionError, and
+    refused at once at a precision above what ``g`` is known to."""
+    with monkeypatch.context() as patched:
+        patched.setattr(loopgroup, "MAX_DOUBLINGS", 0)
+        for _ in range(4):
+            if g.trunc is not None and g.trunc < n:
+                raise PrecisionError(f"input known only to t^{g.trunc}, below precision {n}")
+            try:
+                dec = cartan_decompose(g, n)
+                inverse_residual_check(g, dec)
+                return dec
+            except PrecisionError:
+                n *= 2
+        raise PrecisionError("precision retries exhausted")
+
+
+def test_working_precision_doublings_end_as_the_claimed_precision_doublings_did(monkeypatch):
+    # exact F_3 fuzz inputs at n = 1 and 2, where cancellations mod 3 leave
+    # pivots the first working precision cannot certify: each (g, n) ends in
+    # the reference's outcome class, now at the asked n, and verifies
+    outcomes = Counter()
+    for g in precision_fuzz(PrimeField(3), seed=9, count=600, exact=True):
+        for n in (1, 2):
+            try:
+                reference = doubling_reference(g, n, monkeypatch)
+            except (PrecisionError, SingularError) as exc:
+                with pytest.raises(type(exc)):
+                    cartan_decompose(g, n)
+                outcomes[type(exc).__name__] += 1
+                continue
+            dec = cartan_decompose(g, n)
+            assert dec.precision == n and verify_cartan(g, dec).passed
+            outcomes["rescued" if reference.precision > n else "decomposed"] += 1
+    # not vacuous: 6 pairs need a doubling, and 4 stay undecided after three
+    assert outcomes["rescued"] >= 5 and outcomes["PrecisionError"] >= 1 and outcomes["decomposed"] >= 800, outcomes
 
 
 # ---------------------------------------------------------------------------
@@ -581,7 +647,7 @@ def test_decompositions_match_the_operator_reference(monkeypatch, tmp_path):
         for g in inputs:
             for n in (8, 32):
                 dec = cartan_decompose(g, n)
-                out.append((jsonio.cartan_to_obj(dec), check_cartan(g, dec).passed))
+                out.append((jsonio.cartan_to_obj(dec), verify_cartan(g, dec).passed))
         return out
 
     fused = run()
