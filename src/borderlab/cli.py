@@ -35,7 +35,7 @@ from typing import Optional
 # that reads Laurent series imports ``series`` before anything else: it is
 # the largest module, and where no bytecode is cached, compiling it while
 # the heap is still small lowers the job's peak RSS by 0.1-0.3 MB.
-from .errors import BorderlabError, NoLimitError, PrecisionError, SchemaError, WitnessVerificationFailure
+from .errors import BorderlabError, NoLimitError, PrecisionError, WitnessVerificationFailure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -132,28 +132,11 @@ def _load_json(path: str):
 def cmd_cim(args) -> int:
     from . import series  # noqa: F401  (first: see the imports above)
     from . import jsonio
-    from .loopgroup import cartan_decompose, verify_cartan
+    from .loopgroup import cartan_factors
 
-    matrices = jsonio.cim_input_from_obj(_load_json(args.input))
-    results = []
-    all_ok = True
-    for g in matrices:
-        dec = cartan_decompose(g, args.precision)
-        verdict = verify_cartan(g, dec)
-        all_ok = all_ok and verdict.passed
-        results.append(
-            {
-                "input": jsonio.matrix_to_obj(g),
-                "decomposition": jsonio.cartan_to_obj(dec),
-                "verified": verdict.passed,
-                "reason": verdict.reason,
-            }
-        )
-    out_obj = {"kind": "cartan", "version": jsonio.TOOL_VERSION, "factors": results}
-    if len(results) == 1:
-        out_obj.update(results[0])
-    _write_json(args.out, out_obj)
-    return EXIT_OK if all_ok else EXIT_FAIL
+    factors = cartan_factors(jsonio.cim_input_from_obj(_load_json(args.input)), args.precision)
+    _write_json(args.out, jsonio.cartan_results_to_obj(factors))
+    return EXIT_OK if all(verified for _, _, verified, _ in factors) else EXIT_FAIL
 
 
 def cmd_witness(args) -> int:
@@ -162,11 +145,7 @@ def cmd_witness(args) -> int:
     from .witness import build_witness
 
     gs, p, lift = jsonio.witness_input_from_obj(_load_json(args.input))
-    witness = build_witness(gs, p, args.precision, lift=lift)
-    out_obj = jsonio.witness_to_obj(witness)
-    out_obj["g"] = [jsonio.matrix_to_obj(g) for g in gs]
-    out_obj["p"] = jsonio.tensor_to_obj(p)
-    _write_json(args.out, out_obj)
+    _write_json(args.out, jsonio.witness_to_obj(build_witness(gs, p, args.precision, lift=lift), gs, p))
     return EXIT_OK
 
 
@@ -218,9 +197,15 @@ def cmd_verify(args) -> int:
 
         results = recheck_certificate(jsonio.certificate_from_obj(obj))
     elif kind == "cartan":
-        results = _recheck_cartan(obj)
+        from . import series  # noqa: F401  (first: see the imports above)
+        from .loopgroup import recheck_cartan
+
+        results = recheck_cartan(jsonio.cartan_results_from_obj(obj))
     elif kind == "witness":
-        results = _recheck_witness(obj)
+        from . import series  # noqa: F401  (first: see the imports above)
+        from .witness import recheck_witness
+
+        results = recheck_witness(*jsonio.witness_from_obj(obj))
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
     ok = True
@@ -229,76 +214,6 @@ def cmd_verify(args) -> int:
         print(f"{clause}: {status} ({detail})")
         ok = ok and passed
     return EXIT_OK if ok else EXIT_FAIL
-
-
-def _recheck_cartan(obj):
-    from . import series  # noqa: F401  (first: see the imports above)
-    from . import jsonio
-    from .loopgroup import verify_cartan
-
-    factors = jsonio.cartan_results_from_obj(obj)
-    results = []
-    for i, (g, dec, verified, reason) in enumerate(factors):
-        verdict = verify_cartan(g, dec)
-        index = f"[{i}]" if len(factors) > 1 else ""
-        results.append((f"residual{index}", verdict.passed, verdict.reason or "g = h1 diag(t^w) h2^-1 mod t^N"))
-        # verified exactly when the residual holds, and a reason exactly when it does not
-        agrees = verified == verdict.passed and (reason == "") == verdict.passed
-        detail = "stored verified and reason match the residual"
-        if not agrees:
-            detail = f"stored verified={verified}, reason={reason!r}"
-        results.append((f"verdict{index}", agrees, detail))
-    return results
-
-
-def _recheck_witness(obj):
-    from . import series  # noqa: F401  (first: see the imports above)
-    from . import jsonio, linalg
-    from .loopgroup import verify_cartan
-    from .tensors import act, limit_at_infinity, limit_at_zero
-    from .witness import specialize, subgroup_and_translations, sym3_lift
-
-    witness = jsonio.witness_from_obj(obj)
-    fld = witness.subgroup.field
-    results = []
-    gs, p, _ = jsonio.witness_input_from_obj(obj, fld)
-    if len(witness.decompositions) != len(gs):
-        raise SchemaError(f"cim: {len(witness.decompositions)} decompositions for {len(gs)} matrices of g")
-    for i, (g, dec) in enumerate(zip(gs, witness.decompositions)):
-        verdict = verify_cartan(g, dec)
-        results.append((f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"))
-    if all(ok for _, ok, _ in results):
-        subgroup, translations = subgroup_and_translations(fld, witness.decompositions, witness.lift)
-        results.append(("lambda", subgroup == witness.subgroup, "lambda_i = weights of cim[i] on the basis h2_i(0)"))
-        results.append(("translations", translations == witness.translations, "translation i = h2_i(0) h1_i(0)^-1"))
-    else:
-        # a decomposition that fails its residual check derives nothing
-        results += [(clause, False, "needs every cim-residual to hold") for clause in ("lambda", "translations")]
-    action = gs
-    if witness.lift == "sym3":
-        action = [sym3_lift(gs[0])]
-    try:
-        q = specialize(action, p)
-        results.append(("specialization", q == witness.q, "lim g(t)p recomputed"))
-    except NoLimitError as exc:
-        results.append(("specialization", False, str(exc)))
-        q = None
-    if q is not None:
-        mats = [[list(r) for r in m] for m in witness.translations]
-        inv_ok = all(linalg.is_invertible(fld, m) for m in mats)
-        results.append(("translation-invertible", inv_ok, "h2(0) h1(0)^-1 per factor"))
-        results.append(("translation", act(mats, q) == witness.q_tilde, "qTilde = translations . q"))
-    try:
-        lim0 = limit_at_zero(witness.subgroup, p)
-        results.append(("limit-zero", lim0 == witness.shared_limit, "lim_{t->0} lambda(t) p"))
-    except NoLimitError as exc:
-        results.append(("limit-zero", False, str(exc)))
-    try:
-        liminf = limit_at_infinity(witness.subgroup, witness.q_tilde)
-        results.append(("limit-infinity", liminf == witness.shared_limit, "lim_{t->inf} lambda(t) qTilde"))
-    except NoLimitError as exc:
-        results.append(("limit-infinity", False, str(exc)))
-    return results
 
 
 def cmd_gen(args) -> int:

@@ -71,14 +71,6 @@ def _bool(value, what: str) -> bool:
     return value
 
 
-def _lift(obj: dict) -> Optional[str]:
-    """The ``"lift"`` of a witness document: absent, null or ``"sym3"``."""
-    lift = obj.get("lift")
-    if lift is not None and lift != "sym3":
-        raise SchemaError(f"lift: expected null or 'sym3', got {str(lift)[:40]!r}")
-    return lift
-
-
 def _version(obj: dict, what: str, expected: str = TOOL_VERSION) -> None:
     if obj.get("version") != expected:
         raise SchemaError(f"{what}: version {obj.get('version')!r} is not {expected!r}")
@@ -241,11 +233,14 @@ def cartan_from_obj(obj: dict, field: Optional[FieldContext] = None) -> CartanDe
 
 # -- witnesses -----------------------------------------------------------------
 
-def witness_to_obj(w: LimitWitness) -> dict:
+def witness_to_obj(w: LimitWitness, gs, p: Tensor) -> dict:
+    """The witness document of ``w``, built from the curve ``gs`` at ``p``."""
     fld = w.q_tilde.field
     return {
         "kind": "witness",
         "version": TOOL_VERSION,
+        "g": [matrix_to_obj(g) for g in gs],
+        "p": tensor_to_obj(p),
         "lambda": subgroup_to_obj(w.subgroup),
         "q": tensor_to_obj(w.q),
         "qTilde": tensor_to_obj(w.q_tilde),
@@ -256,7 +251,8 @@ def witness_to_obj(w: LimitWitness) -> dict:
     }
 
 
-def witness_from_obj(obj: dict) -> LimitWitness:
+def witness_from_obj(obj: dict) -> tuple:
+    """``(witness, gs, p)`` of a witness document: one decomposition per matrix of ``gs``."""
     from .witness import LimitWitness
 
     _version(_dict(obj, "witness"), "witness")
@@ -270,15 +266,10 @@ def witness_from_obj(obj: dict) -> LimitWitness:
         for m in _list(obj["translations"], "translations")
     )
     decs = tuple(cartan_from_obj(o, fld) for o in _list(obj["cim"], "witness decompositions"))
-    return LimitWitness(
-        subgroup=subgroup,
-        q=q,
-        q_tilde=q_tilde,
-        shared_limit=shared,
-        translations=translations,
-        decompositions=decs,
-        lift=_lift(obj),
-    )
+    if len(decs) != len(_list(obj["g"], "g")):
+        raise SchemaError(f"cim: {len(decs)} decompositions for {len(obj['g'])} matrices of g")
+    gs, p, lift = witness_input_from_obj(obj, fld)
+    return LimitWitness(subgroup, q, q_tilde, shared, translations, decs, lift), gs, p
 
 
 # -- degeneration certificates ---------------------------------------------------
@@ -361,15 +352,35 @@ def cim_input_from_obj(obj) -> list:
 
 
 def witness_input_from_obj(obj, field: Optional[FieldContext] = None):
-    """``(gs, p, lift)`` of a witness input; ``p`` is read over the field of ``gs``."""
+    """``(gs, p, lift)`` of a witness input: an exact curve, and ``p`` over its field."""
     gs = [matrix_from_obj(o, field) for o in _list(_dict(obj, "witness input")["g"], "g")]
     if not gs:
         raise SchemaError("g: expected at least one matrix")
-    return gs, tensor_from_obj(obj["p"], gs[0].field), _lift(obj)
+    for i, g in enumerate(gs):
+        if g.trunc is not None:
+            raise SchemaError(f"g[{i}]: known only to t^{g.trunc}, but a curve must be exact Laurent polynomials")
+    lift = obj.get("lift")
+    if lift is not None and lift != "sym3":
+        raise SchemaError(f"lift: expected null or 'sym3', got {str(lift)[:40]!r}")
+    if lift == "sym3" and len(gs) != 1:
+        raise SchemaError(f"g: the sym3 lift expects one 2x2 decomposition of one matrix, got {len(gs)} matrices")
+    return gs, tensor_from_obj(obj["p"], gs[0].field), lift
 
 
 #: the keys ``cim`` writes per factor; a one-factor output repeats them at the top level
 _CIM_RESULT_KEYS = ("input", "decomposition", "verified", "reason")
+
+
+def cartan_results_to_obj(factors) -> dict:
+    """The ``cim`` output of ``(g, decomposition, verified, reason)`` factors."""
+    results = [
+        dict(zip(_CIM_RESULT_KEYS, (matrix_to_obj(g), cartan_to_obj(dec), verified, reason)))
+        for g, dec, verified, reason in factors
+    ]
+    obj = {"kind": "cartan", "version": TOOL_VERSION, "factors": results}
+    if len(results) == 1:
+        obj.update(results[0])
+    return obj
 
 
 def cartan_results_from_obj(obj) -> list:

@@ -213,3 +213,34 @@ def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResu
     except PrecisionError as exc:
         return VerificationResult(False, f"insufficient precision for the residual check: {exc}")
     return VerificationResult(False, "nonzero residual", residual)
+
+
+def cartan_factors(matrices, n: int = DEFAULT_TRUNCATION) -> list:
+    """``(g, decomposition at precision n, verified, reason)`` per matrix, the verdict :func:`verify_cartan`'s."""
+    factors = []
+    for g in matrices:
+        dec = cartan_decompose(g, n)
+        verdict = verify_cartan(g, dec)
+        factors.append((g, dec, verdict.passed, verdict.reason))
+    return factors
+
+
+def recheck_cartan(factors) -> list:
+    """``(clause, ok, detail)`` triples re-deriving stored ``(g, decomposition, verified, reason)`` factors.
+
+    Per factor, ``residual`` is the :func:`verify_cartan` check, and
+    ``verdict`` holds when ``verified`` is its verdict and ``reason`` is
+    empty exactly when it passes; with several factors they read
+    ``residual[i]`` and ``verdict[i]``.
+    """
+    results = []
+    for i, (g, dec, verified, reason) in enumerate(factors):
+        verdict = verify_cartan(g, dec)
+        index = f"[{i}]" if len(factors) > 1 else ""
+        results.append((f"residual{index}", verdict.passed, verdict.reason or "g = h1 diag(t^w) h2^-1 mod t^N"))
+        agrees = verified == verdict.passed and (reason == "") == verdict.passed
+        detail = "stored verified and reason match the residual"
+        if not agrees:
+            detail = f"stored verified={verified}, reason={reason!r}"
+        results.append((f"verdict{index}", agrees, detail))
+    return results

@@ -8,8 +8,9 @@ tensor ``p`` to ``q`` at ``t -> 0``, the Cartan decomposition of each factor
 * the translated point ``q~ = (h2(0) h1(0)^{-1}) · q`` in the orbit of ``q``,
 
 and the two-sided identity ``lim_{t->0} lambda(t)·p = lim_{t->inf}
-lambda(t)·q~`` holds (both limits exist).  Construction verifies the
-identity before returning; a mismatch is never accepted silently.
+lambda(t)·q~`` holds (both limits exist).  :func:`witness_clauses` lists
+these claims once: :func:`build_witness` checks a witness by them before
+returning it, and :func:`recheck_witness` re-derives a stored one by them.
 
 The classical binary-cubics example runs through the same machinery via
 the fixed cubic symmetric-power lift of 2x2 matrices.
@@ -17,7 +18,7 @@ the fixed cubic symmetric-power lift of 2x2 matrices.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import linalg
 from .errors import NoLimitError, ShapeError, WitnessVerificationFailure
@@ -134,12 +135,76 @@ def subgroup_and_translations(fld, decs: Sequence, lift: Optional[str] = None) -
         translations.append(linalg.mat_mul(fld, h2_0, linalg.mat_inv(fld, dec.h1.constant_matrix())))
         factors.append(SubgroupFactor(weights=tuple(dec.weights), basis=_freeze(h2_0)))
     if lift == "sym3":
-        if len(decs) != 1:
-            raise ShapeError(f"sym3 lift expects one 2x2 decomposition, got {len(decs)}")
         basis = sym3_lift_constant(fld, factors[0].basis)
         factors = [SubgroupFactor(weights=_sym3_weights(*factors[0].weights), basis=_freeze(basis))]
         translations = [sym3_lift_constant(fld, translations[0])]
     return OneParamSubgroup(fld, factors), tuple(_freeze(m) for m in translations)
+
+
+def _action(gs: Sequence[SeriesMatrix], p: Tensor, lift: Optional[str]) -> list:
+    """The curve that moves ``p``: ``gs``, or with ``lift="sym3"`` the cubic lift of its one 2x2 matrix."""
+    if lift not in (None, "sym3"):
+        raise ValueError(f"unknown lift {lift!r}")
+    if lift == "sym3":
+        if len(gs) != 1 or p.dims != (4,):
+            raise ShapeError("sym3 lift expects one 2x2 curve and a 4-dimensional tensor")
+        return [sym3_lift(gs[0])]
+    if len(gs) != p.order:
+        raise ShapeError(f"expected {p.order} curve matrices, got {len(gs)}")
+    return list(gs)
+
+
+def witness_clauses(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor, q: Union[Tensor, NoLimitError]):
+    """Yield ``(clause, ok, detail)`` for every claim ``witness`` makes of the curve ``gs`` at ``p``.
+
+    ``q`` is :func:`specialize` of the curve at ``p``, or the NoLimitError
+    it raised; the caller computes it once.  The ``cim-residual[i]``
+    clauses come first, and λ and the translations are re-derived from the
+    decompositions only when every one holds: a decomposition that fails
+    its residual check derives nothing, and its ``h1(0)`` may be singular.
+    """
+    fld = witness.subgroup.field
+    held = True
+    for i, (g, dec) in enumerate(zip(gs, witness.decompositions)):
+        verdict = verify_cartan(g, dec)
+        held = held and verdict.passed
+        yield f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"
+    if held:
+        subgroup, translations = subgroup_and_translations(fld, witness.decompositions, witness.lift)
+        yield "lambda", subgroup == witness.subgroup, "lambda_i = weights of cim[i] on the basis h2_i(0)"
+        yield "translations", translations == witness.translations, "translation i = h2_i(0) h1_i(0)^-1"
+    else:
+        for clause in ("lambda", "translations"):
+            yield clause, False, "needs every cim-residual to hold"
+    if isinstance(q, NoLimitError):
+        yield "specialization", False, str(q)
+    else:
+        yield "specialization", q == witness.q, "lim g(t)p recomputed"
+        mats = [[list(r) for r in m] for m in witness.translations]
+        yield "translation-invertible", all(linalg.is_invertible(fld, m) for m in mats), "h2(0) h1(0)^-1 per factor"
+        yield "translation", act(mats, q) == witness.q_tilde, "qTilde = translations . q"
+    for clause, limit, t, detail in (
+        ("limit-zero", limit_at_zero, p, "lim_{t->0} lambda(t) p"),
+        ("limit-infinity", limit_at_infinity, witness.q_tilde, "lim_{t->inf} lambda(t) qTilde"),
+    ):
+        try:
+            ok = limit(witness.subgroup, t) == witness.shared_limit
+        except NoLimitError as exc:
+            ok, detail = False, str(exc)
+        yield clause, ok, detail
+
+
+def recheck_witness(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor) -> list:
+    """Re-derive every claim of a stored witness of the curve ``gs`` at ``p``.
+
+    Returns the ordered ``(clause, ok, detail)`` triples of
+    :func:`witness_clauses`, the clauses :func:`build_witness` checks.
+    """
+    try:
+        q = specialize(_action(gs, p, witness.lift), p)
+    except NoLimitError as exc:
+        q = exc
+    return list(witness_clauses(witness, gs, p, q))
 
 
 def build_witness(
@@ -148,58 +213,26 @@ def build_witness(
     n: int = DEFAULT_TRUNCATION,
     lift: Optional[str] = None,
 ) -> LimitWitness:
-    """Construct and verify a limit witness from a specializing curve.
+    """Construct a limit witness from a specializing curve, and check it by :func:`witness_clauses`.
 
     ``lift="sym3"`` treats ``gs`` as a single 2x2 curve acting on the
     4-dimensional space of binary cubics through :func:`sym3_lift`; the
     Cartan decomposition then runs on the 2x2 matrix and the subgroup and
-    translation are lifted.  Each decomposition is computed and checked at
-    precision ``n`` (:func:`cartan_decompose` finds its own working
-    precision); a check that fails, or that precision ``n`` cannot decide,
-    raises WitnessVerificationFailure with its reason.
+    translation are lifted.  Each decomposition is computed at precision
+    ``n`` (:func:`cartan_decompose` finds its own working precision).
+    Raises NoLimitError when the curve does not specialize at ``p`` or
+    λ(t)·p has no limit at ``t -> 0``, and WitnessVerificationFailure
+    naming the first clause that fails, or that precision ``n`` cannot
+    decide, with its reason: the clauses ``verify`` checks.
     """
-    fld = p.field
-    if lift not in (None, "sym3"):
-        raise ValueError(f"unknown lift {lift!r}")
-    if lift == "sym3":
-        if len(gs) != 1 or p.dims != (4,):
-            raise ShapeError("sym3 lift expects one 2x2 curve and a 4-dimensional tensor")
-        action = [sym3_lift(gs[0])]
-    else:
-        action = list(gs)
-        if len(action) != p.order:
-            raise ShapeError(f"expected {p.order} curve matrices, got {len(action)}")
-    q = specialize(action, p)
-
-    decs = []
-    for g in gs:
-        dec = cartan_decompose(g, n)
-        check = verify_cartan(g, dec)
-        if not check:
-            raise WitnessVerificationFailure(f"Cartan decomposition failed to verify: {check.reason}")
-        decs.append(dec)
-    subgroup, translations = subgroup_and_translations(fld, decs, lift)
-    q_tilde = act(translations, q)
-
-    try:
-        lim0 = limit_at_zero(subgroup, p)
-        liminf = limit_at_infinity(subgroup, q_tilde)
-    except NoLimitError as exc:
-        raise WitnessVerificationFailure(f"witness limit does not exist: {exc}") from exc
-    if lim0 != liminf:
-        raise WitnessVerificationFailure(
-            "the two witness limits disagree (precision failure or bug): "
-            f"t->0 gives {lim0!r}, t->inf gives {liminf!r}"
-        )
-    return LimitWitness(
-        subgroup=subgroup,
-        q=q,
-        q_tilde=q_tilde,
-        shared_limit=lim0,
-        translations=translations,
-        decompositions=tuple(decs),
-        lift=lift,
-    )
+    q = specialize(_action(gs, p, lift), p)
+    decs = tuple(cartan_decompose(g, n) for g in gs)
+    subgroup, translations = subgroup_and_translations(p.field, decs, lift)
+    witness = LimitWitness(subgroup, q, act(translations, q), limit_at_zero(subgroup, p), translations, decs, lift)
+    for clause, ok, detail in witness_clauses(witness, gs, p, q):
+        if not ok:
+            raise WitnessVerificationFailure(f"witness clause {clause} failed: {detail}")
+    return witness
 
 
 def _freeze(mat: Sequence[Sequence]) -> tuple:

@@ -97,6 +97,25 @@ def test_wrongly_shaped_json_exits_3(command, doc, tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["witness", "verify"])
+def test_a_truncated_witness_curve_exits_3(command, tmp_path, capsys):
+    # specialize needs exact Laurent polynomials and no precision stands in
+    # for them, so a curve known only to t^40 is bad input, not inconclusive
+    path, out = tmp_path / "input.json", tmp_path / "out.json"
+    assert run(["gen", "--kind", "witness", "--dims", "2,2", "--seed", "1", "--out", str(path)]) == 0
+    if command == "verify":
+        assert run(["witness", str(path), "--out", str(path)]) == 0
+    doc = read_json(path)
+    doc["g"][0]["entries"][0][0].update(exact=False, trunc=40)
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run([command, str(path), *(["--out", str(out)] if command == "witness" else [])]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert not out.exists()
+    assert "g[0]: known only to t^40" in captured.err
+
+
 @pytest.mark.parametrize("scalar", ["1/0", "1e400000000"])
 @pytest.mark.parametrize("command", ["cim", "witness", "verify"])
 def test_rational_scalars_outside_the_grammar_exit_3(command, scalar, tmp_path, curve_file, witness_file, capsys):
@@ -358,7 +377,41 @@ def test_witness_fails_an_undecidable_cartan_check_with_its_reason(witness_file,
     assert tried == [32]
     assert not out.exists()
     err = capsys.readouterr().err
-    assert "Cartan decomposition failed to verify: insufficient precision for the residual check" in err
+    assert "witness clause cim-residual[0] failed: insufficient precision for the residual check" in err
+
+
+def test_witness_refuses_its_own_witness_when_a_clause_fails(witness_file, tmp_path, monkeypatch, capsys):
+    # witness checks the clauses verify checks: a limit at infinity other
+    # than the shared limit (q~ = y^3 for the binary cubics' 0) fails one
+    from borderlab import witness
+
+    monkeypatch.setattr(witness, "limit_at_infinity", lambda subgroup, t: t)
+    out = tmp_path / "w.json"
+    assert run(["witness", witness_file, "--out", str(out)]) == 1
+    assert not out.exists()
+    assert "witness clause limit-infinity failed" in capsys.readouterr().err
+
+
+def test_witness_and_verify_each_specialize_once(witness_file, tmp_path, monkeypatch):
+    from borderlab import witness
+
+    calls = []
+    specialize = witness.specialize
+
+    def counted(gs, p):
+        calls.append(len(gs))
+        return specialize(gs, p)
+
+    monkeypatch.setattr(witness, "specialize", counted)
+    source = tmp_path / "input.json"
+    assert run(["gen", "--kind", "witness", "--dims", "3,3,3", "--seed", "1", "--out", str(source)]) == 0
+    for path in (witness_file, str(source)):
+        out = tmp_path / "w.json"
+        calls.clear()
+        assert run(["witness", path, "--out", str(out)]) == 0
+        assert len(calls) == 1
+        assert run(["verify", str(out)]) == 0
+        assert len(calls) == 2
 
 
 def test_gen_witness_round_trip(tmp_path):
@@ -661,18 +714,33 @@ def double_lambda(doc):
         factor["weights"] = [doubled(w) for w in factor["weights"]]
 
 
-def double_translation(doc):
-    # qTilde doubles with it, so qTilde = translations . q still holds, and
+def double_q(doc):
+    # no other clause reads the stored q: translation acts on the recomputed one
+    for entry in doc["q"]["entries"]:
+        entry["value"] = doubled(entry["value"])
+
+
+def double_q_tilde(doc):
     # the shared limit 0 of the binary cubics stays the limit at infinity
-    doc["translations"] = [[[doubled(x) for x in row] for row in m] for m in doc["translations"]]
     for entry in doc["qTilde"]["entries"]:
         entry["value"] = doubled(entry["value"])
 
 
+def double_translation(doc):
+    # qTilde doubles with it, so qTilde = translations . q still holds
+    doc["translations"] = [[[doubled(x) for x in row] for row in m] for m in doc["translations"]]
+    double_q_tilde(doc)
+
+
 @pytest.mark.parametrize(
     "source, edit, clause",
-    [("gen-333", double_lambda, "lambda"), ("binary-cubics", double_translation, "translations")],
-    ids=["lambda-doubled", "translation-doubled"],
+    [
+        ("gen-333", double_lambda, "lambda"),
+        ("binary-cubics", double_translation, "translations"),
+        ("gen-333", double_q, "specialization"),
+        ("binary-cubics", double_q_tilde, "translation"),
+    ],
+    ids=["lambda-doubled", "translation-doubled", "q-doubled", "qTilde-doubled"],
 )
 def test_verify_rederives_lambda_and_the_translations(source, edit, clause, witness_file, tmp_path, capsys):
     if source == "gen-333":
@@ -781,9 +849,8 @@ def witness_oracle_valid(doc):
     if doc.get("kind") != "witness" or doc.get("lift") is not None or not names_one_field(doc):
         return False
     try:
-        w = jsonio.witness_from_obj(doc)
+        w, gs, p = jsonio.witness_from_obj(doc)
         fld = w.subgroup.field
-        gs, p, _ = jsonio.witness_input_from_obj(doc, fld)
         if not len(gs) == len(w.decompositions) == len(w.subgroup.factors) == len(w.translations):
             return False
         for g, dec, factor, translation in zip(gs, w.decompositions, w.subgroup.factors, w.translations):
@@ -841,16 +908,21 @@ def test_output_mutants_fail_verify_unless_the_oracle_accepts_them(command, gen,
 
 def test_verify_refuses_a_sym3_witness_with_two_matrices(witness_file, tmp_path, capsys):
     # the lift acts through one 2x2 curve, so a second matrix and its
-    # decomposition would go unread
+    # decomposition would go unread; the document is refused before any
+    # clause runs, also when the second decomposition fails its residual
     out = tmp_path / "w.json"
     assert run(["witness", witness_file, "--out", str(out)]) == 0
     doc = read_json(out)
     doc["g"].append(doc["g"][0])
-    doc["cim"].append(doc["cim"][0])
-    out.write_text(json.dumps(doc))
-    capsys.readouterr()
-    assert run(["verify", str(out)]) == 3
-    assert "sym3 lift expects one 2x2 decomposition" in capsys.readouterr().err
+    doc["cim"].append(copy.deepcopy(doc["cim"][0]))
+    for weights in (doc["cim"][1]["weights"], [w + 1 for w in doc["cim"][1]["weights"]]):
+        doc["cim"][1]["weights"] = weights
+        out.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert run(["verify", str(out)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "sym3 lift expects one 2x2 decomposition" in captured.err
 
 
 def test_verify_cartan_output(curve_file, tmp_path, capsys):

@@ -104,12 +104,11 @@ def test_witness_round_trip():
     rng = random.Random(6)
     gs, p = random_witness_instance(QQ, (2, 2), rng)
     w = build_witness(gs, p, 16)
-    obj = jsonio.witness_to_obj(w)
-    back = jsonio.witness_from_obj(obj)
-    assert back.subgroup == w.subgroup
-    assert back.q_tilde == w.q_tilde
-    assert back.shared_limit == w.shared_limit
-    assert back.translations == w.translations
+    obj = jsonio.witness_to_obj(w, gs, p)
+    back, back_gs, back_p = jsonio.witness_from_obj(obj)
+    assert back == w
+    assert back_gs == list(gs)
+    assert back_p == p
 
 
 def test_certificate_round_trip():

@@ -49,7 +49,7 @@ def records():
             "VerificationResult": VerificationResult(False, "nonzero residual"),
             "SubgroupFactor": SubgroupFactor(weights=(0, 1), basis=((QQ.one(), QQ.zero()), (QQ.one(), QQ.one()))),
             "WeightDecomposition": weight_decompose(unit_tensor(QQ, 2, 3), trivial_subgroup(QQ, (2, 2, 2))),
-            "LimitWitness": witness_from_obj(witness_to_obj(build_witness([g, g], p, 8))),
+            "LimitWitness": witness_from_obj(witness_to_obj(build_witness([g, g], p, 8), [g, g], p))[0],
         }
 
     return build(), build()
