@@ -161,8 +161,6 @@ def cmd_certify(args) -> int:
 def cmd_bounds(args) -> int:
     from . import bounds
 
-    if args.n_max < 0:
-        raise ValueError("--n-max must be nonnegative")
     rows = bounds.scan_table(args.d, args.n_max) if args.n_max >= 1 else []
     header = ["n", "d3_lower", "generic_subrank", "dmz_lo", "border_upper", "excess_flag"]
     if args.format == "csv":
@@ -230,8 +228,7 @@ def cmd_gen(args) -> int:
         field = QQ
     rng = random.Random(args.seed)
     if args.kind == "witness":
-        dims = tuple(int(x) for x in args.dims.split(","))
-        gs, p = random_witness_instance(field, dims, rng)
+        gs, p = random_witness_instance(field, args.dims, rng)
         out_obj = {
             "kind": "witness-input",
             "g": [jsonio.matrix_to_obj(g) for g in gs],
@@ -268,6 +265,27 @@ _FLAGS = {
     "--out": dict(default=None, help="output path (default: stdout)"),
 }
 
+
+def _int_at_least(low: int):
+    """The argparse type of an integer flag that is at least ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _dims(text: str) -> tuple:
+    """The argparse type of ``--dims``: comma-separated integers, each at least 1."""
+    return tuple(_int_at_least(1)(x) for x in text.split(","))
+
+
 #: ``--seed`` of certify and verify, which draw nothing at random; it stays
 #: accepted so that callers passing one still run
 _IGNORED_SEED = dict(type=int, default=0, help="accepted and ignored: nothing is drawn at random")
@@ -296,12 +314,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cert = command("certify", cmd_certify, "produce a degeneration certificate over Q", "--out")
     p_cert.add_argument("--seed", **_IGNORED_SEED)
-    p_cert.add_argument("--n", type=int, required=True)
+    p_cert.add_argument("--n", type=_int_at_least(0), required=True)
     p_cert.add_argument("--r", type=int, default=None)
 
     p_bounds = command("bounds", cmd_bounds, "emit the bound table", "--out")
-    p_bounds.add_argument("--d", type=int, default=3)
-    p_bounds.add_argument("--n-max", type=int, required=True)
+    p_bounds.add_argument("--d", type=_int_at_least(2), default=3)
+    p_bounds.add_argument("--n-max", type=_int_at_least(0), required=True)
     p_bounds.add_argument("--format", choices=["json", "csv"], default="json")
 
     p_verify = command("verify", cmd_verify, "re-derive a stored certificate from scratch")
@@ -313,8 +331,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_gen.add_argument("--prime", type=int, default=None, help="prime for --field fp (default: a random 62-bit prime)")
     p_gen.add_argument("--seed", type=int, default=0, help="seed for all randomized choices")
     p_gen.add_argument("--kind", choices=["witness", "cim"], required=True)
-    p_gen.add_argument("--dims", default="3,3", help="comma-separated factor dimensions (witness)")
-    p_gen.add_argument("--size", type=int, default=3, help="matrix size (cim)")
+    p_gen.add_argument("--dims", type=_dims, default="3,3", help="comma-separated factor dimensions (witness)")
+    p_gen.add_argument("--size", type=_int_at_least(1), default=3, help="matrix size (cim)")
 
     return parser
 

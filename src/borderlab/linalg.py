@@ -57,7 +57,8 @@ def mat_inv(field: FieldContext, a: Sequence[Sequence]) -> list:
             work[k], work[piv] = work[piv], work[k]
             out[k], out[piv] = out[piv], out[k]
         inv = field.inv(work[k][k])
-        work[k] = [field.mul(inv, x) for x in work[k]]
+        # columns left of k are finished: row k is zero there, so no step changes them
+        work[k][k:] = [field.mul(inv, x) for x in work[k][k:]]
         out[k] = [field.mul(inv, x) for x in out[k]]
         for i in range(n):
             if i == k:
@@ -65,7 +66,7 @@ def mat_inv(field: FieldContext, a: Sequence[Sequence]) -> list:
             f = work[i][k]
             if field.is_zero(f):
                 continue
-            work[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i], work[k])]
+            work[i][k:] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i][k:], work[k][k:])]
             out[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(out[i], out[k])]
     return out
 

@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import PrecisionError, ShapeError, SingularError
-from .series import DEFAULT_TRUNCATION, SeriesMatrix, certify_min_valuation, muladd
+from .series import DEFAULT_TRUNCATION, LaurentSeries, SeriesMatrix, certify_min_valuation, muladd
 
 
 class CartanDecomposition(NamedTuple):
@@ -55,9 +55,14 @@ def smith_form(m: SeriesMatrix, n: int):
 
     Returns ``(u, exponents, h2)`` with ``m · h2 ≡ u · diag(t^e) mod t^n``,
     ``u(0), h2(0)`` invertible and the exponents weakly increasing; their
-    sum equals the valuation of ``det m``.  ``h2`` is the inverse of the
-    right transform ``v`` of ``m ≡ u · diag(t^e) · v``, built column
-    operation by column operation, so no inverse is formed.
+    sum equals the valuation of ``det m``.  The reduction is an LU
+    factorisation: column ``k`` of ``u`` holds step ``k``'s pivot unit in
+    the row where the pivot row of ``m`` started, and the unit times each
+    multiplier in the rows where the rows it eliminates started.  ``h2`` is
+    the inverse of the right transform ``v`` of ``m ≡ u · diag(t^e) · v``,
+    built column operation by column operation, so no inverse is formed.
+    Step ``k`` updates only rows and columns ``k..`` of the working matrix:
+    nothing reads a finished one.
 
     Raises SingularError when the determinant is exactly zero and
     PrecisionError when a pivot choice is ambiguous at the working
@@ -71,8 +76,10 @@ def smith_form(m: SeriesMatrix, n: int):
     size = m.rows
     field = m.field
     a = [list(row) for row in m.entries]
-    u = [list(row) for row in SeriesMatrix.identity(field, size).entries]
+    u = [[LaurentSeries.zero(field)] * size for _ in range(size)]
     h2 = [list(row) for row in SeriesMatrix.identity(field, size).entries]
+    # row i of ``a`` started as row origin[i] of m, and so writes row origin[i] of u
+    origin = list(range(size))
     exponents = []
     for k in range(size):
         cand = ((i, j) for i in range(k, size) for j in range(k, size))
@@ -82,30 +89,27 @@ def smith_form(m: SeriesMatrix, n: int):
             raise SingularError("determinant is exactly zero") from None
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
-            for row in u:
-                row[k], row[pi] = row[pi], row[k]
+            origin[k], origin[pi] = origin[pi], origin[k]
         if pj != k:
-            for row in (*a, *h2):
+            for row in (*a[k:], *h2):
                 row[k], row[pj] = row[pj], row[k]
         pivot = a[k][k]
         pinv = pivot.inverse(n)
+        # the unit factor of the pivot goes into u, leaving a pure t-power
+        unit = pivot.shift(-pval)
+        u[origin[k]][k] = unit
         for i in range(k + 1, size):
             if a[i][k].has_no_known_terms():
                 continue
             f = a[i][k] * pinv
-            a[i] = [muladd(x, ((f, y),), True) for x, y in zip(a[i], a[k])]
-            for row in u:
-                row[k] = muladd(row[k], ((f, row[i]),))
+            a[i][k:] = [muladd(x, ((f, y),), True) for x, y in zip(a[i][k:], a[k][k:])]
+            u[origin[i]][k] = f * unit
         for j in range(k + 1, size):
             if a[k][j].has_no_known_terms():
                 continue
             f = a[k][j] * pinv
-            for row in (*a, *h2):
+            for row in (*a[k + 1:], *h2):
                 row[j] = muladd(row[j], ((f, row[k]),), True)
-        # pull the unit factor of the pivot into u, leaving a pure t-power
-        unit = pivot.shift(-pval)
-        for row in u:
-            row[k] = row[k] * unit
         exponents.append(pval)
     return SeriesMatrix(field, u), exponents, SeriesMatrix(field, h2)
 

@@ -1,12 +1,13 @@
 import itertools
 import random
 from bisect import bisect_left, bisect_right
+from collections import Counter
 from typing import NamedTuple, Optional
 
 import pytest
 
-from borderlab import NoLimitError, PrimeField, QQ, ShapeError, limit_at_zero, linalg
-from borderlab.series import LaurentSeries, SeriesMatrix
+from borderlab import NoLimitError, PrimeField, QQ, ShapeError, SingularError, limit_at_zero, linalg
+from borderlab.series import LaurentSeries, SeriesMatrix, certify_min_valuation, muladd
 from borderlab.tensors import OneParamSubgroup, SubgroupFactor, Tensor
 
 
@@ -32,6 +33,63 @@ def series(field, terms):
 
 def tpow(field, k):
     return LaurentSeries.t_power(field, k)
+
+
+def reference_smith_form(m, n, events=None):
+    """Smith reduction that keeps ``u`` in step with the working matrix: every
+    row operation is applied to ``u``'s columns and every update touches the
+    whole matrix (test oracle for ``loopgroup.smith_form``, with its pivot
+    rule and its ``(u, exponents, h2)``).  A Counter ``events`` counts each
+    ``row swap``, ``column swap`` and ``skipped multiplier``.
+    """
+    if m.rows != m.cols:
+        raise ShapeError("Smith reduction expects a square matrix")
+    bound = m.min_valuation_lower_bound()
+    if bound is not None and bound < 0:
+        raise ValueError("Smith reduction expects power-series entries (valuation >= 0)")
+    events = Counter() if events is None else events
+    size = m.rows
+    field = m.field
+    a = [list(row) for row in m.entries]
+    u = [list(row) for row in SeriesMatrix.identity(field, size).entries]
+    h2 = [list(row) for row in SeriesMatrix.identity(field, size).entries]
+    exponents = []
+    for k in range(size):
+        cand = ((i, j) for i in range(k, size) for j in range(k, size))
+        try:
+            (pi, pj), pval = certify_min_valuation(((ij, a[ij[0]][ij[1]]) for ij in cand))
+        except SingularError:
+            raise SingularError("determinant is exactly zero") from None
+        if pi != k:
+            events["row swap"] += 1
+            a[k], a[pi] = a[pi], a[k]
+            for row in u:
+                row[k], row[pi] = row[pi], row[k]
+        if pj != k:
+            events["column swap"] += 1
+            for row in (*a, *h2):
+                row[k], row[pj] = row[pj], row[k]
+        pivot = a[k][k]
+        pinv = pivot.inverse(n)
+        for i in range(k + 1, size):
+            if a[i][k].has_no_known_terms():
+                events["skipped multiplier"] += 1
+                continue
+            f = a[i][k] * pinv
+            a[i] = [muladd(x, ((f, y),), True) for x, y in zip(a[i], a[k])]
+            for row in u:
+                row[k] = muladd(row[k], ((f, row[i]),))
+        for j in range(k + 1, size):
+            if a[k][j].has_no_known_terms():
+                continue
+            f = a[k][j] * pinv
+            for row in (*a, *h2):
+                row[j] = muladd(row[j], ((f, row[k]),), True)
+        unit = pivot.shift(-pval)
+        for row in u:
+            row[k] = row[k] * unit
+        exponents.append(pval)
+    return SeriesMatrix(field, u), exponents, SeriesMatrix(field, h2)
 
 
 def leibniz_determinant(m):

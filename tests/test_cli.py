@@ -427,6 +427,29 @@ def test_gen_cim_round_trip(tmp_path):
     assert run(["cim", str(inp), "--out", str(tmp_path / "dec.json")]) == 0
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--kind", "cim", "--size", "0"], "argument --size: must be >= 1, got 0"),
+        (["--kind", "cim", "--size", "-1"], "argument --size: must be >= 1, got -1"),
+        (["--kind", "witness", "--dims", "0,3"], "argument --dims: must be >= 1, got 0"),
+        (["--kind", "witness", "--dims", "3,-2"], "argument --dims: must be >= 1, got -2"),
+        (["--kind", "witness", "--dims", "2.5,3"], "argument --dims: expected an integer, got '2.5'"),
+        (["--kind", "witness", "--dims", "3,"], "argument --dims: expected an integer, got ''"),
+    ],
+    ids=["size-0", "size-negative", "dims-0", "dims-negative", "dims-fraction", "dims-empty"],
+)
+def test_gen_refuses_a_degenerate_size_before_any_work(flags, message, tmp_path, monkeypatch, capsys):
+    from borderlab import fields
+
+    # the refusal comes from the parser: not even the prime is drawn
+    monkeypatch.setattr(fields, "random_prime", lambda *args: pytest.fail("gen drew a prime"))
+    out = tmp_path / "instance.json"
+    assert run(["gen", *flags, "--field", "fp", "--out", str(out)]) == 3
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # certify
 # ---------------------------------------------------------------------------
@@ -443,6 +466,12 @@ def test_certify_9(tmp_path):
 def test_certify_infeasible_exits_3(tmp_path, capsys):
     assert run(["certify", "--n", "10", "--r", "4"]) == 3
     assert "(r+3)^2/4" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("r", [[], ["--r", "1"]], ids=["default-r", "given-r"])
+def test_certify_names_a_negative_n(r, capsys):
+    assert run(["certify", "--n", "-3", *r]) == 3
+    assert "argument --n: must be >= 0, got -3" in capsys.readouterr().err
 
 
 def test_certify_4(tmp_path):
@@ -492,8 +521,18 @@ def test_bounds_empty_range_header_only(tmp_path):
     assert out.read_text().strip() == "n,d3_lower,generic_subrank,dmz_lo,border_upper,excess_flag"
 
 
-def test_bounds_bad_range_exits_3():
+def test_bounds_bad_range_exits_3(capsys):
     assert run(["bounds", "--d", "3", "--n-max", "-2"]) == 3
+    assert "argument --n-max: must be >= 0, got -2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_max", ["0", "5"])
+@pytest.mark.parametrize("d", ["1", "0", "-4"])
+def test_bounds_refuses_an_order_below_2_whatever_the_range(d, n_max, tmp_path, capsys):
+    out = tmp_path / "table.json"
+    assert run(["bounds", "--d", d, "--n-max", n_max, "--out", str(out)]) == 3
+    assert f"argument --d: must be >= 2, got {d}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from borderlab.instances import (
     random_series_unit_matrix,
 )
 
-from conftest import inverse_residual_check, leibniz_determinant, series, tpow
+from conftest import inverse_residual_check, leibniz_determinant, reference_smith_form, series, tpow
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -90,6 +90,77 @@ def test_smith_ambiguous_pivot_precision():
     m = SeriesMatrix(QQ, [[fuzzy, tpow(QQ, 1)], [tpow(QQ, 2), LaurentSeries.zero(QQ)]])
     with pytest.raises(PrecisionError):
         smith_form(m, 8)
+
+
+def entry_parts(mat):
+    """Each entry of a series matrix as its stored ``(val, nums, den, trunc)``."""
+    return [[(e.val, e.nums, e.den, e.trunc) for e in row] for row in mat.entries]
+
+
+def smith_fuzz(seed=22, count=480):
+    """Seeded ``(m, n)`` over Q, F_3 and F_1000003: square power-series
+    matrices of size 1-8 whose entries are exactly zero or have valuation
+    0-3 and 1-4 coefficients in -3 ... 3, half of them cut at an order 1-8,
+    at a precision that is 1 (the probe's) a quarter of the time and 1-40
+    otherwise."""
+    rng = random.Random(seed)
+    fields = (QQ, PrimeField(3), PrimeField(1000003))
+    for i in range(count):
+        field = fields[i % len(fields)]
+        size = rng.randint(1, 8)
+        m = SeriesMatrix(field, [
+            [LaurentSeries(field, rng.randint(0, 3), [field.from_int(rng.randint(-3, 3)) for _ in range(rng.randint(1, 4))])
+             if rng.random() < 0.8 else LaurentSeries.zero(field)
+             for _ in range(size)]
+            for _ in range(size)
+        ])
+        if rng.random() < 0.5:
+            m = cut_at(m, rng.randint(1, 8))
+        yield m, 1 if rng.random() < 0.25 else rng.randint(1, 40)
+
+
+def test_smith_form_matches_the_reference_entry_by_entry():
+    events, outcomes = Counter(), Counter()
+    # a non-monomial pivot whose elimination cancels past t^1: the probe's PrecisionError
+    probe_failure = SeriesMatrix(QQ, [[series(QQ, {0: 1, 1: 1}), series(QQ, {0: 1})],
+                                      [series(QQ, {0: 1}), series(QQ, {0: 1, 5: 1})]])
+    for m, n in [(probe_failure, 1), *smith_fuzz()]:
+        try:
+            want = reference_smith_form(m, n, events)
+        except (PrecisionError, SingularError) as exc:
+            with pytest.raises(type(exc)) as got:
+                smith_form(m, n)
+            assert type(got.value) is type(exc) and str(got.value) == str(exc)
+            outcomes[f"{type(exc).__name__}{' at n = 1' if n == 1 else ''}"] += 1
+            continue
+        u, exponents, h2 = smith_form(m, n)
+        assert exponents == want[1]
+        assert entry_parts(u) == entry_parts(want[0]) and entry_parts(h2) == entry_parts(want[2])
+        outcomes["exact" if m.trunc is None else "truncated"] += 1
+    # not vacuous: 872 row swaps, 1091 column swaps and 1303 skipped
+    # multipliers over 218 exact and 158 truncated reductions, 27 pivots that
+    # precision 1 cannot certify and 16 singular matrices
+    assert min(events[e] for e in ("row swap", "column swap", "skipped multiplier")) >= 800, events
+    assert outcomes["exact"] >= 200 and outcomes["truncated"] >= 150, outcomes
+    assert outcomes["PrecisionError at n = 1"] >= 25 and outcomes["SingularError"] >= 15, outcomes
+
+
+@pytest.mark.parametrize("size", [1, 2, 6, 8])
+def test_smith_form_multiplies_three_times_per_eliminated_entry(size, monkeypatch):
+    # per step, one multiplier per row and per column below the pivot and
+    # one unit times each row multiplier: 3·n(n-1)/2 series products in all
+    rng = random.Random(size)
+    m = SeriesMatrix(QQ, [[series(QQ, {k: rng.randint(1, 9) for k in range(3)}) for _ in range(size)]
+                          for _ in range(size)])
+    events = Counter()
+    expected = reference_smith_form(m, 16, events)
+    assert events["skipped multiplier"] == 0
+    calls = []
+    mul = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    got = smith_form(m, 16)
+    assert len(calls) == 3 * size * (size - 1) // 2
+    assert got == expected
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +391,7 @@ def test_cim_output_checks_without_precision_error_at_the_default_precision():
 # one full-precision Smith pass per decomposition
 # ---------------------------------------------------------------------------
 
-def reference_smith_form(m, n):
+def v_tracking_smith_form(m, n):
     """Smith reduction that tracks the right transform ``v`` of
     ``m ≡ u · diag(t^e) · v mod t^n`` row operation by row operation, with
     the library's pivot rule (test reference for the h2-tracking pass)."""
@@ -371,7 +442,7 @@ def two_pass_decompose(g, n):
     shift = max(0, -g.min_valuation_lower_bound())
     passes = [n + 2 * shift]
     while True:
-        u, exponents, v = reference_smith_form(g.shift(shift), passes[-1])
+        u, exponents, v = v_tracking_smith_form(g.shift(shift), passes[-1])
         need = n + shift + max(exponents, default=0)
         if passes[-1] >= need:
             break
