@@ -149,11 +149,12 @@ def build_planted_tensor(field: FieldContext, n: int, r: int):
     Raises PlacementError when ``4n < (r+3)^2``; otherwise every block
     fits (see :func:`packing_end`).
     """
-    if not 1 <= r <= n:
+    # a rank r >= 1 that fits has r < n, so the fit is the only check on n
+    if r < 1:
         raise ValueError(f"need 1 <= r <= n, got r={r}, n={n}")
     if 4 * n < (r + 3) ** 2:
         raise PlacementError(
-            f"fit condition violated: n >= (r+3)^2/4 requires n >= {fit_bound(r)}, got n={n}"
+            f"fit condition violated: n >= (r+3)^2/4 requires n >= {fit_bound(r)} for r={r}, got n={n}"
         )
     one = field.one()
     corners = {(r - l + 1, r - l + 1, l): one for l in range(1, r + 1)}
@@ -316,7 +317,8 @@ def _claim_clauses(cert: DegenerationCertificate, pattern: PyramidPattern, rank:
 def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertificate:
     """Run the full pipeline over the rationals and return a self-contained certificate.
 
-    ``r`` defaults to ``isqrt(4n) - 3`` and must end up >= 1.  The
+    ``r`` defaults to ``isqrt(4n) - 3``, and to 1 below ``n = 4``, the fit
+    bound of ``r = 1``, where no rank fits and the fit check refuses ``n``.  The
     identity blocks give the unit-column cover, whose full rank holds over
     the integers and so over every field; nothing is drawn at random.  The
     verdict is Certified exactly when every clause that
@@ -324,12 +326,9 @@ def certify_lower_bound(n: int, r: Optional[int] = None) -> DegenerationCertific
     missing cover proves nothing either way.
     """
     if r is None:
-        r = default_rank(n)
-    if r < 1:
-        raise ValueError(f"certified rank must be >= 1 (n={n} gives default {r}); pass r explicitly")
-
-    pattern = build_pyramid(n, r)
+        r = max(default_rank(n), 1)
     t_tilde, s_tensor = build_planted_tensor(QQ, n, r)
+    pattern = build_pyramid(n, r)
     rank = jacobian_dominance_rank(t_tilde, pattern)
     cert = DegenerationCertificate(
         n=n,

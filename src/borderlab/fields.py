@@ -14,11 +14,13 @@ vector is a pair ``(nums, den)`` of integers standing for the scalars
 numerators are residues in ``[0, p)`` and ``den`` is 1.  The ``vec_*``
 kernels take vectors in that form and return one in that form.
 
-:meth:`FieldContext.vec_muladd` is the one kernel for sums of vectors: it
-forms ``x ± Σ y·z`` from unreduced integer products over one common
+:meth:`FieldContext.vec_muladd` is the one arithmetic kernel for vectors:
+it forms ``x ± Σ y·z`` from unreduced integer products over one common
 denominator and reduces the sum once (delayed reduction, as FFLAS-FFPACK
-does for dot products), ``% p`` over F_p and one gcd over ℚ.  It and the
-plain product :meth:`FieldContext.vec_mul` share one unreduced product.
+does for dot products), ``% p`` over F_p and one gcd over ℚ.  Every sum,
+difference, negation, scaling and product of series reaches it through
+:func:`borderlab.series.muladd`; only unit inversion has a kernel of its
+own.
 """
 
 from __future__ import annotations
@@ -147,9 +149,6 @@ class FieldContext:
     def mul(self, a, b):
         raise NotImplementedError
 
-    def neg(self, a):
-        raise NotImplementedError
-
     def inv(self, a):
         raise NotImplementedError
 
@@ -183,6 +182,11 @@ class FieldContext:
         ``subtract``, over the lcm of their denominators as unreduced
         products (:meth:`_raw_product`), and the sum is reduced once.
         """
+        if head is None and len(terms) == 1:
+            # 0 ± one term: the term alone, with nothing to add it to
+            _, ys, dy, zs, dz = terms[0]
+            ys = ys[:length] if zs is None else self._raw_product(ys, zs, length)
+            return self.vec_reduce([-y for y in ys] if subtract else ys, dy if zs is None else dy * dz)
         den = 1 if head is None else head[2]
         for _, _, dy, zs, dz in terms:
             d = dy if zs is None else dy * dz
@@ -209,10 +213,6 @@ class FieldContext:
             out[off : off + k] = map(step, out[off : off + k], ys)
         return self.vec_reduce(out, den)
 
-    def vec_mul(self, xs, dx, ys, dy, length: int):
-        """The first ``length`` slots of the product of two nonempty vectors."""
-        return self.vec_reduce(self._raw_product(xs, ys, length), dx * dy)
-
     def _raw_product(self, xs, ys, length: int, scale: int = 1) -> list:
         """The first ``length`` unreduced numerators of ``scale · xs · ys``.
 
@@ -232,14 +232,6 @@ class FieldContext:
 
     def _product_bound(self, xs, ys):
         """``(bound, signed)`` for :func:`_int_convolve`, ``len(xs) <= len(ys)``."""
-        raise NotImplementedError
-
-    def vec_neg(self, nums, den):
-        """The negated vector."""
-        raise NotImplementedError
-
-    def vec_scale(self, nums, den, c):
-        """A vector times the nonzero scalar ``c``."""
         raise NotImplementedError
 
     def vec_inverse(self, nums, den, m: int):
@@ -305,9 +297,6 @@ class Rationals(FieldContext):
     def mul(self, a, b):
         return a * b
 
-    def neg(self, a):
-        return -a
-
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -345,13 +334,6 @@ class Rationals(FieldContext):
         if g == 1:
             return nums, den
         return [n // g for n in nums], den // g
-
-    def vec_neg(self, nums, den):
-        return [-n for n in nums], den
-
-    def vec_scale(self, nums, den, c):
-        cn = c.numerator
-        return self.vec_reduce([n * cn for n in nums], den * c.denominator)
 
     def _product_bound(self, xs, ys):
         # one signed Kronecker product of the numerators
@@ -452,9 +434,6 @@ class PrimeField(FieldContext):
     def mul(self, a, b):
         return a * b % self.p
 
-    def neg(self, a):
-        return -a % self.p
-
     def inv(self, a):
         if a % self.p == 0:
             raise ZeroDivisionError("inverse of zero")
@@ -472,14 +451,6 @@ class PrimeField(FieldContext):
 
     def format_vector(self, nums, den):
         return [str(n) for n in nums]
-
-    def vec_neg(self, nums, den):
-        p = self.p
-        return [-n % p for n in nums], 1
-
-    def vec_scale(self, nums, den, c):
-        p = self.p
-        return [n * c % p for n in nums], 1
 
     def _product_bound(self, xs, ys):
         # residues are nonnegative, so the slots need no sign

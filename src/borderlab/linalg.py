@@ -38,13 +38,14 @@ def mat_mul(field: FieldContext, a: Sequence[Sequence], b: Sequence[Sequence]) -
     return out
 
 
-def mat_inv(field: FieldContext, a: Sequence[Sequence]) -> list:
-    """Gauss-Jordan inverse; raises SingularError on singular input."""
+def _gauss_jordan(field: FieldContext, a: Sequence[Sequence], out: list) -> bool:
+    """Reduce a copy of the square matrix ``a`` to the identity, applying
+    every row operation to the rows of ``out`` as well; False when ``a`` is
+    singular."""
     n = len(a)
     if any(len(row) != n for row in a):
         raise ShapeError("inverse of a non-square matrix")
     work = [list(row) for row in a]
-    out = identity(field, n)
     for k in range(n):
         piv = None
         for i in range(k, n):
@@ -52,7 +53,7 @@ def mat_inv(field: FieldContext, a: Sequence[Sequence]) -> list:
                 piv = i
                 break
         if piv is None:
-            raise SingularError("matrix is singular")
+            return False
         if piv != k:
             work[k], work[piv] = work[piv], work[k]
             out[k], out[piv] = out[piv], out[k]
@@ -68,15 +69,21 @@ def mat_inv(field: FieldContext, a: Sequence[Sequence]) -> list:
                 continue
             work[i][k:] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i][k:], work[k][k:])]
             out[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(out[i], out[k])]
+    return True
+
+
+def mat_inv(field: FieldContext, a: Sequence[Sequence]) -> list:
+    """Gauss-Jordan inverse; raises SingularError on singular input."""
+    out = identity(field, len(a))
+    if not _gauss_jordan(field, a, out):
+        raise SingularError("matrix is singular")
     return out
 
 
 def is_invertible(field: FieldContext, a: Sequence[Sequence]) -> bool:
-    try:
-        mat_inv(field, a)
-        return True
-    except SingularError:
-        return False
+    """Whether ``a`` is invertible, by :func:`mat_inv`'s elimination carried
+    out on rows of no columns: no entry of the inverse is formed."""
+    return _gauss_jordan(field, a, [[] for _ in a])
 
 
 def sparse_rank(

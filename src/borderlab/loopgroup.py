@@ -61,8 +61,10 @@ def smith_form(m: SeriesMatrix, n: int):
     multiplier in the rows where the rows it eliminates started.  ``h2`` is
     the inverse of the right transform ``v`` of ``m ≡ u · diag(t^e) · v``,
     built column operation by column operation, so no inverse is formed.
-    Step ``k`` updates only rows and columns ``k..`` of the working matrix:
-    nothing reads a finished one.
+    Step ``k`` updates only the rows and columns ``> k`` of the working
+    matrix, and its column operations run on ``h2`` alone: no later step
+    reads row ``k`` or column ``k``, so the column below the pivot, which
+    the row operations make zero to the working precision, is never formed.
 
     Raises SingularError when the determinant is exactly zero and
     PrecisionError when a pivot choice is ambiguous at the working
@@ -102,13 +104,13 @@ def smith_form(m: SeriesMatrix, n: int):
             if a[i][k].has_no_known_terms():
                 continue
             f = a[i][k] * pinv
-            a[i][k:] = [muladd(x, ((f, y),), True) for x, y in zip(a[i][k:], a[k][k:])]
+            a[i][k + 1:] = [muladd(x, ((f, y),), True) for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
             u[origin[i]][k] = f * unit
         for j in range(k + 1, size):
             if a[k][j].has_no_known_terms():
                 continue
             f = a[k][j] * pinv
-            for row in (*a[k + 1:], *h2):
+            for row in h2:
                 row[j] = muladd(row[j], ((f, row[k]),), True)
         exponents.append(pval)
     return SeriesMatrix(field, u), exponents, SeriesMatrix(field, h2)

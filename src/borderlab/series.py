@@ -21,8 +21,10 @@ unit inversion is the only operation that turns exact input into truncated
 output (except for monomials, which invert exactly).
 
 :func:`muladd` forms ``x ± Σ a·b`` as one series, with one reduction of
-the field's vector; sums, differences, the Smith and Gauss-Jordan updates
-and every entry of a matrix product go through it.
+the field's vector.  It is the only way arithmetic reaches the field: the
+operators ``+``, ``-``, ``*``, unary ``-`` and :meth:`LaurentSeries.scale`
+are one call each, and the Smith and Gauss-Jordan updates and every entry
+of a matrix product call it directly.
 """
 
 from __future__ import annotations
@@ -71,21 +73,6 @@ def _series(field, val, nums, den, trunc) -> "LaurentSeries":
     return s
 
 
-def _product_trunc(a, b) -> Optional[int]:
-    """The truncation order of ``a · b`` for factors that are not exactly zero.
-
-    Each factor's order is shifted by the other factor's certified valuation
-    bound; ``None`` when both factors are exact.
-    """
-    trunc = None
-    if a.trunc is not None:
-        trunc = a.trunc + (b.val if b.nums else b.trunc)
-    if b.trunc is not None:
-        bound = b.trunc + (a.val if a.nums else a.trunc)
-        trunc = bound if trunc is None else min(trunc, bound)
-    return trunc
-
-
 def muladd(x: "LaurentSeries", terms, subtract: bool = False) -> "LaurentSeries":
     """``x + Σ a·b`` over the pairs ``(a, b)`` of ``terms``, or ``x - Σ a·b``
     with ``subtract``; a pair ``(a, None)`` stands for ``a`` alone.
@@ -122,7 +109,12 @@ def muladd(x: "LaurentSeries", terms, subtract: bool = False) -> "LaurentSeries"
                 field.ensure_same(b.field)
             if (a.trunc is None and not a.nums) or (b.trunc is None and not b.nums):
                 continue  # an exactly zero product
-            t = _product_trunc(a, b)
+            # each factor's order shifted by the other's certified valuation bound
+            t = None if a.trunc is None else a.trunc + (b.val if b.nums else b.trunc)
+            if b.trunc is not None:
+                bound = b.trunc + (a.val if a.nums else a.trunc)
+                if t is None or bound < t:
+                    t = bound
             v = a.val + b.val if a.nums and b.nums else None
             if v is not None:
                 end = v + len(a.nums) + len(b.nums) - 1
@@ -265,45 +257,25 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def _common_field(self, other: "LaurentSeries") -> FieldContext:
-        if not isinstance(other, LaurentSeries):
-            raise TypeError(f"expected LaurentSeries, got {type(other).__name__}")
-        if other.field is not self.field:
-            self.field.ensure_same(other.field)
-        return self.field
-
     def __add__(self, other: "LaurentSeries", subtract: bool = False) -> "LaurentSeries":
-        """``self + other``, or ``self - other`` with ``subtract`` (one :func:`muladd`)."""
-        self._common_field(other)
+        """``self + other``, or ``self - other`` with ``subtract`` (one :func:`muladd`,
+        which checks the fields)."""
         return muladd(self, ((other, None),), subtract)
 
     def __neg__(self) -> "LaurentSeries":
-        return _series(self.field, self.val, *self.field.vec_neg(self.nums, self.den), self.trunc)
+        """``0 - self`` (one :func:`muladd`)."""
+        return muladd(LaurentSeries.zero(self.field), ((self, None),), True)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
         return self.__add__(other, True)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
-        field = self._common_field(other)
-        xs, ys = self.nums, other.nums
-        if not xs and self.trunc is None:
-            return self
-        if not ys and other.trunc is None:
-            return other
-        trunc = _product_trunc(self, other)
-        if not xs or not ys:
-            return _series(field, 0, (), 1, trunc)
-        lo = self.val + other.val
-        hi = lo + len(xs) + len(ys) - 1
-        if trunc is not None:
-            hi = min(hi, trunc)
-        nums, den = field.vec_mul(xs, self.den, ys, other.den, hi - lo)
-        return _series(field, lo, nums, den, trunc)
+        """``0 + self · other`` (one :func:`muladd`)."""
+        return muladd(LaurentSeries.zero(self.field), ((self, other),))
 
     def scale(self, c) -> "LaurentSeries":
-        if self.field.is_zero(c):
-            return LaurentSeries.zero(self.field)
-        return _series(self.field, self.val, *self.field.vec_scale(self.nums, self.den, c), self.trunc)
+        """``0 + c · self`` (one :func:`muladd`); exactly zero for ``c = 0``."""
+        return muladd(LaurentSeries.zero(self.field), ((self, LaurentSeries.constant(self.field, c)),))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by ``t^k``."""
@@ -393,22 +365,21 @@ class LaurentPolynomials:
     unknown tail has no place in one and :meth:`is_zero` rejects it.
     """
 
-    __slots__ = ("field",)
+    __slots__ = ("field", "_zero")
 
     def __init__(self, field: FieldContext):
         self.field = field
+        # series are immutable, so one zero serves as every product's ``0 +``
+        self._zero = LaurentSeries.zero(field)
 
     def zero(self) -> LaurentSeries:
-        return LaurentSeries.zero(self.field)
+        return self._zero
 
     def add(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-        return a + b
-
-    def sub(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-        return a - b
+        return muladd(a, ((b, None),))
 
     def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-        return a * b
+        return muladd(self._zero, ((a, b),))
 
     def is_zero(self, a: LaurentSeries) -> bool:
         if not a.is_exact:

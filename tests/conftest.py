@@ -35,6 +35,32 @@ def tpow(field, k):
     return LaurentSeries.t_power(field, k)
 
 
+def schoolbook_mul(a, b):
+    """``a * b`` by the double loop over coefficient pairs (test oracle)."""
+    field = a.field
+    if a.is_exactly_zero() or b.is_exactly_zero():
+        return LaurentSeries.zero(field)
+    bounds = []
+    if a.trunc is not None:
+        bounds.append(a.trunc + b.valuation_lower_bound())
+    if b.trunc is not None:
+        bounds.append(b.trunc + a.valuation_lower_bound())
+    trunc = min(bounds) if bounds else None
+    terms = {}
+    for i, x in a.support():
+        for j, y in b.support():
+            if trunc is None or i + j < trunc:
+                terms[i + j] = field.add(terms.get(i + j, field.zero()), field.mul(x, y))
+    return with_terms(field, terms, trunc)
+
+
+def with_terms(field, terms, trunc):
+    """The series of an ``{exponent: scalar}`` mapping, cut at ``trunc``."""
+    lo = min(terms, default=0)
+    hi = max(terms, default=-1) + 1
+    return LaurentSeries(field, lo, [terms.get(k, field.zero()) for k in range(lo, hi)], trunc)
+
+
 def reference_smith_form(m, n, events=None):
     """Smith reduction that keeps ``u`` in step with the working matrix: every
     row operation is applied to ``u``'s columns and every update touches the

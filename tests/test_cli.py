@@ -468,6 +468,21 @@ def test_certify_infeasible_exits_3(tmp_path, capsys):
     assert "(r+3)^2/4" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv", [["--n", "0"], ["--n", "1"], ["--n", "2"], ["--n", "3"], ["--n", "1", "--r", "1"]],
+    ids=["n0", "n1", "n2", "n3", "n1-r1"],
+)
+def test_certify_below_the_fit_bound_of_r1_names_it(argv, tmp_path, capsys):
+    # no rank fits below n = 4: one message, naming that bound, whether r is given or not
+    out = tmp_path / "cert.json"
+    assert run(["certify", *argv, "--out", str(out)]) == 3
+    n = argv[1]
+    assert capsys.readouterr().err == (
+        f"error: fit condition violated: n >= (r+3)^2/4 requires n >= 4 for r=1, got n={n}\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("r", [[], ["--r", "1"]], ids=["default-r", "given-r"])
 def test_certify_names_a_negative_n(r, capsys):
     assert run(["certify", "--n", "-3", *r]) == 3

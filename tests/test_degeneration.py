@@ -634,8 +634,10 @@ def test_certify_over_rationals():
 
 
 def test_certify_rejects_tiny_n_without_r():
-    with pytest.raises(ValueError):
-        certify_lower_bound(3)
+    # below n = 4 no rank fits: the default r = 1 fails the fit check, which names n >= 4
+    for n in range(4):
+        with pytest.raises(PlacementError, match=rf"requires n >= 4 for r=1, got n={n}$"):
+            certify_lower_bound(n)
 
 
 def test_recheck_round_trip_and_tamper():

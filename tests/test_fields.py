@@ -39,7 +39,6 @@ def test_prime_field_arithmetic():
     assert f.add(7, 9) == 3
     assert f.mul(7, 2) == 1
     assert f.inv(7) == 2
-    assert f.neg(5) == 8
     assert f.parse("27") == 1
     with pytest.raises(SchemaError):
         f.parse("1/2")

@@ -25,7 +25,7 @@ from borderlab.instances import (
     random_series_unit_matrix,
 )
 
-from conftest import inverse_residual_check, leibniz_determinant, reference_smith_form, series, tpow
+from conftest import inverse_residual_check, leibniz_determinant, reference_smith_form, schoolbook_mul, series, tpow
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -160,6 +160,29 @@ def test_smith_form_multiplies_three_times_per_eliminated_entry(size, monkeypatc
     monkeypatch.setattr(LaurentSeries, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
     got = smith_form(m, 16)
     assert len(calls) == 3 * size * (size - 1) // 2
+    assert got == expected
+
+
+@pytest.mark.parametrize("size", [1, 2, 6, 8])
+def test_smith_form_updates_only_entries_it_reads(size, monkeypatch):
+    # step k, with s = n-k-1 rows and columns left, makes s² row updates
+    # right of the pivot column and n·s column operations on h2 alone, and
+    # its 3s products reach muladd through the operator: no call on column
+    # k below the pivot, and no column operation on the working matrix
+    from borderlab import series as series_module
+
+    rng = random.Random(size)
+    m = SeriesMatrix(QQ, [[series(QQ, {k: rng.randint(1, 9) for k in range(3)}) for _ in range(size)]
+                          for _ in range(size)])
+    expected = reference_smith_form(m, 16)
+    kernel = series_module.muladd
+    calls = Counter()
+    for module in (series_module, loopgroup):
+        monkeypatch.setattr(module, "muladd", lambda *args, name=module.__name__: calls.update([name]) or kernel(*args))
+    got = smith_form(m, 16)
+    steps = range(size)
+    assert calls["borderlab.loopgroup"] == sum(s * s + size * s for s in steps)
+    assert calls["borderlab.series"] == sum(3 * s for s in steps)
     assert got == expected
 
 
@@ -686,17 +709,17 @@ def test_working_precision_doublings_end_as_the_claimed_precision_doublings_did(
 # ---------------------------------------------------------------------------
 
 def reference_muladd(x, terms, subtract=False):
-    """``x ± Σ a·b`` from the product operator and a sum taken exponent by
+    """``x ± Σ a·b`` from the schoolbook product and a sum taken exponent by
     exponent (test reference for ``series.muladd``)."""
     field = x.field
-    parts = [a if b is None else a * b for a, b in terms]
+    parts = [a if b is None else schoolbook_mul(a, b) for a, b in terms]
     truncs = [s.trunc for s in (x, *parts) if s.trunc is not None]
     trunc = min(truncs, default=None)
     coeffs = {}
     for i, s in enumerate((x, *parts)):
         for k, c in s.support():
             if trunc is None or k < trunc:
-                coeffs[k] = field.add(coeffs.get(k, field.zero()), field.neg(c) if subtract and i else c)
+                coeffs[k] = field.add(coeffs.get(k, field.zero()), field.sub(field.zero(), c) if subtract and i else c)
     lo = min(coeffs, default=0)
     hi = max(coeffs, default=-1) + 1
     return LaurentSeries(field, lo, [coeffs.get(k, field.zero()) for k in range(lo, hi)], trunc)

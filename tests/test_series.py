@@ -16,7 +16,7 @@ from borderlab.fields import is_prime
 from borderlab.series import muladd
 from borderlab.instances import random_laurent_polynomial, random_series_unit_matrix
 
-from conftest import leibniz_determinant, series, tpow
+from conftest import leibniz_determinant, schoolbook_mul, series, tpow, with_terms
 
 
 # ---------------------------------------------------------------------------
@@ -82,25 +82,6 @@ def test_zero_to_precision_is_distinct_from_exact_zero():
 # the product and sum kernels against a schoolbook oracle
 # ---------------------------------------------------------------------------
 
-def schoolbook_mul(a, b):
-    """``a * b`` by the double loop over coefficient pairs (test oracle)."""
-    field = a.field
-    if a.is_exactly_zero() or b.is_exactly_zero():
-        return LaurentSeries.zero(field)
-    bounds = []
-    if a.trunc is not None:
-        bounds.append(a.trunc + b.valuation_lower_bound())
-    if b.trunc is not None:
-        bounds.append(b.trunc + a.valuation_lower_bound())
-    trunc = min(bounds) if bounds else None
-    terms = {}
-    for i, x in a.support():
-        for j, y in b.support():
-            if trunc is None or i + j < trunc:
-                terms[i + j] = field.add(terms.get(i + j, field.zero()), field.mul(x, y))
-    return with_terms(field, terms, trunc)
-
-
 def schoolbook_add(a, b):
     """``a + b`` exponent by exponent (test oracle)."""
     field = a.field
@@ -112,12 +93,6 @@ def schoolbook_add(a, b):
             if trunc is None or k < trunc:
                 terms[k] = field.add(terms.get(k, field.zero()), c)
     return with_terms(field, terms, trunc)
-
-
-def with_terms(field, terms, trunc):
-    lo = min(terms, default=0)
-    hi = max(terms, default=-1) + 1
-    return LaurentSeries(field, lo, [terms.get(k, field.zero()) for k in range(lo, hi)], trunc)
 
 
 def canonical(field, c):
@@ -151,7 +126,7 @@ def kernel_operand(field, rng):
     val = rng.randint(-6, 6)
     coeffs = [kernel_scalar(field, rng, style) for _ in range(length)]
     if style == "extreme" and rng.random() < 0.5:
-        coeffs = [field.neg(c) for c in coeffs]
+        coeffs = [field.sub(field.zero(), c) for c in coeffs]
     elif length > 2 and rng.random() < 0.3:
         coeffs[rng.randrange(1, length - 1)] = field.zero()
     trunc = None
@@ -186,7 +161,8 @@ def cut_operand(field, rng):
 
 
 def negated(a):
-    return LaurentSeries(a.field, a.val, [a.field.neg(c) for c in a.coeffs], a.trunc)
+    field = a.field
+    return LaurentSeries(field, a.val, [field.sub(field.zero(), c) for c in a.coeffs], a.trunc)
 
 
 def scaled(a, c):
@@ -240,6 +216,11 @@ def test_mul_and_add_match_the_schoolbook_oracle(field):
         nothing = LaurentSeries(field, 0, (), cut)
         cases += [(s.truncate(cut), truncated(s, cut)), (s * known, schoolbook_mul(s, known)),
                   (known * s, schoolbook_mul(known, s)), (s + nothing, schoolbook_add(s, nothing))]
+        # the exact zeros: a zero scale even of a truncated series, and a
+        # product with an exactly zero factor; and the negated unknown tail
+        zero = LaurentSeries.zero(field)
+        cases += [(a.scale(field.zero()), zero), (a * zero, schoolbook_mul(a, zero)),
+                  (zero * a, schoolbook_mul(zero, a)), (-nothing, negated(nothing))]
         for got, want in cases:
             assert got == want
             assert hash(got) == hash(want)
@@ -261,12 +242,10 @@ def test_sums_that_cancel(field):
 
 
 def convolve(field, xs, ys, length):
-    """The first ``length`` scalars of the product of two scalar lists, by :meth:`vec_mul`, zero-padded."""
-    xs, ys = xs[:length], ys[:length]
-    if not xs or not ys:
-        return [field.zero()] * max(length, 0)
-    out = field.scalars(*field.vec_mul(*field.vector(xs), *field.vector(ys), length))
-    return [*out, *[field.zero()] * (length - len(out))]
+    """The first ``length`` scalars of the product of two scalar lists, by a
+    series product with the first factor known to ``t^length``, zero-padded."""
+    product = LaurentSeries(field, 0, xs, length) * LaurentSeries(field, 0, ys)
+    return [product.coefficient(k) for k in range(length)]
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
