@@ -3,8 +3,9 @@
 Scalars are kept in canonical primitive form -- :class:`fractions.Fraction`
 for the rationals (always lowest terms, positive denominator) and ``int``
 residues in ``[0, p)`` for a prime field -- and all arithmetic goes through
-a :class:`FieldContext`.  One context is shared by every scalar of a
-computation; combining values from different contexts raises
+a :class:`FieldContext`, whose ``muladd`` (``x ± Σ a·b``, over F_p reduced
+once) is the only way scalars are summed.  One context is shared by every
+scalar of a computation; combining values from different contexts raises
 :class:`~borderlab.errors.FieldMismatchError`.
 
 A context also owns the coefficient vectors that Laurent series store: a
@@ -140,11 +141,12 @@ class FieldContext:
     kind = "?"
 
     # -- arithmetic -------------------------------------------------------
-    def add(self, a, b):
-        raise NotImplementedError
-
-    def sub(self, a, b):
-        raise NotImplementedError
+    def muladd(self, x, terms, subtract: bool = False):
+        """``x + Σ a·b`` over the pairs ``(a, b)`` of ``terms``, or ``x - Σ a·b``
+        with ``subtract``: the one kernel that sums scalars."""
+        for a, b in terms:
+            x = x - a * b if subtract else x + a * b
+        return x
 
     def mul(self, a, b):
         raise NotImplementedError
@@ -288,12 +290,6 @@ class Rationals(FieldContext):
 
     kind = "Q"
 
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
     def mul(self, a, b):
         return a * b
 
@@ -425,11 +421,9 @@ class PrimeField(FieldContext):
             raise ValueError(f"{p} is not prime")
         self.p = p
 
-    def add(self, a, b):
-        return (a + b) % self.p
-
-    def sub(self, a, b):
-        return (a - b) % self.p
+    def muladd(self, x, terms, subtract=False):
+        # the products are summed unreduced and the sum reduced once
+        return super().muladd(x, terms, subtract) % self.p
 
     def mul(self, a, b):
         return a * b % self.p

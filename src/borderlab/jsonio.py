@@ -228,7 +228,11 @@ def cartan_from_obj(obj: dict, field: Optional[FieldContext] = None) -> CartanDe
     h1 = matrix_from_obj(obj["h1"], field)
     h2 = matrix_from_obj(obj["h2"], field)
     weights = tuple(_int(w, "Cartan weight") for w in _list(obj["weights"], "Cartan weights"))
-    return CartanDecomposition(h1=h1, weights=weights, h2=h2, precision=_int(obj["precision"], "precision"))
+    precision = _int(obj["precision"], "precision")
+    if precision < 1:
+        # the residual mod t^N holds vacuously for N <= 0, whatever the weights
+        raise SchemaError(f"decomposition precision must be at least 1, got {precision}")
+    return CartanDecomposition(h1=h1, weights=weights, h2=h2, precision=precision)
 
 
 # -- witnesses -----------------------------------------------------------------

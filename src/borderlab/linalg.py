@@ -24,18 +24,10 @@ def mat_mul(field: FieldContext, a: Sequence[Sequence], b: Sequence[Sequence]) -
         return []
     if len(a[0]) != len(b):
         raise ShapeError(f"cannot multiply {len(a)}x{len(a[0])} by {len(b)}x{len(b[0])}")
-    cols = len(b[0])
-    out = []
-    for row in a:
-        new = []
-        for j in range(cols):
-            acc = field.zero()
-            for k, x in enumerate(row):
-                if not field.is_zero(x):
-                    acc = field.add(acc, field.mul(x, b[k][j]))
-            new.append(acc)
-        out.append(new)
-    return out
+    zero, cols = field.zero(), range(len(b[0]))
+    # each row of ``a`` as its nonzero (column, value) pairs; one muladd per entry
+    rows = [[(k, x) for k, x in enumerate(row) if not field.is_zero(x)] for row in a]
+    return [[field.muladd(zero, [(x, b[k][j]) for k, x in row]) for j in cols] for row in rows]
 
 
 def _gauss_jordan(field: FieldContext, a: Sequence[Sequence], out: list) -> bool:
@@ -46,6 +38,7 @@ def _gauss_jordan(field: FieldContext, a: Sequence[Sequence], out: list) -> bool
     if any(len(row) != n for row in a):
         raise ShapeError("inverse of a non-square matrix")
     work = [list(row) for row in a]
+    muladd = field.muladd
     for k in range(n):
         piv = None
         for i in range(k, n):
@@ -67,8 +60,8 @@ def _gauss_jordan(field: FieldContext, a: Sequence[Sequence], out: list) -> bool
             f = work[i][k]
             if field.is_zero(f):
                 continue
-            work[i][k:] = [field.sub(x, field.mul(f, y)) for x, y in zip(work[i][k:], work[k][k:])]
-            out[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(out[i], out[k])]
+            work[i][k:] = [muladd(x, ((f, y),), True) for x, y in zip(work[i][k:], work[k][k:])]
+            out[i] = [muladd(x, ((f, y),), True) for x, y in zip(out[i], out[k])]
     return True
 
 
@@ -101,6 +94,7 @@ def sparse_rank(
     """
     pivots: dict = {}
     rank = 0
+    zero = field.zero()
     for col in columns:
         col = {r: v for r, v in col.items() if not field.is_zero(v)}
         while col:
@@ -115,7 +109,7 @@ def sparse_rank(
             for rr, vv in piv.items():
                 if rr == r:
                     continue
-                new = field.sub(col.get(rr, field.zero()), field.mul(f, vv))
+                new = field.muladd(col.get(rr, zero), ((f, vv),), True)
                 if field.is_zero(new):
                     col.pop(rr, None)
                 else:

@@ -16,15 +16,17 @@ coefficient work; this module keeps only the exponents and truncation
 orders.  ``coeffs`` reads the vector back as scalars.
 
 Truncation orders propagate through arithmetic automatically:
-``add`` takes the minimum, ``mul`` uses ``min(Na + v(b), Nb + v(a))``, and
+a sum takes the minimum, a product ``min(Na + v(b), Nb + v(a))``, and
 unit inversion is the only operation that turns exact input into truncated
 output (except for monomials, which invert exactly).
 
 :func:`muladd` forms ``x ± Σ a·b`` as one series, with one reduction of
 the field's vector.  It is the only way arithmetic reaches the field: the
 operators ``+``, ``-``, ``*``, unary ``-`` and :meth:`LaurentSeries.scale`
-are one call each, and the Smith and Gauss-Jordan updates and every entry
-of a matrix product call it directly.
+are one call each (a product starts from the field's one shared exact
+zero), the Smith and Gauss-Jordan updates and every entry of a matrix
+product call it directly, and it is the arithmetic of the tensor ring
+:class:`LaurentPolynomials`.
 """
 
 from __future__ import annotations
@@ -174,7 +176,11 @@ class LaurentSeries:
 
     @classmethod
     def zero(cls, field: FieldContext) -> "LaurentSeries":
-        return _series(field, 0, (), 1, None)
+        """The exact zero; series are immutable, so equal fields share one."""
+        z = _ZEROS.get(field)
+        if z is None:
+            z = _ZEROS[field] = _series(field, 0, (), 1, None)
+        return z
 
     @classmethod
     def constant(cls, field: FieldContext, c) -> "LaurentSeries":
@@ -351,6 +357,9 @@ class LaurentSeries:
         return f"<{body}{tail}>"
 
 
+#: the exact zero of each field, handed out by :meth:`LaurentSeries.zero`
+_ZEROS: dict = {}
+
 # the slots' own setters, which the immutability guard does not intercept
 _set_field, _set_val, _set_nums, _set_den, _set_trunc = (
     getattr(LaurentSeries, name).__set__ for name in LaurentSeries.__slots__
@@ -362,24 +371,19 @@ class LaurentPolynomials:
 
     It gives a :class:`~borderlab.tensors.Tensor` series entries: an
     unstored position of such a tensor is exactly zero, so a series with an
-    unknown tail has no place in one and :meth:`is_zero` rejects it.
+    unknown tail has no place in one and :meth:`is_zero` rejects it.  Its
+    one arithmetic kernel, ``muladd``, is :func:`muladd` itself.
     """
 
-    __slots__ = ("field", "_zero")
+    __slots__ = ("field",)
+
+    muladd = staticmethod(muladd)
 
     def __init__(self, field: FieldContext):
         self.field = field
-        # series are immutable, so one zero serves as every product's ``0 +``
-        self._zero = LaurentSeries.zero(field)
 
     def zero(self) -> LaurentSeries:
-        return self._zero
-
-    def add(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-        return muladd(a, ((b, None),))
-
-    def mul(self, a: LaurentSeries, b: LaurentSeries) -> LaurentSeries:
-        return muladd(self._zero, ((a, b),))
+        return LaurentSeries.zero(self.field)
 
     def is_zero(self, a: LaurentSeries) -> bool:
         if not a.is_exact:

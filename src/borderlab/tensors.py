@@ -119,13 +119,14 @@ class Tensor:
 def _mode_product(dims: tuple, entries: Mapping, axis: int, mat, field):
     """Apply ``mat`` (m x dims[axis]) along ``axis`` (0-based) of a position map.
 
-    Zero inputs and zero matrix entries are skipped.  Sums that cancel stay
-    in the returned map; the tensor constructor drops them.
+    Each product of a nonzero input and a nonzero entry of ``mat`` goes to
+    its output position by one call of the context's ``muladd``.  Sums that
+    cancel stay in the returned map; the tensor constructor drops them.
     """
     n = dims[axis]
     if any(len(row) != n for row in mat):
         raise ShapeError(f"matrix for axis {axis} must have {n} columns")
-    add, mul, is_zero = field.add, field.mul, field.is_zero
+    muladd, is_zero, zero = field.muladd, field.is_zero, field.zero()
     # column b of ``mat`` as its nonzero (1-based row, value) pairs
     columns = [[(a, row[b]) for a, row in enumerate(mat, start=1) if not is_zero(row[b])] for b in range(n)]
     out: dict = {}
@@ -135,9 +136,7 @@ def _mode_product(dims: tuple, entries: Mapping, axis: int, mat, field):
         head, tail = pos[:axis], pos[axis + 1 :]
         for a, c in columns[pos[axis] - 1]:
             key = head + (a,) + tail
-            prod = mul(c, v)
-            prev = out.get(key)
-            out[key] = prod if prev is None else add(prev, prod)
+            out[key] = muladd(out.get(key, zero), ((c, v),))
     return dims[:axis] + (len(mat),) + dims[axis + 1 :], out
 
 

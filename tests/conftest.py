@@ -2,6 +2,7 @@ import itertools
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
+from fractions import Fraction
 from typing import NamedTuple, Optional
 
 import pytest
@@ -35,6 +36,12 @@ def tpow(field, k):
     return LaurentSeries.t_power(field, k)
 
 
+def reduced(field, v):
+    """The canonical scalar of ``v``, an int or Fraction formed by plain
+    ``+``, ``-`` and ``*`` (test oracle: no field kernel is used)."""
+    return Fraction(v) if field == QQ else v % field.p
+
+
 def schoolbook_mul(a, b):
     """``a * b`` by the double loop over coefficient pairs (test oracle)."""
     field = a.field
@@ -50,15 +57,16 @@ def schoolbook_mul(a, b):
     for i, x in a.support():
         for j, y in b.support():
             if trunc is None or i + j < trunc:
-                terms[i + j] = field.add(terms.get(i + j, field.zero()), field.mul(x, y))
+                terms[i + j] = terms.get(i + j, 0) + x * y
     return with_terms(field, terms, trunc)
 
 
 def with_terms(field, terms, trunc):
-    """The series of an ``{exponent: scalar}`` mapping, cut at ``trunc``."""
+    """The series of an ``{exponent: value}`` mapping, cut at ``trunc``; each
+    value is an int or Fraction, reduced by :func:`reduced`."""
     lo = min(terms, default=0)
     hi = max(terms, default=-1) + 1
-    return LaurentSeries(field, lo, [terms.get(k, field.zero()) for k in range(lo, hi)], trunc)
+    return LaurentSeries(field, lo, [reduced(field, terms.get(k, 0)) for k in range(lo, hi)], trunc)
 
 
 def reference_smith_form(m, n, events=None):
@@ -215,7 +223,8 @@ def reconstruct(dec):
     total: dict = {}
     for comp in dec.components.values():
         for pos, v in comp.support():
-            total[pos] = field.add(total.get(pos, field.zero()), v)
+            total[pos] = total.get(pos, 0) + v
+    total = {pos: reduced(field, v) for pos, v in total.items()}
     return dec.base.from_eigen(Tensor.from_entries(field, dec.dims, total))
 
 

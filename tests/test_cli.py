@@ -1012,6 +1012,39 @@ def test_verify_refuses_a_cartan_copy_that_differs(curve_file, tmp_path, capsys,
     assert "differs from factors[0]" in captured.err
 
 
+@pytest.mark.parametrize(
+    "document, precision, shift",
+    [("cim", 0, 0), ("cim", -40, 7), ("witness", 0, 0), ("witness", -40, 0)],
+    ids=["cim-0", "cim-minus40-wrong-weights", "witness-0", "witness-minus40"],
+)
+def test_verify_refuses_a_decomposition_stored_below_precision_one(
+    document, precision, shift, witness_file, tmp_path, capsys
+):
+    # mod t^N with N <= 0 the residual check holds vacuously: each document
+    # here verified, the one with weights moved by 7 (summing to 16 where
+    # v(det g) = -5) included, so the decoder refuses a precision below 1
+    out = tmp_path / "doc.json"
+    if document == "cim":
+        matrix = tmp_path / "g.json"
+        assert run(["gen", "--kind", "cim", "--field", "q", "--size", "3", "--seed", "1", "--out", str(matrix)]) == 0
+        assert run(["cim", str(matrix), "--out", str(out)]) == 0
+        doc = read_json(out)
+        decs = [doc["decomposition"], doc["factors"][0]["decomposition"]]
+    else:
+        assert run(["witness", witness_file, "--out", str(out)]) == 0
+        doc = read_json(out)
+        decs = [doc["cim"][0]]
+    for dec in decs:
+        dec["precision"] = precision
+        dec["weights"] = [w + shift for w in dec["weights"]]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"precision must be at least 1, got {precision}" in captured.err
+
+
 def test_verify_refuses_a_top_level_copy_beside_several_factors(curve_file, tmp_path, capsys):
     out = tmp_path / "dec.json"
     assert run(["cim", curve_file, "--out", str(out)]) == 0
@@ -1307,7 +1340,9 @@ def test_every_output_is_canonical_json(tmp_path, curve_file, witness_file, caps
 
 # SHA-256 of outputs as the dense tensor storage and the schoolbook series
 # product wrote them (the certificate as format v2 first wrote it); the
-# sparse storage and the Kronecker product must write the same bytes
+# sparse storage and the Kronecker product must write the same bytes.  The
+# ℚ gen witness and its witness were recorded from the tensor action that
+# formed each term as a product and a sum, before it became one muladd.
 PINNED_DIGESTS = {
     "certify": "c3316584080fd8cbc533be000884ff23f51689e03a5c8e50e76fc91d618d4142",
     "witness-data": "5abe9e5d7c37e600b58773c1d18c4b1ccb3ccb79bf6f2a5f6516d9089277d549",
@@ -1315,6 +1350,8 @@ PINNED_DIGESTS = {
     "witness-gen": "774ed96f9773badec4ef756b6565fc403173756e5571adff367e4129d598ecb2",
     "cim-q": "0ff38255bdbd751ff264ea6328e01c77602097d4832167e66d52dcb1bc100f06",
     "cim-fp": "09536de2e7ecf560426c4ff70e8338f9807262af73ae590c21ee19fa640b55ef",
+    "gen-q": "3a4868025df386056f530ca32aa45dc1b3aa11ceca9c7260585655746802a969",
+    "witness-gen-q": "ef8d761bbb85cb427779bc4adb9f3068e4bf38838a7fa821d71e601df34ec41f",
 }
 
 
@@ -1322,9 +1359,10 @@ def test_outputs_match_pinned_digests(tmp_path, witness_file):
     paths = {name: tmp_path / f"{name}.json" for name in PINNED_DIGESTS}
     assert run(["certify", "--n", "64", "--seed", "7", "--out", str(paths["certify"])]) == 0
     assert run(["witness", witness_file, "--out", str(paths["witness-data"])]) == 0
-    gen = ["gen", "--kind", "witness", "--field", "fp", "--dims", "3,3,3", "--seed", "1"]
-    assert run(gen + ["--out", str(paths["gen"])]) == 0
-    assert run(["witness", str(paths["gen"]), "--out", str(paths["witness-gen"])]) == 0
+    for field, suffix in (("fp", ""), ("q", "-q")):
+        gen = ["gen", "--kind", "witness", "--field", field, "--dims", "3,3,3", "--seed", "1"]
+        assert run(gen + ["--out", str(paths[f"gen{suffix}"])]) == 0
+        assert run(["witness", str(paths[f"gen{suffix}"]), "--out", str(paths[f"witness-gen{suffix}"])]) == 0
     for field in ("q", "fp"):
         matrix = tmp_path / f"gen-cim-{field}.json"
         assert run(["gen", "--kind", "cim", "--field", field, "--size", "6", "--seed", "1", "--out", str(matrix)]) == 0

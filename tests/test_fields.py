@@ -5,6 +5,8 @@ import pytest
 
 from borderlab import FieldMismatchError, PrimeField, QQ, SchemaError, is_prime, random_prime
 
+P62 = next(p for p in range(2**62 - 57, 2**62) if is_prime(p))
+
 
 def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 97, 1000003}
@@ -27,6 +29,31 @@ def test_prime_field_rejects_composites():
         PrimeField(91)
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(P62), PrimeField(2)], ids=repr)
+def test_muladd_matches_plain_arithmetic(field):
+    # x ± Σ a·b by Fraction + and -, or on residues with one % p at the end
+    rng = random.Random(f"scalar-muladd:{field!r}")
+
+    def scalar():
+        if field == QQ:
+            num = rng.choice((-1, 1)) * rng.getrandbits(rng.randint(1, 90))
+            return Fraction(num, rng.getrandbits(rng.randint(1, 60)) | 1)
+        return rng.randrange(field.p)
+
+    for trial in range(400):
+        x = scalar()
+        terms = [(scalar(), scalar()) for _ in range((0, 1, 2, rng.randint(3, 24))[trial % 4])]
+        subtract = trial % 8 >= 4  # every term count both ways
+        want = x
+        for a, b in terms:
+            want = want - a * b if subtract else want + a * b
+        if field != QQ:
+            want %= field.p
+        got = field.muladd(x, terms, subtract)
+        assert got == want and type(got) is type(want)
+        assert field == QQ or 0 <= got < field.p
+
+
 def test_rational_canonical_format():
     assert QQ.format(Fraction(4, 8)) == "1/2"
     assert QQ.format(Fraction(-3, 1)) == "-3"
@@ -36,7 +63,8 @@ def test_rational_canonical_format():
 
 def test_prime_field_arithmetic():
     f = PrimeField(13)
-    assert f.add(7, 9) == 3
+    assert f.muladd(7, ((9, 1),)) == 3
+    assert f.muladd(7, ((3, 3),), True) == 11
     assert f.mul(7, 2) == 1
     assert f.inv(7) == 2
     assert f.parse("27") == 1

@@ -4,6 +4,7 @@ import pytest
 
 from borderlab import PrimeField, QQ, SingularError, linalg
 from borderlab.fields import is_prime
+from conftest import reduced
 
 P62 = next(p for p in range(2**62 - 57, 2**62) if is_prime(p))
 
@@ -22,7 +23,7 @@ def random_square(field, rng, n):
             for r in range(n):
                 if r != i:
                     c = field.random_scalar(rng)
-                    m[i] = [field.add(x, field.mul(c, y)) for x, y in zip(m[i], m[r])]
+                    m[i] = [reduced(field, x + c * y) for x, y in zip(m[i], m[r])]
     return m
 
 

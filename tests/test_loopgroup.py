@@ -25,7 +25,15 @@ from borderlab.instances import (
     random_series_unit_matrix,
 )
 
-from conftest import inverse_residual_check, leibniz_determinant, reference_smith_form, schoolbook_mul, series, tpow
+from conftest import (
+    inverse_residual_check,
+    leibniz_determinant,
+    reference_smith_form,
+    schoolbook_mul,
+    series,
+    tpow,
+    with_terms,
+)
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -719,10 +727,8 @@ def reference_muladd(x, terms, subtract=False):
     for i, s in enumerate((x, *parts)):
         for k, c in s.support():
             if trunc is None or k < trunc:
-                coeffs[k] = field.add(coeffs.get(k, field.zero()), field.sub(field.zero(), c) if subtract and i else c)
-    lo = min(coeffs, default=0)
-    hi = max(coeffs, default=-1) + 1
-    return LaurentSeries(field, lo, [coeffs.get(k, field.zero()) for k in range(lo, hi)], trunc)
+                coeffs[k] = coeffs.get(k, 0) + (-c if subtract and i else c)
+    return with_terms(field, coeffs, trunc)
 
 
 def test_decompositions_match_the_operator_reference(monkeypatch, tmp_path):

@@ -8,15 +8,16 @@ from borderlab import (
     PrecisionError,
     PrimeField,
     QQ,
+    LaurentPolynomials,
     LaurentSeries,
     SeriesMatrix,
     SingularError,
 )
-from borderlab.fields import is_prime
+from borderlab.fields import Rationals, is_prime
 from borderlab.series import muladd
 from borderlab.instances import random_laurent_polynomial, random_series_unit_matrix
 
-from conftest import leibniz_determinant, schoolbook_mul, series, tpow, with_terms
+from conftest import leibniz_determinant, reduced, schoolbook_mul, series, tpow, with_terms
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +92,7 @@ def schoolbook_add(a, b):
     for s in (a, b):
         for k, c in s.support():
             if trunc is None or k < trunc:
-                terms[k] = field.add(terms.get(k, field.zero()), c)
+                terms[k] = terms.get(k, 0) + c
     return with_terms(field, terms, trunc)
 
 
@@ -126,7 +127,7 @@ def kernel_operand(field, rng):
     val = rng.randint(-6, 6)
     coeffs = [kernel_scalar(field, rng, style) for _ in range(length)]
     if style == "extreme" and rng.random() < 0.5:
-        coeffs = [field.sub(field.zero(), c) for c in coeffs]
+        coeffs = [reduced(field, -c) for c in coeffs]
     elif length > 2 and rng.random() < 0.3:
         coeffs[rng.randrange(1, length - 1)] = field.zero()
     trunc = None
@@ -162,7 +163,7 @@ def cut_operand(field, rng):
 
 def negated(a):
     field = a.field
-    return LaurentSeries(field, a.val, [field.sub(field.zero(), c) for c in a.coeffs], a.trunc)
+    return LaurentSeries(field, a.val, [reduced(field, -c) for c in a.coeffs], a.trunc)
 
 
 def scaled(a, c):
@@ -273,11 +274,11 @@ def test_convolve_pads_and_cuts(field):
         xs = [kernel_scalar(field, rng, "large") for _ in range(rng.randint(0, 6))]
         ys = [kernel_scalar(field, rng, "extreme") for _ in range(rng.randint(0, 6))]
         length = rng.randint(0, 13)
-        full = [field.zero()] * 13
+        full = [0] * 13
         for i, x in enumerate(xs):
             for j, y in enumerate(ys):
-                full[i + j] = field.add(full[i + j], field.mul(x, y))
-        assert convolve(field, xs, ys, length) == full[:length]
+                full[i + j] += x * y
+        assert convolve(field, xs, ys, length) == [reduced(field, v) for v in full[:length]]
 
 
 # ---------------------------------------------------------------------------
@@ -336,6 +337,39 @@ def test_muladd_matches_the_operators(field):
             a, b = terms[0]
             gone = muladd(a * b, [(a, b)], True)
             assert gone.has_no_known_terms() and gone == (a * b) - (a * b)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS[:3], ids=repr)
+def test_the_tensor_ring_kernel_is_the_series_kernel(field):
+    ring = LaurentPolynomials(field)
+    assert ring.muladd is muladd
+    rng = random.Random(f"ring-muladd:{field!r}")
+
+    def polynomial():  # an entry of a series tensor: exact, possibly zero
+        style = rng.choice(("small", "large", "extreme"))
+        coeffs = [kernel_scalar(field, rng, style) for _ in range(rng.randint(0, 6))]
+        return LaurentSeries(field, rng.randint(-4, 4), coeffs)
+
+    for trial in range(160):
+        x = polynomial()
+        terms = [(polynomial(), polynomial()) for _ in range((0, 1, 2, rng.randint(3, 12))[trial % 4])]
+        subtract = trial % 8 >= 4  # every term count both ways
+        got = ring.muladd(x, terms, subtract)
+        assert got == operator_muladd(x, terms, subtract) == schoolbook_muladd(x, terms, subtract)
+        assert ring.is_zero(got) == (not got.nums)
+
+
+def test_equal_fields_share_one_exact_zero():
+    for a, b in ((QQ, Rationals()), (PrimeField(7), PrimeField(7)), (PrimeField(P62), PrimeField(P62))):
+        zero = LaurentSeries.zero(a)
+        assert zero is LaurentSeries.zero(b) is LaurentPolynomials(b).zero()
+        assert zero.is_exactly_zero() and zero.field == b
+    assert LaurentSeries.zero(PrimeField(7)) is not LaurentSeries.zero(PrimeField(11))
+    # products, negations and scalings start from it and leave it the zero
+    fp = PrimeField(7)
+    a = LaurentSeries(fp, -1, [3, 0, 5])
+    assert a * a == schoolbook_mul(a, a) and -a == negated(a) and a.scale(4) == scaled(a, 4)
+    assert LaurentSeries.zero(fp) == LaurentSeries(fp, 0, [])
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)

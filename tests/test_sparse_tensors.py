@@ -33,8 +33,9 @@ from borderlab import (
     specialize,
 )
 from borderlab import linalg
+from borderlab.series import muladd
 
-from conftest import pyramid_weight_profile, reconstruct, weight_decompose
+from conftest import pyramid_weight_profile, reconstruct, reduced, weight_decompose
 
 FIELDS = [QQ, PrimeField(7), PrimeField(1000003)]
 SHAPES = [(1,), (4,), (2, 3), (4, 1), (3, 3, 3), (4, 4, 4), (2, 3, 4), (3, 3, 3, 3), (2, 1, 3, 2)]
@@ -88,7 +89,9 @@ def dense_mode_apply(dims, data, axis, mat, zero, add, mul, is_zero):
 
 def dense_act(field, mats, dims, data):
     for axis, mat in enumerate(mats):
-        dims, data = dense_mode_apply(dims, data, axis, mat, field.zero(), field.add, field.mul, field.is_zero)
+        dims, data = dense_mode_apply(
+            dims, data, axis, mat, field.zero(), lambda a, b: reduced(field, a + b), field.mul, field.is_zero
+        )
     return dims, data
 
 
@@ -215,6 +218,37 @@ def cases(seed, rounds):
 # ---------------------------------------------------------------------------
 # storage and arithmetic
 # ---------------------------------------------------------------------------
+
+def test_act_series_calls_the_ring_kernel_once_per_entry_and_matrix_entry(monkeypatch):
+    # a stored entry and a nonzero entry of its column of the axis matrix
+    # form and add their product in one muladd; zeros, cancelled sums
+    # included, cost nothing
+    calls = 0
+
+    def counted(x, terms, subtract=False):
+        nonlocal calls
+        calls += 1
+        return muladd(x, terms, subtract)
+
+    monkeypatch.setattr(LaurentPolynomials, "muladd", staticmethod(counted))
+    total = 0
+    for field, dims, rng in cases(11, 1):
+        t = Tensor.from_entries(field, dims, random_entries(field, dims, rng))
+        mats = [
+            SeriesMatrix(field, [[random_series(field, rng) for _ in range(n)] for _ in range(rng.randint(1, 3))])
+            for n in dims
+        ]
+        expected = 0
+        for axis, mat in enumerate(mats):
+            # the tensor this axis is applied to: the earlier axes done, the rest untouched
+            partial = act_series(mats[:axis] + [SeriesMatrix.identity(field, n) for n in dims[axis:]], t)
+            nonzero = [sum(not row[b].is_exactly_zero() for row in mat.entries) for b in range(dims[axis])]
+            expected += sum(nonzero[pos[axis] - 1] for pos, _ in partial.support())
+        calls = 0
+        act_series(mats, t)
+        assert calls == expected, (field, dims)
+        total += calls
+    assert total >= 400, total  # not vacuous
 
 def test_storage_matches_dense():
     for field, dims, rng in cases(1, 2):
