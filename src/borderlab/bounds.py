@@ -90,30 +90,18 @@ def scan_table(d: int, n_max: int):
         raise ValueError("need n_max >= 1 and d >= 2")
     rows = []
     for n in range(1, n_max + 1):
-        upper = generic_border_subrank_upper(d, n)
+        lower = gen = lo_int = excess = None
         if d == 3:
-            lower = border_subrank_lower_3d(n)
-            gen = generic_subrank(n)
-            lo_int, _ = generic_subrank_interval(n)
-            rows.append(
-                {
-                    "n": n,
-                    "d3_lower": lower,
-                    "generic_subrank": gen,
-                    "dmz_lo": lo_int,
-                    "border_upper": upper,
-                    "excess_flag": lower > gen,
-                }
-            )
-        else:
-            rows.append(
-                {
-                    "n": n,
-                    "d3_lower": None,
-                    "generic_subrank": None,
-                    "dmz_lo": None,
-                    "border_upper": upper,
-                    "excess_flag": None,
-                }
-            )
+            lower, gen = border_subrank_lower_3d(n), generic_subrank(n)
+            lo_int, excess = generic_subrank_interval(n)[0], lower > gen
+        rows.append(
+            {
+                "n": n,
+                "d3_lower": lower,
+                "generic_subrank": gen,
+                "dmz_lo": lo_int,
+                "border_upper": generic_border_subrank_upper(d, n),
+                "excess_flag": excess,
+            }
+        )
     return rows

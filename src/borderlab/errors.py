@@ -44,7 +44,8 @@ class NoLimitError(BorderlabError):
     position : tuple | None
         A tensor position witnessing the failure (1-based).
     weight : int | None
-        The offending weight (negative for a t->0 limit).
+        The offending weight (negative for a t->0 limit, positive for a
+        t->inf one).
     """
 
     def __init__(self, message: str, position=None, weight=None):

@@ -62,8 +62,8 @@ def random_series_unit_matrix(
     rng.shuffle(perm)
     rows = [rows[p] for p in perm]
     for i in range(n):
-        c = field.random_scalar(rng, nonzero=True)
-        rows[i] = [e.scale(c) for e in rows[i]]
+        c = LaurentSeries.constant(field, field.random_scalar(rng, nonzero=True))
+        rows[i] = [e * c for e in rows[i]]
     return SeriesMatrix(field, rows)
 
 

@@ -22,11 +22,10 @@ output (except for monomials, which invert exactly).
 
 :func:`muladd` forms ``x ± Σ a·b`` as one series, with one reduction of
 the field's vector.  It is the only way arithmetic reaches the field: the
-operators ``+``, ``-``, ``*``, unary ``-`` and :meth:`LaurentSeries.scale`
-are one call each (a product starts from the field's one shared exact
-zero), the Smith and Gauss-Jordan updates and every entry of a matrix
-product call it directly, and it is the arithmetic of the tensor ring
-:class:`LaurentPolynomials`.
+operators ``+``, ``-``, ``*`` and unary ``-`` are one call each (a product
+starts from the field's one shared exact zero), the Smith and Gauss-Jordan
+updates and every entry of a matrix product call it directly, and it is the
+arithmetic of the tensor ring :class:`LaurentPolynomials`.
 """
 
 from __future__ import annotations
@@ -278,10 +277,6 @@ class LaurentSeries:
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         """``0 + self · other`` (one :func:`muladd`)."""
         return muladd(LaurentSeries.zero(self.field), ((self, other),))
-
-    def scale(self, c) -> "LaurentSeries":
-        """``0 + c · self`` (one :func:`muladd`); exactly zero for ``c = 0``."""
-        return muladd(LaurentSeries.zero(self.field), ((self, LaurentSeries.constant(self.field, c)),))
 
     def shift(self, k: int) -> "LaurentSeries":
         """Multiply by ``t^k``."""

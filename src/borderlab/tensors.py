@@ -23,7 +23,7 @@ import operator
 from typing import TYPE_CHECKING, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from . import linalg
-from .errors import NoLimitError, ShapeError
+from .errors import NoLimitError, ShapeError, SingularError
 from .fields import FieldContext
 
 if TYPE_CHECKING:
@@ -140,19 +140,21 @@ def _mode_product(dims: tuple, entries: Mapping, axis: int, mat, field):
     return dims[:axis] + (len(mat),) + dims[axis + 1 :], out
 
 
-def act(mats: Sequence[Sequence[Sequence]], t: Tensor) -> Tensor:
+def act(mats: Sequence[Optional[Sequence[Sequence]]], t: Tensor) -> Tensor:
     """Apply constant matrices factor-by-factor: ``(M1 ⊗ ... ⊗ Md) · T``.
 
     Rectangular matrices are allowed, so this also expresses projections
-    onto smaller spaces.
+    onto smaller spaces.  A ``None`` factor leaves its axis unchanged, and
+    ``t`` itself is returned when every factor is ``None``.
     """
     if len(mats) != t.order:
         raise ShapeError(f"expected {t.order} matrices, got {len(mats)}")
     field = t.field
     dims, entries = t.dims, t._entries
     for axis, mat in enumerate(mats):
-        dims, entries = _mode_product(dims, entries, axis, mat, field)
-    return Tensor(field, dims, entries)
+        if mat is not None:
+            dims, entries = _mode_product(dims, entries, axis, mat, field)
+    return t if entries is t._entries else Tensor(field, dims, entries)
 
 
 def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> Tensor:
@@ -190,21 +192,35 @@ class SubgroupFactor(NamedTuple):
         return len(self.weights)
 
 
-class OneParamSubgroup:
-    """A conjugated-diagonal one-parameter subgroup per tensor factor."""
+class SingularBasisError(ShapeError):
+    """Raised when a subgroup basis matrix is not invertible."""
 
-    __slots__ = ("field", "factors")
+
+class OneParamSubgroup:
+    """A conjugated-diagonal one-parameter subgroup per tensor factor.
+
+    ``inverses`` holds each factor's ``h^{-1}``, inverted once here, or
+    ``None`` for a standard-basis factor.
+    """
+
+    __slots__ = ("field", "factors", "inverses")
 
     def __init__(self, field: FieldContext, factors: Sequence[SubgroupFactor]):
         factors = tuple(factors)
+        inverses = []
         for fac in factors:
-            if fac.basis is not None:
-                if len(fac.basis) != fac.dim or any(len(r) != fac.dim for r in fac.basis):
-                    raise ShapeError("basis matrix shape does not match the weight count")
-                if not linalg.is_invertible(field, [list(r) for r in fac.basis]):
-                    raise SingularBasisError("subgroup basis matrix is singular")
+            if fac.basis is None:
+                inverses.append(None)
+                continue
+            if len(fac.basis) != fac.dim or any(len(r) != fac.dim for r in fac.basis):
+                raise ShapeError("basis matrix shape does not match the weight count")
+            try:
+                inverses.append(linalg.mat_inv(field, fac.basis))
+            except SingularError:
+                raise SingularBasisError("subgroup basis matrix is singular") from None
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "factors", factors)
+        object.__setattr__(self, "inverses", tuple(inverses))
 
     def __setattr__(self, name, value):
         raise AttributeError("OneParamSubgroup is immutable")
@@ -217,38 +233,17 @@ class OneParamSubgroup:
     def order(self) -> int:
         return len(self.factors)
 
-    def inverted(self) -> "OneParamSubgroup":
-        """The subgroup ``t -> lambda(t^{-1})`` (all weights negated)."""
-        return OneParamSubgroup(
-            self.field,
-            [SubgroupFactor(weights=tuple(-w for w in f.weights), basis=f.basis) for f in self.factors],
-        )
-
     def weight_of(self, pos: Sequence[int]) -> int:
         """Total weight of an eigenbasis position (1-based)."""
         return sum(f.weights[p - 1] for f, p in zip(self.factors, pos))
 
-    def _basis_mats(self) -> list:
-        return [None if f.basis is None else [list(r) for r in f.basis] for f in self.factors]
-
     def to_eigen(self, t: Tensor) -> Tensor:
         """Coordinates of ``t`` in the subgroup's eigenbasis."""
-        mats = self._basis_mats()
-        if all(m is None for m in mats):
-            return t
-        full = [
-            linalg.identity(self.field, n) if m is None else linalg.mat_inv(self.field, m)
-            for m, n in zip(mats, self.dims)
-        ]
-        return act(full, t)
+        return act(self.inverses, t)
 
     def from_eigen(self, t: Tensor) -> Tensor:
         """Map eigenbasis coordinates back to the ambient coordinates."""
-        mats = self._basis_mats()
-        if all(m is None for m in mats):
-            return t
-        full = [linalg.identity(self.field, n) if m is None else m for m, n in zip(mats, self.dims)]
-        return act(full, t)
+        return act([f.basis for f in self.factors], t)
 
     def __eq__(self, other) -> bool:
         return (
@@ -261,37 +256,40 @@ class OneParamSubgroup:
         return f"OneParamSubgroup(dims={self.dims})"
 
 
-class SingularBasisError(ShapeError):
-    """Raised when a subgroup basis matrix is not invertible."""
+def _limit(subgroup: OneParamSubgroup, t: Tensor, sign: int) -> Tensor:
+    """``lim lambda(t) · T`` at ``t -> 0`` (``sign = 1``) or ``t -> inf`` (``sign = -1``).
 
-
-def limit_at_zero(subgroup: OneParamSubgroup, t: Tensor) -> Tensor:
-    """``lim_{t->0} lambda(t) · T``: exists iff no negative-weight component.
-
-    Computed by weight-sign analysis over the eigen-support; the value is
-    the weight-zero component mapped back through the bases.  Raises
-    :class:`NoLimitError` with a witnessing position and weight otherwise.
+    Computed by weight-sign analysis over the eigen-support: the limit
+    exists iff no component has a weight of sign ``-sign``, and its value
+    is the weight-zero component mapped back through the bases.
     """
     if t.dims != subgroup.dims:
         raise ShapeError(f"tensor dims {t.dims} do not match subgroup dims {subgroup.dims}")
-    eigen = subgroup.to_eigen(t)
     kept: dict = {}
-    for pos, v in eigen.support():
+    for pos, v in subgroup.to_eigen(t).support():
         w = subgroup.weight_of(pos)
-        if w < 0:
+        if sign * w < 0:
+            where, kind = ("0", "negative") if sign > 0 else ("inf", "positive")
             raise NoLimitError(
-                f"no limit at t->0: eigen-position {pos} has negative weight {w}",
-                position=pos,
-                weight=w,
+                f"no limit at t->{where}: eigen-position {pos} has {kind} weight {w}", position=pos, weight=w
             )
         if w == 0:
             kept[pos] = v
     return subgroup.from_eigen(Tensor.from_entries(t.field, t.dims, kept))
 
 
+def limit_at_zero(subgroup: OneParamSubgroup, t: Tensor) -> Tensor:
+    """``lim_{t->0} lambda(t) · T``: exists iff no negative-weight component.
+
+    Raises :class:`NoLimitError` with a witnessing position and its weight
+    otherwise.
+    """
+    return _limit(subgroup, t, 1)
+
+
 def limit_at_infinity(subgroup: OneParamSubgroup, t: Tensor) -> Tensor:
-    """``lim_{t->inf} lambda(t) · T`` as the ``t->0`` limit of the inverse."""
-    return limit_at_zero(subgroup.inverted(), t)
+    """``lim_{t->inf} lambda(t) · T``: exists iff no positive-weight component."""
+    return _limit(subgroup, t, -1)
 
 
 # ---------------------------------------------------------------------------

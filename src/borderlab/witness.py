@@ -65,7 +65,7 @@ def sym3_lift(m: SeriesMatrix) -> SeriesMatrix:
             for q in range(i + 1):
                 coef = _BINOM[3 - i][p] * _BINOM[i][q]
                 term = pw["d"][p] * pw["nb"][3 - i - p] * pw["nc"][q] * pw["a"][i - q]
-                term = term.scale(fld.from_int(coef))
+                term = term * LaurentSeries.constant(fld, fld.from_int(coef))
                 row = 3 - p - q  # x-power p+q lands on basis index 3-(p+q)
                 out[row][i] = out[row][i] + term
     return SeriesMatrix(fld, out)
@@ -120,7 +120,7 @@ class LimitWitness(NamedTuple):
 
 
 def subgroup_and_translations(fld, decs: Sequence, lift: Optional[str] = None) -> tuple:
-    """``(lambda, translations)`` as a witness derives them from its Cartan decompositions.
+    """``(factors, translations)`` of λ as a witness derives them from its Cartan decompositions.
 
     ``lambda_i`` has the weights of ``decs[i]`` on the basis ``h2_i(0)``,
     and translation ``i`` is ``h2_i(0) · h1_i(0)^{-1}``.  With
@@ -138,7 +138,7 @@ def subgroup_and_translations(fld, decs: Sequence, lift: Optional[str] = None) -
         basis = sym3_lift_constant(fld, factors[0].basis)
         factors = [SubgroupFactor(weights=_sym3_weights(*factors[0].weights), basis=_freeze(basis))]
         translations = [sym3_lift_constant(fld, translations[0])]
-    return OneParamSubgroup(fld, factors), tuple(_freeze(m) for m in translations)
+    return tuple(factors), tuple(_freeze(m) for m in translations)
 
 
 def _action(gs: Sequence[SeriesMatrix], p: Tensor, lift: Optional[str]) -> list:
@@ -170,8 +170,8 @@ def witness_clauses(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor
         held = held and verdict.passed
         yield f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"
     if held:
-        subgroup, translations = subgroup_and_translations(fld, witness.decompositions, witness.lift)
-        yield "lambda", subgroup == witness.subgroup, "lambda_i = weights of cim[i] on the basis h2_i(0)"
+        factors, translations = subgroup_and_translations(fld, witness.decompositions, witness.lift)
+        yield "lambda", factors == witness.subgroup.factors, "lambda_i = weights of cim[i] on the basis h2_i(0)"
         yield "translations", translations == witness.translations, "translation i = h2_i(0) h1_i(0)^-1"
     else:
         for clause in ("lambda", "translations"):
@@ -180,7 +180,7 @@ def witness_clauses(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor
         yield "specialization", False, str(q)
     else:
         yield "specialization", q == witness.q, "lim g(t)p recomputed"
-        mats = [[list(r) for r in m] for m in witness.translations]
+        mats = witness.translations
         yield "translation-invertible", all(linalg.is_invertible(fld, m) for m in mats), "h2(0) h1(0)^-1 per factor"
         yield "translation", act(mats, q) == witness.q_tilde, "qTilde = translations . q"
     for clause, limit, t, detail in (
@@ -227,7 +227,8 @@ def build_witness(
     """
     q = specialize(_action(gs, p, lift), p)
     decs = tuple(cartan_decompose(g, n) for g in gs)
-    subgroup, translations = subgroup_and_translations(p.field, decs, lift)
+    factors, translations = subgroup_and_translations(p.field, decs, lift)
+    subgroup = OneParamSubgroup(p.field, factors)
     witness = LimitWitness(subgroup, q, act(translations, q), limit_at_zero(subgroup, p), translations, decs, lift)
     for clause, ok, detail in witness_clauses(witness, gs, p, q):
         if not ok:

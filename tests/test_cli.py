@@ -21,6 +21,7 @@ from borderlab import (
     jsonio,
 )
 from borderlab.cli import main
+from borderlab.tensors import SingularBasisError
 
 from conftest import inverse_residual_check, series, unit_tensor
 
@@ -412,6 +413,68 @@ def test_witness_and_verify_each_specialize_once(witness_file, tmp_path, monkeyp
         assert len(calls) == 1
         assert run(["verify", str(out)]) == 0
         assert len(calls) == 2
+
+
+@pytest.mark.parametrize("field", ["q", "fp"])
+def test_witness_and_verify_invert_each_lambda_basis_once(field, tmp_path, monkeypatch):
+    # the clauses eliminate four times per factor: h1(0) and h2(0) in the
+    # Cartan check, h1(0) re-deriving the translation, and the translation;
+    # witness also inverts h1(0) and h2(0) building it, and verify inverts
+    # the stored basis h2(0) once, when it reads lambda
+    from borderlab import linalg
+
+    calls = []
+    gauss_jordan = linalg._gauss_jordan
+    monkeypatch.setattr(linalg, "_gauss_jordan", lambda *args: calls.append(1) or gauss_jordan(*args))
+    source, out = tmp_path / "input.json", tmp_path / "w.json"
+    gen = ["gen", "--kind", "witness", "--field", field, "--dims", "3,3,3", "--seed", "1"]
+    assert run([*gen, "--out", str(source)]) == 0
+    calls.clear()
+    assert run(["witness", str(source), "--out", str(out)]) == 0
+    assert len(calls) == 18
+    calls.clear()
+    assert run(["verify", str(out)]) == 0
+    assert len(calls) == 15
+
+
+@pytest.mark.parametrize(
+    "edit, error, message",
+    [
+        (lambda basis: [basis[0]] * len(basis), SingularBasisError, "subgroup basis matrix is singular"),
+        (lambda basis: basis[:-1], ShapeError, "basis matrix shape does not match the weight count"),
+    ],
+    ids=["singular", "wrong-shape"],
+)
+def test_verify_refuses_a_lambda_basis_with_no_inverse(edit, error, message, tmp_path, capsys):
+    # reading lambda inverts each basis: one with no inverse is bad input
+    source, out = tmp_path / "input.json", tmp_path / "w.json"
+    assert run(["gen", "--kind", "witness", "--dims", "3,3,3", "--seed", "1", "--out", str(source)]) == 0
+    assert run(["witness", str(source), "--out", str(out)]) == 0
+    doc = read_json(out)
+    factor = doc["lambda"]["factors"][1]
+    factor["basis"] = edit(factor["basis"])
+    with pytest.raises(error):
+        jsonio.witness_from_obj(doc)
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_verify_names_the_positive_weight_that_has_no_limit_at_infinity(witness_file, tmp_path, capsys):
+    # moving the binary cubics' qTilde = y^3 (weight -6) to x^3 (weight 6):
+    # lambda(t) qTilde has no limit at t -> inf, and the detail gives
+    # lambda's own weight
+    out = tmp_path / "w.json"
+    assert run(["witness", witness_file, "--out", str(out)]) == 0
+    doc = read_json(out)
+    assert doc["qTilde"]["entries"][0]["idx"] == [4]
+    doc["qTilde"]["entries"][0]["idx"] = [1]
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "limit-infinity: FAILED (no limit at t->inf: eigen-position (1,) has positive weight 6)" in lines
 
 
 def test_gen_witness_round_trip(tmp_path):

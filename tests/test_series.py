@@ -207,7 +207,8 @@ def test_mul_and_add_match_the_schoolbook_oracle(field):
                  (one * a, schoolbook_mul(one, a)), (a * one, schoolbook_mul(a, one))]
         c = kernel_scalar(field, more, more.choice(("small", "large"))) or field.one()
         k, n = more.randint(-4, 4), more.randint(-8, 12)
-        cases += [(-a, negated(a)), (a - b, schoolbook_add(a, negated(b))), (a.scale(c), scaled(a, c)),
+        cases += [(-a, negated(a)), (a - b, schoolbook_add(a, negated(b))),
+                  (a * LaurentSeries.constant(field, c), scaled(a, c)),
                   (a.shift(k), shifted(a, k)), (a.truncate(n), truncated(a, n))]
         # cuts that drop a tail: by truncate, by a product known to fewer
         # terms, and by a sum with a series known to no term
@@ -217,10 +218,10 @@ def test_mul_and_add_match_the_schoolbook_oracle(field):
         nothing = LaurentSeries(field, 0, (), cut)
         cases += [(s.truncate(cut), truncated(s, cut)), (s * known, schoolbook_mul(s, known)),
                   (known * s, schoolbook_mul(known, s)), (s + nothing, schoolbook_add(s, nothing))]
-        # the exact zeros: a zero scale even of a truncated series, and a
-        # product with an exactly zero factor; and the negated unknown tail
+        # the exact zeros: a product with the constant 0 even of a truncated
+        # series, and with an exactly zero factor; and the negated unknown tail
         zero = LaurentSeries.zero(field)
-        cases += [(a.scale(field.zero()), zero), (a * zero, schoolbook_mul(a, zero)),
+        cases += [(a * LaurentSeries.constant(field, field.zero()), zero), (a * zero, schoolbook_mul(a, zero)),
                   (zero * a, schoolbook_mul(zero, a)), (-nothing, negated(nothing))]
         for got, want in cases:
             assert got == want
@@ -365,10 +366,10 @@ def test_equal_fields_share_one_exact_zero():
         assert zero is LaurentSeries.zero(b) is LaurentPolynomials(b).zero()
         assert zero.is_exactly_zero() and zero.field == b
     assert LaurentSeries.zero(PrimeField(7)) is not LaurentSeries.zero(PrimeField(11))
-    # products, negations and scalings start from it and leave it the zero
+    # products, negations and products by a constant start from it and leave it the zero
     fp = PrimeField(7)
     a = LaurentSeries(fp, -1, [3, 0, 5])
-    assert a * a == schoolbook_mul(a, a) and -a == negated(a) and a.scale(4) == scaled(a, 4)
+    assert a * a == schoolbook_mul(a, a) and -a == negated(a) and a * LaurentSeries.constant(fp, 4) == scaled(a, 4)
     assert LaurentSeries.zero(fp) == LaurentSeries(fp, 0, [])
 
 

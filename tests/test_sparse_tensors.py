@@ -339,11 +339,16 @@ def test_limits_match_dense():
         t = Tensor.from_entries(field, dims, entries)
         lam = random_subgroup(field, dims, rng, with_bases)
         data = dense(dims, entries, field.zero())
-        for sub, limit in ((lam, limit_at_zero), (lam.inverted(), limit_at_infinity)):
+        # lim_{t->inf} lambda(t) is lim_{t->0} of the negated subgroup, whose
+        # offending weight is the negative of lambda's own
+        negated = OneParamSubgroup(
+            field, [SubgroupFactor(weights=tuple(-w for w in f.weights), basis=f.basis) for f in lam.factors]
+        )
+        for sub, sign, limit in ((lam, 1, limit_at_zero), (negated, -1, limit_at_infinity)):
             expected = _limit_or_error(lambda: dense_limit_at_zero(field, sub, dims, data))
             got = _limit_or_error(lambda: limit(lam, t))
             if isinstance(expected, tuple):
-                assert got == expected
+                assert got == expected[:2] + (sign * expected[2],)
             else:
                 assert_matches(field, got, dims, expected)
 

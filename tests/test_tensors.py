@@ -187,6 +187,16 @@ def test_limit_failure_reports_witness():
     assert err.value.weight == -5
 
 
+def test_limit_at_infinity_failure_reports_the_positive_weight():
+    # the weight is lambda's own, not that of t -> lambda(1/t)
+    lam = subgroup_from_weights(QQ, [[-5, 1]])
+    t = Tensor.from_entries(QQ, (2,), {(1,): QQ.one(), (2,): QQ.one()})
+    with pytest.raises(NoLimitError) as err:
+        limit_at_infinity(lam, t)
+    assert (err.value.position, err.value.weight) == ((2,), 1)
+    assert str(err.value) == "no limit at t->inf: eigen-position (2,) has positive weight 1"
+
+
 def test_limit_consistency_with_decomposition():
     rng = random.Random(13)
     for _ in range(20):
