@@ -55,10 +55,7 @@ class NoLimitError(BorderlabError):
 
 
 class WitnessVerificationFailure(BorderlabError):
-    """The two limits of a constructed witness disagree.
-
-    This is never swallowed: it indicates a precision failure or a bug.
-    """
+    """A clause of a witness that ``build_witness`` constructed fails; the CLI exits 1 (refuted)."""
 
 
 class PlacementError(BorderlabError):

@@ -119,26 +119,19 @@ class LimitWitness(NamedTuple):
     lift: Optional[str] = None
 
 
-def subgroup_and_translations(fld, decs: Sequence, lift: Optional[str] = None) -> tuple:
-    """``(factors, translations)`` of λ as a witness derives them from its Cartan decompositions.
+def lambda_and_constants(fld, decs: Sequence, lift: Optional[str] = None) -> tuple:
+    """``(factors, pairs)``: λ's factors and each factor's ``(h1_i(0), h2_i(0))``, from its Cartan decompositions.
 
-    ``lambda_i`` has the weights of ``decs[i]`` on the basis ``h2_i(0)``,
-    and translation ``i`` is ``h2_i(0) · h1_i(0)^{-1}``.  With
-    ``lift="sym3"`` the one 2x2 decomposition gives both, lifted to binary
-    cubics.  Each ``h1_i(0)`` must be invertible, as a verified
-    decomposition's is.
+    ``lambda_i`` has the weights of ``decs[i]`` on the basis ``h2_i(0)``;
+    nothing is inverted.  With ``lift="sym3"`` the one 2x2 decomposition
+    gives both, lifted to binary cubics (the lift is multiplicative).
     """
-    factors = []
-    translations = []
-    for dec in decs:
-        h2_0 = dec.h2.constant_matrix()
-        translations.append(linalg.mat_mul(fld, h2_0, linalg.mat_inv(fld, dec.h1.constant_matrix())))
-        factors.append(SubgroupFactor(weights=tuple(dec.weights), basis=_freeze(h2_0)))
+    pairs = [(dec.h1.constant_matrix(), dec.h2.constant_matrix()) for dec in decs]
+    weights = [tuple(dec.weights) for dec in decs]
     if lift == "sym3":
-        basis = sym3_lift_constant(fld, factors[0].basis)
-        factors = [SubgroupFactor(weights=_sym3_weights(*factors[0].weights), basis=_freeze(basis))]
-        translations = [sym3_lift_constant(fld, translations[0])]
-    return tuple(factors), tuple(_freeze(m) for m in translations)
+        pairs = [tuple(sym3_lift_constant(fld, m) for m in pairs[0])]
+        weights = [_sym3_weights(*weights[0])]
+    return tuple(SubgroupFactor(weights=w, basis=_freeze(h2_0)) for w, (_, h2_0) in zip(weights, pairs)), pairs
 
 
 def _action(gs: Sequence[SeriesMatrix], p: Tensor, lift: Optional[str]) -> list:
@@ -159,20 +152,28 @@ def witness_clauses(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor
 
     ``q`` is :func:`specialize` of the curve at ``p``, or the NoLimitError
     it raised; the caller computes it once.  The ``cim-residual[i]``
-    clauses come first, and λ and the translations are re-derived from the
-    decompositions only when every one holds: a decomposition that fails
-    its residual check derives nothing, and its ``h1(0)`` may be singular.
+    clauses come first, and λ and the translations are checked only when
+    every one holds, as then each ``h1_i(0)`` is invertible: a stored ``T``
+    is ``h2_i(0) · h1_i(0)^{-1}`` exactly when ``T · h1_i(0) = h2_i(0)``,
+    and is then invertible too.
     """
     fld = witness.subgroup.field
+    mats = witness.translations
     held = True
     for i, (g, dec) in enumerate(zip(gs, witness.decompositions)):
         verdict = verify_cartan(g, dec)
         held = held and verdict.passed
         yield f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"
+    translations_hold = False
     if held:
-        factors, translations = subgroup_and_translations(fld, witness.decompositions, witness.lift)
+        factors, pairs = lambda_and_constants(fld, witness.decompositions, witness.lift)
+        # the shape check comes first: mat_mul reads only the first row's length
+        translations_hold = len(mats) == len(pairs) and all(
+            [len(row) for row in m] == [len(h1_0)] * len(h1_0) and linalg.mat_mul(fld, m, h1_0) == h2_0
+            for m, (h1_0, h2_0) in zip(mats, pairs)
+        )
         yield "lambda", factors == witness.subgroup.factors, "lambda_i = weights of cim[i] on the basis h2_i(0)"
-        yield "translations", translations == witness.translations, "translation i = h2_i(0) h1_i(0)^-1"
+        yield "translations", translations_hold, "translation i = h2_i(0) h1_i(0)^-1"
     else:
         for clause in ("lambda", "translations"):
             yield clause, False, "needs every cim-residual to hold"
@@ -180,8 +181,8 @@ def witness_clauses(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor
         yield "specialization", False, str(q)
     else:
         yield "specialization", q == witness.q, "lim g(t)p recomputed"
-        mats = witness.translations
-        yield "translation-invertible", all(linalg.is_invertible(fld, m) for m in mats), "h2(0) h1(0)^-1 per factor"
+        invertible = translations_hold or all(linalg.is_invertible(fld, m) for m in mats)
+        yield "translation-invertible", invertible, "h2(0) h1(0)^-1 per factor"
         yield "translation", act(mats, q) == witness.q_tilde, "qTilde = translations . q"
     for clause, limit, t, detail in (
         ("limit-zero", limit_at_zero, p, "lim_{t->0} lambda(t) p"),
@@ -227,7 +228,8 @@ def build_witness(
     """
     q = specialize(_action(gs, p, lift), p)
     decs = tuple(cartan_decompose(g, n) for g in gs)
-    factors, translations = subgroup_and_translations(p.field, decs, lift)
+    factors, pairs = lambda_and_constants(p.field, decs, lift)
+    translations = tuple(_freeze(linalg.mat_mul(p.field, h2_0, linalg.mat_inv(p.field, h1_0))) for h1_0, h2_0 in pairs)
     subgroup = OneParamSubgroup(p.field, factors)
     witness = LimitWitness(subgroup, q, act(translations, q), limit_at_zero(subgroup, p), translations, decs, lift)
     for clause, ok, detail in witness_clauses(witness, gs, p, q):

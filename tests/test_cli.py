@@ -415,26 +415,36 @@ def test_witness_and_verify_each_specialize_once(witness_file, tmp_path, monkeyp
         assert len(calls) == 2
 
 
-@pytest.mark.parametrize("field", ["q", "fp"])
-def test_witness_and_verify_invert_each_lambda_basis_once(field, tmp_path, monkeypatch):
-    # the clauses eliminate four times per factor: h1(0) and h2(0) in the
-    # Cartan check, h1(0) re-deriving the translation, and the translation;
-    # witness also inverts h1(0) and h2(0) building it, and verify inverts
-    # the stored basis h2(0) once, when it reads lambda
+@pytest.mark.parametrize(
+    "source, witness_calls, verify_calls",
+    [("q", 12, 9), ("fp", 12, 9), ("binary-cubics", 4, 3)],
+    ids=["q", "fp", "binary-cubics"],
+)
+def test_witness_and_verify_invert_each_lambda_basis_once(
+    source, witness_calls, verify_calls, witness_file, tmp_path, monkeypatch
+):
+    # per factor, witness eliminates four times: h1(0) for the translation
+    # and h2(0) for lambda's basis, and both again in the Cartan check;
+    # verify three times: the stored basis h2(0) when it reads lambda, and
+    # h1(0) and h2(0) in the Cartan check.  The translations clause
+    # multiplies, so translation-invertible eliminates only when it fails.
+    # The binary cubics have one factor, whose lifted h1(0) witness inverts.
     from borderlab import linalg
 
     calls = []
     gauss_jordan = linalg._gauss_jordan
     monkeypatch.setattr(linalg, "_gauss_jordan", lambda *args: calls.append(1) or gauss_jordan(*args))
-    source, out = tmp_path / "input.json", tmp_path / "w.json"
-    gen = ["gen", "--kind", "witness", "--field", field, "--dims", "3,3,3", "--seed", "1"]
-    assert run([*gen, "--out", str(source)]) == 0
+    out = tmp_path / "w.json"
+    if source != "binary-cubics":
+        witness_file = str(tmp_path / "input.json")
+        gen = ["gen", "--kind", "witness", "--field", source, "--dims", "3,3,3", "--seed", "1"]
+        assert run([*gen, "--out", witness_file]) == 0
     calls.clear()
-    assert run(["witness", str(source), "--out", str(out)]) == 0
-    assert len(calls) == 18
+    assert run(["witness", witness_file, "--out", str(out)]) == 0
+    assert len(calls) == witness_calls
     calls.clear()
     assert run(["verify", str(out)]) == 0
-    assert len(calls) == 15
+    assert len(calls) == verify_calls
 
 
 @pytest.mark.parametrize(
@@ -843,6 +853,11 @@ def double_q_tilde(doc):
         entry["value"] = doubled(entry["value"])
 
 
+def zero_translation(doc):
+    # qTilde no longer equals translations . q, and a zero T has no inverse
+    doc["translations"][0] = [["0"] * len(row) for row in doc["translations"][0]]
+
+
 def double_translation(doc):
     # qTilde doubles with it, so qTilde = translations . q still holds
     doc["translations"] = [[[doubled(x) for x in row] for row in m] for m in doc["translations"]]
@@ -850,16 +865,17 @@ def double_translation(doc):
 
 
 @pytest.mark.parametrize(
-    "source, edit, clause",
+    "source, edit, clauses",
     [
-        ("gen-333", double_lambda, "lambda"),
-        ("binary-cubics", double_translation, "translations"),
-        ("gen-333", double_q, "specialization"),
-        ("binary-cubics", double_q_tilde, "translation"),
+        ("gen-333", double_lambda, ["lambda"]),
+        ("binary-cubics", double_translation, ["translations"]),
+        ("gen-333", zero_translation, ["translations", "translation-invertible", "translation"]),
+        ("gen-333", double_q, ["specialization"]),
+        ("binary-cubics", double_q_tilde, ["translation"]),
     ],
-    ids=["lambda-doubled", "translation-doubled", "q-doubled", "qTilde-doubled"],
+    ids=["lambda-doubled", "translation-doubled", "translation-zero", "q-doubled", "qTilde-doubled"],
 )
-def test_verify_rederives_lambda_and_the_translations(source, edit, clause, witness_file, tmp_path, capsys):
+def test_verify_rederives_lambda_and_the_translations(source, edit, clauses, witness_file, tmp_path, capsys):
     if source == "gen-333":
         witness_file = str(tmp_path / "input.json")
         assert run(["gen", "--kind", "witness", "--dims", "3,3,3", "--seed", "1", "--out", witness_file]) == 0
@@ -873,7 +889,23 @@ def test_verify_rederives_lambda_and_the_translations(source, edit, clause, witn
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     failed = re.findall(r"^(\S+): FAILED", capsys.readouterr().out, re.M)
-    assert failed == [clause]
+    assert failed == clauses
+
+
+def test_verify_refuses_a_ragged_translation(tmp_path, capsys):
+    # the translations clause checks T's shape before multiplying, so a row
+    # with an extra nonzero entry fails it, and the elimination that
+    # translation-invertible falls back to refuses T as bad input
+    source, out = tmp_path / "input.json", tmp_path / "w.json"
+    assert run(["gen", "--kind", "witness", "--dims", "3,3,3", "--seed", "1", "--out", str(source)]) == 0
+    assert run(["witness", str(source), "--out", str(out)]) == 0
+    doc = read_json(out)
+    zero_translation(doc)
+    doc["translations"][0][1].append("1")
+    out.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    assert capsys.readouterr().err == "error: inverse of a non-square matrix\n"
 
 
 # -- seeded semantic mutations of cim and witness outputs ----------------------
@@ -997,8 +1029,9 @@ def witness_oracle_valid(doc):
     [
         ("cim", ["--kind", "cim", "--field", "q", "--size", "3"], cim_mutants, cim_oracle_valid),
         ("witness", ["--kind", "witness", "--field", "fp", "--dims", "2,2"], one_change_mutants, witness_oracle_valid),
+        ("witness", ["--kind", "witness", "--field", "q", "--dims", "2,2"], one_change_mutants, witness_oracle_valid),
     ],
-    ids=["cim", "witness"],
+    ids=["cim", "witness", "witness-q"],
 )
 def test_output_mutants_fail_verify_unless_the_oracle_accepts_them(command, gen, mutate, oracle, tmp_path, capsys):
     # every mutant changes one field; verify must exit nonzero on it, or
