@@ -8,6 +8,10 @@ Exit codes are a stable contract:
      or a certificate whose checks do not all hold)
   3  malformed input, bad parameters or a usage error
 
+A run that runs out of memory or stack (``MemoryError``, ``RecursionError``)
+reached no verdict, so it exits 2 and its ``inconclusive:`` line names the
+exception; an input file nested too deeply for the JSON reader exits 3.
+
 ``cim`` and ``witness`` decompose at exactly ``--precision``; the working
 precision, and its doublings when a pivot cannot be certified, are
 :func:`borderlab.loopgroup.cartan_decompose`'s own.
@@ -35,7 +39,7 @@ from typing import Optional
 # that reads Laurent series imports ``series`` before anything else: it is
 # the largest module, and where no bytecode is cached, compiling it while
 # the heap is still small lowers the job's peak RSS by 0.1-0.3 MB.
-from .errors import BorderlabError, NoLimitError, PrecisionError, WitnessVerificationFailure
+from .errors import BorderlabError, NoLimitError, PrecisionError, SchemaError, WitnessVerificationFailure
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -122,7 +126,10 @@ def _dump_json(obj, write) -> None:
 
 def _load_json(path: str):
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise SchemaError(f"{path}: JSON nested too deeply to read") from None
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +266,6 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_INPUT, f"{self.prog}: error: {message}\n")
 
 
-#: the flags more than one subcommand takes
-_FLAGS = {
-    "--precision": dict(type=int, default=32, help="truncation order of the decompositions (default 32)"),
-    "--out": dict(default=None, help="output path (default: stdout)"),
-}
-
-
 def _int_at_least(low: int):
     """The argparse type of an integer flag that is at least ``low``."""
 
@@ -284,6 +284,13 @@ def _int_at_least(low: int):
 def _dims(text: str) -> tuple:
     """The argparse type of ``--dims``: comma-separated integers, each at least 1."""
     return tuple(_int_at_least(1)(x) for x in text.split(","))
+
+
+#: the flags more than one subcommand takes
+_FLAGS = {
+    "--precision": dict(type=_int_at_least(1), default=32, help="truncation order of the decompositions (default 32)"),
+    "--out": dict(default=None, help="output path (default: stdout)"),
+}
 
 
 #: ``--seed`` of certify and verify, which draw nothing at random; it stays
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cert = command("certify", cmd_certify, "produce a degeneration certificate over Q", "--out")
     p_cert.add_argument("--seed", **_IGNORED_SEED)
     p_cert.add_argument("--n", type=_int_at_least(0), required=True)
-    p_cert.add_argument("--r", type=int, default=None)
+    p_cert.add_argument("--r", type=_int_at_least(1), default=None)
 
     p_bounds = command("bounds", cmd_bounds, "emit the bound table", "--out")
     p_bounds.add_argument("--d", type=_int_at_least(2), default=3)
@@ -349,6 +356,9 @@ def main(argv=None) -> int:
         return EXIT_FAIL
     except PrecisionError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
+        return EXIT_INCONCLUSIVE
+    except (MemoryError, RecursionError) as exc:  # out of memory or stack: no verdict was reached
+        print(f"inconclusive: {exc!r}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (BorderlabError, ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

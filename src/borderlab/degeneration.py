@@ -71,11 +71,6 @@ class PyramidPattern(NamedTuple):
         return pyramid_size(self.r)
 
     @property
-    def corners(self) -> frozenset:
-        """The zero-weight positions, built afresh on each read."""
-        return frozenset((self.extent(l), self.extent(l), l) for l in range(1, self.r + 1))
-
-    @property
     def positions(self) -> frozenset:
         """Every position as a tuple, built afresh on each read."""
         return frozenset(
@@ -167,8 +162,8 @@ def build_planted_tensor(field: FieldContext, n: int, r: int):
             else:
                 entries[(1 + i, start + i, r - s)] = one
 
-    t_tilde = Tensor.from_entries(field, (n, n, n), entries)
-    s_tensor = Tensor.from_entries(field, (n, n, n), corners)
+    t_tilde = Tensor(field, (n, n, n), entries)
+    s_tensor = Tensor(field, (n, n, n), corners)
     return t_tilde, s_tensor
 
 
@@ -291,7 +286,7 @@ def limit_agrees(t_tilde: Tensor, s_tensor: Tensor, pattern: PyramidPattern) -> 
             if not j == k == pattern.extent(l):
                 return False
             kept[pos] = v
-    return Tensor.from_entries(t_tilde.field, t_tilde.dims, kept) == s_tensor
+    return Tensor(t_tilde.field, t_tilde.dims, kept) == s_tensor
 
 
 def _claim_clauses(cert: DegenerationCertificate, pattern: PyramidPattern, rank: int):

@@ -251,7 +251,7 @@ class FieldContext:
         raise NotImplementedError
 
     def is_zero(self, a) -> bool:
-        return a == self.zero()
+        return a == 0
 
     # -- string codec (JSON scalar encoding) ------------------------------
     def parse(self, s: str):
@@ -370,9 +370,6 @@ class Rationals(FieldContext):
     def from_int(self, k):
         return Fraction(k)
 
-    def is_zero(self, a):
-        return a == 0
-
     def parse(self, s):
         num, den = _rational_parts(s)
         return Fraction(num, den)
@@ -472,9 +469,6 @@ class PrimeField(FieldContext):
 
     def from_int(self, k):
         return k % self.p
-
-    def is_zero(self, a):
-        return a == 0
 
     def parse(self, s):
         if _INTEGER.fullmatch(s) is None:

@@ -49,7 +49,7 @@ def random_series_unit_matrix(
     term is invertible by construction.
     """
     rows = [
-        [LaurentSeries.one(field) if i == j else LaurentSeries.zero(field) for j in range(n)]
+        [LaurentSeries(field, 0, (field.one(),)) if i == j else LaurentSeries.zero(field) for j in range(n)]
         for i in range(n)
     ]
     for _ in range(ops):
@@ -62,7 +62,7 @@ def random_series_unit_matrix(
     rng.shuffle(perm)
     rows = [rows[p] for p in perm]
     for i in range(n):
-        c = LaurentSeries.constant(field, field.random_scalar(rng, nonzero=True))
+        c = LaurentSeries(field, 0, (field.random_scalar(rng, nonzero=True),))
         rows[i] = [e * c for e in rows[i]]
     return SeriesMatrix(field, rows)
 
@@ -82,9 +82,7 @@ def random_invertible_laurent_matrix(
         row = []
         for j in range(n):
             if i == j:
-                row.append(
-                    LaurentSeries.monomial(field, field.random_scalar(rng, nonzero=True), m)
-                )
+                row.append(LaurentSeries(field, m, (field.random_scalar(rng, nonzero=True),)))
             else:
                 row.append(random_laurent_polynomial(field, rng, m + 1, m + 3, max_terms=2))
         entries.append(row)
@@ -103,7 +101,7 @@ def random_tensor(field: FieldContext, dims: Sequence[int], rng: random.Random, 
         for v in range(1, dims[len(prefix)] + 1):
             fill(prefix + [v])
     fill([])
-    return Tensor.from_entries(field, tuple(dims), entries)
+    return Tensor(field, tuple(dims), entries)
 
 
 def random_witness_instance(

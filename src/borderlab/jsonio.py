@@ -82,10 +82,6 @@ def _scalar(field: FieldContext, value, what: str):
 
 # -- fields ------------------------------------------------------------------
 
-def field_to_obj(field: FieldContext) -> dict:
-    return field.to_obj()
-
-
 def field_from_obj(obj: dict) -> FieldContext:
     if "p" in _dict(obj, "field"):
         _int(obj["p"], "field prime")
@@ -134,7 +130,7 @@ def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
 
 def matrix_to_obj(m: SeriesMatrix) -> dict:
     return {
-        "field": field_to_obj(m.field),
+        "field": m.field.to_obj(),
         "entries": [[series_to_obj(e) for e in row] for row in m.entries],
     }
 
@@ -163,7 +159,7 @@ def tensor_to_obj(t: Tensor) -> dict:
     entries = [
         {"idx": list(pos), "value": t.field.format(v)} for pos, v in t.support()
     ]
-    return {"field": field_to_obj(t.field), "dims": list(t.dims), "entries": entries}
+    return {"field": t.field.to_obj(), "dims": list(t.dims), "entries": entries}
 
 
 def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
@@ -179,7 +175,7 @@ def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
         if pos in entries:
             raise SchemaError(f"tensor entries: position {list(pos)} given twice")
         entries[pos] = _scalar(fld, item["value"], "tensor value")
-    return Tensor.from_entries(fld, dims, entries)
+    return Tensor(fld, dims, entries)
 
 
 # -- subgroups ---------------------------------------------------------------
@@ -189,7 +185,7 @@ def subgroup_to_obj(s: OneParamSubgroup) -> dict:
     for fac in s.factors:
         basis = "standard" if fac.basis is None else scalar_matrix_to_obj(s.field, fac.basis)
         factors.append({"basis": basis, "weights": [str(w) for w in fac.weights]})
-    return {"field": field_to_obj(s.field), "factors": factors}
+    return {"field": s.field.to_obj(), "factors": factors}
 
 
 def subgroup_from_obj(obj: dict, field: Optional[FieldContext] = None) -> OneParamSubgroup:

@@ -34,10 +34,6 @@ class CartanDecomposition(NamedTuple):
     h2: SeriesMatrix
     precision: int
 
-    @property
-    def size(self) -> int:
-        return len(self.weights)
-
 
 class VerificationResult(NamedTuple):
     """Outcome of a residual check; ``residual`` is kept when it is nonzero."""
@@ -45,9 +41,6 @@ class VerificationResult(NamedTuple):
     passed: bool
     reason: str = ""
     residual: Optional[SeriesMatrix] = None
-
-    def __bool__(self) -> bool:
-        return self.passed
 
 
 def smith_form(m: SeriesMatrix, n: int):

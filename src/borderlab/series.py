@@ -30,9 +30,9 @@ arithmetic of the tensor ring :class:`LaurentPolynomials`.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
-from .errors import FieldMismatchError, PrecisionError, ShapeError, SingularError
+from .errors import PrecisionError, ShapeError, SingularError
 from .fields import FieldContext
 
 #: Default truncation order for decompositions when the caller gives none.
@@ -182,22 +182,6 @@ class LaurentSeries:
         return z
 
     @classmethod
-    def constant(cls, field: FieldContext, c) -> "LaurentSeries":
-        return _series(field, 0, *field.vector((c,)), None)
-
-    @classmethod
-    def one(cls, field: FieldContext) -> "LaurentSeries":
-        return _series(field, 0, (1,), 1, None)
-
-    @classmethod
-    def monomial(cls, field: FieldContext, c, exponent: int) -> "LaurentSeries":
-        return _series(field, exponent, *field.vector((c,)), None)
-
-    @classmethod
-    def t_power(cls, field: FieldContext, exponent: int) -> "LaurentSeries":
-        return _series(field, exponent, (1,), 1, None)
-
-    @classmethod
     def from_terms(cls, field: FieldContext, terms: dict) -> "LaurentSeries":
         """Exact series from an ``{exponent: coefficient}`` mapping."""
         if not terms:
@@ -255,10 +239,6 @@ class LaurentSeries:
     def known_through(self, n: int) -> bool:
         """Whether all coefficients below ``t^n`` are known."""
         return self.trunc is None or self.trunc >= n
-
-    def support(self) -> Iterable[tuple[int, object]]:
-        for i, c in enumerate(self.coeffs):
-            yield self.val + i, c
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -337,7 +317,7 @@ class LaurentSeries:
             body = "0"
         else:
             parts = []
-            for k, c in self.support():
+            for k, c in enumerate(self.coeffs, self.val):
                 if self.field.is_zero(c):
                     continue
                 cs = self.field.format(c)
@@ -386,10 +366,6 @@ class LaurentPolynomials:
                 f"series known only to t^{a.trunc} where an exact Laurent polynomial is needed"
             )
         return not a.nums
-
-    def ensure_same(self, other) -> None:
-        if self != other:
-            raise FieldMismatchError(f"mixed coefficient contexts: {self} vs {other}")
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LaurentPolynomials) and self.field == other.field
@@ -476,7 +452,7 @@ class SeriesMatrix:
 
     @classmethod
     def identity(cls, field: FieldContext, n: int) -> "SeriesMatrix":
-        one = LaurentSeries.one(field)
+        one = LaurentSeries(field, 0, (field.one(),))
         zero = LaurentSeries.zero(field)
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 
@@ -488,7 +464,7 @@ class SeriesMatrix:
         return cls(
             field,
             [
-                [LaurentSeries.t_power(field, exponents[i]) if i == j else zero for j in range(n)]
+                [LaurentSeries(field, exponents[i], (field.one(),)) if i == j else zero for j in range(n)]
                 for i in range(n)
             ],
         )
@@ -496,7 +472,7 @@ class SeriesMatrix:
     @classmethod
     def from_scalar_matrix(cls, field: FieldContext, mat: Sequence[Sequence]) -> "SeriesMatrix":
         """Exact constant matrix lifted to series entries."""
-        return cls(field, [[LaurentSeries.constant(field, c) for c in row] for row in mat])
+        return cls(field, [[LaurentSeries(field, 0, (c,)) for c in row] for row in mat])
 
     # -- basic operations ---------------------------------------------------
 

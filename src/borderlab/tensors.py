@@ -77,18 +77,9 @@ class Tensor:
     def __setattr__(self, name, value):
         raise AttributeError("Tensor is immutable")
 
-    @classmethod
-    def from_entries(cls, field: FieldContext, dims: Sequence[int], entries: Mapping[tuple, object]) -> "Tensor":
-        return cls(field, dims, entries)
-
     @property
     def order(self) -> int:
         return len(self.dims)
-
-    def get(self, pos: Sequence[int]):
-        pos = tuple(pos)
-        _check_position(pos, self.dims)
-        return self._entries.get(pos, self.field.zero())
 
     def support(self) -> Iterable[tuple]:
         """Yield ``(position, value)`` for the nonzero entries, in row-major order."""
@@ -168,7 +159,7 @@ def act_series(mats: Sequence[SeriesMatrix], t: Tensor) -> Tensor:
     for mat in mats:
         t.field.ensure_same(mat.field)
     ring = LaurentPolynomials(t.field)
-    lifted = Tensor(ring, t.dims, {pos: LaurentSeries.constant(t.field, v) for pos, v in t._entries.items()})
+    lifted = Tensor(ring, t.dims, {pos: LaurentSeries(t.field, 0, (v,)) for pos, v in t._entries.items()})
     return act([mat.entries for mat in mats], lifted)
 
 
@@ -229,10 +220,6 @@ class OneParamSubgroup:
     def dims(self) -> tuple:
         return tuple(fac.dim for fac in self.factors)
 
-    @property
-    def order(self) -> int:
-        return len(self.factors)
-
     def weight_of(self, pos: Sequence[int]) -> int:
         """Total weight of an eigenbasis position (1-based)."""
         return sum(f.weights[p - 1] for f, p in zip(self.factors, pos))
@@ -275,7 +262,7 @@ def _limit(subgroup: OneParamSubgroup, t: Tensor, sign: int) -> Tensor:
             )
         if w == 0:
             kept[pos] = v
-    return subgroup.from_eigen(Tensor.from_entries(t.field, t.dims, kept))
+    return subgroup.from_eigen(Tensor(t.field, t.dims, kept))
 
 
 def limit_at_zero(subgroup: OneParamSubgroup, t: Tensor) -> Tensor:

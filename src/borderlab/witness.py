@@ -54,7 +54,7 @@ def sym3_lift(m: SeriesMatrix) -> SeriesMatrix:
     # powers up to cube of each of d, -b, -c, a
     pw = {}
     for name, base in (("d", d), ("nb", nb), ("nc", nc), ("a", a)):
-        cur = [LaurentSeries.one(fld)]
+        cur = [LaurentSeries(fld, 0, (fld.one(),))]
         for _ in range(3):
             cur.append(cur[-1] * base)
         pw[name] = cur
@@ -65,7 +65,7 @@ def sym3_lift(m: SeriesMatrix) -> SeriesMatrix:
             for q in range(i + 1):
                 coef = _BINOM[3 - i][p] * _BINOM[i][q]
                 term = pw["d"][p] * pw["nb"][3 - i - p] * pw["nc"][q] * pw["a"][i - q]
-                term = term * LaurentSeries.constant(fld, fld.from_int(coef))
+                term = term * LaurentSeries(fld, 0, (fld.from_int(coef),))
                 row = 3 - p - q  # x-power p+q lands on basis index 3-(p+q)
                 out[row][i] = out[row][i] + term
     return SeriesMatrix(fld, out)

@@ -70,14 +70,14 @@ def report(number, description):
 def test_criterion_1_worked_example():
     start = time.monotonic()
     g = SeriesMatrix(QQ, [
-        [LaurentSeries.t_power(QQ, -1), LaurentSeries.zero(QQ)],
-        [LaurentSeries.monomial(QQ, QQ.from_int(-1), -2), LaurentSeries.t_power(QQ, 1)],
+        [LaurentSeries(QQ, -1, [1]), LaurentSeries.zero(QQ)],
+        [LaurentSeries(QQ, -2, [QQ.from_int(-1)]), LaurentSeries(QQ, 1, [1])],
     ])
-    p = Tensor.from_entries(QQ, (4,), {(2,): QQ.one()})  # x^2 y
+    p = Tensor(QQ, (4,), {(2,): QQ.one()})  # x^2 y
     w = build_witness([g], p, 16, lift="sym3")
-    assert w.q == Tensor.from_entries(QQ, (4,), {(1,): QQ.one()})  # x^3
+    assert w.q == Tensor(QQ, (4,), {(1,): QQ.one()})  # x^3
     assert cartan_weights(w) == ((-2, 2),)
-    assert w.q_tilde == Tensor.from_entries(QQ, (4,), {(4,): QQ.one()})  # y^3
+    assert w.q_tilde == Tensor(QQ, (4,), {(4,): QQ.one()})  # y^3
     assert w.shared_limit.is_zero()
     assert limit_at_zero(w.subgroup, p).is_zero()
     assert limit_at_infinity(w.subgroup, w.q_tilde).is_zero()

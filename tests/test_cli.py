@@ -72,7 +72,7 @@ def test_cim_identity(tmp_path):
 def test_cim_singular_exits_3(tmp_path, capsys):
     from borderlab import QQ, LaurentSeries, SeriesMatrix
 
-    one = LaurentSeries.one(QQ)
+    one = LaurentSeries(QQ, 0, [1])
     m = SeriesMatrix(QQ, [[one, one], [one, one]])
     path = tmp_path / "sing.json"
     path.write_text(json.dumps(jsonio.matrix_to_obj(m)))
@@ -294,8 +294,30 @@ def test_cim_exactly_singular_series_exits_2_after_the_doublings(tmp_path, monke
 def test_cim_precision_below_one_exits_3(curve_file, tmp_path, capsys, precision):
     out = tmp_path / "dec.json"
     assert run(["cim", curve_file, "--precision", precision, "--out", str(out)]) == 3
-    assert "precision must be >= 1" in capsys.readouterr().err
+    assert f"argument --precision: must be >= 1, got {precision}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["verify", "cim"])
+def test_a_file_nested_too_deeply_is_bad_input(command, tmp_path, capsys):
+    # json's reader recurses once per level; its RecursionError is malformed
+    # input (exit 3), not a crash that exits 1 as if something were refuted
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000)
+    assert run([command, str(path)]) == 3
+    assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
+
+
+@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+def test_running_out_of_memory_or_stack_is_inconclusive(error, monkeypatch, capsys):
+    from borderlab import degeneration
+
+    def exhausted(*args, **kwargs):
+        raise error()
+
+    monkeypatch.setattr(degeneration, "certify_lower_bound", exhausted)
+    assert run(["certify", "--n", "9"]) == 2
+    assert capsys.readouterr().err == f"inconclusive: {error.__name__}()\n"
 
 
 def test_cim_factor_tuple_input(curve_file, tmp_path):
@@ -352,7 +374,7 @@ def test_witness_no_limit_exits_1(tmp_path, capsys):
     from borderlab import QQ, SeriesMatrix, Tensor
 
     bad = SeriesMatrix.diag_powers(QQ, [-1, 0])
-    p = Tensor.from_entries(QQ, (2,), {(1,): QQ.one()})
+    p = Tensor(QQ, (2,), {(1,): QQ.one()})
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps({"g": [jsonio.matrix_to_obj(bad)], "p": jsonio.tensor_to_obj(p)}))
     assert run(["witness", str(inp)]) == 1
@@ -560,6 +582,13 @@ def test_certify_below_the_fit_bound_of_r1_names_it(argv, tmp_path, capsys):
 def test_certify_names_a_negative_n(r, capsys):
     assert run(["certify", "--n", "-3", *r]) == 3
     assert "argument --n: must be >= 0, got -3" in capsys.readouterr().err
+
+
+def test_certify_names_a_rank_below_one(tmp_path, capsys):
+    out = tmp_path / "cert.json"
+    assert run(["certify", "--n", "10", "--r", "0", "--out", str(out)]) == 3
+    assert "argument --r: must be >= 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_certify_4(tmp_path):

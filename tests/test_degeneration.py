@@ -86,10 +86,15 @@ def test_profile_validation():
 # the pyramid, in closed form
 # ---------------------------------------------------------------------------
 
+def corners(r):
+    """The zero-weight positions ``(r-l+1, r-l+1, l)`` of the rank-``r`` pyramid."""
+    return {(r - l + 1, r - l + 1, l) for l in range(1, r + 1)}
+
+
 def test_pyramid_corners_r4():
     pattern = build_pyramid(6, 4)
-    assert pattern.corners == {(4, 4, 1), (3, 3, 2), (2, 2, 3), (1, 1, 4)}
-    assert enumerate_pyramid(pyramid_weight_profile(6, 4)).zero_set == pattern.corners
+    assert corners(pattern.r) == {(4, 4, 1), (3, 3, 2), (2, 2, 3), (1, 1, 4)}
+    assert enumerate_pyramid(pyramid_weight_profile(6, 4)).zero_set == corners(pattern.r)
 
 
 def test_pyramid_size_r3():
@@ -99,7 +104,7 @@ def test_pyramid_size_r3():
 
 def test_pyramid_r1():
     pattern = build_pyramid(1, 1)
-    assert pattern.positions == {(1, 1, 1)} == pattern.corners
+    assert pattern.positions == {(1, 1, 1)} == corners(pattern.r)
 
 
 def closed_form_steps(r):
@@ -114,7 +119,7 @@ def test_pyramid_closed_form_grid():
         oracle = enumerate_pyramid(pyramid_weight_profile(n, r))
         pattern = build_pyramid(n, r)
         assert oracle.steps == closed_form_steps(r), (n, r)
-        assert oracle.zero_set == pattern.corners, (n, r)
+        assert oracle.zero_set == corners(r), (n, r)
         assert sum(map(sum, oracle.steps)) == pattern.size, (n, r)
         if r <= 12:
             assert oracle.positions == pattern.positions, (n, r)
@@ -141,7 +146,7 @@ def test_pyramid_matches_brute_force_on_random_profiles():
 
 
 def test_pyramid_membership_and_size_are_arithmetic():
-    # contains, size and corners read (n, r); they must agree with the positions
+    # contains and size read (n, r); they must agree with the positions
     for n in range(1, 9):
         for r in range(1, n + 1):
             pattern = build_pyramid(n, r)
@@ -149,7 +154,7 @@ def test_pyramid_membership_and_size_are_arithmetic():
             assert pattern.size == len(positions)
             box = [(j, k, l) for j in range(n + 2) for k in range(n + 2) for l in range(n + 2)]
             assert {pos for pos in box if pattern.contains(pos)} == positions
-            assert pattern.corners <= positions and len(pattern.corners) == r
+            assert corners(r) <= positions
     # the pattern is (n, r) alone: a rank far too large to fit costs nothing
     pattern = build_pyramid(10**6, 10**6)
     assert pattern.size == pyramid_size(10**6)
@@ -169,7 +174,7 @@ def limit_mutants(t_tilde, s_tensor, r, rng):
     n = t_tilde.dims[0]
     pattern = build_pyramid(n, r)
     base, s_base = dict(t_tilde.support()), dict(s_tensor.support())
-    inner = sorted(pattern.positions - pattern.corners)
+    inner = sorted(pattern.positions - corners(pattern.r))
     l = rng.randint(1, r)
     corner = (r - l + 1, r - l + 1, l)
     while True:
@@ -186,7 +191,7 @@ def limit_mutants(t_tilde, s_tensor, r, rng):
         mutants.append(("inner", base | {pos: value}, s_base))
         mutants.append(("inner-shared", base | {pos: value}, s_base | {pos: value}))
     return [
-        (kind, Tensor.from_entries(field, t_tilde.dims, t), Tensor.from_entries(field, t_tilde.dims, s))
+        (kind, Tensor(field, t_tilde.dims, t), Tensor(field, t_tilde.dims, s))
         for kind, t, s in mutants
     ]
 
@@ -206,7 +211,7 @@ def test_closed_form_matches_the_weight_oracle():
         pattern = build_pyramid(n, r)
         positions = oracle.positions
         assert pattern.positions == positions and pattern.size == len(positions), (n, r)
-        assert pattern.corners == oracle.zero_set, (n, r)
+        assert corners(r) == oracle.zero_set, (n, r)
         shell = [(j, k, l) for l in range(1, r + 2) for k in range(1, r + 2) for j in range(1, r + 2)]
         assert all(pattern.contains(pos) == (pos in positions) for pos in shell), (n, r)
         t_tilde, s_tensor = build_planted_tensor(QQ, n, r)
@@ -232,10 +237,11 @@ def test_planted_tensor_9_3_layout():
     pattern = build_pyramid(9, 3)
     assert restriction_agrees(t_tilde, s_tensor, pattern)
     # identity blocks land where the placements say
-    assert t_tilde.get((4, 1, 3)) == QQ.one()
-    assert t_tilde.get((1, 4, 2)) == QQ.one() and t_tilde.get((2, 5, 2)) == QQ.one()
-    assert t_tilde.get((1, 5, 2)) == QQ.zero()  # off-diagonal of the identity block
-    assert all(t_tilde.get((5 + i, 1 + i, 1)) == QQ.one() for i in range(3))
+    entries = dict(t_tilde.support())
+    assert entries.get((4, 1, 3), QQ.zero()) == QQ.one()
+    assert entries.get((1, 4, 2), QQ.zero()) == QQ.one() and entries.get((2, 5, 2), QQ.zero()) == QQ.one()
+    assert entries.get((1, 5, 2), QQ.zero()) == QQ.zero()  # off-diagonal of the identity block
+    assert all(entries.get((5 + i, 1 + i, 1), QQ.zero()) == QQ.one() for i in range(3))
 
 
 def test_planted_tensor_fit_boundaries():
@@ -351,7 +357,7 @@ def test_deleting_one_block_drops_rank():
                 if block.axis == "k" and lo <= k <= hi and 1 <= j <= block.s + 1:
                     continue
             entries[pos] = v
-        stripped = Tensor.from_entries(field, t_tilde.dims, entries)
+        stripped = Tensor(field, t_tilde.dims, entries)
         assert jacobian_dominance_rank(stripped, pattern) < pattern.size
         if elimination_rank(stripped, pattern, field) < pattern.size:
             dropped += 1
@@ -405,7 +411,7 @@ def block_mutants(t_tilde, r, rng):
         ("doubled", base | {cell: field.from_int(2)}),
         ("crowded", base | {extra: field.one()}),
     )
-    return [(kind, Tensor.from_entries(field, t_tilde.dims, entries)) for kind, entries in mutants]
+    return [(kind, Tensor(field, t_tilde.dims, entries)) for kind, entries in mutants]
 
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(1000003)], ids=["Q", "Fp"])
@@ -444,7 +450,7 @@ def cover_mutants(t_tilde, r, rng):
         ("in-reach", base | {reach: field.one()}),
         ("anywhere", base | {anywhere: field.one()}),
     )
-    return [(kind, Tensor.from_entries(field, t_tilde.dims, entries)) for kind, entries in mutants]
+    return [(kind, Tensor(field, t_tilde.dims, entries)) for kind, entries in mutants]
 
 
 def test_the_one_pass_cover_matches_the_slice_scan():
@@ -649,7 +655,7 @@ def test_recheck_round_trip_and_tamper():
     entries = dict(cert.t_tilde.support())
     entries[(1, 1, 1)] = cert.t_tilde.field.one()  # (1,1,1) is in P but not in S
     tampered = cert._replace(
-        t_tilde=Tensor.from_entries(cert.t_tilde.field, cert.t_tilde.dims, entries)
+        t_tilde=Tensor(cert.t_tilde.field, cert.t_tilde.dims, entries)
     )
     results = recheck_certificate(tampered)
     by_clause = {clause: ok for clause, ok, _ in results}

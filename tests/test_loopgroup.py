@@ -41,7 +41,7 @@ DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 def sl2_example_matrix(field=QQ):
     return SeriesMatrix(field, [
         [tpow(field, -1), LaurentSeries.zero(field)],
-        [LaurentSeries.monomial(field, field.from_int(-1), -2), tpow(field, 1)],
+        [LaurentSeries(field, -2, [field.from_int(-1)]), tpow(field, 1)],
     ])
 
 
@@ -370,7 +370,7 @@ def plus_term(e, c, k):
 def tampered(dec, rng):
     """Copies of ``dec`` with one coefficient, weight or entry changed."""
     field = dec.h1.field
-    size = dec.size
+    size = len(dec.weights)
     i, j = rng.randrange(size), rng.randrange(size)
     c = field.random_scalar(rng, nonzero=True)
     top = min(m.trunc if m.trunc is not None else dec.precision for m in (dec.h1, dec.h2))
@@ -725,7 +725,7 @@ def reference_muladd(x, terms, subtract=False):
     trunc = min(truncs, default=None)
     coeffs = {}
     for i, s in enumerate((x, *parts)):
-        for k, c in s.support():
+        for k, c in enumerate(s.coeffs, s.val):
             if trunc is None or k < trunc:
                 coeffs[k] = coeffs.get(k, 0) + (-c if subtract and i else c)
     return with_terms(field, coeffs, trunc)
