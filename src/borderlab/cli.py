@@ -8,9 +8,10 @@ Exit codes are a stable contract:
      or a certificate whose checks do not all hold)
   3  malformed input, bad parameters or a usage error
 
-A run that runs out of memory or stack (``MemoryError``, ``RecursionError``)
-reached no verdict, so it exits 2 and its ``inconclusive:`` line names the
-exception; an input file nested too deeply for the JSON reader exits 3.
+A run that runs out of memory or stack, or meets a size too large to index
+(``MemoryError``, ``RecursionError``, ``OverflowError``), reached no
+verdict, so it exits 2 and its ``inconclusive:`` line names the exception;
+an input file nested too deeply for the JSON reader exits 3.
 
 ``cim`` and ``witness`` decompose at exactly ``--precision``; the working
 precision, and its doublings when a pivot cannot be certified, are
@@ -357,7 +358,7 @@ def main(argv=None) -> int:
     except PrecisionError as exc:
         print(f"inconclusive: {exc}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
-    except (MemoryError, RecursionError) as exc:  # out of memory or stack: no verdict was reached
+    except (MemoryError, RecursionError, OverflowError) as exc:  # no verdict was reached
         print(f"inconclusive: {exc!r}", file=sys.stderr)
         return EXIT_INCONCLUSIVE
     except (BorderlabError, ValueError, KeyError, OSError) as exc:  # json.JSONDecodeError is a ValueError

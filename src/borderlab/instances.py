@@ -38,25 +38,23 @@ def random_laurent_polynomial(
             return s
 
 
-def random_series_unit_matrix(
-    field: FieldContext, n: int, rng: random.Random, ops: int = 4, max_exp: int = 2
-) -> SeriesMatrix:
+def random_series_unit_matrix(field: FieldContext, n: int, rng: random.Random) -> SeriesMatrix:
     """Random element of GL_n(K[[t]]) with exact polynomial entries.
 
-    Built as a product of elementary row additions (power-series
-    coefficients), a permutation, and an invertible constant diagonal, so
-    the determinant is a nonzero constant times a unit and the constant
-    term is invertible by construction.
+    Built as a product of four draws of an elementary row addition (by a
+    polynomial of degree at most 2), a permutation, and an invertible
+    constant diagonal, so the determinant is a nonzero constant times a
+    unit and the constant term is invertible by construction.
     """
     rows = [
         [LaurentSeries(field, 0, (field.one(),)) if i == j else LaurentSeries.zero(field) for j in range(n)]
         for i in range(n)
     ]
-    for _ in range(ops):
+    for _ in range(4):
         i, j = rng.randrange(n), rng.randrange(n)
         if i == j:
             continue
-        coeff = random_laurent_polynomial(field, rng, 0, max_exp, max_terms=2)
+        coeff = random_laurent_polynomial(field, rng, 0, 2, max_terms=2)
         rows[i] = [x + coeff * y for x, y in zip(rows[i], rows[j])]
     perm = list(range(n))
     rng.shuffle(perm)
@@ -89,13 +87,14 @@ def random_invertible_laurent_matrix(
     return SeriesMatrix(field, entries)
 
 
-def random_tensor(field: FieldContext, dims: Sequence[int], rng: random.Random, density: float = 0.6) -> Tensor:
+def random_tensor(field: FieldContext, dims: Sequence[int], rng: random.Random) -> Tensor:
+    """Each position holds a random scalar with probability 0.6, else zero."""
     from .tensors import Tensor
 
     entries = {}
     def fill(prefix):
         if len(prefix) == len(dims):
-            if rng.random() < density:
+            if rng.random() < 0.6:
                 entries[tuple(prefix)] = field.random_scalar(rng)
             return
         for v in range(1, dims[len(prefix)] + 1):
@@ -104,12 +103,7 @@ def random_tensor(field: FieldContext, dims: Sequence[int], rng: random.Random, 
     return Tensor(field, tuple(dims), entries)
 
 
-def random_witness_instance(
-    field: FieldContext,
-    dims: Sequence[int],
-    rng: random.Random,
-    weight_span: int = 2,
-):
+def random_witness_instance(field: FieldContext, dims: Sequence[int], rng: random.Random):
     """A curve tuple and tensor with a guaranteed, nonzero specialization.
 
     Each factor is ``h1 · diag(t^w) · h2^{-1}`` with the inverse built as a
@@ -124,19 +118,15 @@ def random_witness_instance(
     for n in dims:
         h1 = random_series_unit_matrix(field, n, rng)
         h2_inv = random_series_unit_matrix(field, n, rng)
-        w = sorted(rng.randint(-weight_span, weight_span) for _ in range(n))
+        w = sorted(rng.randint(-2, 2) for _ in range(n))
         g = h1 @ SeriesMatrix.diag_powers(field, w) @ h2_inv
         gs.append(g)
     while True:
         p = random_tensor(field, dims, rng)
         if not p.is_zero():
             break
-    moved = act_series(gs, p)
-    vals = [e.val for _, e in moved.support()]
-    if not vals:
-        # the curve annihilates p to all orders only if p = 0; regenerate
-        return random_witness_instance(field, dims, rng, weight_span)
-    shift = -min(vals)
+    # every g is invertible and p is nonzero, so the moved tensor is nonzero
+    shift = -min(e.val for _, e in act_series(gs, p).support())
     if shift != 0:
         gs[0] = gs[0].shift(shift)
     return tuple(gs), p

@@ -7,8 +7,9 @@ byte-identical files.
 
 Decoders check the shape of what they read: a value of the wrong JSON type
 raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
-A matrix, tensor or subgroup inside a document that fixes the field may
-leave out its own ``"field"``, but one it names must be that field.
+A matrix or tensor inside a document that fixes the field may leave out
+its own ``"field"``, but one it names must be that field; a witness's λ
+names the document's field.
 A certificate is read strictly: its keys must be exactly those of the
 current format, and a missing one is a ``SchemaError`` too.
 
@@ -188,11 +189,11 @@ def subgroup_to_obj(s: OneParamSubgroup) -> dict:
     return {"field": s.field.to_obj(), "factors": factors}
 
 
-def subgroup_from_obj(obj: dict, field: Optional[FieldContext] = None) -> OneParamSubgroup:
+def subgroup_from_obj(obj: dict) -> OneParamSubgroup:
+    """A subgroup over the field it names; a witness reads its λ first to learn its field."""
     from .tensors import OneParamSubgroup, SubgroupFactor
 
-    _dict(obj, "subgroup")
-    fld = _field_of(obj, field, "subgroup")
+    fld = field_from_obj(_dict(obj, "subgroup")["field"])
     factors = []
     for fac in _list(obj["factors"], "subgroup factors"):
         _dict(fac, "subgroup factor")
@@ -391,18 +392,15 @@ def cartan_results_from_obj(obj) -> list:
     than left unchecked.
     """
     _version(_dict(obj, "cim output"), "cim output")
-    if "factors" not in obj:
-        factors = [obj]
-    else:
-        factors = _list(obj["factors"], "factors")
-        if not factors:
-            raise SchemaError("factors: expected at least one result")
-        copied = [key for key in _CIM_RESULT_KEYS if key in obj]
-        if copied and len(factors) != 1:
-            raise SchemaError(f"top-level {copied[0]} beside {len(factors)} factors")
-        for key in copied:
-            if obj[key] != _dict(factors[0], "cim result").get(key):
-                raise SchemaError(f"top-level {key} differs from factors[0].{key}")
+    factors = _list(obj["factors"], "factors")
+    if not factors:
+        raise SchemaError("factors: expected at least one result")
+    copied = [key for key in _CIM_RESULT_KEYS if key in obj]
+    if copied and len(factors) != 1:
+        raise SchemaError(f"top-level {copied[0]} beside {len(factors)} factors")
+    for key in copied:
+        if obj[key] != _dict(factors[0], "cim result").get(key):
+            raise SchemaError(f"top-level {key} differs from factors[0].{key}")
     results = []
     for fac in factors:
         g = matrix_from_obj(_dict(fac, "cim result")["input"])

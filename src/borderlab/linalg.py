@@ -9,7 +9,7 @@ the true rank.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import ShapeError, SingularError
 from .fields import FieldContext
@@ -79,18 +79,12 @@ def is_invertible(field: FieldContext, a: Sequence[Sequence]) -> bool:
     return _gauss_jordan(field, a, [[] for _ in a])
 
 
-def sparse_rank(
-    field: FieldContext,
-    columns: Iterable[dict],
-    stop_at: Optional[int] = None,
-) -> int:
+def sparse_rank(field: FieldContext, columns: Iterable[dict]) -> int:
     """Exact rank of the matrix whose columns are ``{row: value}`` dicts.
 
     Incremental left-looking elimination: each stored pivot column is
     normalized to 1 at its smallest row index, and pivot leading rows are
-    pairwise distinct, so the count of pivots is the rank.  ``stop_at``
-    allows an early exit once the rank provably reaches a cap (e.g. the
-    row count).
+    pairwise distinct, so the count of pivots is the rank.
     """
     pivots: dict = {}
     rank = 0
@@ -114,7 +108,5 @@ def sparse_rank(
                     col.pop(rr, None)
                 else:
                     col[rr] = new
-        if stop_at is not None and rank >= stop_at:
-            break
     return rank
 

@@ -208,6 +208,47 @@ def test_every_wrongly_typed_node_exits_3_or_is_ignored(tmp_path):
                 assert run([command, str(bad)]) in (0, 3), (command, path, value)
 
 
+def small_output(document, tmp_path):
+    """The seed-1 ``cim`` output of a 2x2 matrix over F_p, or the seed-1 witness of a 2,2 curve over Q."""
+    source, out = tmp_path / "input.json", tmp_path / "out.json"
+    if document == "cim":
+        assert run(["gen", "--kind", "cim", "--field", "fp", "--size", "2", "--seed", "1", "--out", str(source)]) == 0
+    else:
+        assert run(["gen", "--kind", "witness", "--field", "q", "--dims", "2,2", "--seed", "1", "--out", str(source)]) == 0
+    assert run([document, str(source), "--out", str(out)]) == 0
+    return read_json(out)
+
+
+def integer_paths(doc):
+    """The paths to the integers of ``doc``: its JSON numbers, and the strings of weight lists and field primes."""
+    for path in json_paths(doc):
+        value = read_at(doc, path)
+        if isinstance(value, bool):
+            continue
+        if isinstance(value, int) or isinstance(value, str) and (path[-1] == "p" or path[-2:-1] == ("weights",)):
+            yield path
+
+
+@pytest.mark.parametrize("document", ["cim", "witness"])
+def test_a_huge_integer_in_any_node_is_a_verdict_or_refused(document, tmp_path, capsys):
+    # each integer node, replaced by +-2^70 (a string stays a string, and a
+    # cim output's top-level copy is made from factors[0] again): verify
+    # exits 0-3 and nothing escapes main; exit 1 comes with a FAILED clause
+    doc = small_output(document, tmp_path)
+    base = {key: value for key, value in doc.items() if key not in CIM_COPY}
+    path = tmp_path / "huge.json"
+    for node in integer_paths(base):
+        for huge in (2**70, -2**70):
+            mutant = replaced(base, node, huge if isinstance(read_at(base, node), int) else str(huge))
+            if document == "cim":
+                mutant.update((key, mutant["factors"][0][key]) for key in CIM_COPY)
+            path.write_text(json.dumps(mutant))
+            rc = run(["verify", str(path)])
+            out = capsys.readouterr().out
+            assert rc in (0, 1, 2, 3), (node, huge, rc)
+            assert rc != 1 or re.search(r"^\S+: FAILED \(", out, re.M), (node, huge, out)
+
+
 def test_cim_uncertifiable_pivot_exits_2(tmp_path, capsys):
     # an entry that is zero to precision 0 can never be pivoted, at any
     # retry precision: the contract is exit 2 (inconclusive)
@@ -318,6 +359,22 @@ def test_running_out_of_memory_or_stack_is_inconclusive(error, monkeypatch, caps
     monkeypatch.setattr(degeneration, "certify_lower_bound", exhausted)
     assert run(["certify", "--n", "9"]) == 2
     assert capsys.readouterr().err == f"inconclusive: {error.__name__}()\n"
+
+
+@pytest.mark.parametrize("weight", [2**70, -2**70], ids=["plus", "minus"])
+@pytest.mark.parametrize("document", ["cim", "witness"])
+def test_a_weight_too_large_to_index_is_inconclusive(document, weight, tmp_path, capsys):
+    # the residual's h1·diag(t^w) reaches t^w, and a list that long cannot
+    # be made: the OverflowError is no verdict (exit 2), not a crash (exit 1)
+    doc = small_output(document, tmp_path)
+    decs = [doc["decomposition"], doc["factors"][0]["decomposition"]] if document == "cim" else [doc["cim"][0]]
+    for dec in decs:
+        dec["weights"][0] = weight
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("inconclusive: OverflowError(")
 
 
 def test_cim_factor_tuple_input(curve_file, tmp_path):
@@ -1182,7 +1239,8 @@ def test_verify_refuses_a_top_level_copy_beside_several_factors(curve_file, tmp_
 
 def test_a_cim_document_without_factors_exits_3(curve_file, tmp_path, capsys):
     # an empty factor list claims nothing: cim refuses it as input, and
-    # verify refuses an output that carries no factor
+    # verify refuses an output that carries no factor; an output without
+    # the list is refused too, its top-level copy not read in its place
     empty = tmp_path / "empty.json"
     empty.write_text(json.dumps({"factors": []}))
     assert run(["cim", str(empty), "--out", str(tmp_path / "none.json")]) == 3
@@ -1196,6 +1254,12 @@ def test_a_cim_document_without_factors_exits_3(curve_file, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "factors: expected at least one" in captured.err
+    del doc["factors"]
+    out.write_text(json.dumps(doc))
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: 'factors'\n"
 
 
 @pytest.mark.parametrize("delta", [-1, 1])

@@ -240,22 +240,52 @@ UNREACHED_ALLOWED = {
     ),
 }
 
+#: defaulted parameters of reached functions that no subcommand sets, each
+#: with what keeps it; a member's is named as in ``UNREACHED_ALLOWED``
+UNSET_ALLOWED = {
+    "borderlab.series.LaurentSeries.__init__(trunc)": "tests build truncated series with it",
+    "borderlab.instances.random_laurent_polynomial(nonzero)": (
+        "tests/test_series.py draws units with it; dropping it would change that test's draws"
+    ),
+}
+
 # every subcommand at a small size, run in process under sys.setprofile in a
 # fresh child, so that functions a module calls while it is imported count
 # too.  Dunders are skipped; a member counts as reached when the member of
 # that name is reached on any class of its borderlab hierarchy, so an
-# interface stub or a field's twin of a reached method needs no entry
+# interface stub or a field's twin of a reached method needs no entry.
+# The same pass records, per reached function, each defaulted parameter
+# that some call set to a value other than its default (by identity, or by
+# an equal value of the same type); a member's parameter counts as set when
+# it is set on any class of its hierarchy, and a member that overrides a
+# method of a class outside borderlab (other than object) is not checked
 REACH_CHILD = """
-import contextlib, importlib, io, json, os, pkgutil, sys
+import contextlib, gc, importlib, importlib.util, inspect, io, json, os, pkgutil, sys
 from types import FunctionType
 
+PACKAGE = importlib.util.find_spec("borderlab").submodule_search_locations[0]
 reached = set()
+defaults = {}  # code object -> {parameter: default} of its function
+passed = set()  # (code object, parameter) of every call that set the parameter
+
+
+def defaults_of(func):
+    return {name: p.default for name, p in inspect.signature(func).parameters.items() if p.default is not p.empty}
 
 
 def profile(frame, event, arg):
     if event == "call":
         code = frame.f_code
         reached.add((code.co_filename, code.co_firstlineno, code.co_name))
+        if code.co_filename.startswith(PACKAGE):
+            params = defaults.get(code)
+            if params is None:
+                funcs = [f for f in gc.get_referrers(code) if isinstance(f, FunctionType)]
+                params = defaults[code] = defaults_of(funcs[0]) if funcs else {}
+            for name, default in params.items():
+                value = frame.f_locals[name]
+                if value is not default and not (type(value) is type(default) and value == default):
+                    passed.add((code, name))
 
 
 sys.setprofile(profile)
@@ -287,33 +317,51 @@ def own_function(attr, module):
     return None
 
 
+def params_set(func):
+    # {defaulted parameter: whether a call set it}
+    return {name: (func.__code__, name) in passed for name in defaults_of(func)}
+
+
 names = [f"borderlab.{m.name}" for m in pkgutil.iter_modules(borderlab.__path__) if m.name != "__main__"]
-unreached = {}
+unreached, unset = {}, {}
 classes = []
 for module in [borderlab] + [importlib.import_module(name) for name in names]:
     for name, obj in vars(module).items():
         if isinstance(obj, FunctionType) and obj.__module__ == module.__name__:
             if where(obj) not in reached:
                 unreached[f"{module.__name__}.{name}"] = line(obj)
+                continue
+            for param, is_set in params_set(obj).items():
+                if not is_set:
+                    unset[f"{module.__name__}.{name}({param})"] = line(obj)
         elif isinstance(obj, type) and obj.__module__ == module.__name__:
             classes.append((module, obj))
 
-# (hierarchy root, member name) -> [reached, (mro depth, qualified name, file:line)]
+# (hierarchy root, member name) -> [reached, (mro depth, qualified name, file:line), {parameter: set}]
 members = {}
 for module, cls in classes:
     lineage = [c for c in cls.__mro__ if c.__module__.startswith("borderlab.")]
+    foreign = [c for c in cls.__mro__ if c not in lineage and c is not object]
     for name, attr in vars(cls).items():
         func = own_function(attr, module)
-        if func is None or (name.startswith("__") and name.endswith("__")):
+        if func is None:
             continue
-        entry = members.setdefault((lineage[-1], name), [False, None])
-        entry[0] = entry[0] or where(func) in reached
+        entry = members.setdefault((lineage[-1], name), [False, None, {}])
         site = (len(lineage), f"{module.__name__}.{cls.__qualname__}.{name}", line(func))
         entry[1] = site if entry[1] is None else min(entry[1], site)
-for is_reached, (_, qualified, site) in members.values():
-    if not is_reached:
+        if where(func) not in reached:
+            continue
+        entry[0] = True
+        if not any(name in vars(c) for c in foreign):
+            for param, is_set in params_set(func).items():
+                entry[2][param] = entry[2].get(param, False) or is_set
+for (_, name), (is_reached, (_, qualified, site), params) in members.items():
+    if not is_reached and not (name.startswith("__") and name.endswith("__")):
         unreached[qualified] = site
-print(json.dumps({"codes": codes, "unreached": unreached}))
+    for param, is_set in params.items():
+        if not is_set:
+            unset[f"{qualified}({param})"] = site
+print(json.dumps({"codes": codes, "unreached": unreached, "unset": unset}))
 """
 
 # (argv, exit code); later runs read the files earlier ones write
@@ -333,9 +381,14 @@ REACH_RUNS = [
             (["verify", f"cim-{field}.json"], 0),
         )
     ],
+    (["cim", "g-q.json", "--precision", "8"], 0),
     (["gen", "--kind", "witness", "--dims", "2,2", "--seed", "1", "--out", "witness-input.json"], 0),
     (["witness", "witness-input.json", "--out", "witness.json"], 0),
     (["verify", "witness.json"], 0),
+    (["witness", "witness-input.json", "--precision", "8"], 0),
+    # building this witness subtracts in a scalar elimination; the 2,2 one above does not
+    (["gen", "--kind", "witness", "--field", "q", "--dims", "3,3,3", "--seed", "1", "--out", "witness-333.json"], 0),
+    (["witness", "witness-333.json"], 0),
     (["cim", os.path.join(DATA, "binary_cubics_curve.json"), "--out", "curve.json"], 0),
     (["verify", "curve.json"], 0),
     (["witness", os.path.join(DATA, "binary_cubics_witness.json"), "--out", "cubics.json"], 0),
@@ -343,17 +396,33 @@ REACH_RUNS = [
 ]
 
 
-def test_every_library_function_is_reached_by_a_subcommand(tmp_path):
+@pytest.fixture(scope="module")
+def reach(tmp_path_factory):
+    """What the child records over ``REACH_RUNS``: ``{"codes", "unreached", "unset"}``."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", REACH_CHILD, json.dumps([argv for argv, _ in REACH_RUNS])],
-        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
+        cwd=tmp_path_factory.mktemp("reach"), env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     reply = json.loads(proc.stdout)
     assert reply["codes"] == [code for _, code in REACH_RUNS]
+    return reply
+
+
+def test_every_library_function_is_reached_by_a_subcommand(reach):
     # code that only tests call belongs in tests/; an entry no longer
     # unreached leaves the allowlist
-    unreached = reply["unreached"]
+    unreached = reach["unreached"]
     unexpected = [f"{name} ({unreached[name]})" for name in sorted(unreached.keys() - UNREACHED_ALLOWED.keys())]
     assert not unexpected, "unreached: " + ", ".join(unexpected)
     assert sorted(unreached) == sorted(UNREACHED_ALLOWED)
+
+
+def test_every_defaulted_parameter_is_set_by_a_subcommand(reach):
+    # a parameter that only ever holds its default is a constant; an entry
+    # that some run now sets leaves the allowlist
+    unset = reach["unset"]
+    unexpected = [f"{name} ({unset[name]})" for name in sorted(unset.keys() - UNSET_ALLOWED.keys())]
+    assert not unexpected, "never set: " + ", ".join(unexpected)
+    assert sorted(unset) == sorted(UNSET_ALLOWED)
