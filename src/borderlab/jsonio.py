@@ -368,39 +368,39 @@ def witness_input_from_obj(obj, field: Optional[FieldContext] = None):
     return gs, tensor_from_obj(obj["p"], gs[0].field), lift
 
 
-#: the keys ``cim`` writes per factor; a one-factor output repeats them at the top level
+#: the keys of one ``cim`` result, in ``factors`` or at the top level of a one-factor output
 _CIM_RESULT_KEYS = ("input", "decomposition", "verified", "reason")
 
 
 def cartan_results_to_obj(factors) -> dict:
-    """The ``cim`` output of ``(g, decomposition, verified, reason)`` factors."""
+    """The ``cim`` output of ``(g, decomposition, verified, reason)`` factors:
+    one result at the top level, or several as the ``factors`` list."""
     results = [
         dict(zip(_CIM_RESULT_KEYS, (matrix_to_obj(g), cartan_to_obj(dec), verified, reason)))
         for g, dec, verified, reason in factors
     ]
-    obj = {"kind": "cartan", "version": TOOL_VERSION, "factors": results}
-    if len(results) == 1:
-        obj.update(results[0])
+    obj = {"kind": "cartan", "version": TOOL_VERSION}
+    obj.update(results[0] if len(results) == 1 else {"factors": results})
     return obj
 
 
 def cartan_results_from_obj(obj) -> list:
     """``(g, decomposition, verified, reason)`` per factor of a ``cim`` output.
 
-    The top-level copy of a one-factor output must equal ``factors[0]``:
-    a copy that differs, or one beside several factors, is refused rather
-    than left unchecked.
+    A document with ``factors`` holds that non-empty list, and one without
+    it is its own one result.  A result key beside the list is refused
+    rather than left unread.
     """
     _version(_dict(obj, "cim output"), "cim output")
-    factors = _list(obj["factors"], "factors")
-    if not factors:
-        raise SchemaError("factors: expected at least one result")
-    copied = [key for key in _CIM_RESULT_KEYS if key in obj]
-    if copied and len(factors) != 1:
-        raise SchemaError(f"top-level {copied[0]} beside {len(factors)} factors")
-    for key in copied:
-        if obj[key] != _dict(factors[0], "cim result").get(key):
-            raise SchemaError(f"top-level {key} differs from factors[0].{key}")
+    if "factors" not in obj:
+        factors = [obj]
+    else:
+        factors = _list(obj["factors"], "factors")
+        if not factors:
+            raise SchemaError("factors: expected at least one result")
+        beside = [key for key in _CIM_RESULT_KEYS if key in obj]
+        if beside:
+            raise SchemaError(f"top-level {beside[0]} beside a factors list")
     results = []
     for fac in factors:
         g = matrix_from_obj(_dict(fac, "cim result")["input"])

@@ -154,3 +154,22 @@ def test_scan_table_rows():
     other = scan_table(4, 3)
     assert other[0]["d3_lower"] is None
     assert other[0]["border_upper"] == 1
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: dimension_upper_bound(1, (3,), 0), "order must be at least 2"),
+        (lambda: dimension_upper_bound(3, (3, 3), 0), "need 3 dimensions >= 1"),
+        (lambda: dimension_upper_bound(3, (3, 0, 3), 0), "need 3 dimensions >= 1"),
+        (lambda: dimension_upper_bound(3, (3, 3, 3), -1), "r must be nonnegative"),
+        (lambda: generic_border_subrank_upper(3, 0), "need n >= 1 and d >= 2"),
+        (lambda: generic_border_subrank_upper(1, 5), "need n >= 1 and d >= 2"),
+        (lambda: scan_table(3, 0), "need n_max >= 1 and d >= 2"),
+        (lambda: scan_table(1, 5), "need n_max >= 1 and d >= 2"),
+    ],
+    ids=["dim-order", "dim-count", "dim-zero", "dim-negative-r", "upper-n", "upper-order", "scan-n", "scan-order"],
+)
+def test_out_of_range_arguments_raise(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -100,6 +100,21 @@ def test_cartan_round_trip():
     assert obj["weights"] == [-2, 2]
 
 
+@pytest.mark.parametrize("seed", range(6))
+def test_cim_output_round_trip(seed):
+    # one factor is written at the top level and several as the factors
+    # list; either reads back as the factors written, over Q and F_p
+    from borderlab.loopgroup import cartan_factors
+
+    rng = random.Random(seed)
+    field = QQ if seed < 3 else PrimeField(1000003)
+    count = 1 + seed % 3
+    factors = cartan_factors([random_invertible_laurent_matrix(field, rng.randint(1, 3), rng) for _ in range(count)], 8)
+    obj = jsonio.cartan_results_to_obj(factors)
+    assert ("factors" in obj) == (count > 1) == ("input" not in obj)
+    assert jsonio.cartan_results_from_obj(json.loads(json.dumps(obj))) == factors
+
+
 def test_witness_round_trip():
     rng = random.Random(6)
     gs, p = random_witness_instance(QQ, (2, 2), rng)

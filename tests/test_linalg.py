@@ -43,3 +43,14 @@ def test_is_invertible_agrees_with_mat_inv(field):
         outcomes[inv is not None] += 1
     # not vacuous: both answers occur often
     assert min(outcomes.values()) >= 100, outcomes
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P62), PrimeField(2)], ids=repr)
+def test_sparse_rank_is_full_exactly_when_the_matrix_is_invertible(field):
+    # a row that combines the others makes entries cancel to zero during
+    # the elimination, and those must leave the column
+    rng = random.Random(f"sparse-rank:{field!r}")
+    for _ in range(200):
+        m = random_square(field, rng, rng.randint(0, 6))
+        columns = [{i: row[j] for i, row in enumerate(m)} for j in range(len(m))]
+        assert (linalg.sparse_rank(field, columns) == len(m)) == linalg.is_invertible(field, m)
