@@ -1233,6 +1233,33 @@ def test_verify_refuses_a_result_key_beside_a_factors_list(count, beside, named,
     assert captured.err == f"error: top-level {named} beside a factors list\n"
 
 
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("decomposition", "weights"), [5, 7]),
+        (("factors", 0, "decomposition", "weights"), [5, 7]),
+        (("verified",), False),
+        (("input", "entries", 0, 0, "val"), 1),
+    ],
+    ids=["top-weights", "factor-weights", "top-verified", "top-input"],
+)
+def test_verify_refuses_a_cartan_copy_that_differs(curve_file, tmp_path, capsys, path, value):
+    # the old form of a one-factor cim output carried its result twice, in
+    # factors[0] and at the top level; with either copy edited the two no
+    # longer agree, and verify refuses the document rather than reading one
+    # copy and leaving the other unread
+    out = tmp_path / "dec.json"
+    assert run(["cim", curve_file, "--out", str(out)]) == 0
+    doc = read_json(out)
+    doc["factors"] = [{key: doc[key] for key in ("input", "decomposition", "verified", "reason")}]
+    out.write_text(json.dumps(replaced(doc, path, value)))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: top-level input beside a factors list\n"
+
+
 def test_a_cim_document_without_factors_exits_3(curve_file, tmp_path, capsys):
     # an empty factor list claims nothing: cim refuses it as input, and
     # verify refuses an output that carries no factor; an output with
