@@ -10,8 +10,9 @@ raises :class:`~borderlab.errors.SchemaError`, a missing key ``KeyError``.
 A matrix or tensor inside a document that fixes the field may leave out
 its own ``"field"``, but one it names must be that field; a witness's λ
 names the document's field.
-A certificate is read strictly: its keys must be exactly those of the
-current format, and a missing one is a ``SchemaError`` too.
+A certificate and a Cartan decomposition are read strictly: their keys
+must be exactly those of the current format, and a missing one is a
+``SchemaError`` too.
 
 A decoder imports the module of the type it builds when it runs, so reading
 a ``cim`` document loads no tensor code, reading a witness loads no
@@ -32,7 +33,8 @@ if TYPE_CHECKING:
     from .tensors import OneParamSubgroup, Tensor
     from .witness import LimitWitness
 
-TOOL_VERSION = "borderlab-0.1.0"
+#: ``cim`` outputs and witnesses store each decomposition without ``h1``
+TOOL_VERSION = "borderlab-0.3.0"
 #: certificates name their doubling profile by its recipe and carry no prime
 CERTIFICATE_VERSION = "borderlab-0.2.0"
 
@@ -70,6 +72,12 @@ def _bool(value, what: str) -> bool:
     if not isinstance(value, bool):
         raise SchemaError(f"{what}: expected true or false, got {type(value).__name__}")
     return value
+
+
+def _exact_keys(obj: dict, keys, what: str) -> None:
+    if obj.keys() != keys:
+        extra, missing = sorted(obj.keys() - keys), sorted(keys - obj.keys())
+        raise SchemaError(f"{what}: unknown keys {extra}" if extra else f"{what}: missing keys {missing}")
 
 
 def _version(obj: dict, what: str, expected: str = TOOL_VERSION) -> None:
@@ -211,7 +219,6 @@ def subgroup_from_obj(obj: dict) -> OneParamSubgroup:
 
 def cartan_to_obj(dec: CartanDecomposition) -> dict:
     return {
-        "h1": matrix_to_obj(dec.h1),
         "weights": [int(w) for w in dec.weights],
         "h2": matrix_to_obj(dec.h2),
         "precision": dec.precision,
@@ -219,17 +226,17 @@ def cartan_to_obj(dec: CartanDecomposition) -> dict:
 
 
 def cartan_from_obj(obj: dict, field: Optional[FieldContext] = None) -> CartanDecomposition:
+    """A decomposition of exactly ``weights``, ``h2`` and ``precision``; ``verify_cartan`` derives ``h1``."""
     from .loopgroup import CartanDecomposition
 
-    _dict(obj, "decomposition")
-    h1 = matrix_from_obj(obj["h1"], field)
+    _exact_keys(_dict(obj, "decomposition"), {"weights", "h2", "precision"}, "decomposition")
     h2 = matrix_from_obj(obj["h2"], field)
     weights = tuple(_int(w, "Cartan weight") for w in _list(obj["weights"], "Cartan weights"))
     precision = _int(obj["precision"], "precision")
     if precision < 1:
-        # the residual mod t^N holds vacuously for N <= 0, whatever the weights
+        # a claim mod t^N says nothing for N <= 0
         raise SchemaError(f"decomposition precision must be at least 1, got {precision}")
-    return CartanDecomposition(h1=h1, weights=weights, h2=h2, precision=precision)
+    return CartanDecomposition(weights=weights, h2=h2, precision=precision)
 
 
 # -- witnesses -----------------------------------------------------------------
@@ -279,12 +286,6 @@ def witness_from_obj(obj: dict) -> tuple:
 _CERTIFICATE_KEYS = frozenset(
     ("kind", "version", "n", "r", "profile", "S", "TTilde", "jacobianRank", "pyramidSize", "verdict")
 )
-
-
-def _exact_keys(obj: dict, keys, what: str) -> None:
-    if obj.keys() != keys:
-        extra, missing = sorted(obj.keys() - keys), sorted(keys - obj.keys())
-        raise SchemaError(f"{what}: unknown keys {extra}" if extra else f"{what}: missing keys {missing}")
 
 
 def certificate_to_obj(c: DegenerationCertificate) -> dict:

@@ -7,6 +7,10 @@ group of GL_n).  Because every ideal of K[[t]] is ``(t^b)``, the middle
 factor is found by Smith reduction with minimal-valuation pivoting after
 clearing denominators by a global power of ``t``.
 
+A decomposition is stored as its weights, ``h2`` and precision: given
+those, ``h1 = g · h2 · diag(t^-w)`` is the only candidate, so
+:func:`verify_cartan` derives it rather than reading it.
+
 The pivot rule is deterministic: smallest certified valuation, ties broken
 in row-major scan order.  Output weights are weakly increasing; any valid
 triple passes verification.
@@ -18,46 +22,47 @@ from typing import NamedTuple, Optional
 
 from . import linalg
 from .errors import PrecisionError, ShapeError, SingularError
-from .series import DEFAULT_TRUNCATION, LaurentSeries, SeriesMatrix, certify_min_valuation, muladd
+from .series import DEFAULT_TRUNCATION, SeriesMatrix, certify_min_valuation, muladd
 
 
 class CartanDecomposition(NamedTuple):
-    """The verified triple ``g ≡ h1 · diag(t^weights) · h2^{-1} mod t^precision``.
+    """The claim ``g ≡ h1 · diag(t^weights) · h2^{-1} mod t^precision`` for
+    some ``h1`` in GL_n(K[[t]]), stored without ``h1``: :func:`verify_cartan`
+    derives it from ``g``, the weights and ``h2``.
 
-    ``h1(0)`` and ``h2(0)`` are invertible constant matrices, and the
-    weights are weakly increasing (the canonical form produced here; the
-    decomposition itself is not unique).
+    ``h2(0)`` is an invertible constant matrix, and the weights are weakly
+    increasing (the canonical form produced here; the decomposition itself
+    is not unique).
     """
 
-    h1: SeriesMatrix
     weights: tuple
     h2: SeriesMatrix
     precision: int
 
 
 class VerificationResult(NamedTuple):
-    """Outcome of a residual check; ``residual`` is kept when it is nonzero."""
+    """Outcome of :func:`verify_cartan`; ``h1_0`` is the derived ``h1(0)`` when it passes."""
 
     passed: bool
     reason: str = ""
-    residual: Optional[SeriesMatrix] = None
+    h1_0: Optional[list] = None
 
 
 def smith_form(m: SeriesMatrix, n: int):
     """Smith reduction of a square power-series matrix at precision ``n``.
 
-    Returns ``(u, exponents, h2)`` with ``m · h2 ≡ u · diag(t^e) mod t^n``,
-    ``u(0), h2(0)`` invertible and the exponents weakly increasing; their
-    sum equals the valuation of ``det m``.  The reduction is an LU
-    factorisation: column ``k`` of ``u`` holds step ``k``'s pivot unit in
-    the row where the pivot row of ``m`` started, and the unit times each
-    multiplier in the rows where the rows it eliminates started.  ``h2`` is
-    the inverse of the right transform ``v`` of ``m ≡ u · diag(t^e) · v``,
-    built column operation by column operation, so no inverse is formed.
-    Step ``k`` updates only the rows and columns ``> k`` of the working
-    matrix, and its column operations run on ``h2`` alone: no later step
-    reads row ``k`` or column ``k``, so the column below the pivot, which
-    the row operations make zero to the working precision, is never formed.
+    Returns ``(exponents, h2)`` with ``m · h2 ≡ u · diag(t^e) mod t^n`` for
+    some ``u`` in GL_n(K[[t]]), ``h2(0)`` invertible and the exponents
+    weakly increasing; their sum equals the valuation of ``det m``.  The
+    reduction is an LU factorisation whose left factor ``u`` is not built:
+    it is ``m · h2 · diag(t^-e)``, which :func:`verify_cartan` derives.
+    ``h2`` is the inverse of the right transform ``v`` of ``m ≡ u ·
+    diag(t^e) · v``, built column operation by column operation, so no
+    inverse is formed.  Step ``k`` updates only the rows and columns ``> k``
+    of the working matrix, and its column operations run on ``h2`` alone:
+    no later step reads row ``k`` or column ``k``, so the column below the
+    pivot, which the row operations make zero to the working precision, is
+    never formed.
 
     Raises SingularError when the determinant is exactly zero and
     PrecisionError when a pivot choice is ambiguous at the working
@@ -71,10 +76,7 @@ def smith_form(m: SeriesMatrix, n: int):
     size = m.rows
     field = m.field
     a = [list(row) for row in m.entries]
-    u = [[LaurentSeries.zero(field)] * size for _ in range(size)]
     h2 = [list(row) for row in SeriesMatrix.identity(field, size).entries]
-    # row i of ``a`` started as row origin[i] of m, and so writes row origin[i] of u
-    origin = list(range(size))
     exponents = []
     for k in range(size):
         cand = ((i, j) for i in range(k, size) for j in range(k, size))
@@ -84,21 +86,15 @@ def smith_form(m: SeriesMatrix, n: int):
             raise SingularError("determinant is exactly zero") from None
         if pi != k:
             a[k], a[pi] = a[pi], a[k]
-            origin[k], origin[pi] = origin[pi], origin[k]
         if pj != k:
             for row in (*a[k:], *h2):
                 row[k], row[pj] = row[pj], row[k]
-        pivot = a[k][k]
-        pinv = pivot.inverse(n)
-        # the unit factor of the pivot goes into u, leaving a pure t-power
-        unit = pivot.shift(-pval)
-        u[origin[k]][k] = unit
+        pinv = a[k][k].inverse(n)
         for i in range(k + 1, size):
             if a[i][k].has_no_known_terms():
                 continue
             f = a[i][k] * pinv
             a[i][k + 1:] = [muladd(x, ((f, y),), True) for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
-            u[origin[i]][k] = f * unit
         for j in range(k + 1, size):
             if a[k][j].has_no_known_terms():
                 continue
@@ -106,7 +102,7 @@ def smith_form(m: SeriesMatrix, n: int):
             for row in h2:
                 row[j] = muladd(row[j], ((f, row[k]),), True)
         exponents.append(pval)
-    return SeriesMatrix(field, u), exponents, SeriesMatrix(field, h2)
+    return exponents, SeriesMatrix(field, h2)
 
 
 #: how often ``cartan_decompose`` doubles its working precision when a full
@@ -153,7 +149,7 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
     probe, work, doublings = True, 1, 0
     while True:
         try:
-            u, exponents, h2 = smith_form(cleared, work)
+            exponents, h2 = smith_form(cleared, work)
         except PrecisionError as exc:
             if probe:
                 work = n + 2 * shift
@@ -173,45 +169,52 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
     weights = tuple(e - shift for e in exponents)
     if h2.trunc is not None and h2.trunc > work:
         h2 = SeriesMatrix(h2.field, [[e.truncate(work) for e in row] for row in h2.entries])
-    return CartanDecomposition(h1=u, weights=weights, h2=h2, precision=n)
+    return CartanDecomposition(weights=weights, h2=h2, precision=n)
 
 
 def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
-    """Residual check of a claimed decomposition at its stated precision.
+    """Check of a claimed decomposition at its stated precision, deriving ``h1``.
 
-    Passes iff ``h1`` and ``h2`` have no entry of certified negative
-    valuation (they lie in K[[t]]), their constant terms ``h1(0)``,
-    ``h2(0)`` are invertible, and ``g · h2 - h1 · diag(t^w)`` vanishes mod
-    ``t^precision``.  Given the first two conditions ``h2`` is invertible
-    over K[[t]], so the last is equivalent to ``g - h1 · diag(t^w) · h2^{-1}
-    ≡ 0`` and no inverse is formed; a failed ``residual`` holds
-    ``g · h2 - h1 · diag(t^w)``.  Accepts any valid triple, not only the
-    canonical one.  A check the available precision cannot decide fails,
+    The only ``h1`` with ``g · h2 = h1 · diag(t^w)`` is ``P · diag(t^-w)``,
+    ``P = g · h2``: column ``j`` of ``P`` shifted down by ``w_j``.  Passes
+    iff ``h2`` has no entry of certified negative valuation and ``h2(0)`` is
+    invertible, ``P`` is known through ``t^precision``, column ``j`` of ``P``
+    is known through ``t^w_j`` with no nonzero term below it, and ``h1(0)``
+    (those ``t^w_j`` coefficients) is invertible; a pass hands ``h1(0)`` back.
+    With every weight below the precision, that holds exactly when some
+    stored ``h1`` passes ``g · h2 ≡ h1 · diag(t^w) mod t^precision`` with
+    both factors in GL_n(K[[t]]).  A weight ``w_j >= precision`` is read the
+    same way, beyond ``t^precision``, so the check certifies it where that
+    residual would accept any ``h1`` column.  No inverse is formed, any
+    valid triple passes, and a check the precision cannot decide fails
     with the reason.
     """
-    shape = (g.rows, g.cols)
-    if shape != (dec.h1.rows, dec.h1.cols) or shape != (dec.h2.rows, dec.h2.cols) or len(dec.weights) != g.rows:
+    if (g.rows, g.cols) != (dec.h2.rows, dec.h2.cols) or len(dec.weights) != g.rows:
         raise ShapeError("decomposition shape does not match the matrix")
     field = g.field
-    for name, h in (("h1", dec.h1), ("h2", dec.h2)):
-        low = min((e.val for row in h.entries for e in row if e.nums), default=0)
-        if low < 0:
-            return VerificationResult(False, f"{name} has an entry of valuation {low}, outside K[[t]]")
+    low = min((e.val for row in dec.h2.entries for e in row if e.nums), default=0)
+    if low < 0:
+        return VerificationResult(False, f"h2 has an entry of valuation {low}, outside K[[t]]")
     try:
-        for name, h in (("h1", dec.h1), ("h2", dec.h2)):
-            if not linalg.is_invertible(field, h.constant_matrix()):
-                return VerificationResult(False, f"{name}(0) is not invertible")
+        if not linalg.is_invertible(field, dec.h2.constant_matrix()):
+            return VerificationResult(False, "h2(0) is not invertible")
     except PrecisionError as exc:
         return VerificationResult(False, f"constant terms not determined: {exc}")
-    # h1 · diag(t^w) shifts column j of h1 by w_j
-    h1d = SeriesMatrix(field, [[e.shift(w) for e, w in zip(row, dec.weights)] for row in dec.h1.entries])
-    residual = g @ dec.h2 - h1d
+    p = g @ dec.h2
+    if p.trunc is not None and p.trunc < dec.precision:
+        return VerificationResult(False, f"insufficient precision for the residual check: "
+                                         f"g h2 known only to t^{p.trunc}, below t^{dec.precision}")
     try:
-        if residual.is_zero_mod(dec.precision):
-            return VerificationResult(True)
+        for row in p.entries:
+            for e, w in zip(row, dec.weights):
+                if not e.is_zero_mod(w):
+                    return VerificationResult(False, f"h1 has an entry of valuation {e.val - w}, outside K[[t]]")
+        h1_0 = [[e.coefficient(w) for e, w in zip(row, dec.weights)] for row in p.entries]
     except PrecisionError as exc:
         return VerificationResult(False, f"insufficient precision for the residual check: {exc}")
-    return VerificationResult(False, "nonzero residual", residual)
+    if not linalg.is_invertible(field, h1_0):
+        return VerificationResult(False, "h1(0) is not invertible")
+    return VerificationResult(True, h1_0=h1_0)
 
 
 def cartan_factors(matrices, n: int = DEFAULT_TRUNCATION) -> list:

@@ -242,17 +242,17 @@ class LaurentSeries:
 
     # -- arithmetic ---------------------------------------------------------
 
-    def __add__(self, other: "LaurentSeries", subtract: bool = False) -> "LaurentSeries":
-        """``self + other``, or ``self - other`` with ``subtract`` (one :func:`muladd`,
-        which checks the fields)."""
-        return muladd(self, ((other, None),), subtract)
+    def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
+        """``self + other`` (one :func:`muladd`, which checks the fields)."""
+        return muladd(self, ((other, None),))
 
     def __neg__(self) -> "LaurentSeries":
         """``0 - self`` (one :func:`muladd`)."""
         return muladd(LaurentSeries.zero(self.field), ((self, None),), True)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        return self.__add__(other, True)
+        """``self - other`` (one :func:`muladd`)."""
+        return muladd(self, ((other, None),), True)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         """``0 + self · other`` (one :func:`muladd`)."""
@@ -486,23 +486,6 @@ class SeriesMatrix:
         cols = list(zip(*other.entries))
         return SeriesMatrix(self.field, [[muladd(zero, zip(row, col)) for col in cols] for row in self.entries])
 
-    def __sub__(self, other: "SeriesMatrix") -> "SeriesMatrix":
-        self._check_same_shape(other)
-        return SeriesMatrix(
-            self.field,
-            [
-                [self.entries[i][j] - other.entries[i][j] for j in range(self.cols)]
-                for i in range(self.rows)
-            ],
-        )
-
-    def _check_same_shape(self, other: "SeriesMatrix") -> None:
-        if not isinstance(other, SeriesMatrix):
-            raise TypeError("expected SeriesMatrix")
-        self.field.ensure_same(other.field)
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ShapeError("shape mismatch")
-
     def shift(self, k: int) -> "SeriesMatrix":
         """Multiply every entry by ``t^k``."""
         return SeriesMatrix(self.field, [[e.shift(k) for e in row] for row in self.entries])
@@ -547,9 +530,6 @@ class SeriesMatrix:
     def constant_matrix(self) -> list:
         """The matrix of constant terms (exact scalars)."""
         return [[e.coefficient(0) for e in row] for row in self.entries]
-
-    def is_zero_mod(self, n: int) -> bool:
-        return all(e.is_zero_mod(n) for row in self.entries for e in row)
 
     def min_valuation_lower_bound(self) -> Optional[int]:
         """Min of the entries' certified valuation lower bounds (None = +inf)."""

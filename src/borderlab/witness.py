@@ -119,14 +119,15 @@ class LimitWitness(NamedTuple):
     lift: Optional[str] = None
 
 
-def lambda_and_constants(fld, decs: Sequence, lift: Optional[str] = None) -> tuple:
+def lambda_and_constants(fld, decs: Sequence, verdicts: Sequence, lift: Optional[str] = None) -> tuple:
     """``(factors, pairs)``: λ's factors and each factor's ``(h1_i(0), h2_i(0))``, from its Cartan decompositions.
 
-    ``lambda_i`` has the weights of ``decs[i]`` on the basis ``h2_i(0)``;
+    ``h1_i(0)`` is the one that :func:`verify_cartan` derived and handed
+    back in ``verdicts[i]``.  ``lambda_i`` has the weights of ``decs[i]`` on the basis ``h2_i(0)``;
     nothing is inverted.  With ``lift="sym3"`` the one 2x2 decomposition
     gives both, lifted to binary cubics (the lift is multiplicative).
     """
-    pairs = [(dec.h1.constant_matrix(), dec.h2.constant_matrix()) for dec in decs]
+    pairs = [(verdict.h1_0, dec.h2.constant_matrix()) for dec, verdict in zip(decs, verdicts)]
     weights = [tuple(dec.weights) for dec in decs]
     if lift == "sym3":
         pairs = [tuple(sym3_lift_constant(fld, m) for m in pairs[0])]
@@ -147,26 +148,26 @@ def _action(gs: Sequence[SeriesMatrix], p: Tensor, lift: Optional[str]) -> list:
     return list(gs)
 
 
-def witness_clauses(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor, q: Union[Tensor, NoLimitError]):
+def witness_clauses(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor, q: Union[Tensor, NoLimitError],
+                    verdicts: Sequence):
     """Yield ``(clause, ok, detail)`` for every claim ``witness`` makes of the curve ``gs`` at ``p``.
 
     ``q`` is :func:`specialize` of the curve at ``p``, or the NoLimitError
-    it raised; the caller computes it once.  The ``cim-residual[i]``
-    clauses come first, and λ and the translations are checked only when
-    every one holds, as then each ``h1_i(0)`` is invertible: a stored ``T``
-    is ``h2_i(0) · h1_i(0)^{-1}`` exactly when ``T · h1_i(0) = h2_i(0)``,
-    and is then invertible too.
+    it raised, and ``verdicts`` is :func:`verify_cartan` of each matrix of
+    ``gs`` and its decomposition; the caller computes them once.  The
+    ``cim-residual[i]`` clauses come first, and λ and the translations are
+    checked only when every one holds, as then each derived ``h1_i(0)`` is
+    invertible: a stored ``T`` is ``h2_i(0) · h1_i(0)^{-1}`` exactly when
+    ``T · h1_i(0) = h2_i(0)``, and is then invertible too.
     """
     fld = witness.subgroup.field
     mats = witness.translations
-    held = True
-    for i, (g, dec) in enumerate(zip(gs, witness.decompositions)):
-        verdict = verify_cartan(g, dec)
-        held = held and verdict.passed
+    for i, verdict in enumerate(verdicts):
         yield f"cim-residual[{i}]", verdict.passed, verdict.reason or "verified"
+    held = all(verdict.passed for verdict in verdicts)
     translations_hold = False
     if held:
-        factors, pairs = lambda_and_constants(fld, witness.decompositions, witness.lift)
+        factors, pairs = lambda_and_constants(fld, witness.decompositions, verdicts, witness.lift)
         # the shape check comes first: mat_mul reads only the first row's length
         translations_hold = len(mats) == len(pairs) and all(
             [len(row) for row in m] == [len(h1_0)] * len(h1_0) and linalg.mat_mul(fld, m, h1_0) == h2_0
@@ -205,7 +206,8 @@ def recheck_witness(witness: LimitWitness, gs: Sequence[SeriesMatrix], p: Tensor
         q = specialize(_action(gs, p, witness.lift), p)
     except NoLimitError as exc:
         q = exc
-    return list(witness_clauses(witness, gs, p, q))
+    verdicts = [verify_cartan(g, dec) for g, dec in zip(gs, witness.decompositions)]
+    return list(witness_clauses(witness, gs, p, q, verdicts))
 
 
 def build_witness(
@@ -228,11 +230,15 @@ def build_witness(
     """
     q = specialize(_action(gs, p, lift), p)
     decs = tuple(cartan_decompose(g, n) for g in gs)
-    factors, pairs = lambda_and_constants(p.field, decs, lift)
+    verdicts = [verify_cartan(g, dec) for g, dec in zip(gs, decs)]
+    for i, verdict in enumerate(verdicts):
+        if not verdict.passed:
+            raise WitnessVerificationFailure(f"witness clause cim-residual[{i}] failed: {verdict.reason}")
+    factors, pairs = lambda_and_constants(p.field, decs, verdicts, lift)
     translations = tuple(_freeze(linalg.mat_mul(p.field, h2_0, linalg.mat_inv(p.field, h1_0))) for h1_0, h2_0 in pairs)
     subgroup = OneParamSubgroup(p.field, factors)
     witness = LimitWitness(subgroup, q, act(translations, q), limit_at_zero(subgroup, p), translations, decs, lift)
-    for clause, ok, detail in witness_clauses(witness, gs, p, q):
+    for clause, ok, detail in witness_clauses(witness, gs, p, q, verdicts):
         if not ok:
             raise WitnessVerificationFailure(f"witness clause {clause} failed: {detail}")
     return witness

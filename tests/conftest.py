@@ -7,7 +7,7 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from borderlab import NoLimitError, PrimeField, QQ, ShapeError, SingularError, limit_at_zero, linalg
+from borderlab import NoLimitError, PrecisionError, PrimeField, QQ, ShapeError, SingularError, limit_at_zero, linalg
 from borderlab.series import LaurentSeries, SeriesMatrix, certify_min_valuation, muladd
 from borderlab.tensors import OneParamSubgroup, SubgroupFactor, Tensor
 
@@ -73,8 +73,10 @@ def reference_smith_form(m, n, events=None):
     """Smith reduction that keeps ``u`` in step with the working matrix: every
     row operation is applied to ``u``'s columns and every update touches the
     whole matrix (test oracle for ``loopgroup.smith_form``, with its pivot
-    rule and its ``(u, exponents, h2)``).  A Counter ``events`` counts each
-    ``row swap``, ``column swap`` and ``skipped multiplier``.
+    rule).  Returns ``(u, exponents, h2)``: the library returns the last two,
+    and its check derives ``u`` as ``m · h2 · diag(t^-e)``.  A Counter
+    ``events`` counts each ``row swap``, ``column swap`` and ``skipped
+    multiplier``.
     """
     if m.rows != m.cols:
         raise ShapeError("Smith reduction expects a square matrix")
@@ -228,7 +230,51 @@ def reconstruct(dec):
     return dec.base.from_eigen(Tensor(field, dec.dims, total))
 
 
-def inverse_residual_check(g, dec):
+def difference(a, b):
+    """``a - b`` entry by entry (test helper: the library forms no matrix difference)."""
+    if (a.rows, a.cols) != (b.rows, b.cols):
+        raise ShapeError("shape mismatch")
+    return SeriesMatrix(a.field, [[x - y for x, y in zip(ra, rb)] for ra, rb in zip(a.entries, b.entries)])
+
+
+def zero_mod(m, n):
+    """Whether every entry of ``m`` is known and zero below ``t^n``; raises
+    PrecisionError when one is not known that far."""
+    return all(e.is_zero_mod(n) for row in m.entries for e in row)
+
+
+def derived_h1(g, dec):
+    """``g · h2 · diag(t^-w)`` with the unknown tail of each entry dropped
+    (test helper): the ``h1`` that ``verify_cartan`` derives, made exact.
+
+    The tail of column ``j`` starts at ``t^(trunc - w_j)``, so in ``h1 ·
+    diag(t^w)`` it reaches only ``t^trunc`` and beyond, where ``g · h2`` is
+    unknown anyway; dropping it costs a residual check no precision.
+    """
+    p = g @ dec.h2
+    return SeriesMatrix(g.field, [[LaurentSeries.from_vector(g.field, e.val - w, e.nums, e.den)
+                                   for e, w in zip(row, dec.weights)] for row in p.entries])
+
+
+def stored_h1_check(g, h1, dec):
+    """Whether the triple ``(h1, weights, h2)`` passes the three checks of a
+    decomposition that stores ``h1`` (test oracle): ``h1`` and ``h2`` have no
+    entry of certified negative valuation, ``h1(0)`` and ``h2(0)`` are
+    invertible, and ``g · h2 - h1 · diag(t^w)`` vanishes mod
+    ``t^precision``.  A check the precision cannot decide fails."""
+    field = g.field
+    for h in (h1, dec.h2):
+        if min((e.val for row in h.entries for e in row if e.nums), default=0) < 0:
+            return False
+    h1d = SeriesMatrix(field, [[e.shift(w) for e, w in zip(row, dec.weights)] for row in h1.entries])
+    try:
+        return (all(linalg.is_invertible(field, h.constant_matrix()) for h in (h1, dec.h2))
+                and zero_mod(difference(g @ dec.h2, h1d), dec.precision))
+    except PrecisionError:
+        return False
+
+
+def inverse_residual_check(g, h1, dec):
     """Whether ``g - h1 · diag(t^w) · h2^{-1}`` vanishes mod ``t^precision``,
     with ``h2`` inverted explicitly, ``h1`` and ``h2`` in K[[t]] and their
     constant terms invertible (test oracle).
@@ -236,15 +282,15 @@ def inverse_residual_check(g, dec):
     Raises PrecisionError when the available precision cannot decide it.
     """
     field = g.field
-    for h in (dec.h1, dec.h2):
+    for h in (h1, dec.h2):
         if any(e.coeffs and e.val < 0 for row in h.entries for e in row):
             return False
-    for h in (dec.h1, dec.h2):
+    for h in (h1, dec.h2):
         if not linalg.is_invertible(field, h.constant_matrix()):
             return False
     h2inv = dec.h2.inverse(dec.h2.trunc if dec.h2.trunc is not None else dec.precision)
-    product = dec.h1 @ SeriesMatrix.diag_powers(field, list(dec.weights)) @ h2inv
-    return (g - product).is_zero_mod(dec.precision)
+    product = h1 @ SeriesMatrix.diag_powers(field, list(dec.weights)) @ h2inv
+    return zero_mod(difference(g, product), dec.precision)
 
 
 def cartan_weights(witness):

@@ -23,7 +23,7 @@ from borderlab import (
 from borderlab.cli import main
 from borderlab.tensors import SingularBasisError
 
-from conftest import inverse_residual_check, series, unit_tensor
+from conftest import derived_h1, inverse_residual_check, series, unit_tensor
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -312,6 +312,22 @@ def test_cim_doubles_the_working_precision_and_keeps_the_asked_precision(tmp_pat
     assert run(["verify", str(out)]) == 0
 
 
+@pytest.mark.parametrize("precision", [1, 2, 3, 4])
+def test_cim_at_a_precision_below_its_weights_verifies(precision, curve_file, tmp_path):
+    # a weight at or above the precision is checked through t^w, beyond
+    # t^N; the h2 cim writes reaches that far, so the benchmark's ℚ 8x8
+    # input (weights up to 2) and the binary-cubics curve (-2, 2) verify
+    matrix = tmp_path / "g.json"
+    assert run(["gen", "--kind", "cim", "--field", "q", "--size", "8", "--seed", "1", "--out", str(matrix)]) == 0
+    top = []
+    for source in (str(matrix), curve_file):
+        out = tmp_path / "dec.json"
+        assert run(["cim", source, "--precision", str(precision), "--out", str(out)]) == 0
+        top.append(max(read_json(out)["decomposition"]["weights"]))
+        assert run(["verify", str(out)]) == 0
+    assert top == [2, 2]
+
+
 def test_cim_exactly_singular_series_exits_2_after_the_doublings(tmp_path, monkeypatch, capsys):
     # det = 0 exactly, but the elimination leaves O(t^work) rather than an
     # exact zero: one probe, then a full pass at 32 and at each doubling
@@ -358,18 +374,25 @@ def test_running_out_of_memory_or_stack_is_inconclusive(error, monkeypatch, caps
     assert capsys.readouterr().err == f"inconclusive: {error.__name__}()\n"
 
 
-@pytest.mark.parametrize("weight", [2**70, -2**70], ids=["plus", "minus"])
+@pytest.mark.parametrize(
+    "weight, reason",
+    [(2**70, "h1 has an entry of valuation -118059162071741130342"), (-2**70, "h1(0) is not invertible")],
+    ids=["plus", "minus"],
+)
 @pytest.mark.parametrize("document", ["cim", "witness"])
-def test_a_weight_too_large_to_index_is_inconclusive(document, weight, tmp_path, capsys):
-    # the residual's h1·diag(t^w) reaches t^w, and a list that long cannot
-    # be made: the OverflowError is no verdict (exit 2), not a crash (exit 1)
+def test_a_weight_too_large_to_index_fails_the_cartan_check(document, weight, reason, tmp_path, capsys):
+    # the check derives h1 by reading the coefficients of g·h2 at t^w, and
+    # builds nothing as long as w: a far weight is refuted, with the reason
     doc = small_output(document, tmp_path)
     (doc["decomposition"] if document == "cim" else doc["cim"][0])["weights"][0] = weight
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    assert run(["verify", str(path)]) == 2
-    assert capsys.readouterr().err.startswith("inconclusive: OverflowError(")
+    assert run(["verify", str(path)]) == 1
+    captured = capsys.readouterr()
+    clause = "residual" if document == "cim" else "cim-residual[0]"
+    assert f"{clause}: FAILED ({reason}" in captured.out
+    assert captured.err == ""
 
 
 def test_cim_factor_tuple_input(curve_file, tmp_path):
@@ -436,19 +459,20 @@ def test_witness_no_limit_exits_1(tmp_path, capsys):
 
 
 def test_witness_fails_an_undecidable_cartan_check_with_its_reason(witness_file, tmp_path, monkeypatch, capsys):
-    # the decomposition's h1 is known only to t^1, so its Cartan check
-    # cannot be decided at precision 32: the witness is refused, not retried
+    # the decomposition's h2 is known only to t^1, so g·h2, and with it the
+    # derived h1, cannot decide the Cartan check at precision 32: the
+    # witness is refused, not retried
     from borderlab import SeriesMatrix, witness
 
     tried = []
     decompose = witness.cartan_decompose
 
-    def cut_h1(g, n):
+    def cut_h2(g, n):
         tried.append(n)
         dec = decompose(g, n)
-        return dec._replace(h1=SeriesMatrix(dec.h1.field, [[e.truncate(1) for e in row] for row in dec.h1.entries]))
+        return dec._replace(h2=SeriesMatrix(dec.h2.field, [[e.truncate(1) for e in row] for row in dec.h2.entries]))
 
-    monkeypatch.setattr(witness, "cartan_decompose", cut_h1)
+    monkeypatch.setattr(witness, "cartan_decompose", cut_h2)
     out = tmp_path / "w.json"
     assert run(["witness", witness_file, "--out", str(out)]) == 1
     assert tried == [32]
@@ -970,6 +994,17 @@ def double_translation(doc):
     double_q_tilde(doc)
 
 
+def move_a_weight(doc):
+    # the first decomposition no longer verifies, so lambda and the
+    # translations, which read its h1(0) and h2(0), fail with it
+    doc["cim"][0]["weights"][0] += 1
+
+
+def pole_at_p(doc):
+    # p = x y^2: the curve has a pole there, and so has lambda(t) p at 0
+    doc["p"]["entries"] = [{"idx": [3], "value": "1"}]
+
+
 @pytest.mark.parametrize(
     "source, edit, clauses",
     [
@@ -978,8 +1013,11 @@ def double_translation(doc):
         ("gen-333", zero_translation, ["translations", "translation-invertible", "translation"]),
         ("gen-333", double_q, ["specialization"]),
         ("binary-cubics", double_q_tilde, ["translation"]),
+        ("gen-333", move_a_weight, ["cim-residual[0]", "lambda", "translations"]),
+        ("binary-cubics", pole_at_p, ["specialization", "limit-zero"]),
     ],
-    ids=["lambda-doubled", "translation-doubled", "translation-zero", "q-doubled", "qTilde-doubled"],
+    ids=["lambda-doubled", "translation-doubled", "translation-zero", "q-doubled", "qTilde-doubled",
+         "weight-moved", "pole-at-p"],
 )
 def test_verify_rederives_lambda_and_the_translations(source, edit, clauses, witness_file, tmp_path, capsys):
     if source == "gen-333":
@@ -1061,15 +1099,17 @@ def names_one_field(doc):
 def cim_oracle_valid(doc):
     """Whether ``doc`` is a ``cim`` output true on its own terms.
 
-    It is read by the schema's decoders; each factor's decomposition must
-    then pass the inverse-based residual oracle at its own precision, and be
-    stored as verified with no reason.
+    It is read by the schema's decoders; each factor's decomposition, with
+    the h1 that ``verify_cartan`` derives, must then pass the inverse-based
+    residual oracle at its own precision, and be stored as verified with no
+    reason.
     """
     if doc.get("kind") != "cartan" or not names_one_field(doc):
         return False
     try:
         results = jsonio.cartan_results_from_obj(doc)
-        return all(inverse_residual_check(g, dec) and verified and reason == "" for g, dec, verified, reason in results)
+        return all(inverse_residual_check(g, derived_h1(g, dec), dec) and verified and reason == ""
+                   for g, dec, verified, reason in results)
     except (BorderlabError, KeyError, ValueError):
         return False
 
@@ -1077,8 +1117,9 @@ def cim_oracle_valid(doc):
 def witness_oracle_valid(doc):
     """Whether ``doc`` is a witness of its own ``g`` and ``p``, true on its own terms.
 
-    It is read by the schema's decoders.  Each decomposition must pass the
-    inverse-based residual oracle; λ_i must be the weights of ``cim[i]`` on
+    It is read by the schema's decoders.  Each decomposition, with the h1
+    that ``verify_cartan`` derives, must pass the inverse-based residual
+    oracle; λ_i must be the weights of ``cim[i]`` on
     the basis h2_i(0) and translation i the T with T·h1_i(0) = h2_i(0); q
     the constant terms of g(t)·p, which may have no pole; q̃ the translated
     q; and the shared limit both limits.  The documents here have no
@@ -1094,9 +1135,10 @@ def witness_oracle_valid(doc):
         if not len(gs) == len(w.decompositions) == len(w.subgroup.factors) == len(w.translations):
             return False
         for g, dec, factor, translation in zip(gs, w.decompositions, w.subgroup.factors, w.translations):
-            h1_0, h2_0 = dec.h1.constant_matrix(), dec.h2.constant_matrix()
-            if not inverse_residual_check(g, dec):
+            h1 = derived_h1(g, dec)
+            if not inverse_residual_check(g, h1, dec):
                 return False
+            h1_0, h2_0 = h1.constant_matrix(), dec.h2.constant_matrix()
             if factor != SubgroupFactor(tuple(dec.weights), tuple(map(tuple, h2_0))):
                 return False
             square = [len(row) for row in translation] == [len(h1_0)] * len(h1_0)
@@ -1184,9 +1226,9 @@ def test_verify_cartan_output(curve_file, tmp_path, capsys):
 def test_verify_refuses_a_decomposition_stored_below_precision_one(
     document, precision, shift, witness_file, tmp_path, capsys
 ):
-    # mod t^N with N <= 0 the residual check holds vacuously: each document
-    # here verified, the one with weights moved by 7 (summing to 16 where
-    # v(det g) = -5) included, so the decoder refuses a precision below 1
+    # a claim mod t^N says nothing for N <= 0, so the decoder refuses a
+    # precision below 1 before any check runs, also beside weights moved by
+    # 7 (summing to 16 where v(det g) = -5)
     out = tmp_path / "doc.json"
     if document == "cim":
         matrix = tmp_path / "g.json"
@@ -1204,6 +1246,31 @@ def test_verify_refuses_a_decomposition_stored_below_precision_one(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert f"precision must be at least 1, got {precision}" in captured.err
+
+
+@pytest.mark.parametrize(
+    "document, edit, message",
+    [
+        ("cim", lambda dec: dec.update(h1=dec["h2"]), "unknown keys ['h1']"),
+        ("witness", lambda dec: dec.update(h1=dec["h2"]), "unknown keys ['h1']"),
+        ("cim", lambda dec: dec.update(residual=[]), "unknown keys ['residual']"),
+        ("witness", lambda dec: dec.pop("h2"), "missing keys ['h2']"),
+    ],
+    ids=["cim-h1", "witness-h1", "cim-other-key", "witness-missing-key"],
+)
+def test_verify_refuses_a_decomposition_with_other_keys(document, edit, message, tmp_path, capsys):
+    # a decomposition holds exactly its weights, h2 and precision: a stored
+    # h1, which the check derives instead, or any other key would go unread,
+    # so the document is refused rather than half read
+    doc = small_output(document, tmp_path)
+    edit(doc["decomposition"] if document == "cim" else doc["cim"][0])
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["verify", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: decomposition: {message}\n"
 
 
 @pytest.mark.parametrize(
@@ -1329,8 +1396,8 @@ def test_no_matrix_inverse_on_the_cim_and_witness_paths(curve_file, witness_file
 
 
 def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
-    # g = diag(t^-1 + 1, 1) has weights (-1, 0); the forged triple
-    # h1 = g, weights (0, 0), h2 = I multiplies out to g but h1 is not in K[[t]]
+    # g = diag(t^-1 + 1, 1) has weights (-1, 0); the forged claim of
+    # weights (0, 0) and h2 = I derives h1 = g, which is not in K[[t]]
     from borderlab import QQ, LaurentSeries, SeriesMatrix
 
     g = SeriesMatrix(QQ, [[series(QQ, {-1: 1, 0: 1}), LaurentSeries.zero(QQ)],
@@ -1342,7 +1409,7 @@ def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
     obj = read_json(out)
     dec = obj["decomposition"]
     assert dec["weights"] == [-1, 0]
-    dec.update(h1=jsonio.matrix_to_obj(g), weights=[0, 0], h2=jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2)))
+    dec.update(weights=[0, 0], h2=jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2)))
     out.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
@@ -1402,7 +1469,9 @@ def test_verify_refuses_a_witness_without_one_decomposition_per_matrix(witness_f
 
 
 @pytest.mark.parametrize("kind", ["certificate", "cim", "witness"])
-@pytest.mark.parametrize("version", ["junk", None, "borderlab-0.0.9"], ids=["junk", "null", "older"])
+@pytest.mark.parametrize(
+    "version", ["junk", None, "borderlab-0.0.9", "borderlab-0.1.0"], ids=["junk", "null", "older", "stored-h1"]
+)
 def test_verify_refuses_an_unknown_version(kind, version, curve_file, witness_file, tmp_path, capsys):
     out = tmp_path / "doc.json"
     argv = {
@@ -1551,16 +1620,19 @@ def test_every_output_is_canonical_json(tmp_path, curve_file, witness_file, caps
 # formed each term as a product and a sum, before it became one muladd.
 # The cim digests were taken again when a one-factor output stopped
 # repeating its result in a factors list; each such output parses to the
-# one pinned before with that list removed.
+# one pinned before with that list removed.  The cim and witness digests
+# were taken again when decompositions stopped storing h1; each output
+# parses to the one pinned before with each h1 removed and the version
+# changed.
 PINNED_DIGESTS = {
     "certify": "c3316584080fd8cbc533be000884ff23f51689e03a5c8e50e76fc91d618d4142",
-    "witness-data": "5abe9e5d7c37e600b58773c1d18c4b1ccb3ccb79bf6f2a5f6516d9089277d549",
+    "witness-data": "c40ea4d281d1612b8b7c9bbe406905c0abd89f01f6759e2b89683700eb55a677",
     "gen": "cc27539098a1e18df7a1b83a518335c222ade94429c4079e99e8497e4cd1bc7e",
-    "witness-gen": "774ed96f9773badec4ef756b6565fc403173756e5571adff367e4129d598ecb2",
-    "cim-q": "03e8c6b8e1d032928d66a9a741793da13e2799b9ce79bfc2e90660868e7df13e",
-    "cim-fp": "167d71542df6a24ef9adfa45227f16b31d5c7787ccf5041ea46b45e831bf8879",
+    "witness-gen": "3b56b1d2e99848d503d038e4311efb0bcb49ccee001e5f4a16b86f212719cd77",
+    "cim-q": "342d2956713384351c2162033401e80025ec48ea4e05c76460db78a66e9bf27a",
+    "cim-fp": "6043dd05780f48bbecd356449c213e09cbc7a458d94ee558cf29070f05f328e4",
     "gen-q": "3a4868025df386056f530ca32aa45dc1b3aa11ceca9c7260585655746802a969",
-    "witness-gen-q": "ef8d761bbb85cb427779bc4adb9f3068e4bf38838a7fa821d71e601df34ec41f",
+    "witness-gen-q": "b5a7b1c6f758081f4e01aa359bb6ea7941390b8852e7d521fea9a2d9999e6d8c",
 }
 
 
@@ -1583,11 +1655,11 @@ def test_outputs_match_pinned_digests(tmp_path, witness_file):
 
 # SHA-256 of ``cim`` on the workload-sized gen inputs, as the operator-built
 # Smith pass, inverse and residual check wrote them (without the factors
-# list of a one-factor output, as PINNED_DIGESTS); the fused kernel must
-# write the same bytes
+# list of a one-factor output and without h1, as PINNED_DIGESTS); the
+# fused kernel must write the same bytes
 WORKLOAD_DIGESTS = {
-    ("q", 12): "123ac90e6d52fab5e2c4133e65db11b71c163e6adb9502aa7957c2fdb718e53e",
-    ("fp", 16): "ae4282ba6791d2c4cbdc764f7ea202ad4661df8623c0e24655a9287501627cf7",
+    ("q", 12): "05283962db1a4c67fc8ab7e65956928ef5a357c7a38003bdda1b2d26a0c8a10c",
+    ("fp", 16): "e9a1a33073420e56625d78550012dfe606006c71ac65063e272431465319c133",
 }
 
 

@@ -46,7 +46,7 @@ def records():
             "DegenerationCertificate": cert,
             "DichotomyResult": hypercube_dichotomy([(1, 1, 1)], 1, 3),
             "CartanDecomposition": cartan_decompose(g, 8),
-            "VerificationResult": VerificationResult(False, "nonzero residual"),
+            "VerificationResult": VerificationResult(False, "h1(0) is not invertible"),
             "SubgroupFactor": SubgroupFactor(weights=(0, 1), basis=((QQ.one(), QQ.zero()), (QQ.one(), QQ.one()))),
             "WeightDecomposition": weight_decompose(unit_tensor(QQ, 2, 3), trivial_subgroup(QQ, (2, 2, 2))),
             "LimitWitness": witness_from_obj(witness_to_obj(build_witness([g, g], p, 8), [g, g], p))[0],

@@ -70,7 +70,8 @@ def test_tracer_installs_spans_and_uninstalls(tmp_path):
 
 def test_tracer_counts_the_series_kernels_under_cim(tmp_path):
     # the traced benchmark counts products and coefficient pairs at
-    # LaurentSeries.__mul__ and __add__, so the kernels must be reached there
+    # LaurentSeries.__mul__, so the kernel must be reached there; cim adds
+    # no two series, so its series.add_calls, counted at __add__, is 0
     tracer = load_spans().Tracer()
     tracer.install()
     try:
@@ -80,7 +81,6 @@ def test_tracer_counts_the_series_kernels_under_cim(tmp_path):
         tracer.uninstall()
     assert tracer.counts["series.mul_calls"] > 0
     assert tracer.counts["series.coeff_mults"] > 0
-    assert tracer.counts["series.add_calls"] > 0
     assert "loopgroup.smith_form" in {span[0] for span in tracer.spans}
 
 
