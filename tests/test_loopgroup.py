@@ -157,6 +157,27 @@ def test_smith_form_matches_the_reference_entry_by_entry():
 
 
 @pytest.mark.parametrize("size", [1, 2, 6, 8])
+def test_smith_form_multiplies_three_times_per_eliminated_entry(size, monkeypatch):
+    # the name gives the count while smith_form also built the left factor:
+    # per step, one multiplier per row and per column below the pivot and
+    # one unit times each row multiplier, 3·n(n-1)/2 series products in all.
+    # h1 is now derived in the check, so the unit product is gone and two
+    # of every three remain: n(n-1)
+    rng = random.Random(size)
+    m = SeriesMatrix(QQ, [[series(QQ, {k: rng.randint(1, 9) for k in range(3)}) for _ in range(size)]
+                          for _ in range(size)])
+    events = Counter()
+    expected = reference_smith_form(m, 16, events)
+    assert events["skipped multiplier"] == 0
+    calls = []
+    mul = LaurentSeries.__mul__
+    monkeypatch.setattr(LaurentSeries, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
+    got = smith_form(m, 16)
+    assert 3 * len(calls) == 2 * (3 * size * (size - 1) // 2)
+    assert got == expected[1:]
+
+
+@pytest.mark.parametrize("size", [1, 2, 6, 8])
 def test_smith_form_updates_only_entries_it_reads(size, monkeypatch):
     # step k, with s = n-k-1 rows and columns left, makes s² row updates
     # right of the pivot column and n·s column operations on h2 alone, and
@@ -169,9 +190,7 @@ def test_smith_form_updates_only_entries_it_reads(size, monkeypatch):
     rng = random.Random(size)
     m = SeriesMatrix(QQ, [[series(QQ, {k: rng.randint(1, 9) for k in range(3)}) for _ in range(size)]
                           for _ in range(size)])
-    events = Counter()
-    expected = reference_smith_form(m, 16, events)
-    assert events["skipped multiplier"] == 0
+    expected = reference_smith_form(m, 16)
     kernel = series_module.muladd
     calls = Counter()
     for module in (series_module, loopgroup):
