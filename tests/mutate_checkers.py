@@ -36,6 +36,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+#: seconds per pytest run; a run that takes longer counts as a kill
+TIMEOUT = 900
+
 #: (module, function) -> the test files that reach it
 TARGETS = {
     ("loopgroup", "verify_cartan"): ["test_loopgroup.py", "test_cli.py", "test_witness.py", "test_acceptance.py"],
@@ -136,12 +139,12 @@ def mutant_source(source: str, name: str, index: int, apply) -> tuple:
     return "".join(lines[: func.lineno - 1]) + body + "".join(lines[func.end_lineno:]), description
 
 
-def run_tests(repo: Path, files, timeout: float) -> tuple:
+def run_tests(repo: Path, files) -> tuple:
     """``(killed, seconds)`` of pytest ``-x`` over ``files`` (the whole suite when empty)."""
     start = time.perf_counter()
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *[f"tests/{f}" for f in files]]
     try:
-        proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True, timeout=timeout)
+        proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True, timeout=TIMEOUT)
         killed = proc.returncode != 0
     except subprocess.TimeoutExpired:
         killed = True
@@ -151,8 +154,6 @@ def run_tests(repo: Path, files, timeout: float) -> tuple:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workdir", help="where the copy of the repository goes (default: a new temporary directory)")
-    parser.add_argument("--timeout", type=float, default=900, help="seconds per pytest run; a timeout counts as killed")
-    parser.add_argument("--list", action="store_true", help="print the mutants without running any test")
     parser.add_argument("functions", nargs="*", help="only these functions (default: all targets)")
     args = parser.parse_args(argv)
     work = Path(args.workdir or tempfile.mkdtemp(prefix="mutants-"))
@@ -171,22 +172,18 @@ def main(argv=None) -> int:
         func = next(n for n in ast.parse(original).body if isinstance(n, ast.FunctionDef) and n.name == name)
         for operator, index, apply in mutations(func):
             source, description = mutant_source(original, name, index, apply)
-            if args.list:
-                print(f"{module}.{name} [{operator}] {description}")
-                continue
             path.write_text(source)
             try:
-                killed, seconds = run_tests(repo, files, args.timeout)
+                killed, seconds = run_tests(repo, files)
                 if not killed:
-                    killed, more = run_tests(repo, [], args.timeout)
+                    killed, more = run_tests(repo, [])
                     seconds += more
             finally:
                 path.write_text(original)
             counts["killed" if killed else "survived"] += 1
             verdict = "killed" if killed else "SURVIVED"
             print(f"{verdict:<8} {module}.{name} [{operator}] {description} ({seconds:.1f} s)", flush=True)
-    if not args.list:
-        print(f"killed {counts['killed']}, survived {counts['survived']}")
+    print(f"killed {counts['killed']}, survived {counts['survived']}")
     return 0
 
 

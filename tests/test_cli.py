@@ -362,8 +362,10 @@ def test_a_file_nested_too_deeply_is_bad_input(command, tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {path}: JSON nested too deeply to read\n"
 
 
-@pytest.mark.parametrize("error", [MemoryError, RecursionError])
+@pytest.mark.parametrize("error", [MemoryError, RecursionError, OverflowError])
 def test_running_out_of_memory_or_stack_is_inconclusive(error, monkeypatch, capsys):
+    # an OverflowError (a number too large to index or convert) reaches no
+    # verdict either, and maps to the same exit
     from borderlab import degeneration
 
     def exhausted(*args, **kwargs):

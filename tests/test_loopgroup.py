@@ -173,7 +173,7 @@ def test_smith_form_multiplies_three_times_per_eliminated_entry(size, monkeypatc
     mul = LaurentSeries.__mul__
     monkeypatch.setattr(LaurentSeries, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
     got = smith_form(m, 16)
-    assert 3 * len(calls) == 2 * (3 * size * (size - 1) // 2)
+    assert len(calls) == size * (size - 1)
     assert got == expected[1:]
 
 
