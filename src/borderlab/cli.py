@@ -3,9 +3,9 @@
 Exit codes are a stable contract:
   0  success / certified
   1  refuted or failed verification
-  2  inconclusive (no working precision certifies a Cartan
-     decomposition, an input known to too little for the asked precision,
-     or a certificate whose checks do not all hold)
+  2  inconclusive (no working precision gives a Cartan decomposition
+     that passes its check, an input known to too little for the asked
+     precision, or a certificate whose checks do not all hold)
   3  malformed input, bad parameters or a usage error
 
 A run that runs out of memory or stack, or meets a size too large to index
@@ -13,8 +13,9 @@ A run that runs out of memory or stack, or meets a size too large to index
 verdict, so it exits 2 and its ``inconclusive:`` line names the exception;
 an input file nested too deeply for the JSON reader exits 3.
 
-``cim`` and ``witness`` decompose at exactly ``--precision``; the working
-precision, and its doublings when a pivot cannot be certified, are
+``cim`` and ``witness`` decompose at exactly ``--precision`` and keep a
+decomposition only when the Cartan check passes it (``cim`` never exits
+1); the working precision and its doublings are
 :func:`borderlab.loopgroup.cartan_decompose`'s own.
 
 All outputs are the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
@@ -144,7 +145,7 @@ def cmd_cim(args) -> int:
 
     factors = cartan_factors(jsonio.cim_input_from_obj(_load_json(args.input)), args.precision)
     _write_json(args.out, jsonio.cartan_results_to_obj(factors))
-    return EXIT_OK if all(verified for _, _, verified, _ in factors) else EXIT_FAIL
+    return EXIT_OK
 
 
 def cmd_witness(args) -> int:

@@ -9,7 +9,8 @@ clearing denominators by a global power of ``t``.
 
 A decomposition is stored as its weights, ``h2`` and precision: given
 those, ``h1 = g · h2 · diag(t^-w)`` is the only candidate, so
-:func:`verify_cartan` derives it rather than reading it.
+:func:`verify_cartan` derives it, and is the one precision rule:
+:func:`cartan_decompose` keeps a Smith pass exactly when it passes.
 
 The pivot rule is deterministic: smallest certified valuation, ties broken
 in row-major scan order.  Output weights are weakly increasing; any valid
@@ -106,30 +107,30 @@ def smith_form(m: SeriesMatrix, n: int):
 
 
 #: how often ``cartan_decompose`` doubles its working precision when a full
-#: Smith pass cannot certify a pivot
+#: Smith pass cannot certify a pivot or its decomposition fails the check
 MAX_DOUBLINGS = 3
 
 
-def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDecomposition:
-    """Cartan decomposition of an invertible Laurent-series matrix at precision ``n``.
+def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> tuple[CartanDecomposition, VerificationResult]:
+    """``(decomposition, verdict)``: the Cartan decomposition of an invertible
+    Laurent-series matrix at precision ``n``, and its passing :func:`verify_cartan`.
 
     Clears denominators with a global shift ``t^a``, Smith-reduces the
     resulting power-series matrix at a working precision ``work`` that it
     finds itself, and un-shifts the middle factor.  A precision-1 probe
     learns the exponents when it can certify its pivots, so the full pass
-    starts at ``n + a + max(e)``, what the factors need.  A full pass that
-    cannot certify a pivot is retried at twice the working precision, at
+    starts at ``n + a + max(e)``, what the factors need.  ``h2`` is the
+    pass's own, cut at ``work`` unless it is exact.  A full pass is
+    kept exactly when :func:`verify_cartan` passes it; one that cannot
+    certify a pivot or fails the check is retried at twice ``work``, at
     most ``MAX_DOUBLINGS`` times and never once ``work`` reaches what the
-    shifted input is known to.  ``h2`` is the Smith pass's own, cut at
-    ``work`` when it is known beyond it and left exact when every column
-    operation was exact.  The result always has precision ``n``, and is
+    shifted input is known to.  The result has precision ``n``, and is
     deterministic for fixed input and ``n``.
 
     Raises ValueError for ``n < 1``, SingularError when the determinant
-    is exactly zero, and PrecisionError when no working precision
-    certifies the pivots or ``g`` is known only below ``t^(n + max(w) -
-    min(w))``: no decomposition is claimed to more precision than its
-    input has, and the weight spread is what the factors lose of it.
+    is exactly zero, and PrecisionError when ``g`` is known only below
+    ``t^n`` or, with the check's reason, when no working precision passes
+    it: no decomposition claims more precision than its input has.
     """
     if g.rows != g.cols:
         raise ShapeError("Cartan decomposition expects a square matrix")
@@ -151,25 +152,25 @@ def cartan_decompose(g: SeriesMatrix, n: int = DEFAULT_TRUNCATION) -> CartanDeco
         try:
             exponents, h2 = smith_form(cleared, work)
         except PrecisionError as exc:
-            if probe:
-                work = n + 2 * shift
-            elif doublings < MAX_DOUBLINGS and (g.trunc is None or work < g.trunc + shift):
-                work, doublings = 2 * work, doublings + 1
-            else:
-                raise PrecisionError(f"{exc} (working precision {work}, {doublings} doublings)") from exc
+            reason = str(exc)
         else:
-            spread = max(exponents, default=0) - min(exponents, default=0)
-            if g.trunc is not None and g.trunc < n + spread:
-                raise PrecisionError(f"input known only to t^{g.trunc}, below precision {n} plus the weight spread {spread}")
             need = n + shift + max(exponents, default=0)
-            if not probe and work >= need:
-                break
-            work = max(n + 2 * shift, need)
-        probe = False
-    weights = tuple(e - shift for e in exponents)
-    if h2.trunc is not None and h2.trunc > work:
-        h2 = SeriesMatrix(h2.field, [[e.truncate(work) for e in row] for row in h2.entries])
-    return CartanDecomposition(weights=weights, h2=h2, precision=n)
+            if probe or work < need:
+                probe, work = False, max(n + 2 * shift, need)
+                continue
+            if h2.trunc is not None:  # its entries share one order, so a cut at or above it is a no-op
+                h2 = SeriesMatrix(h2.field, [[e.truncate(work) for e in row] for row in h2.entries])
+            dec = CartanDecomposition(weights=tuple(e - shift for e in exponents), h2=h2, precision=n)
+            verdict = verify_cartan(g, dec)
+            if verdict.passed:
+                return dec, verdict
+            reason = verdict.reason
+        if probe:
+            probe, work = False, n + 2 * shift
+        elif doublings < MAX_DOUBLINGS and (g.trunc is None or work < g.trunc + shift):
+            work, doublings = 2 * work, doublings + 1
+        else:
+            raise PrecisionError(f"{reason} (working precision {work}, {doublings} doublings)")
 
 
 def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResult:
@@ -218,11 +219,10 @@ def verify_cartan(g: SeriesMatrix, dec: CartanDecomposition) -> VerificationResu
 
 
 def cartan_factors(matrices, n: int = DEFAULT_TRUNCATION) -> list:
-    """``(g, decomposition at precision n, verified, reason)`` per matrix, the verdict :func:`verify_cartan`'s."""
+    """``(g, decomposition at precision n, verified, reason)`` per matrix, the passing verdict it was kept on."""
     factors = []
     for g in matrices:
-        dec = cartan_decompose(g, n)
-        verdict = verify_cartan(g, dec)
+        dec, verdict = cartan_decompose(g, n)
         factors.append((g, dec, verdict.passed, verdict.reason))
     return factors
 

@@ -222,18 +222,15 @@ def build_witness(
     4-dimensional space of binary cubics through :func:`sym3_lift`; the
     Cartan decomposition then runs on the 2x2 matrix and the subgroup and
     translation are lifted.  Each decomposition is computed at precision
-    ``n`` (:func:`cartan_decompose` finds its own working precision).
-    Raises NoLimitError when the curve does not specialize at ``p`` or
-    λ(t)·p has no limit at ``t -> 0``, and WitnessVerificationFailure
-    naming the first clause that fails, or that precision ``n`` cannot
-    decide, with its reason: the clauses ``verify`` checks.
+    ``n`` (:func:`cartan_decompose` finds its own working precision and
+    keeps only a decomposition that passes :func:`verify_cartan`).  Raises
+    NoLimitError when the curve does not specialize at ``p`` or λ(t)·p has
+    no limit at ``t -> 0``, PrecisionError when precision ``n`` cannot
+    decide a Cartan check, and WitnessVerificationFailure naming the first
+    clause that fails with its reason: the clauses ``verify`` checks.
     """
     q = specialize(_action(gs, p, lift), p)
-    decs = tuple(cartan_decompose(g, n) for g in gs)
-    verdicts = [verify_cartan(g, dec) for g, dec in zip(gs, decs)]
-    for i, verdict in enumerate(verdicts):
-        if not verdict.passed:
-            raise WitnessVerificationFailure(f"witness clause cim-residual[{i}] failed: {verdict.reason}")
+    decs, verdicts = zip(*(cartan_decompose(g, n) for g in gs))
     factors, pairs = lambda_and_constants(p.field, decs, verdicts, lift)
     translations = tuple(_freeze(linalg.mat_mul(p.field, h2_0, linalg.mat_inv(p.field, h1_0))) for h1_0, h2_0 in pairs)
     subgroup = OneParamSubgroup(p.field, factors)

@@ -1,4 +1,4 @@
-"""Mutation run over the functions that decide a Cartan or witness verdict.
+"""Mutation run over the functions that decide a Cartan, witness or certificate verdict.
 
 Does tier-1 notice a checker that is wrong?  Each mutant is one change to
 one function of ``src/borderlab``, made on its syntax tree:
@@ -8,14 +8,17 @@ one function of ``src/borderlab``, made on its syntax tree:
 * ``bound``: an order comparison moved by one (``<``/``<=``, ``>``/``>=``);
 * ``ok``: a clause's ``ok`` forced to ``True``, in a yielded or appended
   ``(clause, ok, detail)`` triple or a ``VerificationResult``;
-* ``raise``: a ``raise SchemaError(...)`` turned into ``pass``.
+* ``raise``: a refusal turned into ``pass``: a ``raise`` of ``SchemaError``
+  (exit 3), ``PrecisionError`` (exit 2) or ``WitnessVerificationFailure``
+  (exit 1).
 
 The list of mutants is fixed by the source.  For each one the script copies
 the repository into a work directory, writes the mutant over the copy of
 its module, and runs pytest there with ``-x`` on the test files that reach
 the function; a mutant those leave alive is run against the whole suite.
-A mutant is killed when pytest fails (or times out), and survives when
-every test passes.  The repository itself is never written.
+A mutant is killed when pytest fails (or times out: a mutant of
+``cartan_decompose``'s loop may never end), and survives when every test
+passes.  The repository itself is never written.
 
 Run it from the repository root (pytest does not collect this file)::
 
@@ -46,6 +49,15 @@ TARGETS = {
     ("witness", "witness_clauses"): ["test_witness.py", "test_cli.py"],
     ("witness", "lambda_and_constants"): ["test_witness.py", "test_cli.py"],
     ("jsonio", "cartan_from_obj"): ["test_jsonio.py", "test_cli.py"],
+    ("loopgroup", "cartan_decompose"): ["test_loopgroup.py", "test_witness.py", "test_cli.py", "test_acceptance.py"],
+    ("witness", "build_witness"): ["test_witness.py", "test_cli.py", "test_acceptance.py"],
+    ("degeneration", "_claim_clauses"): ["test_degeneration.py", "test_cli.py", "test_acceptance.py"],
+    ("degeneration", "recheck_certificate"): ["test_degeneration.py", "test_cli.py", "test_acceptance.py"],
+    ("degeneration", "unit_cover_holds"): ["test_degeneration.py", "test_cli.py", "test_acceptance.py"],
+    ("degeneration", "restriction_agrees"): ["test_degeneration.py", "test_cli.py", "test_acceptance.py"],
+    ("degeneration", "limit_agrees"): ["test_degeneration.py", "test_cli.py", "test_acceptance.py"],
+    ("tensors", "recognize_unit_tensor"): ["test_tensors.py", "test_sparse_tensors.py", "test_degeneration.py",
+                                          "test_cli.py"],
 }
 
 FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt,
@@ -73,10 +85,10 @@ def _is_true(node) -> bool:
     return isinstance(node, ast.Constant) and node.value is True
 
 
-def _raises_schema_error(node) -> bool:
+def _raises_refusal(node) -> bool:
     exc = getattr(node, "exc", None)
-    return (isinstance(node, ast.Raise) and isinstance(exc, ast.Call)
-            and isinstance(exc.func, ast.Name) and exc.func.id == "SchemaError")
+    return (isinstance(node, ast.Raise) and isinstance(exc, ast.Call) and isinstance(exc.func, ast.Name)
+            and exc.func.id in ("SchemaError", "PrecisionError", "WitnessVerificationFailure"))
 
 
 def mutations(func: ast.FunctionDef):
@@ -91,7 +103,7 @@ def mutations(func: ast.FunctionDef):
                 yield "bound", index, lambda n, new=BOUND[op]: _set_op(n, new)
         if _ok_slot(node) is not None:
             yield "ok", index, _force_ok
-        if isinstance(node, ast.Raise) and _raises_schema_error(node):
+        if _raises_refusal(node):
             yield "raise", index, None
 
 

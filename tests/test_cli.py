@@ -291,6 +291,25 @@ def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monke
     assert "known only to t^5" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("precision", [1, 2, 3])
+def test_cim_keeps_every_decomposition_its_check_passes_whatever_the_weight_spread(precision, tmp_path, capsys):
+    # diag(1, t^2) known to t^3: at precision 2 and 3 it is known to less
+    # than t^(precision + max w - min w), yet g·h2 is known through
+    # t^precision and through each t^w_j, so the check passes and cim keeps it
+    from borderlab import QQ, LaurentSeries, SeriesMatrix
+
+    def known_to_t3(val, *coeffs):
+        return LaurentSeries(QQ, val, [QQ.from_int(c) for c in coeffs], 3)
+
+    g = SeriesMatrix(QQ, [[known_to_t3(0, 1), known_to_t3(3)], [known_to_t3(3), known_to_t3(2, 1)]])
+    path, out = tmp_path / "g.json", tmp_path / "dec.json"
+    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    assert run(["cim", str(path), "--precision", str(precision), "--out", str(out)]) == 0
+    assert read_json(out)["decomposition"]["weights"] == [0, 2]
+    assert run(["verify", str(out)]) == 0
+    assert "residual: ok" in capsys.readouterr().out
+
+
 def test_cim_doubles_the_working_precision_and_keeps_the_asked_precision(tmp_path, monkeypatch):
     # neither the probe nor the first full pass at precision 1 can certify
     # a pivot; a doubled working precision does, and the decomposition is
@@ -460,27 +479,46 @@ def test_witness_no_limit_exits_1(tmp_path, capsys):
     assert "specialize" in capsys.readouterr().err
 
 
+def cut_h2_at_t1(h2):
+    from borderlab import SeriesMatrix
+
+    return SeriesMatrix(h2.field, [[e.truncate(1) for e in row] for row in h2.entries])
+
+
 def test_witness_fails_an_undecidable_cartan_check_with_its_reason(witness_file, tmp_path, monkeypatch, capsys):
-    # the decomposition's h2 is known only to t^1, so g·h2, and with it the
-    # derived h1, cannot decide the Cartan check at precision 32: the
-    # witness is refused, not retried
-    from borderlab import SeriesMatrix, witness
+    # every Smith pass's h2 is known only to t^1, so g·h2, and with it the
+    # derived h1, cannot decide the Cartan check at precision 32: the full
+    # pass at what the weights need (32 + shift 2 + largest exponent 4)
+    # fails it, and so does each doubling: witness is inconclusive, not
+    # refuted, and claims no witness
+    from borderlab import loopgroup
 
-    tried = []
-    decompose = witness.cartan_decompose
+    passes = []
+    smith = loopgroup.smith_form
 
-    def cut_h2(g, n):
-        tried.append(n)
-        dec = decompose(g, n)
-        return dec._replace(h2=SeriesMatrix(dec.h2.field, [[e.truncate(1) for e in row] for row in dec.h2.entries]))
+    def cut_smith(m, n):
+        passes.append(n)
+        exponents, h2 = smith(m, n)
+        return exponents, cut_h2_at_t1(h2)
 
-    monkeypatch.setattr(witness, "cartan_decompose", cut_h2)
+    monkeypatch.setattr(loopgroup, "smith_form", cut_smith)
     out = tmp_path / "w.json"
-    assert run(["witness", witness_file, "--out", str(out)]) == 1
-    assert tried == [32]
+    assert run(["witness", witness_file, "--out", str(out)]) == 2
+    assert passes == [1] + [38 << k for k in range(loopgroup.MAX_DOUBLINGS + 1)]
     assert not out.exists()
-    err = capsys.readouterr().err
-    assert "witness clause cim-residual[0] failed: insufficient precision for the residual check" in err
+    assert capsys.readouterr().err == ("inconclusive: insufficient precision for the residual check: g h2 known only "
+                                       "to t^-1, below t^32 (working precision 304, 3 doublings)\n")
+
+
+def test_verify_fails_a_stored_witness_whose_h2_cannot_decide_its_cartan_check(witness_file, tmp_path, capsys):
+    out = tmp_path / "w.json"
+    assert run(["witness", witness_file, "--out", str(out)]) == 0
+    witness, gs, p = jsonio.witness_from_obj(read_json(out))
+    decs = tuple(dec._replace(h2=cut_h2_at_t1(dec.h2)) for dec in witness.decompositions)
+    out.write_text(json.dumps(jsonio.witness_to_obj(witness._replace(decompositions=decs), gs, p)))
+    capsys.readouterr()
+    assert run(["verify", str(out)]) == 1
+    assert "cim-residual[0]: FAILED (insufficient precision for the residual check" in capsys.readouterr().out
 
 
 def test_witness_refuses_its_own_witness_when_a_clause_fails(witness_file, tmp_path, monkeypatch, capsys):
@@ -789,6 +827,26 @@ def test_verify_tampered_certificate_names_clause(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "restriction: FAILED" in out
     assert "T|_P = S|_P" in out
+
+
+@pytest.mark.parametrize("short, code, status", [(0, 0, "ok"), (1, 1, "FAILED")], ids=["exact-fit", "one-short"])
+def test_verify_takes_the_placements_bound_exactly(short, code, status, tmp_path, capsys):
+    # the r = 5 blocks of the n = 16 certificate end at packing_end(5) = 14:
+    # cut to n = 14 it still verifies, and cut one shorter it fails placements
+    from borderlab.degeneration import packing_end
+
+    cert_path = tmp_path / "cert.json"
+    assert run(["certify", "--n", "16", "--r", "5", "--out", str(cert_path)]) == 0
+    obj = read_json(cert_path)
+    n = packing_end(5) - short
+    obj["n"] = obj["profile"]["n"] = n
+    for key in ("S", "TTilde"):
+        obj[key]["dims"] = [n] * 3
+        obj[key]["entries"] = [e for e in obj[key]["entries"] if max(e["idx"]) <= n]
+    cert_path.write_text(json.dumps(obj))
+    capsys.readouterr()
+    assert run(["verify", str(cert_path)]) == code
+    assert f"placements: {status} (blocks packed greedily from r+1 inside [1, n])" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize(

@@ -93,7 +93,7 @@ def test_cartan_round_trip():
         [tpow(QQ, -1), LaurentSeries.zero(QQ)],
         [LaurentSeries(QQ, -2, [QQ.from_int(-1)]), tpow(QQ, 1)],
     ])
-    dec = cartan_decompose(g, 16)
+    dec, _ = cartan_decompose(g, 16)
     obj = jsonio.cartan_to_obj(dec)
     back = jsonio.cartan_from_obj(obj)
     assert back == dec

@@ -208,7 +208,7 @@ def test_smith_form_updates_only_entries_it_reads(size, monkeypatch):
 
 def test_cartan_sl2_example():
     g = sl2_example_matrix()
-    dec = cartan_decompose(g, 16)
+    dec, _ = cartan_decompose(g, 16)
     assert dec.weights == (-2, 2)
     assert verify_cartan(g, dec).passed
     # this instance reproduces the classical factor choice exactly
@@ -220,7 +220,7 @@ def test_cartan_sl2_example():
 
 def test_cartan_identity():
     g = SeriesMatrix.identity(QQ, 2)
-    dec = cartan_decompose(g, 8)
+    dec, _ = cartan_decompose(g, 8)
     assert dec.weights == (0, 0)
     assert dec.h2 == SeriesMatrix.identity(QQ, 2)
     assert verify_cartan(g, dec).h1_0 == SeriesMatrix.identity(QQ, 2).constant_matrix()
@@ -228,7 +228,7 @@ def test_cartan_identity():
 
 def test_cartan_diagonal_unshift():
     g = SeriesMatrix.diag_powers(QQ, [3, -1])
-    dec = cartan_decompose(g, 8)
+    dec, _ = cartan_decompose(g, 8)
     assert dec.weights == (-1, 3)
     assert verify_cartan(g, dec).passed
 
@@ -245,7 +245,7 @@ def test_cartan_refuses_a_precision_beyond_its_input():
         return LaurentSeries(QQ, 0, [QQ.from_int(c) for c in coeffs], 5)
 
     g = SeriesMatrix(QQ, [[known_to_t5(1, 2), known_to_t5(0, 1)], [known_to_t5(3, 0, 1), known_to_t5(1, 1)]])
-    assert verify_cartan(g, cartan_decompose(g, 4)).passed
+    assert verify_cartan(g, cartan_decompose(g, 4)[0]).passed
     for n in (6, 32):
         with pytest.raises(PrecisionError, match="known only to t\\^5"):
             cartan_decompose(g, n)
@@ -271,7 +271,7 @@ def test_verify_accepts_alternative_valid_triples():
     from borderlab import CartanDecomposition
 
     g = sl2_example_matrix()
-    dec = cartan_decompose(g, 16)
+    dec, _ = cartan_decompose(g, 16)
     scale = SeriesMatrix(QQ, [[series(QQ, {0: 5}), LaurentSeries.zero(QQ)],
                               [LaurentSeries.zero(QQ), series(QQ, {0: 7})]])
     alt = CartanDecomposition(weights=dec.weights, h2=dec.h2 @ scale, precision=dec.precision)
@@ -282,7 +282,7 @@ def test_verify_accepts_alternative_valid_triples():
 
 def test_verify_rejects_permuted_weights():
     g = sl2_example_matrix()
-    dec = cartan_decompose(g, 16)
+    dec, _ = cartan_decompose(g, 16)
     tampered = dec._replace(weights=(2, -2))
     verdict = verify_cartan(g, tampered)
     assert not verdict.passed
@@ -291,7 +291,7 @@ def test_verify_rejects_permuted_weights():
 
 def test_verify_stable_under_doubled_precision():
     g = sl2_example_matrix()
-    dec = cartan_decompose(g, 32)
+    dec, _ = cartan_decompose(g, 32)
     assert verify_cartan(g, dec).passed
 
 
@@ -301,7 +301,7 @@ def test_weight_sum_equals_det_valuation():
         field = QQ if trial % 2 else PrimeField(65537)
         n = rng.randint(1, 4)
         g = random_invertible_laurent_matrix(field, n, rng)
-        dec = cartan_decompose(g, 16)
+        dec, _ = cartan_decompose(g, 16)
         assert sum(dec.weights) == leibniz_determinant(g).valuation()
         assert list(dec.weights) == sorted(dec.weights)
 
@@ -315,8 +315,8 @@ def test_weights_invariant_under_unit_translations():
         g = random_invertible_laurent_matrix(field, n, rng)
         u = random_series_unit_matrix(field, n, rng)
         v = random_series_unit_matrix(field, n, rng)
-        base = cartan_decompose(g, 16)
-        moved = cartan_decompose(u @ g @ v, 16)
+        base, _ = cartan_decompose(g, 16)
+        moved, _ = cartan_decompose(u @ g @ v, 16)
         assert sorted(base.weights) == sorted(moved.weights)
 
 
@@ -327,7 +327,7 @@ def test_round_trip_random():
         field = QQ if trial % 2 else fp
         n = rng.randint(1, 4)
         g = random_invertible_laurent_matrix(field, n, rng)
-        dec = cartan_decompose(g, 16)
+        dec, _ = cartan_decompose(g, 16)
         assert verify_cartan(g, dec).passed
 
 
@@ -335,8 +335,8 @@ def test_determinism():
     from borderlab.jsonio import cartan_to_obj
 
     g = sl2_example_matrix()
-    a = cartan_to_obj(cartan_decompose(g, 16))
-    b = cartan_to_obj(cartan_decompose(g, 16))
+    a = cartan_to_obj(cartan_decompose(g, 16)[0])
+    b = cartan_to_obj(cartan_decompose(g, 16)[0])
     assert a == b
 
 
@@ -348,14 +348,14 @@ def test_verify_rejects_factors_outside_power_series():
     # g = diag(t^-1 + 1, 1) has weights (-1, 0); the forged triple claims (0, 0)
     g = SeriesMatrix(QQ, [[series(QQ, {-1: 1, 0: 1}), LaurentSeries.zero(QQ)],
                           [LaurentSeries.zero(QQ), series(QQ, {0: 1})]])
-    assert cartan_decompose(g, 16).weights == (-1, 0)
+    assert cartan_decompose(g, 16)[0].weights == (-1, 0)
     forged = CartanDecomposition(weights=(0, 0), h2=SeriesMatrix.identity(QQ, 2), precision=16)
     verdict = verify_cartan(g, forged)
     assert not verdict.passed
     assert "h1" in verdict.reason and "K[[t]]" in verdict.reason
     # the mirror image: h2 = g outside K[[t]] claims weights (0, 0) for g^-1
     inv = g.inverse(17)
-    assert cartan_decompose(inv, 16).weights == (0, 1)
+    assert cartan_decompose(inv, 16)[0].weights == (0, 1)
     mirrored = CartanDecomposition(weights=(0, 0), h2=g, precision=16)
     verdict = verify_cartan(inv, mirrored)
     assert not verdict.passed
@@ -416,7 +416,7 @@ def oracle_matrices():
 def test_residual_check_agrees_with_the_inverse_oracle():
     decided = {True: 0, False: 0}
     for g, rng in oracle_matrices():
-        dec = cartan_decompose(g, 16)
+        dec, _ = cartan_decompose(g, 16)
         for candidate in [dec, *tampered(dec, rng)]:
             if candidate.precision < 1:
                 continue
@@ -432,7 +432,7 @@ def test_residual_check_agrees_with_the_inverse_oracle():
 
 def test_cim_output_checks_without_precision_error_at_the_default_precision():
     for g, _ in oracle_matrices():
-        assert verify_cartan(g, cartan_decompose(g, DEFAULT_TRUNCATION)).passed
+        assert verify_cartan(g, cartan_decompose(g, DEFAULT_TRUNCATION)[0]).passed
 
 
 def test_the_derived_check_agrees_with_the_stored_h1_checks():
@@ -446,7 +446,7 @@ def test_the_derived_check_agrees_with_the_stored_h1_checks():
         field = QQ if trial % 2 else PrimeField(P62)
         size, n = 1 + trial % 8, rng.choice((1, 2, rng.randint(1, 40)))
         g = random_invertible_laurent_matrix(field, size, rng)
-        dec = cartan_decompose(g, n)
+        dec, _ = cartan_decompose(g, n)
         for candidate in [dec, *tampered(dec, rng)]:
             if candidate.precision < 1:
                 continue
@@ -488,7 +488,7 @@ def test_a_weight_at_or_above_the_precision_is_certified():
     # column 1 of g·h2 through t^w_1: t^5 / t^3 leaves h1(0) singular, and
     # t^5 / t^7 lies outside K[[t]]
     g = SeriesMatrix.diag_powers(QQ, [0, 5])
-    dec = cartan_decompose(g, 2)
+    dec, _ = cartan_decompose(g, 2)
     assert dec.weights == (0, 5) and verify_cartan(g, dec).passed
     identity = SeriesMatrix.identity(QQ, 2)
     for weights, reason in (((0, 3), "h1(0) is not invertible"), ((0, 7), "h1 has an entry of valuation -2")):
@@ -595,7 +595,7 @@ def test_decomposition_makes_one_full_precision_smith_pass(monkeypatch, tmp_path
     two_passes = 0
     for g in one_pass_inputs(tmp_path):
         precisions.clear()
-        dec = cartan_decompose(g, 32)
+        dec, _ = cartan_decompose(g, 32)
         assert len([n for n in precisions if n >= 32]) == 1, precisions
         reference, passes, _ = two_pass_decompose(g, 32)
         assert jsonio.cartan_to_obj(dec) == jsonio.cartan_to_obj(reference)
@@ -608,7 +608,7 @@ def test_decomposition_makes_one_full_precision_smith_pass(monkeypatch, tmp_path
                           [series(QQ, {0: 1}), series(QQ, {0: 1, 5: 1})]])
     with pytest.raises(PrecisionError):
         smith(g, 1)
-    assert jsonio.cartan_to_obj(cartan_decompose(g, 32)) == jsonio.cartan_to_obj(two_pass_decompose(g, 32)[0])
+    assert jsonio.cartan_to_obj(cartan_decompose(g, 32)[0]) == jsonio.cartan_to_obj(two_pass_decompose(g, 32)[0])
 
 
 #: the largest prime below 2^62
@@ -666,18 +666,18 @@ def test_decompositions_match_the_inverse_reference():
     outcomes = Counter()
     for g, n in comparison_inputs():
         try:
-            reference, passes, h1 = two_pass_decompose(g, n)
+            reference, passes, _ = two_pass_decompose(g, n)
         except (PrecisionError, SingularError) as exc:
             with pytest.raises(type(exc)):
                 cartan_decompose(g, n)
             outcomes[type(exc).__name__] += 1
             continue
         try:
-            dec = cartan_decompose(g, n)
+            dec, _ = cartan_decompose(g, n)
         except PrecisionError:
             # refused: the input is known to too little for the reference's
-            # factors, its left factor stored as h1
-            assert g.trunc is not None and not stored_h1_check(g, h1, reference)
+            # factors to pass the check
+            assert g.trunc is not None and not verify_cartan(g, reference).passed
             outcomes["refused"] += 1
             continue
         want = jsonio.cartan_to_obj(reference)
@@ -713,59 +713,65 @@ def precision_fuzz(field=QQ, seed=2024, count=3000, exact=False):
 def test_no_decomposition_claims_more_precision_than_its_input_has():
     # each matrix is decomposed at its own order (16 when exact): the result
     # verifies or is refused, and a refusal on precision alone falls where
-    # the reference's factors, its left factor stored as h1, do not verify
-    # either.  The check that derives h1 passes some of those references:
-    # the refusal is the spread rule, which the stored factors needed
+    # the reference's factors fail the check too.  The check is the one
+    # rule: every decomposition it passes is kept
     outcomes = Counter()
     for g in precision_fuzz():
         n = 16 if g.trunc is None else g.trunc
         if n < 1:
             continue
         try:
-            dec = cartan_decompose(g, n)
+            dec, verdict = cartan_decompose(g, n)
         except SingularError:
             outcomes["singular"] += 1
             continue
         except PrecisionError:
             try:
-                reference, _, h1 = two_pass_decompose(g, n)
+                reference, _, _ = two_pass_decompose(g, n)
             except PrecisionError:
                 outcomes["ambiguous pivot"] += 1
                 continue
-            assert not stored_h1_check(g, h1, reference)
+            assert not verify_cartan(g, reference).passed
             outcomes["refused"] += 1
-            outcomes["derived check passes the reference"] += verify_cartan(g, reference).passed
             continue
-        assert verify_cartan(g, dec).passed
+        assert verdict.passed and verify_cartan(g, dec) == verdict
         outcomes["verified"] += 1
-    # not vacuous: 707 decompositions verify, and 626 are refused on precision alone
-    assert outcomes["verified"] >= 707 and outcomes["refused"] >= 600, outcomes
+    # not vacuous: 1 145 decompositions verify, and 188 are refused on precision alone
+    assert outcomes["verified"] >= 1145 and outcomes["refused"] >= 180, outcomes
 
 
 def test_truncated_inputs_make_the_passes_and_checks_of_the_doubling_retry(monkeypatch):
-    # each truncated fuzz input decomposed and checked as cim does, at its
-    # own order and at 32: a truncated input's working precision already
-    # reaches what it is known to, so it is never doubled, and the counts
-    # are those of the retry on the CLI that doubled the precision claimed.
-    # A pass at precision 1 counts as a probe, as does the full pass of an
-    # unshifted input at n = 1
+    # each truncated fuzz input decomposed as cim does, at its own order and
+    # at 32: a truncated input's working precision already reaches what it
+    # is known to, so it is never doubled.  A pass at precision 1 counts as
+    # a probe, as does the full pass of an unshifted input at n = 1; each
+    # check the decomposition makes is counted by its verdict, and a kept
+    # decomposition by the check run on it again
     counts = Counter()
-    smith = loopgroup.smith_form
+    smith, check = loopgroup.smith_form, loopgroup.verify_cartan
     monkeypatch.setattr(loopgroup, "smith_form",
                         lambda m, n: counts.update(["probe" if n == 1 else "full pass"]) or smith(m, n))
+
+    def counted_check(g, dec):
+        verdict = check(g, dec)
+        counts.update(["check", "passed" if verdict.passed else "failed"])
+        return verdict
+
+    monkeypatch.setattr(loopgroup, "verify_cartan", counted_check)
     for g in precision_fuzz():
         if g.trunc is None:
             continue
         for n in (g.trunc, 32):
             try:
-                dec = cartan_decompose(g, n)
+                dec, _ = cartan_decompose(g, n)
             except (PrecisionError, SingularError, ValueError) as exc:
                 counts[type(exc).__name__] += 1
                 continue
-            counts["check"] += 1
-            counts["verified" if verify_cartan(g, dec).passed else "failed"] += 1
-    assert counts == {"probe": 1874, "full pass": 1140, "check": 362, "verified": 362,
-                      "PrecisionError": 4020, "ValueError": 748}
+            counts["verified" if check(g, dec).passed else "refuted"] += 1
+    # 188 full passes fail the check, and each is refused: a truncated
+    # input is not doubled
+    assert counts == {"probe": 1874, "full pass": 1764, "check": 988, "passed": 800, "failed": 188,
+                      "verified": 800, "PrecisionError": 3582, "ValueError": 748}
 
 
 def doubling_reference(g, n, monkeypatch):
@@ -780,7 +786,7 @@ def doubling_reference(g, n, monkeypatch):
             if g.trunc is not None and g.trunc < n:
                 raise PrecisionError(f"input known only to t^{g.trunc}, below precision {n}")
             try:
-                dec = cartan_decompose(g, n)
+                dec, _ = cartan_decompose(g, n)
                 inverse_residual_check(g, derived_h1(g, dec), dec)
                 return dec
             except PrecisionError:
@@ -802,7 +808,7 @@ def test_working_precision_doublings_end_as_the_claimed_precision_doublings_did(
                     cartan_decompose(g, n)
                 outcomes[type(exc).__name__] += 1
                 continue
-            dec = cartan_decompose(g, n)
+            dec, _ = cartan_decompose(g, n)
             assert dec.precision == n and verify_cartan(g, dec).passed
             outcomes["rescued" if reference.precision > n else "decomposed"] += 1
     # not vacuous: 6 pairs need a doubling, and 4 stay undecided after three
@@ -843,7 +849,7 @@ def test_decompositions_match_the_operator_reference(monkeypatch, tmp_path):
         out = []
         for g in inputs:
             for n in (8, 32):
-                dec = cartan_decompose(g, n)
+                dec, _ = cartan_decompose(g, n)
                 out.append((jsonio.cartan_to_obj(dec), verify_cartan(g, dec).passed))
         return out
 

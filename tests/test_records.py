@@ -45,7 +45,7 @@ def records():
             "BlockPlacement": block_placements(3)[0],
             "DegenerationCertificate": cert,
             "DichotomyResult": hypercube_dichotomy([(1, 1, 1)], 1, 3),
-            "CartanDecomposition": cartan_decompose(g, 8),
+            "CartanDecomposition": cartan_decompose(g, 8)[0],
             "VerificationResult": VerificationResult(False, "h1(0) is not invertible"),
             "SubgroupFactor": SubgroupFactor(weights=(0, 1), basis=((QQ.one(), QQ.zero()), (QQ.one(), QQ.one()))),
             "WeightDecomposition": weight_decompose(unit_tensor(QQ, 2, 3), trivial_subgroup(QQ, (2, 2, 2))),

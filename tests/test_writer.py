@@ -12,7 +12,7 @@ import tracemalloc
 
 import pytest
 
-from borderlab import cli
+from borderlab import cli, jsonio
 
 
 def canonical(obj):
@@ -69,15 +69,16 @@ def test_refuses_what_no_document_holds(obj):
         dumped(obj)
 
 
-def synthetic_cim_output(size=16, terms=40):
-    """A document shaped and sized like ``cim`` on a 16×16 F_p matrix (about 0.8 MB)."""
+def synthetic_cim_output(size=16, terms=140):
+    """A one-factor ``cim`` output of the current form on a 16×16 F_p matrix,
+    its series longer than any workload's so that the text exceeds 1 MB."""
     rng = random.Random(16)
 
-    def matrix():
+    def matrix(low):
         entries = [
             [
                 {
-                    "val": rng.randint(-3, 3),
+                    "val": rng.randint(low, 3),
                     "coeffs": [str(rng.randrange(2**61)) for _ in range(rng.randint(1, terms))],
                     "trunc": 32,
                     "exact": False,
@@ -86,21 +87,25 @@ def synthetic_cim_output(size=16, terms=40):
             ]
             for _ in range(size)
         ]
-        return {"field": {"kind": "fp", "p": str(2**61 - 1)}, "entries": entries}
+        return {"field": {"kind": "Fp", "p": str(2**61 - 1)}, "entries": entries}
 
-    factor = {
-        "input": matrix(),
-        "decomposition": {"h1": matrix(), "weights": list(range(size)), "h2": matrix(), "precision": 32},
+    return {
+        "kind": "cartan",
+        "version": jsonio.TOOL_VERSION,
+        "input": matrix(-3),
+        "decomposition": {"weights": list(range(size)), "h2": matrix(0), "precision": 32},
         "verified": True,
         "reason": "",
     }
-    return dict(factor, kind="cartan", version="borderlab-0.1.0", factors=[factor])
 
 
 def test_writing_a_workload_sized_document_holds_no_copy_of_it(tmp_path):
     obj = synthetic_cim_output()
+    # a cim output of the current form whose text alone exceeds the 1 MB
+    # peak bound below, so a writer holding one whole copy of it fails
+    assert len(jsonio.cartan_results_from_obj(obj)) == 1
     size = len(canonical(obj))
-    assert size > 700_000
+    assert size > 1_000_000
     path = tmp_path / "dec.json"
     tracemalloc.start()
     try:
