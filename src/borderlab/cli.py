@@ -20,7 +20,9 @@ decomposition only when the Cartan check passes it (``cim`` never exits
 
 All outputs are the bytes of ``json.dumps(obj, sort_keys=True, indent=2)``
 plus a newline (identical inputs and seed give byte-identical files),
-streamed piece by piece; files are written atomically.
+streamed piece by piece, a matrix one series and a tensor one entry at a
+time; files are written atomically.  ``verify`` releases the JSON tree it
+read once the document is decoded, before it rechecks.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ import random
 import stat
 import sys
 import tempfile
+from collections.abc import Iterator
 from json.encoder import encode_basestring_ascii as _quote
 from typing import Optional
 
@@ -89,10 +92,14 @@ def _write_json(path: Optional[str], obj) -> None:
 def _dump_json(obj, write) -> None:
     """Write ``json.dumps(obj, sort_keys=True, indent=2) + "\\n"`` through ``write``, piece by piece.
 
-    No piece is larger than one string of ``obj`` or one slice of a string
-    list, so the whole text is never held.  Only str, int, bool, None,
-    lists, tuples and str-keyed dicts are written; anything else raises
-    TypeError.
+    A matrix or tensor in ``obj`` is written as the form
+    :func:`borderlab.jsonio.to_obj` gives it, whose entries are iterators:
+    an iterator is written as an array, one item at a time, and each item
+    is dropped once written.  No piece is larger than one string of ``obj``
+    or one slice of a string list, so neither the whole text nor a JSON
+    tree of a matrix or tensor is ever held.  Only str, int, bool, None,
+    lists, tuples, iterators, str-keyed dicts, matrices and tensors are
+    written; anything else raises TypeError.
     """
 
     def node(o, indent):
@@ -102,25 +109,29 @@ def _dump_json(obj, write) -> None:
             return write("null" if o is None else "true" if o else "false")
         if isinstance(o, int):
             return write(int.__repr__(o))
-        if not isinstance(o, (list, tuple, dict)):
-            raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
-        if not o:
-            return write("{}" if isinstance(o, dict) else "[]")
         inner = indent + "  "
-        lead, sep = ("{" if isinstance(o, dict) else "[") + inner, "," + inner
+        sep = "," + inner
         if isinstance(o, dict):
+            if not o:
+                return write("{}")
             for i, key in enumerate(sorted(o)):  # _quote refuses a key that is not a str
-                write((sep if i else lead) + _quote(key) + ": ")
+                write((sep if i else "{" + inner) + _quote(key) + ": ")
                 node(o[key], inner)
             return write(indent + "}")
-        if all(isinstance(x, str) for x in o):  # quoted and joined in C, a slice at a time
-            for i in range(0, len(o), _JOIN_SLICE):
-                write((sep if i else lead) + sep.join(map(_quote, o[i : i + _JOIN_SLICE])))
-        else:
-            for i, x in enumerate(o):
-                write(sep if i else lead)
-                node(x, inner)
-        write(indent + "]")
+        if not isinstance(o, (list, tuple, Iterator)):
+            from . import jsonio
+
+            return node(jsonio.to_obj(o), indent)
+        if isinstance(o, (list, tuple)) and o and all(isinstance(x, str) for x in o):
+            for i in range(0, len(o), _JOIN_SLICE):  # quoted and joined in C, a slice at a time
+                write((sep if i else "[" + inner) + sep.join(map(_quote, o[i : i + _JOIN_SLICE])))
+            return write(indent + "]")
+        empty = True
+        for x in o:
+            write("[" + inner if empty else sep)
+            empty = False
+            node(x, inner)
+        write("[]" if empty else indent + "]")
 
     node(obj, "\n")
     write("\n")
@@ -200,21 +211,23 @@ def cmd_verify(args) -> int:
     obj = _load_json(args.input)
     kind = jsonio.document_kind(obj)
     if kind == "degeneration":
-        from .degeneration import recheck_certificate
+        from .degeneration import recheck_certificate as recheck
 
-        results = recheck_certificate(jsonio.certificate_from_obj(obj))
+        stored = (jsonio.certificate_from_obj(obj),)
     elif kind == "cartan":
         from . import series  # noqa: F401  (first: see the imports above)
-        from .loopgroup import recheck_cartan
+        from .loopgroup import recheck_cartan as recheck
 
-        results = recheck_cartan(jsonio.cartan_results_from_obj(obj))
+        stored = (jsonio.cartan_results_from_obj(obj),)
     elif kind == "witness":
         from . import series  # noqa: F401  (first: see the imports above)
-        from .witness import recheck_witness
+        from .witness import recheck_witness as recheck
 
-        results = recheck_witness(*jsonio.witness_from_obj(obj))
+        stored = jsonio.witness_from_obj(obj)
     else:
         raise ValueError(f"unknown certificate kind {kind!r}")
+    del obj  # the decoded values hold what the checks read; the tree is not kept beside them
+    results = recheck(*stored)
     ok = True
     for clause, passed, detail in results:
         status = "ok" if passed else "FAILED"
@@ -224,7 +237,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    from . import jsonio
     from .fields import PrimeField, QQ, random_prime
     from .instances import random_invertible_laurent_matrix, random_witness_instance
 
@@ -238,14 +250,9 @@ def cmd_gen(args) -> int:
     rng = random.Random(args.seed)
     if args.kind == "witness":
         gs, p = random_witness_instance(field, args.dims, rng)
-        out_obj = {
-            "kind": "witness-input",
-            "g": [jsonio.matrix_to_obj(g) for g in gs],
-            "p": jsonio.tensor_to_obj(p),
-        }
+        out_obj = {"kind": "witness-input", "g": list(gs), "p": p}
     else:  # "cim"
-        g = random_invertible_laurent_matrix(field, args.size, rng)
-        out_obj = jsonio.matrix_to_obj(g)
+        out_obj = random_invertible_laurent_matrix(field, args.size, rng)
     _write_json(args.out, out_obj)
     return EXIT_OK
 

@@ -26,6 +26,7 @@ own.
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import re
@@ -281,7 +282,7 @@ class FieldContext:
         if kind == "Q":
             return QQ
         if kind == "Fp":
-            return PrimeField(int(obj["p"]))
+            return _prime_field(int(obj["p"]))
         raise ValueError(f"unknown field kind {kind!r}")
 
 
@@ -509,3 +510,11 @@ class PrimeField(FieldContext):
 
 #: Shared context for the rationals.
 QQ = Rationals()
+
+
+@functools.cache
+def _prime_field(p: int) -> PrimeField:
+    """The one ``PrimeField(p)`` that every document over ``p`` decodes to, so
+    that its values meet one field object and no field comparison runs; a
+    number that is not prime raises, and is not remembered."""
+    return PrimeField(p)

@@ -17,6 +17,12 @@ must be exactly those of the current format, and a missing one is a
 A decoder imports the module of the type it builds when it runs, so reading
 a ``cim`` document loads no tensor code, reading a witness loads no
 degeneration code and reading a certificate loads no series code.
+
+A document encoder leaves each matrix and tensor in its document as the
+object itself, and the writer (``cli._dump_json``) hands each one it meets
+to :func:`to_obj`.  The form that returns holds the entries as iterators,
+so the writer encodes one series or one tensor entry at a time and drops
+it once written: no JSON tree of a matrix or tensor is ever built whole.
 """
 
 from __future__ import annotations
@@ -138,10 +144,8 @@ def series_from_obj(field: FieldContext, obj: dict) -> LaurentSeries:
 
 
 def matrix_to_obj(m: SeriesMatrix) -> dict:
-    return {
-        "field": m.field.to_obj(),
-        "entries": [[series_to_obj(e) for e in row] for row in m.entries],
-    }
+    """The form the writer writes of ``m``: each row a ``map`` that encodes one series as it is read."""
+    return {"field": m.field.to_obj(), "entries": [map(series_to_obj, row) for row in m.entries]}
 
 
 def matrix_from_obj(obj: dict, field: Optional[FieldContext] = None) -> SeriesMatrix:
@@ -165,10 +169,25 @@ def scalar_matrix_from_obj(field: FieldContext, obj) -> list:
 # -- tensors ---------------------------------------------------------------
 
 def tensor_to_obj(t: Tensor) -> dict:
-    entries = [
-        {"idx": list(pos), "value": t.field.format(v)} for pos, v in t.support()
-    ]
+    """The form the writer writes of ``t``: its entries a generator that encodes one as it is read."""
+    fmt = t.field.format
+    entries = ({"idx": list(pos), "value": fmt(v)} for pos, v in t.support())
     return {"field": t.field.to_obj(), "dims": list(t.dims), "entries": entries}
+
+
+def to_obj(o) -> dict:
+    """The form the writer writes of a matrix or tensor that a document encoder left in place.
+
+    The class is matched by its module and name, not imported, so writing a
+    ``cim`` output loads no tensor code and writing a certificate no series
+    code.  Anything else raises TypeError, as ``json.dumps`` does.
+    """
+    kind = (type(o).__module__, type(o).__qualname__)
+    if kind == (__package__ + ".series", "SeriesMatrix"):
+        return matrix_to_obj(o)
+    if kind == (__package__ + ".tensors", "Tensor"):
+        return tensor_to_obj(o)
+    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
 
 
 def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
@@ -218,9 +237,10 @@ def subgroup_from_obj(obj: dict) -> OneParamSubgroup:
 # -- decompositions -----------------------------------------------------------
 
 def cartan_to_obj(dec: CartanDecomposition) -> dict:
+    """The stored form of ``dec``, its ``h2`` left for the writer."""
     return {
         "weights": [int(w) for w in dec.weights],
-        "h2": matrix_to_obj(dec.h2),
+        "h2": dec.h2,
         "precision": dec.precision,
     }
 
@@ -242,17 +262,18 @@ def cartan_from_obj(obj: dict, field: Optional[FieldContext] = None) -> CartanDe
 # -- witnesses -----------------------------------------------------------------
 
 def witness_to_obj(w: LimitWitness, gs, p: Tensor) -> dict:
-    """The witness document of ``w``, built from the curve ``gs`` at ``p``."""
+    """The witness document of ``w``, built from the curve ``gs`` at ``p``;
+    its matrices and tensors are left for the writer."""
     fld = w.q_tilde.field
     return {
         "kind": "witness",
         "version": TOOL_VERSION,
-        "g": [matrix_to_obj(g) for g in gs],
-        "p": tensor_to_obj(p),
+        "g": list(gs),
+        "p": p,
         "lambda": subgroup_to_obj(w.subgroup),
-        "q": tensor_to_obj(w.q),
-        "qTilde": tensor_to_obj(w.q_tilde),
-        "sharedLimit": tensor_to_obj(w.shared_limit),
+        "q": w.q,
+        "qTilde": w.q_tilde,
+        "sharedLimit": w.shared_limit,
         "translations": [scalar_matrix_to_obj(fld, m) for m in w.translations],
         "cim": [cartan_to_obj(dec) for dec in w.decompositions],
         "lift": w.lift,
@@ -289,6 +310,7 @@ _CERTIFICATE_KEYS = frozenset(
 
 
 def certificate_to_obj(c: DegenerationCertificate) -> dict:
+    """The certificate document of ``c``, its two tensors left for the writer."""
     n, r = c.recipe
     return {
         "kind": "degeneration",
@@ -296,8 +318,8 @@ def certificate_to_obj(c: DegenerationCertificate) -> dict:
         "n": c.n,
         "r": c.r,
         "profile": {"kind": "doubling", "n": n, "r": r},
-        "S": tensor_to_obj(c.s_tensor),
-        "TTilde": tensor_to_obj(c.t_tilde),
+        "S": c.s_tensor,
+        "TTilde": c.t_tilde,
         "jacobianRank": c.jacobian_rank,
         "pyramidSize": c.pyramid_size,
         "verdict": c.verdict,
@@ -375,9 +397,10 @@ _CIM_RESULT_KEYS = ("input", "decomposition", "verified", "reason")
 
 def cartan_results_to_obj(factors) -> dict:
     """The ``cim`` output of ``(g, decomposition, verified, reason)`` factors:
-    one result at the top level, or several as the ``factors`` list."""
+    one result at the top level, or several as the ``factors`` list; its
+    matrices are left for the writer."""
     results = [
-        dict(zip(_CIM_RESULT_KEYS, (matrix_to_obj(g), cartan_to_obj(dec), verified, reason)))
+        dict(zip(_CIM_RESULT_KEYS, (g, cartan_to_obj(dec), verified, reason)))
         for g, dec, verified, reason in factors
     ]
     obj = {"kind": "cartan", "version": TOOL_VERSION}

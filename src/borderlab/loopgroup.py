@@ -63,7 +63,8 @@ def smith_form(m: SeriesMatrix, n: int):
     of the working matrix, and its column operations run on ``h2`` alone:
     no later step reads row ``k`` or column ``k``, so the column below the
     pivot, which the row operations make zero to the working precision, is
-    never formed.
+    never formed, and each of its entries and, once the step ends, row
+    ``k`` are released rather than held to the end of the reduction.
 
     Raises SingularError when the determinant is exactly zero and
     PrecisionError when a pivot choice is ambiguous at the working
@@ -92,9 +93,10 @@ def smith_form(m: SeriesMatrix, n: int):
                 row[k], row[pj] = row[pj], row[k]
         pinv = a[k][k].inverse(n)
         for i in range(k + 1, size):
-            if a[i][k].has_no_known_terms():
+            below, a[i][k] = a[i][k], None
+            if below.has_no_known_terms():
                 continue
-            f = a[i][k] * pinv
+            f = below * pinv
             a[i][k + 1:] = [muladd(x, ((f, y),), True) for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
         for j in range(k + 1, size):
             if a[k][j].has_no_known_terms():
@@ -102,6 +104,7 @@ def smith_form(m: SeriesMatrix, n: int):
             f = a[k][j] * pinv
             for row in h2:
                 row[j] = muladd(row[j], ((f, row[k]),), True)
+        a[k] = None
         exponents.append(pval)
     return exponents, SeriesMatrix(field, h2)
 

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from bisect import bisect_left, bisect_right
 from collections import Counter
@@ -7,7 +8,8 @@ from typing import NamedTuple, Optional
 
 import pytest
 
-from borderlab import NoLimitError, PrecisionError, PrimeField, QQ, ShapeError, SingularError, limit_at_zero, linalg
+from borderlab import (NoLimitError, PrecisionError, PrimeField, QQ, ShapeError, SingularError, cli, limit_at_zero,
+                       linalg)
 from borderlab.series import LaurentSeries, SeriesMatrix, certify_min_valuation, muladd
 from borderlab.tensors import OneParamSubgroup, SubgroupFactor, Tensor
 
@@ -34,6 +36,19 @@ def series(field, terms):
 
 def tpow(field, k):
     return LaurentSeries(field, k, [1])
+
+
+def written(obj) -> str:
+    """The text the command line writes of ``obj``; its writer encodes the
+    matrices and tensors that document encoders leave in place."""
+    pieces = []
+    cli._dump_json(obj, pieces.append)
+    return "".join(pieces)
+
+
+def plain(obj):
+    """``obj`` as the plain JSON that its written text reads back as."""
+    return json.loads(written(obj))
 
 
 def reduced(field, v):

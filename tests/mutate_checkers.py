@@ -18,7 +18,9 @@ its module, and runs pytest there with ``-x`` on the test files that reach
 the function; a mutant those leave alive is run against the whole suite.
 A mutant is killed when pytest fails (or times out: a mutant of
 ``cartan_decompose``'s loop may never end), and survives when every test
-passes.  The repository itself is never written.
+passes.  Each set of test files is first run once unmutated: it must pass,
+and ``TIMEOUT_FACTOR`` times its run time is the timeout of its mutants.
+The repository itself is never written.
 
 Run it from the repository root (pytest does not collect this file)::
 
@@ -39,8 +41,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
-#: seconds per pytest run; a run that takes longer counts as a kill
-TIMEOUT = 900
+#: a mutant's pytest run that takes this many times as long as the unmutated
+#: run of the same files (and at least ``MIN_TIMEOUT`` seconds) counts as a kill
+TIMEOUT_FACTOR, MIN_TIMEOUT = 5, 30
 
 #: (module, function) -> the test files that reach it
 TARGETS = {
@@ -58,6 +61,14 @@ TARGETS = {
     ("degeneration", "limit_agrees"): ["test_degeneration.py", "test_cli.py", "test_acceptance.py"],
     ("tensors", "recognize_unit_tensor"): ["test_tensors.py", "test_sparse_tensors.py", "test_degeneration.py",
                                           "test_cli.py"],
+    ("jsonio", "cartan_results_from_obj"): ["test_jsonio.py", "test_cli.py", "test_writer.py"],
+    ("jsonio", "witness_from_obj"): ["test_jsonio.py", "test_records.py", "test_cli.py", "test_writer.py"],
+    ("jsonio", "certificate_from_obj"): ["test_jsonio.py", "test_degeneration.py", "test_cli.py", "test_acceptance.py",
+                                         "test_writer.py"],
+    ("jsonio", "matrix_from_obj"): ["test_jsonio.py", "test_loopgroup.py", "test_records.py", "test_cli.py",
+                                    "test_writer.py"],
+    ("jsonio", "tensor_from_obj"): ["test_jsonio.py", "test_degeneration.py", "test_records.py", "test_cli.py",
+                                    "test_acceptance.py", "test_writer.py"],
 }
 
 FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt,
@@ -151,16 +162,26 @@ def mutant_source(source: str, name: str, index: int, apply) -> tuple:
     return "".join(lines[: func.lineno - 1]) + body + "".join(lines[func.end_lineno:]), description
 
 
-def run_tests(repo: Path, files) -> tuple:
+def run_tests(repo: Path, files, timeout=None) -> tuple:
     """``(killed, seconds)`` of pytest ``-x`` over ``files`` (the whole suite when empty)."""
     start = time.perf_counter()
     argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *[f"tests/{f}" for f in files]]
     try:
-        proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True, timeout=TIMEOUT)
+        proc = subprocess.run(argv, cwd=repo, capture_output=True, text=True, timeout=timeout)
         killed = proc.returncode != 0
     except subprocess.TimeoutExpired:
         killed = True
     return killed, time.perf_counter() - start
+
+
+def unmutated_timeout(repo: Path, files) -> float:
+    """The timeout of a mutant's run over ``files``, from one unmutated run of them, which must pass."""
+    failed, seconds = run_tests(repo, files)
+    if failed:
+        raise SystemExit(f"the unmutated tests fail: {' '.join(files) or 'the whole suite'}")
+    timeout = max(MIN_TIMEOUT, TIMEOUT_FACTOR * seconds)
+    print(f"unmutated {' '.join(files) or 'whole suite'}: {seconds:.1f} s, timeout {timeout:.0f} s", flush=True)
+    return timeout
 
 
 def main(argv=None) -> int:
@@ -176,19 +197,21 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / part, repo / part, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", repo / "pyproject.toml")
     counts = {"killed": 0, "survived": 0}
+    suite_timeout = unmutated_timeout(repo, [])
     for (module, name), files in TARGETS.items():
         if args.functions and name not in args.functions:
             continue
         path = repo / "src" / "borderlab" / f"{module}.py"
         original = path.read_text()
         func = next(n for n in ast.parse(original).body if isinstance(n, ast.FunctionDef) and n.name == name)
+        timeout = unmutated_timeout(repo, files)
         for operator, index, apply in mutations(func):
             source, description = mutant_source(original, name, index, apply)
             path.write_text(source)
             try:
-                killed, seconds = run_tests(repo, files)
+                killed, seconds = run_tests(repo, files, timeout)
                 if not killed:
-                    killed, more = run_tests(repo, [])
+                    killed, more = run_tests(repo, [], suite_timeout)
                     seconds += more
             finally:
                 path.write_text(original)

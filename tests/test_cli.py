@@ -23,7 +23,7 @@ from borderlab import (
 from borderlab.cli import main
 from borderlab.tensors import SingularBasisError
 
-from conftest import derived_h1, inverse_residual_check, series, unit_tensor
+from conftest import derived_h1, inverse_residual_check, plain, series, unit_tensor, written
 
 DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
@@ -65,7 +65,7 @@ def test_cim_identity(tmp_path):
     from borderlab import QQ, SeriesMatrix
 
     path = tmp_path / "id.json"
-    path.write_text(json.dumps(jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2))))
+    path.write_text(written(SeriesMatrix.identity(QQ, 2)))
     out = tmp_path / "dec.json"
     assert run(["cim", str(path), "--out", str(out)]) == 0
     assert read_json(out)["decomposition"]["weights"] == [0, 0]
@@ -77,7 +77,7 @@ def test_cim_singular_exits_3(tmp_path, capsys):
     one = LaurentSeries(QQ, 0, [1])
     m = SeriesMatrix(QQ, [[one, one], [one, one]])
     path = tmp_path / "sing.json"
-    path.write_text(json.dumps(jsonio.matrix_to_obj(m)))
+    path.write_text(written(m))
     assert run(["cim", str(path)]) == 3
     assert "zero" in capsys.readouterr().err
 
@@ -195,7 +195,7 @@ def test_every_wrongly_typed_node_exits_3_or_is_ignored(tmp_path):
     from borderlab import QQ, SeriesMatrix
 
     g = tmp_path / "g.json"
-    g.write_text(json.dumps(jsonio.matrix_to_obj(SeriesMatrix(QQ, [[series(QQ, {-1: 2})]]))))
+    g.write_text(written(SeriesMatrix(QQ, [[series(QQ, {-1: 2})]])))
     dec = tmp_path / "dec.json"
     assert run(["cim", str(g), "--out", str(dec)]) == 0
     bad = tmp_path / "bad.json"
@@ -278,7 +278,7 @@ def test_cim_input_known_below_precision_makes_no_futile_attempt(tmp_path, monke
 
     g = SeriesMatrix(QQ, [[known_to_t5(1, 2), known_to_t5(0, 1)], [known_to_t5(3, 0, 1), known_to_t5(1, 1)]])
     path = tmp_path / "t5.json"
-    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    path.write_text(written(g))
     passes = []
     smith = loopgroup.smith_form
     monkeypatch.setattr(loopgroup, "smith_form", lambda m, n: passes.append(n) or smith(m, n))
@@ -303,7 +303,7 @@ def test_cim_keeps_every_decomposition_its_check_passes_whatever_the_weight_spre
 
     g = SeriesMatrix(QQ, [[known_to_t3(0, 1), known_to_t3(3)], [known_to_t3(3), known_to_t3(2, 1)]])
     path, out = tmp_path / "g.json", tmp_path / "dec.json"
-    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    path.write_text(written(g))
     assert run(["cim", str(path), "--precision", str(precision), "--out", str(out)]) == 0
     assert read_json(out)["decomposition"]["weights"] == [0, 2]
     assert run(["verify", str(out)]) == 0
@@ -319,7 +319,7 @@ def test_cim_doubles_the_working_precision_and_keeps_the_asked_precision(tmp_pat
     g = SeriesMatrix(QQ, [[series(QQ, {2: -3, 3: 1, 4: -1, 5: 1}), series(QQ, {2: 1})],
                           [series(QQ, {3: 3, 4: 2, 6: 2}), series(QQ, {3: -1})]])
     path, out = tmp_path / "g.json", tmp_path / "dec.json"
-    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    path.write_text(written(g))
     passes = []
     smith = loopgroup.smith_form
     monkeypatch.setattr(loopgroup, "smith_form", lambda m, n: passes.append(n) or smith(m, n))
@@ -354,7 +354,7 @@ def test_cim_exactly_singular_series_exits_2_after_the_doublings(tmp_path, monke
 
     one_plus_t = series(QQ, {0: 1, 1: 1})
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(jsonio.matrix_to_obj(SeriesMatrix(QQ, [[one_plus_t] * 2] * 2))))
+    path.write_text(written(SeriesMatrix(QQ, [[one_plus_t] * 2] * 2)))
     passes = []
     smith = loopgroup.smith_form
     monkeypatch.setattr(loopgroup, "smith_form", lambda m, n: passes.append(n) or smith(m, n))
@@ -422,7 +422,7 @@ def test_cim_factor_tuple_input(curve_file, tmp_path):
     tup = {
         "factors": [
             read_json(curve_file),
-            jsonio.matrix_to_obj(SeriesMatrix.diag_powers(QQ, [2, -2])),
+            plain(SeriesMatrix.diag_powers(QQ, [2, -2])),
         ]
     }
     path = tmp_path / "tuple.json"
@@ -454,14 +454,7 @@ def test_witness_identity_curve(tmp_path):
     from borderlab import QQ, SeriesMatrix
 
     inp = tmp_path / "in.json"
-    inp.write_text(
-        json.dumps(
-            {
-                "g": [jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2))] * 3,
-                "p": jsonio.tensor_to_obj(unit_tensor(QQ, 2, 3)),
-            }
-        )
-    )
+    inp.write_text(written({"g": [SeriesMatrix.identity(QQ, 2)] * 3, "p": unit_tensor(QQ, 2, 3)}))
     out = tmp_path / "w.json"
     assert run(["witness", str(inp), "--out", str(out)]) == 0
     obj = read_json(out)
@@ -474,7 +467,7 @@ def test_witness_no_limit_exits_1(tmp_path, capsys):
     bad = SeriesMatrix.diag_powers(QQ, [-1, 0])
     p = Tensor(QQ, (2,), {(1,): QQ.one()})
     inp = tmp_path / "in.json"
-    inp.write_text(json.dumps({"g": [jsonio.matrix_to_obj(bad)], "p": jsonio.tensor_to_obj(p)}))
+    inp.write_text(written({"g": [bad], "p": p}))
     assert run(["witness", str(inp)]) == 1
     assert "specialize" in capsys.readouterr().err
 
@@ -515,7 +508,7 @@ def test_verify_fails_a_stored_witness_whose_h2_cannot_decide_its_cartan_check(w
     assert run(["witness", witness_file, "--out", str(out)]) == 0
     witness, gs, p = jsonio.witness_from_obj(read_json(out))
     decs = tuple(dec._replace(h2=cut_h2_at_t1(dec.h2)) for dec in witness.decompositions)
-    out.write_text(json.dumps(jsonio.witness_to_obj(witness._replace(decompositions=decs), gs, p)))
+    out.write_text(written(jsonio.witness_to_obj(witness._replace(decompositions=decs), gs, p)))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
     assert "cim-residual[0]: FAILED (insufficient precision for the residual check" in capsys.readouterr().out
@@ -1463,13 +1456,13 @@ def test_verify_rejects_cartan_factors_outside_power_series(tmp_path, capsys):
     g = SeriesMatrix(QQ, [[series(QQ, {-1: 1, 0: 1}), LaurentSeries.zero(QQ)],
                           [LaurentSeries.zero(QQ), series(QQ, {0: 1})]])
     path = tmp_path / "g.json"
-    path.write_text(json.dumps(jsonio.matrix_to_obj(g)))
+    path.write_text(written(g))
     out = tmp_path / "dec.json"
     assert run(["cim", str(path), "--out", str(out)]) == 0
     obj = read_json(out)
     dec = obj["decomposition"]
     assert dec["weights"] == [-1, 0]
-    dec.update(weights=[0, 0], h2=jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2)))
+    dec.update(weights=[0, 0], h2=plain(SeriesMatrix.identity(QQ, 2)))
     out.write_text(json.dumps(obj))
     capsys.readouterr()
     assert run(["verify", str(out)]) == 1
@@ -1517,7 +1510,7 @@ def test_verify_refuses_a_witness_without_one_decomposition_per_matrix(witness_f
     obj = read_json(out)
     if cim == "short":
         # two matrices of g and one decomposition: zipping them would check only the first
-        obj["g"].append(jsonio.matrix_to_obj(SeriesMatrix.identity(QQ, 2)))
+        obj["g"].append(plain(SeriesMatrix.identity(QQ, 2)))
         cim = obj["cim"]
     obj["cim"] = cim
     out.write_text(json.dumps(obj))

@@ -1,4 +1,3 @@
-import json
 import random
 
 import pytest
@@ -19,7 +18,7 @@ from borderlab import (
 from borderlab import jsonio
 from borderlab.instances import random_invertible_laurent_matrix, random_witness_instance
 
-from conftest import series, tpow, unit_tensor
+from conftest import plain, series, tpow, unit_tensor, written
 
 
 def test_series_round_trip_exact():
@@ -59,14 +58,28 @@ def test_matrix_round_trip_fp():
     fp = PrimeField(101)
     rng = random.Random(1)
     m = random_invertible_laurent_matrix(fp, 3, rng)
-    obj = jsonio.matrix_to_obj(m)
+    obj = plain(m)
     assert obj["field"] == {"kind": "Fp", "p": "101"}
     assert jsonio.matrix_from_obj(obj) == m
 
 
+def test_documents_over_one_prime_decode_to_one_field():
+    # so a kernel's identity test skips the field comparison; a number that
+    # is not prime is refused each time it is read, not remembered
+    rng = random.Random(2)
+    fp = PrimeField(1000003)
+    g = jsonio.matrix_from_obj(plain(random_invertible_laurent_matrix(fp, 2, rng)))
+    t = jsonio.tensor_from_obj(plain(unit_tensor(fp, 2, 3)))
+    assert g.field is t.field is jsonio.field_from_obj(fp.to_obj())
+    assert g.field == fp
+    for _ in range(2):
+        with pytest.raises(ValueError, match="1000001 is not prime"):
+            jsonio.field_from_obj({"kind": "Fp", "p": "1000001"})
+
+
 def test_tensor_round_trip_sparse():
     t = unit_tensor(QQ, 3, 3)
-    obj = jsonio.tensor_to_obj(t)
+    obj = plain(t)
     assert len(obj["entries"]) == 3  # omitted entries are zero
     assert jsonio.tensor_from_obj(obj) == t
 
@@ -94,7 +107,7 @@ def test_cartan_round_trip():
         [LaurentSeries(QQ, -2, [QQ.from_int(-1)]), tpow(QQ, 1)],
     ])
     dec, _ = cartan_decompose(g, 16)
-    obj = jsonio.cartan_to_obj(dec)
+    obj = plain(jsonio.cartan_to_obj(dec))
     back = jsonio.cartan_from_obj(obj)
     assert back == dec
     assert obj["weights"] == [-2, 2]
@@ -112,14 +125,14 @@ def test_cim_output_round_trip(seed):
     factors = cartan_factors([random_invertible_laurent_matrix(field, rng.randint(1, 3), rng) for _ in range(count)], 8)
     obj = jsonio.cartan_results_to_obj(factors)
     assert ("factors" in obj) == (count > 1) == ("input" not in obj)
-    assert jsonio.cartan_results_from_obj(json.loads(json.dumps(obj))) == factors
+    assert jsonio.cartan_results_from_obj(plain(obj)) == factors
 
 
 def test_witness_round_trip():
     rng = random.Random(6)
     gs, p = random_witness_instance(QQ, (2, 2), rng)
     w = build_witness(gs, p, 16)
-    obj = jsonio.witness_to_obj(w, gs, p)
+    obj = plain(jsonio.witness_to_obj(w, gs, p))
     back, back_gs, back_p = jsonio.witness_from_obj(obj)
     assert back == w
     assert back_gs == list(gs)
@@ -128,14 +141,22 @@ def test_witness_round_trip():
 
 def test_certificate_round_trip():
     cert = certify_lower_bound(8)
-    obj = jsonio.certificate_to_obj(cert)
+    obj = plain(jsonio.certificate_to_obj(cert))
     back = jsonio.certificate_from_obj(obj)
     assert back == cert
 
 
+def test_certificate_decoder_refuses_another_kind():
+    # verify picks the decoder by kind, but the decoder checks it too
+    obj = plain(jsonio.certificate_to_obj(certify_lower_bound(8)))
+    for kind in ("cartan", "witness", None):
+        with pytest.raises(SchemaError, match="not a degeneration certificate"):
+            jsonio.certificate_from_obj(dict(obj, kind=kind))
+
+
 def test_sorted_json_is_deterministic():
     cert = certify_lower_bound(8)
-    a = json.dumps(jsonio.certificate_to_obj(cert), sort_keys=True)
+    a = written(jsonio.certificate_to_obj(cert))
     cert2 = certify_lower_bound(8)
-    b = json.dumps(jsonio.certificate_to_obj(cert2), sort_keys=True)
+    b = written(jsonio.certificate_to_obj(cert2))
     assert a == b

@@ -24,6 +24,7 @@ from conftest import (
     WeightProfile,
     block_placements,
     cover_size,
+    plain,
     pyramid_weight_profile,
     trivial_subgroup,
     unit_tensor,
@@ -49,7 +50,7 @@ def records():
             "VerificationResult": VerificationResult(False, "h1(0) is not invertible"),
             "SubgroupFactor": SubgroupFactor(weights=(0, 1), basis=((QQ.one(), QQ.zero()), (QQ.one(), QQ.one()))),
             "WeightDecomposition": weight_decompose(unit_tensor(QQ, 2, 3), trivial_subgroup(QQ, (2, 2, 2))),
-            "LimitWitness": witness_from_obj(witness_to_obj(build_witness([g, g], p, 8), [g, g], p))[0],
+            "LimitWitness": witness_from_obj(plain(witness_to_obj(build_witness([g, g], p, 8), [g, g], p)))[0],
         }
 
     return build(), build()

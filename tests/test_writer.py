@@ -1,10 +1,14 @@
-"""The streaming JSON writer behind every output file.
+"""The streaming JSON writer behind every output file, and the memory a job holds.
 
 ``cli._dump_json`` must write exactly ``json.dumps(obj, sort_keys=True,
 indent=2) + "\\n"`` without ever holding that text whole, and
 ``cli._write_json`` must replace its target only with a complete document.
+A job holds one copy of its data: the writer builds no JSON tree of a
+matrix or tensor, and ``verify`` releases the tree it read before it
+rechecks.
 """
 
+import gc
 import json
 import os
 import random
@@ -12,7 +16,10 @@ import tracemalloc
 
 import pytest
 
-from borderlab import cli, jsonio
+# every module the jobs below run, imported before any heap is traced
+from borderlab import cli, degeneration, jsonio, loopgroup, witness
+
+DATA = os.path.join(os.path.dirname(__file__), os.pardir, "data")
 
 
 def canonical(obj):
@@ -99,6 +106,18 @@ def synthetic_cim_output(size=16, terms=140):
     }
 
 
+def traced_peak(func, *args) -> tuple:
+    """``(func(*args), peak)``: the peak is in bytes of traced heap above what was allocated before the call."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        result = func(*args)
+        return result, tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+
+
 def test_writing_a_workload_sized_document_holds_no_copy_of_it(tmp_path):
     obj = synthetic_cim_output()
     # a cim output of the current form whose text alone exceeds the 1 MB
@@ -107,16 +126,64 @@ def test_writing_a_workload_sized_document_holds_no_copy_of_it(tmp_path):
     size = len(canonical(obj))
     assert size > 1_000_000
     path = tmp_path / "dec.json"
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        tracemalloc.reset_peak()
-        cli._write_json(str(path), obj)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak - before < 1_000_000
+    _, peak = traced_peak(cli._write_json, str(path), obj)
+    assert peak < 1_000_000
     assert path.read_text() == canonical(obj)
+
+
+def test_cim_on_a_16x16_fp_input_holds_no_encoded_copy_of_a_matrix(tmp_path):
+    # writing h2 and the input as JSON trees beside the matrices peaked at
+    # about 850 KB; encoding one series at a time peaks at about 530 KB
+    source, out = tmp_path / "g.json", tmp_path / "dec.json"
+    assert cli.main(["gen", "--kind", "cim", "--field", "fp", "--size", "16", "--seed", "1", "--out", str(source)]) == 0
+    code, peak = traced_peak(cli.main, ["cim", str(source), "--out", str(out)])
+    assert code == 0
+    assert peak < 700_000
+
+
+def test_certify_holds_no_encoded_copy_of_its_tensors(tmp_path):
+    # at n = 4096 (8000 entries in T~), building both tensors' entry
+    # objects before writing peaked at about 500 bytes per T~ entry;
+    # encoding one entry at a time peaks at about 250
+    out = tmp_path / "cert.json"
+    code, peak = traced_peak(cli.main, ["certify", "--n", "4096", "--out", str(out)])
+    assert code == 0
+    entries = len(json.loads(out.read_text())["TTilde"]["entries"])
+    assert entries == 8000
+    assert peak < 350 * entries
+
+
+@pytest.mark.parametrize(
+    "kind, module, recheck",
+    [("cartan", loopgroup, "recheck_cartan"), ("witness", witness, "recheck_witness"),
+     ("degeneration", degeneration, "recheck_certificate")],
+    ids=["cartan", "witness", "degeneration"],
+)
+def test_verify_releases_the_document_tree_before_it_rechecks(kind, module, recheck, tmp_path, monkeypatch, capsys):
+    out = tmp_path / "doc.json"
+    make = {
+        "cartan": ["cim", os.path.join(DATA, "binary_cubics_curve.json")],
+        "witness": ["witness", os.path.join(DATA, "binary_cubics_witness.json")],
+        "degeneration": ["certify", "--n", "9"],
+    }[kind]
+    assert cli.main([*make, "--out", str(out)]) == 0
+
+    def trees():
+        """How many documents of this kind are alive, as JSON trees."""
+        return sum(1 for o in gc.get_objects() if type(o) is dict and o.get("kind") == kind and "version" in o)
+
+    alive = []
+    original = getattr(module, recheck)
+
+    def spy(*args):
+        alive.append(trees())
+        return original(*args)
+
+    monkeypatch.setattr(module, recheck, spy)
+    before = trees()
+    assert cli.main(["verify", str(out)]) == 0
+    assert alive == [before]
+    assert ": ok (" in capsys.readouterr().out
 
 
 def test_a_failed_write_leaves_the_old_file_and_no_temp_file(tmp_path):
