@@ -18,11 +18,9 @@ A decoder imports the module of the type it builds when it runs, so reading
 a ``cim`` document loads no tensor code, reading a witness loads no
 degeneration code and reading a certificate loads no series code.
 
-A document encoder leaves each matrix and tensor in its document as the
-object itself, and the writer (``cli._dump_json``) hands each one it meets
-to :func:`to_obj`.  The form that returns holds the entries as iterators,
-so the writer encodes one series or one tensor entry at a time and drops
-it once written: no JSON tree of a matrix or tensor is ever built whole.
+A document encoder leaves each matrix and tensor in place; the writer
+(``cli._dump_json``) gets its form from :func:`to_obj`, whose entries are
+iterators, so no JSON tree of a matrix or tensor is ever built whole.
 """
 
 from __future__ import annotations
@@ -176,18 +174,16 @@ def tensor_to_obj(t: Tensor) -> dict:
 
 
 def to_obj(o) -> dict:
-    """The form the writer writes of a matrix or tensor that a document encoder left in place.
+    """The form the writer writes of a matrix or tensor left in a document, else TypeError.
 
-    The class is matched by its module and name, not imported, so writing a
-    ``cim`` output loads no tensor code and writing a certificate no series
-    code.  Anything else raises TypeError, as ``json.dumps`` does.
+    The class is matched by name, not imported: a ``cim`` job loads no tensor code.
     """
-    kind = (type(o).__module__, type(o).__qualname__)
-    if kind == (__package__ + ".series", "SeriesMatrix"):
+    kind = type(o).__name__
+    if kind == "SeriesMatrix":
         return matrix_to_obj(o)
-    if kind == (__package__ + ".tensors", "Tensor"):
+    if kind == "Tensor":
         return tensor_to_obj(o)
-    raise TypeError(f"Object of type {type(o).__name__} is not JSON serializable")
+    raise TypeError(f"Object of type {kind} is not JSON serializable")
 
 
 def tensor_from_obj(obj: dict, field: Optional[FieldContext] = None) -> Tensor:
@@ -237,7 +233,6 @@ def subgroup_from_obj(obj: dict) -> OneParamSubgroup:
 # -- decompositions -----------------------------------------------------------
 
 def cartan_to_obj(dec: CartanDecomposition) -> dict:
-    """The stored form of ``dec``, its ``h2`` left for the writer."""
     return {
         "weights": [int(w) for w in dec.weights],
         "h2": dec.h2,
@@ -262,8 +257,7 @@ def cartan_from_obj(obj: dict, field: Optional[FieldContext] = None) -> CartanDe
 # -- witnesses -----------------------------------------------------------------
 
 def witness_to_obj(w: LimitWitness, gs, p: Tensor) -> dict:
-    """The witness document of ``w``, built from the curve ``gs`` at ``p``;
-    its matrices and tensors are left for the writer."""
+    """The witness document of ``w``, built from the curve ``gs`` at ``p``."""
     fld = w.q_tilde.field
     return {
         "kind": "witness",
@@ -310,7 +304,6 @@ _CERTIFICATE_KEYS = frozenset(
 
 
 def certificate_to_obj(c: DegenerationCertificate) -> dict:
-    """The certificate document of ``c``, its two tensors left for the writer."""
     n, r = c.recipe
     return {
         "kind": "degeneration",
@@ -397,8 +390,7 @@ _CIM_RESULT_KEYS = ("input", "decomposition", "verified", "reason")
 
 def cartan_results_to_obj(factors) -> dict:
     """The ``cim`` output of ``(g, decomposition, verified, reason)`` factors:
-    one result at the top level, or several as the ``factors`` list; its
-    matrices are left for the writer."""
+    one result at the top level, or several as the ``factors`` list."""
     results = [
         dict(zip(_CIM_RESULT_KEYS, (g, cartan_to_obj(dec), verified, reason)))
         for g, dec, verified, reason in factors
