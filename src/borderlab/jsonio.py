@@ -105,8 +105,7 @@ def _field_of(obj: dict, field: Optional[FieldContext], what: str) -> FieldConte
     """The field ``obj`` names; when its document gives ``field``, a named one must equal it."""
     if field is None:
         return field_from_obj(obj["field"])
-    # the fast test is the bytes every writer emits; a hand-written "p" may be a number
-    if "field" in obj and obj["field"] != field.to_obj() and field_from_obj(obj["field"]) != field:
+    if "field" in obj and field_from_obj(obj["field"]) != field:
         raise SchemaError(f"{what}: field {obj['field']} is not the document's field {field.to_obj()}")
     return field
 

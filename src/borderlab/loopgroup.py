@@ -59,12 +59,14 @@ def smith_form(m: SeriesMatrix, n: int):
     it is ``m · h2 · diag(t^-e)``, which :func:`verify_cartan` derives.
     ``h2`` is the inverse of the right transform ``v`` of ``m ≡ u ·
     diag(t^e) · v``, built column operation by column operation, so no
-    inverse is formed.  Step ``k`` updates only the rows and columns ``> k``
-    of the working matrix, and its column operations run on ``h2`` alone:
-    no later step reads row ``k`` or column ``k``, so the column below the
-    pivot, which the row operations make zero to the working precision, is
-    never formed, and each of its entries and, once the step ends, row
-    ``k`` are released rather than held to the end of the reduction.
+    inverse is formed.  Step ``k`` scales the pivot row past the pivot by
+    the pivot's inverse, one product per column that serves both the row
+    updates and ``h2``'s column operations: one per entry above the diagonal.
+    It updates only the rows and columns ``> k`` of the working matrix, and
+    its column operations run on ``h2`` alone: no later step reads row
+    ``k`` or column ``k``, so the column below the pivot, which the row
+    operations make zero to the working precision, is never formed, and
+    each of its entries and, once the step ends, row ``k`` are released.
 
     Raises SingularError when the determinant is exactly zero and
     PrecisionError when a pivot choice is ambiguous at the working
@@ -92,16 +94,15 @@ def smith_form(m: SeriesMatrix, n: int):
             for row in (*a[k:], *h2):
                 row[k], row[pj] = row[pj], row[k]
         pinv = a[k][k].inverse(n)
+        scaled = [y * pinv for y in a[k][k + 1:]]
         for i in range(k + 1, size):
             below, a[i][k] = a[i][k], None
             if below.has_no_known_terms():
                 continue
-            f = below * pinv
-            a[i][k + 1:] = [muladd(x, ((f, y),), True) for x, y in zip(a[i][k + 1:], a[k][k + 1:])]
-        for j in range(k + 1, size):
-            if a[k][j].has_no_known_terms():
+            a[i][k + 1:] = [muladd(x, ((below, f),), True) for x, f in zip(a[i][k + 1:], scaled)]
+        for j, f in enumerate(scaled, k + 1):
+            if f.has_no_known_terms():
                 continue
-            f = a[k][j] * pinv
             for row in h2:
                 row[j] = muladd(row[j], ((f, row[k]),), True)
         a[k] = None

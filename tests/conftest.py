@@ -91,7 +91,8 @@ def reference_smith_form(m, n, events=None):
     rule).  Returns ``(u, exponents, h2)``: the library returns the last two,
     and its check derives ``u`` as ``m · h2 · diag(t^-e)``.  A Counter
     ``events`` counts each ``row swap``, ``column swap`` and ``skipped
-    multiplier``.
+    multiplier`` (a ``truncated zero below the pivot`` among them), and
+    each ``unknown pivot-row entry``, one past a pivot with no known terms.
     """
     if m.rows != m.cols:
         raise ShapeError("Smith reduction expects a square matrix")
@@ -125,6 +126,7 @@ def reference_smith_form(m, n, events=None):
         for i in range(k + 1, size):
             if a[i][k].has_no_known_terms():
                 events["skipped multiplier"] += 1
+                events["truncated zero below the pivot"] += a[i][k].trunc is not None
                 continue
             f = a[i][k] * pinv
             a[i] = [muladd(x, ((f, y),), True) for x, y in zip(a[i], a[k])]
@@ -132,6 +134,7 @@ def reference_smith_form(m, n, events=None):
                 row[k] = muladd(row[k], ((f, row[i]),))
         for j in range(k + 1, size):
             if a[k][j].has_no_known_terms():
+                events["unknown pivot-row entry"] += 1
                 continue
             f = a[k][j] * pinv
             for row in (*a, *h2):

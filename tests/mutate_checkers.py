@@ -10,7 +10,9 @@ one function of ``src/borderlab``, made on its syntax tree:
   ``(clause, ok, detail)`` triple or a ``VerificationResult``;
 * ``raise``: a refusal turned into ``pass``: a ``raise`` of ``SchemaError``
   (exit 3), ``PrecisionError`` (exit 2) or ``WitnessVerificationFailure``
-  (exit 1).
+  (exit 1);
+* ``exit``: in an ``except`` handler, a returned ``EXIT_*`` code set to each
+  other one, or one exception type dropped from the handler's tuple.
 
 The list of mutants is fixed by the source.  For each one the script copies
 the repository into a work directory, writes the mutant over the copy of
@@ -69,11 +71,21 @@ TARGETS = {
                                     "test_writer.py"],
     ("jsonio", "tensor_from_obj"): ["test_jsonio.py", "test_degeneration.py", "test_records.py", "test_cli.py",
                                     "test_acceptance.py", "test_writer.py"],
+    ("loopgroup", "smith_form"): ["test_loopgroup.py", "test_witness.py", "test_cli.py", "test_jsonio.py",
+                                  "test_records.py", "test_writer.py", "test_acceptance.py"],
+    ("cli", "main"): ["test_cli.py", "test_degeneration.py", "test_loopgroup.py", "test_writer.py", "test_acceptance.py"],
 }
+#: the decoders' shape helpers, each reached by the test files of every decoder
+TARGETS.update({("jsonio", name): ["test_jsonio.py", "test_cli.py", "test_records.py", "test_degeneration.py",
+                                   "test_loopgroup.py", "test_writer.py", "test_acceptance.py"]
+                for name in ("_dict", "_list", "_int", "_str", "_bool", "_exact_keys", "_version", "_field_of",
+                             "field_from_obj", "series_from_obj", "scalar_matrix_from_obj", "subgroup_from_obj",
+                             "_rational_cube", "cim_input_from_obj", "witness_input_from_obj")})
 
 FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt, ast.LtE: ast.Gt,
         ast.Gt: ast.LtE, ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 BOUND = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
+EXIT_CODES = ("EXIT_OK", "EXIT_FAIL", "EXIT_INCONCLUSIVE", "EXIT_INPUT")
 
 
 def _ok_slot(node):
@@ -102,9 +114,29 @@ def _raises_refusal(node) -> bool:
             and exc.func.id in ("SchemaError", "PrecisionError", "WitnessVerificationFailure"))
 
 
+def _exit_codes(func: ast.FunctionDef) -> set:
+    """The nodes of ``return EXIT_*`` statements inside ``func``'s ``except`` handlers."""
+    return {node for handler in ast.walk(func) if isinstance(handler, ast.ExceptHandler)
+            for node in ast.walk(handler) if isinstance(node, ast.Return) and isinstance(node.value, ast.Name)
+            and node.value.id in EXIT_CODES}
+
+
+def _set_exit(node, code):
+    before = ast.unparse(node)
+    node.value = ast.Name(code, ast.Load())
+    return f"{before}  ->  {ast.unparse(node)}"
+
+
+def _drop_type(node, slot):
+    before = ast.unparse(node.type)
+    del node.type.elts[slot]
+    return f"except {before}  ->  except {ast.unparse(node.type)}"
+
+
 def mutations(func: ast.FunctionDef):
     """``(operator, index, apply)`` for every mutant of ``func``; ``apply`` edits the node at
     position ``index`` of ``ast.walk`` on a copy, and returns a description."""
+    exits = _exit_codes(func)
     for index, node in enumerate(ast.walk(func)):
         if isinstance(node, ast.Compare) and len(node.ops) == 1:
             op = type(node.ops[0])
@@ -116,6 +148,13 @@ def mutations(func: ast.FunctionDef):
             yield "ok", index, _force_ok
         if _raises_refusal(node):
             yield "raise", index, None
+        if node in exits:
+            for code in EXIT_CODES:
+                if code != node.value.id:
+                    yield "exit", index, lambda n, code=code: _set_exit(n, code)
+        if isinstance(node, ast.ExceptHandler) and isinstance(node.type, ast.Tuple):
+            for slot in range(len(node.type.elts)):
+                yield "exit", index, lambda n, slot=slot: _drop_type(n, slot)
 
 
 def _set_op(node, op):
@@ -197,21 +236,23 @@ def main(argv=None) -> int:
         shutil.copytree(ROOT / part, repo / part, ignore=ignore)
     shutil.copy(ROOT / "pyproject.toml", repo / "pyproject.toml")
     counts = {"killed": 0, "survived": 0}
-    suite_timeout = unmutated_timeout(repo, [])
+    timeouts = {(): unmutated_timeout(repo, [])}  # per set of test files, the empty set the whole suite
     for (module, name), files in TARGETS.items():
         if args.functions and name not in args.functions:
             continue
         path = repo / "src" / "borderlab" / f"{module}.py"
         original = path.read_text()
         func = next(n for n in ast.parse(original).body if isinstance(n, ast.FunctionDef) and n.name == name)
-        timeout = unmutated_timeout(repo, files)
+        if tuple(files) not in timeouts:
+            timeouts[tuple(files)] = unmutated_timeout(repo, files)
+        timeout = timeouts[tuple(files)]
         for operator, index, apply in mutations(func):
             source, description = mutant_source(original, name, index, apply)
             path.write_text(source)
             try:
                 killed, seconds = run_tests(repo, files, timeout)
                 if not killed:
-                    killed, more = run_tests(repo, [], suite_timeout)
+                    killed, more = run_tests(repo, [], timeouts[()])
                     seconds += more
             finally:
                 path.write_text(original)

@@ -139,6 +139,17 @@ def test_witness_round_trip():
     assert back_p == p
 
 
+@pytest.mark.parametrize("lift", ["bogus", 5, "SYM3"])
+def test_witness_input_refuses_an_unknown_lift(lift):
+    # no lift and the sym3 lift are the only ones defined; another is a
+    # malformed input, not a witness for the clauses to fail
+    gs, p = random_witness_instance(QQ, (2, 2), random.Random(6))
+    obj = {"g": [plain(jsonio.matrix_to_obj(g)) for g in gs], "p": plain(jsonio.tensor_to_obj(p)), "lift": lift}
+    assert jsonio.witness_input_from_obj(dict(obj, lift=None)) == (list(gs), p, None)
+    with pytest.raises(SchemaError, match=rf"^lift: expected null or 'sym3', got '{lift}'$"):
+        jsonio.witness_input_from_obj(obj)
+
+
 def test_certificate_round_trip():
     cert = certify_lower_bound(8)
     obj = plain(jsonio.certificate_to_obj(cert))
@@ -152,6 +163,16 @@ def test_certificate_decoder_refuses_another_kind():
     for kind in ("cartan", "witness", None):
         with pytest.raises(SchemaError, match="not a degeneration certificate"):
             jsonio.certificate_from_obj(dict(obj, kind=kind))
+
+
+@pytest.mark.parametrize("key", ["S", "TTilde"])
+def test_certificate_decoder_refuses_a_tensor_that_is_not_n_cubed(key):
+    # each tensor is n x n x n: another shape is a malformed document, not
+    # a claim for the recheck to fail
+    obj = plain(jsonio.certificate_to_obj(certify_lower_bound(8)))
+    obj[key]["dims"] = [8, 8, 9]
+    with pytest.raises(SchemaError, match=rf"^{key}: dims \[8, 8, 9\] are not n x n x n for n=8$"):
+        jsonio.certificate_from_obj(obj)
 
 
 def test_sorted_json_is_deterministic():

@@ -150,19 +150,23 @@ def test_smith_form_matches_the_reference_entry_by_entry():
         outcomes["exact" if m.trunc is None else "truncated"] += 1
     # not vacuous: 872 row swaps, 1091 column swaps and 1303 skipped
     # multipliers over 218 exact and 158 truncated reductions, 27 pivots that
-    # precision 1 cannot certify and 16 singular matrices
+    # precision 1 cannot certify and 16 singular matrices.  smith_form's
+    # scaled pivot row matches the reference's row multipliers where a
+    # pivot-row entry has no known terms (1345 times: its scaled form lowers
+    # the orders it reaches as the reference's product does) and where an
+    # entry below the pivot is a truncated zero (916 times: both skip it)
     assert min(events[e] for e in ("row swap", "column swap", "skipped multiplier")) >= 800, events
+    assert min(events[e] for e in ("unknown pivot-row entry", "truncated zero below the pivot")) >= 800, events
     assert outcomes["exact"] >= 200 and outcomes["truncated"] >= 150, outcomes
     assert outcomes["PrecisionError at n = 1"] >= 25 and outcomes["SingularError"] >= 15, outcomes
 
 
 @pytest.mark.parametrize("size", [1, 2, 6, 8])
-def test_smith_form_multiplies_three_times_per_eliminated_entry(size, monkeypatch):
-    # the name gives the count while smith_form also built the left factor:
-    # per step, one multiplier per row and per column below the pivot and
-    # one unit times each row multiplier, 3·n(n-1)/2 series products in all.
-    # h1 is now derived in the check, so the unit product is gone and two
-    # of every three remain: n(n-1)
+def test_smith_form_multiplies_once_per_pivot_row_entry(size, monkeypatch):
+    # step k, with s = n-k-1 columns past the pivot, scales each pivot-row
+    # entry past the pivot by the pivot's inverse, and that one product
+    # serves both the row updates and h2's column operation: s products per
+    # step, n(n-1)/2 in all, and no left factor
     rng = random.Random(size)
     m = SeriesMatrix(QQ, [[series(QQ, {k: rng.randint(1, 9) for k in range(3)}) for _ in range(size)]
                           for _ in range(size)])
@@ -173,18 +177,17 @@ def test_smith_form_multiplies_three_times_per_eliminated_entry(size, monkeypatc
     mul = LaurentSeries.__mul__
     monkeypatch.setattr(LaurentSeries, "__mul__", lambda x, y: calls.append(1) or mul(x, y))
     got = smith_form(m, 16)
-    assert len(calls) == size * (size - 1)
+    assert len(calls) == size * (size - 1) // 2
     assert got == expected[1:]
 
 
 @pytest.mark.parametrize("size", [1, 2, 6, 8])
-def test_smith_form_updates_only_entries_it_reads(size, monkeypatch):
+def test_smith_form_muladds_once_per_row_update_h2_update_and_product(size, monkeypatch):
     # step k, with s = n-k-1 rows and columns left, makes s² row updates
     # right of the pivot column and n·s column operations on h2 alone, and
-    # its 2s products, one multiplier per row and per column past the
-    # pivot, reach muladd through the operator: no call on column k below
-    # the pivot, no column operation on the working matrix, and no left
-    # factor, so n(n-1) products in all
+    # its s products, one per pivot-row entry past the pivot, reach muladd
+    # through the operator: no call on column k below the pivot, no column
+    # operation on the working matrix, and no left factor
     from borderlab import series as series_module
 
     rng = random.Random(size)
@@ -198,7 +201,7 @@ def test_smith_form_updates_only_entries_it_reads(size, monkeypatch):
     got = smith_form(m, 16)
     steps = range(size)
     assert calls["borderlab.loopgroup"] == sum(s * s + size * s for s in steps)
-    assert calls["borderlab.series"] == sum(2 * s for s in steps) == size * (size - 1)
+    assert calls["borderlab.series"] == sum(s for s in steps) == size * (size - 1) // 2
     assert got == expected[1:]
 
 
