@@ -18,10 +18,10 @@ kernels take vectors in that form and return one in that form.
 :meth:`FieldContext.vec_muladd` is the one arithmetic kernel for vectors:
 it forms ``x ± Σ y·z`` from unreduced integer products over one common
 denominator and reduces the sum once (delayed reduction, as FFLAS-FFPACK
-does for dot products), ``% p`` over F_p and one gcd over ℚ.  Every sum,
-difference, negation, scaling and product of series reaches it through
-:func:`borderlab.series.muladd`; only unit inversion has a kernel of its
-own.
+does for dot products), ``% p`` over F_p and one gcd over ℚ.  Every term
+is a product: a sum, difference or negation of series reaches it as a
+product by the exact one, through :func:`borderlab.series.muladd`, as do
+every scaling and product; only unit inversion has a kernel of its own.
 """
 
 from __future__ import annotations
@@ -179,20 +179,15 @@ class FieldContext:
     def vec_muladd(self, head, terms, lo: int, length: int, subtract: bool):
         """Exponents ``lo .. lo + length - 1`` of ``x ± Σ y·z`` as one canonical vector.
 
-        ``head`` is ``(v, xs, dx)`` or None for ``x = 0``; each term is
-        ``(v, ys, dy, zs, dz)``, with ``zs`` None for ``y`` alone; a vector
-        starts at exponent ``v >= lo``.  The terms are added, or subtracted with
+        ``head`` is ``(v, xs, dx)`` or None for ``x = 0``; each term is the
+        product ``(v, ys, dy, zs, dz)``; a vector starts at exponent
+        ``v >= lo``.  The products are added, or subtracted with
         ``subtract``, over the lcm of their denominators as unreduced
-        products (:meth:`_raw_product`), and the sum is reduced once.
+        numerators (:meth:`_raw_product`), and the sum is reduced once.
         """
-        if head is None and len(terms) == 1:
-            # 0 ± one term: the term alone, with nothing to add it to
-            _, ys, dy, zs, dz = terms[0]
-            ys = ys[:length] if zs is None else self._raw_product(ys, zs, length)
-            return self.vec_reduce([-y for y in ys] if subtract else ys, dy if zs is None else dy * dz)
         den = 1 if head is None else head[2]
-        for _, _, dy, zs, dz in terms:
-            d = dy if zs is None else dy * dz
+        for _, _, dy, _, dz in terms:
+            d = dy * dz
             if den % d:
                 den = math.lcm(den, d)
         out = [0] * length
@@ -207,11 +202,7 @@ class FieldContext:
             n = length - off
             if n <= 0:
                 continue
-            if zs is None:
-                f = den // dy
-                ys = ys[:n] if f == 1 else [y * f for y in ys[:n]]
-            else:
-                ys = self._raw_product(ys, zs, n, den // (dy * dz))
+            ys = self._raw_product(ys, zs, n, den // (dy * dz))
             k = len(ys)
             out[off : off + k] = map(step, out[off : off + k], ys)
         return self.vec_reduce(out, den)

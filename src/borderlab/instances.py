@@ -10,6 +10,7 @@ runs are reproducible from a single seed.
 
 from __future__ import annotations
 
+import itertools
 import random
 from typing import TYPE_CHECKING, Sequence
 
@@ -47,7 +48,7 @@ def random_series_unit_matrix(field: FieldContext, n: int, rng: random.Random) -
     unit and the constant term is invertible by construction.
     """
     rows = [
-        [LaurentSeries(field, 0, (field.one(),)) if i == j else LaurentSeries.zero(field) for j in range(n)]
+        [LaurentSeries.one(field) if i == j else LaurentSeries.zero(field) for j in range(n)]
         for i in range(n)
     ]
     for _ in range(4):
@@ -92,14 +93,9 @@ def random_tensor(field: FieldContext, dims: Sequence[int], rng: random.Random) 
     from .tensors import Tensor
 
     entries = {}
-    def fill(prefix):
-        if len(prefix) == len(dims):
-            if rng.random() < 0.6:
-                entries[tuple(prefix)] = field.random_scalar(rng)
-            return
-        for v in range(1, dims[len(prefix)] + 1):
-            fill(prefix + [v])
-    fill([])
+    for pos in itertools.product(*(range(1, n + 1) for n in dims)):
+        if rng.random() < 0.6:
+            entries[pos] = field.random_scalar(rng)
     return Tensor(field, tuple(dims), entries)
 
 

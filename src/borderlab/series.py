@@ -22,9 +22,10 @@ output (except for monomials, which invert exactly).
 
 :func:`muladd` forms ``x ± Σ a·b`` as one series, with one reduction of
 the field's vector.  It is the only way arithmetic reaches the field: the
-operators ``+``, ``-``, ``*`` and unary ``-`` are one call each (a product
-starts from the field's one shared exact zero), the Smith and Gauss-Jordan
-updates and every entry of a matrix product call it directly, and it is the
+operators ``+``, ``-``, ``*`` and unary ``-`` are one call each (a sum is a
+product by the field's one shared exact one, and a product or negation
+starts from its one shared exact zero), the Smith and Gauss-Jordan updates
+and every entry of a matrix product call it directly, and it is the
 arithmetic of the tensor ring :class:`LaurentPolynomials`.
 """
 
@@ -76,67 +77,54 @@ def _series(field, val, nums, den, trunc) -> "LaurentSeries":
 
 def muladd(x: "LaurentSeries", terms, subtract: bool = False) -> "LaurentSeries":
     """``x + Σ a·b`` over the pairs ``(a, b)`` of ``terms``, or ``x - Σ a·b``
-    with ``subtract``; a pair ``(a, None)`` stands for ``a`` alone.
+    with ``subtract``; a sum passes the exact one as ``b``.
 
     The result is the canonical series that the operators would build one
     term at a time, with the same ``val``, ``nums``, ``den`` and ``trunc``.
-    The truncation order comes from the operands' orders and valuations
-    alone.  A term with an operand known to no term only lowers it: it
-    costs no product and builds no series, and when nothing else changes
-    ``x`` itself is returned.  The remaining terms go to the field's
+    Each product's truncation order, ``min(Na + v(b), Nb + v(a))``, comes
+    from the operands' orders and valuations alone.  A product with a
+    factor known to no term only lowers it: it costs no product and builds
+    no series, and when nothing else changes ``x`` itself is returned.  The
+    remaining products go to the field's
     :meth:`~borderlab.fields.FieldContext.vec_muladd` as one window of
     slots below the truncation order, which sums unreduced products and
     reduces once.
     """
     field = x.field
     trunc = x.trunc
-    # the vectors of the terms with known terms, each from its valuation,
+    # the vectors of the products with known terms, each from its valuation,
     # and the window of exponents that they and x span
     live = []
     lo, hi = (x.val, x.val + len(x.nums)) if x.nums else (None, None)
-    lone = None  # the last live term ``(a, None)``: ``0 + a`` may be ``a`` itself
     for a, b in terms:
         if a.field is not field:
             field.ensure_same(a.field)
-        if b is None:
-            t = a.trunc
-            v = a.val if a.nums else None
-            if v is not None:
-                end = v + len(a.nums)
-                live.append((v, a.nums, a.den, None, 1))
-                lone = a
-        else:
-            if b.field is not field:
-                field.ensure_same(b.field)
-            if (a.trunc is None and not a.nums) or (b.trunc is None and not b.nums):
-                continue  # an exactly zero product
-            # each factor's order shifted by the other's certified valuation bound
-            t = None if a.trunc is None else a.trunc + (b.val if b.nums else b.trunc)
-            if b.trunc is not None:
-                bound = b.trunc + (a.val if a.nums else a.trunc)
-                if t is None or bound < t:
-                    t = bound
-            v = a.val + b.val if a.nums and b.nums else None
-            if v is not None:
-                end = v + len(a.nums) + len(b.nums) - 1
-                live.append((v, a.nums, a.den, b.nums, b.den))
+        if b.field is not field:
+            field.ensure_same(b.field)
+        if (a.trunc is None and not a.nums) or (b.trunc is None and not b.nums):
+            continue  # an exactly zero product
+        # each factor's order shifted by the other's certified valuation bound
+        t = None if a.trunc is None else a.trunc + (b.val if b.nums else b.trunc)
+        if b.trunc is not None:
+            bound = b.trunc + (a.val if a.nums else a.trunc)
+            if t is None or bound < t:
+                t = bound
         if t is not None and (trunc is None or t < trunc):
             trunc = t
-        if v is not None:
+        if a.nums and b.nums:
+            v = a.val + b.val
+            live.append((v, a.nums, a.den, b.nums, b.den))
             if lo is None or v < lo:
                 lo = v
+            end = v + len(a.nums) + len(b.nums) - 1
             if hi is None or end > hi:
                 hi = end
     if not live:
         if trunc == x.trunc:
             return x
         return _series(field, x.val, x.nums, x.den, trunc)
-    if len(live) == 1 and lone is not None and not x.nums and not subtract and lone.trunc == trunc:
-        return lone
     if trunc is not None and trunc < hi:
         hi = trunc
-    if hi <= lo:
-        return _series(field, 0, (), 1, trunc)
     head = (x.val, x.nums, x.den) if x.nums else None
     return _series(field, lo, *field.vec_muladd(head, live, lo, hi - lo, subtract), trunc)
 
@@ -180,6 +168,14 @@ class LaurentSeries:
         if z is None:
             z = _ZEROS[field] = _series(field, 0, (), 1, None)
         return z
+
+    @classmethod
+    def one(cls, field: FieldContext) -> "LaurentSeries":
+        """The exact one; series are immutable, so equal fields share one."""
+        u = _ONES.get(field)
+        if u is None:
+            u = _ONES[field] = _series(field, 0, (1,), 1, None)
+        return u
 
     @classmethod
     def from_terms(cls, field: FieldContext, terms: dict) -> "LaurentSeries":
@@ -243,16 +239,16 @@ class LaurentSeries:
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "LaurentSeries") -> "LaurentSeries":
-        """``self + other`` (one :func:`muladd`, which checks the fields)."""
-        return muladd(self, ((other, None),))
+        """``self + other · 1`` (one :func:`muladd`, which checks the fields)."""
+        return muladd(self, ((other, LaurentSeries.one(self.field)),))
 
     def __neg__(self) -> "LaurentSeries":
-        """``0 - self`` (one :func:`muladd`)."""
-        return muladd(LaurentSeries.zero(self.field), ((self, None),), True)
+        """``0 - self · 1`` (one :func:`muladd`)."""
+        return muladd(LaurentSeries.zero(self.field), ((self, LaurentSeries.one(self.field)),), True)
 
     def __sub__(self, other: "LaurentSeries") -> "LaurentSeries":
-        """``self - other`` (one :func:`muladd`)."""
-        return muladd(self, ((other, None),), True)
+        """``self - other · 1`` (one :func:`muladd`)."""
+        return muladd(self, ((other, LaurentSeries.one(self.field)),), True)
 
     def __mul__(self, other: "LaurentSeries") -> "LaurentSeries":
         """``0 + self · other`` (one :func:`muladd`)."""
@@ -332,8 +328,9 @@ class LaurentSeries:
         return f"<{body}{tail}>"
 
 
-#: the exact zero of each field, handed out by :meth:`LaurentSeries.zero`
+#: the exact zero and one of each field (:meth:`LaurentSeries.zero`, ``one``)
 _ZEROS: dict = {}
+_ONES: dict = {}
 
 # the slots' own setters, which the immutability guard does not intercept
 _set_field, _set_val, _set_nums, _set_den, _set_trunc = (
@@ -452,7 +449,7 @@ class SeriesMatrix:
 
     @classmethod
     def identity(cls, field: FieldContext, n: int) -> "SeriesMatrix":
-        one = LaurentSeries(field, 0, (field.one(),))
+        one = LaurentSeries.one(field)
         zero = LaurentSeries.zero(field)
         return cls(field, [[one if i == j else zero for j in range(n)] for i in range(n)])
 

@@ -54,7 +54,7 @@ def sym3_lift(m: SeriesMatrix) -> SeriesMatrix:
     # powers up to cube of each of d, -b, -c, a
     pw = {}
     for name, base in (("d", d), ("nb", nb), ("nc", nc), ("a", a)):
-        cur = [LaurentSeries(fld, 0, (fld.one(),))]
+        cur = [LaurentSeries.one(fld)]
         for _ in range(3):
             cur.append(cur[-1] * base)
         pw[name] = cur

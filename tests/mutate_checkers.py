@@ -12,7 +12,9 @@ one function of ``src/borderlab``, made on its syntax tree:
   (exit 3), ``PrecisionError`` (exit 2) or ``WitnessVerificationFailure``
   (exit 1);
 * ``exit``: in an ``except`` handler, a returned ``EXIT_*`` code set to each
-  other one, or one exception type dropped from the handler's tuple.
+  other one, or one exception type dropped from the handler's tuple;
+* ``skip``: a call of a shape check (``_dict``, ``_list``, ``_str``,
+  ``_bool``, ``_int``) replaced by its first argument, unchecked.
 
 The list of mutants is fixed by the source.  For each one the script copies
 the repository into a work directory, writes the mutant over the copy of
@@ -74,6 +76,10 @@ TARGETS = {
     ("loopgroup", "smith_form"): ["test_loopgroup.py", "test_witness.py", "test_cli.py", "test_jsonio.py",
                                   "test_records.py", "test_writer.py", "test_acceptance.py"],
     ("cli", "main"): ["test_cli.py", "test_degeneration.py", "test_loopgroup.py", "test_writer.py", "test_acceptance.py"],
+    # the series kernel: its comparisons decide the truncation order that a decomposition claims
+    ("series", "muladd"): ["test_series.py", "test_loopgroup.py", "test_tensors.py", "test_sparse_tensors.py",
+                           "test_witness.py", "test_jsonio.py", "test_records.py", "test_writer.py", "test_cli.py",
+                           "test_acceptance.py", "test_tooling.py"],
 }
 #: the decoders' shape helpers, each reached by the test files of every decoder
 TARGETS.update({("jsonio", name): ["test_jsonio.py", "test_cli.py", "test_records.py", "test_degeneration.py",
@@ -86,6 +92,7 @@ FLIP = {ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Lt: ast.GtE, ast.GtE: ast.Lt, 
         ast.Gt: ast.LtE, ast.In: ast.NotIn, ast.NotIn: ast.In, ast.Is: ast.IsNot, ast.IsNot: ast.Is}
 BOUND = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt}
 EXIT_CODES = ("EXIT_OK", "EXIT_FAIL", "EXIT_INCONCLUSIVE", "EXIT_INPUT")
+SHAPE_CHECKS = ("_dict", "_list", "_str", "_bool", "_int")
 
 
 def _ok_slot(node):
@@ -114,6 +121,11 @@ def _raises_refusal(node) -> bool:
             and exc.func.id in ("SchemaError", "PrecisionError", "WitnessVerificationFailure"))
 
 
+def _skips_check(node) -> bool:
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id in SHAPE_CHECKS
+            and bool(node.args))
+
+
 def _exit_codes(func: ast.FunctionDef) -> set:
     """The nodes of ``return EXIT_*`` statements inside ``func``'s ``except`` handlers."""
     return {node for handler in ast.walk(func) if isinstance(handler, ast.ExceptHandler)
@@ -134,8 +146,9 @@ def _drop_type(node, slot):
 
 
 def mutations(func: ast.FunctionDef):
-    """``(operator, index, apply)`` for every mutant of ``func``; ``apply`` edits the node at
-    position ``index`` of ``ast.walk`` on a copy, and returns a description."""
+    """``(operator, index, apply)`` for every mutant of ``func``; ``apply`` takes the node at
+    position ``index`` of ``ast.walk`` on a copy, and either edits it and returns a
+    description or returns the node to put in its place."""
     exits = _exit_codes(func)
     for index, node in enumerate(ast.walk(func)):
         if isinstance(node, ast.Compare) and len(node.ops) == 1:
@@ -147,7 +160,9 @@ def mutations(func: ast.FunctionDef):
         if _ok_slot(node) is not None:
             yield "ok", index, _force_ok
         if _raises_refusal(node):
-            yield "raise", index, None
+            yield "raise", index, lambda n: ast.Pass()
+        if _skips_check(node):
+            yield "skip", index, lambda n: n.args[0]
         if node in exits:
             for code in EXIT_CODES:
                 if code != node.value.id:
@@ -171,16 +186,15 @@ def _force_ok(node):
     return f"ok {before}  ->  True in {ast.unparse(node)[:80]}"
 
 
-class _RaiseToPass(ast.NodeTransformer):
-    def __init__(self, target):
-        self.target = target
-        self.description = ""
-
-    def visit_Raise(self, node):
-        if node is self.target:
-            self.description = f"{ast.unparse(node)[:80]}  ->  pass"
-            return ast.Pass()
-        return node
+def _replace(root, target, new) -> str:
+    """Put ``new`` where ``target`` stands under ``root``, and describe the change."""
+    for parent in ast.walk(root):
+        for name, value in ast.iter_fields(parent):
+            if value is target:
+                setattr(parent, name, new)
+            elif isinstance(value, list) and any(v is target for v in value):
+                value[value.index(target)] = new
+    return f"{ast.unparse(target)[:80]}  ->  {ast.unparse(new)[:80]}"
 
 
 def mutant_source(source: str, name: str, index: int, apply) -> tuple:
@@ -189,12 +203,9 @@ def mutant_source(source: str, name: str, index: int, apply) -> tuple:
     func = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
     mutated = copy.deepcopy(func)
     node = list(ast.walk(mutated))[index]
-    if apply is None:
-        remover = _RaiseToPass(node)
-        mutated = remover.visit(mutated)
-        description = remover.description
-    else:
-        description = apply(node)
+    description = apply(node)
+    if isinstance(description, ast.AST):
+        description = _replace(mutated, node, description)
     ast.fix_missing_locations(mutated)
     lines = source.splitlines(keepends=True)
     body = ast.unparse(mutated) + "\n"

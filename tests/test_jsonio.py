@@ -1,4 +1,6 @@
+import copy
 import random
+import re
 
 import pytest
 
@@ -181,3 +183,96 @@ def test_sorted_json_is_deterministic():
     cert2 = certify_lower_bound(8)
     b = written(jsonio.certificate_to_obj(cert2))
     assert a == b
+
+
+@pytest.fixture(scope="module")
+def documents():
+    """One plain document of each kind that a decoder below reads."""
+    from borderlab.loopgroup import cartan_factors
+
+    gs, p = random_witness_instance(QQ, (2, 2), random.Random(6))
+    field = PrimeField(7)
+    return {
+        "cim output": plain(jsonio.cartan_results_to_obj(cartan_factors(list(gs), 8))),
+        "witness": plain(jsonio.witness_to_obj(build_witness(gs, p, 16), gs, p)),
+        "certificate": plain(jsonio.certificate_to_obj(certify_lower_bound(8))),
+        "tensor": plain(jsonio.tensor_to_obj(p)),
+        "series": plain(jsonio.series_to_obj(LaurentSeries(field, -1, [3, 0, 5], 4))),
+        "field": {"kind": "Fp", "p": "7"},
+        "cim input": {"factors": [plain(jsonio.matrix_to_obj(g)) for g in gs]},
+        "witness input": {"g": [plain(jsonio.matrix_to_obj(g)) for g in gs], "p": plain(jsonio.tensor_to_obj(p))},
+    }
+
+
+DECODERS = {
+    "cim output": jsonio.cartan_results_from_obj,
+    "witness": jsonio.witness_from_obj,
+    "certificate": jsonio.certificate_from_obj,
+    "tensor": jsonio.tensor_from_obj,
+    "series": lambda obj: jsonio.series_from_obj(PrimeField(7), obj),
+    "field": jsonio.field_from_obj,
+    "cim input": jsonio.cim_input_from_obj,
+    "witness input": jsonio.witness_input_from_obj,
+}
+
+#: (document, path to a node, a value of the wrong type for it, the name its check gives)
+WRONG_TYPES = [
+    ("cim output", (), [], "cim output"),
+    ("cim output", ("factors",), {}, "factors"),
+    ("cim output", ("factors", 0), [], "cim result"),
+    ("witness", (), [], "witness"),
+    ("witness", ("g",), {}, "g"),
+    ("witness", ("translations",), {}, "translations"),
+    ("witness", ("translations", 0), {}, "scalar matrix"),
+    ("witness", ("translations", 0, 0), {}, "scalar matrix row"),
+    ("witness", ("cim",), {}, "witness decompositions"),
+    ("witness", ("lambda",), [], "subgroup"),
+    ("witness", ("lambda", "factors"), {}, "subgroup factors"),
+    ("witness", ("lambda", "factors", 0), [], "subgroup factor"),
+    ("witness", ("lambda", "factors", 0, "weights"), {}, "subgroup weights"),
+    ("certificate", ("profile",), [], "profile"),
+    ("certificate", ("profile", "n"), 1.5, "profile n"),
+    ("certificate", ("profile", "r"), 1.5, "profile r"),
+    ("certificate", ("r",), 1.5, "r"),
+    ("certificate", ("jacobianRank",), 1.5, "jacobianRank"),
+    ("certificate", ("pyramidSize",), 1.5, "pyramidSize"),
+    ("certificate", ("verdict",), 1, "verdict"),
+    ("certificate", ("S",), [], "S"),
+    ("tensor", (), [], "tensor"),
+    ("tensor", ("dims",), {}, "tensor dims"),
+    ("tensor", ("dims", 0), 1.5, "tensor dim"),
+    ("tensor", ("entries",), {}, "tensor entries"),
+    ("tensor", ("entries", 0), [], "tensor entry"),
+    ("tensor", ("entries", 0, "idx"), {}, "tensor idx"),
+    ("series", ("trunc",), 1.5, "series trunc"),
+    ("field", ("p",), 7.5, "field prime"),
+    ("cim input", (), [], "cim input"),
+    ("cim input", ("factors",), {}, "factors"),
+    ("witness input", (), [], "witness input"),
+    ("witness input", ("g",), {}, "g"),
+]
+
+
+@pytest.mark.parametrize("doc, path, bad, what", WRONG_TYPES,
+                         ids=[" ".join(map(str, (doc, *path))) for doc, path, _, _ in WRONG_TYPES])
+def test_decoders_refuse_a_node_of_the_wrong_type(documents, doc, path, bad, what):
+    # a node of the wrong type is refused by its own shape check, by name,
+    # and not by whatever later step trips over it
+    obj = copy.deepcopy(documents[doc])
+    DECODERS[doc](copy.deepcopy(obj))
+    if path:
+        *parents, last = path
+        node = obj
+        for key in parents:
+            node = node[key]
+        node[last] = bad
+    else:
+        obj = bad
+    with pytest.raises(SchemaError, match=rf"^{re.escape(what)}: expected .*, got {type(bad).__name__}$"):
+        DECODERS[doc](obj)
+
+
+def test_an_exact_series_may_write_its_trunc_as_a_string():
+    obj = plain(jsonio.series_to_obj(LaurentSeries(QQ, -1, [QQ.one(), QQ.from_int(2)])))
+    assert obj["exact"] and obj["trunc"] == 1
+    assert jsonio.series_from_obj(QQ, dict(obj, trunc="1")) == jsonio.series_from_obj(QQ, obj)

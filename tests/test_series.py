@@ -13,7 +13,7 @@ from borderlab import (
     SeriesMatrix,
     SingularError,
 )
-from borderlab.fields import Rationals, is_prime
+from borderlab.fields import FieldContext, Rationals, is_prime
 from borderlab.series import muladd
 from borderlab.instances import random_laurent_polynomial, random_series_unit_matrix
 
@@ -297,17 +297,16 @@ def muladd_operand(field, rng):
 
 
 def operator_muladd(x, terms, subtract):
-    """``x ± Σ a·b`` one operator at a time (``b`` None: ``a`` alone)."""
+    """``x ± Σ a·b`` one operator at a time."""
     for a, b in terms:
-        p = a if b is None else a * b
-        x = x - p if subtract else x + p
+        x = x - a * b if subtract else x + a * b
     return x
 
 
 def schoolbook_muladd(x, terms, subtract):
     """``x ± Σ a·b`` from the schoolbook oracles."""
     for a, b in terms:
-        p = a if b is None else schoolbook_mul(a, b)
+        p = schoolbook_mul(a, b)
         x = schoolbook_add(x, negated(p) if subtract else p)
     return x
 
@@ -315,13 +314,14 @@ def schoolbook_muladd(x, terms, subtract):
 @pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
 def test_muladd_matches_the_operators(field):
     rng = random.Random(f"muladd:{field!r}")
+    one = LaurentSeries.one(field)
     for trial in range(400):
         x = muladd_operand(field, rng)
         count = (0, 1, 2, 16)[trial % 4]
         terms = []
         for _ in range(count):
             a = muladd_operand(field, rng)
-            terms.append((a, None if rng.random() < 0.2 else muladd_operand(field, rng)))
+            terms.append((a, one if rng.random() < 0.2 else muladd_operand(field, rng)))
         subtract = rng.random() < 0.5
         got = muladd(x, terms, subtract)
         want = operator_muladd(x, terms, subtract)
@@ -334,10 +334,34 @@ def test_muladd_matches_the_operators(field):
         undone = muladd(got, terms, not subtract)
         assert undone == operator_muladd(got, terms, not subtract)
         assert undone == (x if undone.trunc is None else x.truncate(undone.trunc))
-        if terms and terms[0][1] is not None:
+        if terms:
             a, b = terms[0]
             gone = muladd(a * b, [(a, b)], True)
             assert gone.has_no_known_terms() and gone == (a * b) - (a * b)
+
+
+@pytest.mark.parametrize("field", KERNEL_FIELDS, ids=repr)
+def test_muladd_computes_no_slot_at_or_above_the_order(field, monkeypatch):
+    # the window handed to the field ends at the result's truncation order
+    windows = []
+    kernel = FieldContext.vec_muladd
+
+    def spy(self, head, terms, lo, length, subtract):
+        windows.append(lo + length)
+        return kernel(self, head, terms, lo, length, subtract)
+
+    monkeypatch.setattr(type(field), "vec_muladd", spy)
+    rng = random.Random(f"muladd-window:{field!r}")
+    cut = 0
+    for _ in range(300):
+        x = muladd_operand(field, rng)
+        terms = [(muladd_operand(field, rng), muladd_operand(field, rng)) for _ in range(rng.randint(1, 4))]
+        windows.clear()
+        got = muladd(x, terms, rng.random() < 0.5)
+        if windows and got.trunc is not None:
+            assert len(windows) == 1 and windows[0] <= got.trunc
+            cut += windows[0] == got.trunc
+    assert cut >= 100
 
 
 @pytest.mark.parametrize("field", KERNEL_FIELDS[:3], ids=repr)
@@ -362,10 +386,12 @@ def test_the_tensor_ring_kernel_is_the_series_kernel(field):
 
 def test_equal_fields_share_one_exact_zero():
     for a, b in ((QQ, Rationals()), (PrimeField(7), PrimeField(7)), (PrimeField(P62), PrimeField(P62))):
-        zero = LaurentSeries.zero(a)
+        zero, one = LaurentSeries.zero(a), LaurentSeries.one(a)
         assert zero is LaurentSeries.zero(b) is LaurentPolynomials(b).zero()
         assert zero.is_exactly_zero() and zero.field == b
+        assert one is LaurentSeries.one(b) and one == LaurentSeries(b, 0, [b.one()]) and one.field == b
     assert LaurentSeries.zero(PrimeField(7)) is not LaurentSeries.zero(PrimeField(11))
+    assert LaurentSeries.one(PrimeField(7)) is not LaurentSeries.one(PrimeField(11))
     # products, negations and products by a constant start from it and leave it the zero
     fp = PrimeField(7)
     a = LaurentSeries(fp, -1, [3, 0, 5])
@@ -388,7 +414,6 @@ def test_muladd_returns_x_when_no_term_changes_it(field):
             assert muladd(x, [(far, LaurentSeries(field, 0, [1]))]) == x.truncate(1000)
         else:
             assert muladd(x, [(far, LaurentSeries(field, 0, [1]))]) is x
-            assert muladd(x, [(far, None)]) is x
 
 
 # ---------------------------------------------------------------------------
